@@ -15,13 +15,13 @@ seed, so results are reproducible for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import PowerDecomposition
 from .estimation import ChannelState, EstimationStats
+from .parallel import parallel_map, pool_size
 
 __all__ = [
     "complex_normal",
@@ -140,12 +140,12 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
         counts.append(trials % _BATCH)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
 
-    if workers > 1 and len(counts) > 1:
-        chunks = np.array_split(np.arange(len(counts)), min(workers, len(counts)))
+    size = pool_size(workers, len(counts))
+    if size > 1:
+        chunks = np.array_split(np.arange(len(counts)), size)
         args = [(state, j, i, [seeds[b] for b in chunk], [counts[b] for b in chunk])
-                for chunk in chunks if len(chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_batches_star, args))
+                for chunk in chunks]
+        results = parallel_map(_run_batches_star, args, size)
         stats = _TrialStats(
             inner=np.concatenate([r.inner for r in results]),
             noise=np.concatenate([r.noise for r in results]),

@@ -17,12 +17,12 @@ scheme-ordering changes and two-cell case transitions by bisection.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .bounds import rate_bound_sets, tin_rate
 from .estimation import ChannelState
 from .network import CellLayout, SystemParams, three_cell_layout, two_cell_layout
+from .parallel import parallel_map
 from .symrate import SCHEMES, network_symmetric_rate
 
 __all__ = [
@@ -240,11 +240,9 @@ _PAIRS = tuple((SCHEMES[p], SCHEMES[q])
                for p in range(len(SCHEMES)) for q in range(p + 1, len(SCHEMES)))
 
 
-def _eval_point(scenario: Scenario, axis: str, value: float, pilot: int,
-                max_cells: int) -> SweepRow:
+def _eval_point(scenario: Scenario, axis: str, value: float, pilot: int) -> SweepRow:
     state = scenario.with_axis(axis, value).state()
-    rates = {s: network_symmetric_rate(state, s, pilot, max_cells=max_cells).network_rate
-             for s in SCHEMES}
+    rates = {s: network_symmetric_rate(state, s, pilot).network_rate for s in SCHEMES}
     case = None
     if state.L == 2:
         case = classify_two_cell(state, 0, pilot).label
@@ -266,8 +264,7 @@ _SIGN_LABEL = {-1: "<", 0: "=", 1: ">"}
 
 
 def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0,
-          rel_tol: float = 1e-3, eq_rtol: float = 1e-9, max_cells: int = 12,
-          workers: int = 1) -> SweepResult:
+          rel_tol: float = 1e-3, eq_rtol: float = 1e-9, workers: int = 1) -> SweepResult:
     """Evaluate all scheme rates over a grid and locate transitions.
 
     ``grid`` must be nonempty and strictly increasing.  For every scheme pair
@@ -284,12 +281,8 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
 
-    point_args = [(scenario, axis, v, pilot, max_cells) for v in grid]
-    if workers > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_point_star, point_args))
-    else:
-        rows = [_eval_point_star(a) for a in point_args]
+    rows = parallel_map(_eval_point_star, [(scenario, axis, v, pilot) for v in grid],
+                        workers)
 
     thresholds = []
 
@@ -312,7 +305,11 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0,
                 continue
 
             def sign_at(v, sa=sa, sb=sb):
-                return pair_sign(_eval_point(scenario, axis, v, pilot, max_cells), sa, sb)
+                # only the two schemes being ordered, not the whole row
+                state = scenario.with_axis(axis, v).state()
+                return _order_sign(network_symmetric_rate(state, sa, pilot).network_rate,
+                                   network_symmetric_rate(state, sb, pilot).network_rate,
+                                   eq_rtol)
 
             value = locate(left.value, right.value, sign_at, s_lo)
             thresholds.append(Crossing(

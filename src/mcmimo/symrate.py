@@ -3,8 +3,9 @@
 Over a subset-sum polytope the largest R with (R, ..., R) inside is
 min over constraints of bound / |subset|; absent constraints are infinite.
 SD and S-SND reduce to comparing L candidates after sorting the squared
-gains; SND requires enumerating decoded sets and is solved exhaustively for
-moderate L.
+gains; SND reduces to L nested decoded sets (the own cell plus its
+strongest interferers) with at most L candidate subsets each, so every
+solver is polynomial in L.
 
 Ties among minimizing (or maximizing) subsets are broken toward the smaller
 cardinality first and then the smaller bitmask, so witness sets are
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bounds import capacity, coherent_power, noise_floor, tin_rate
 from .estimation import ChannelState
-from .regions import Polytope, _mask_to_set, _subset_sums
+from .regions import Polytope
 
 __all__ = [
     "SCHEMES",
@@ -94,8 +95,8 @@ def _ranked_powers(state: ChannelState, j: int, i: int):
 
 def _bit_order_sum(coh: np.ndarray, cells) -> float:
     """Sum of coh over a cell set, accumulated from the highest cell index
-    down.  This matches the subset-sum recursion used by the exhaustive SND
-    solver bit for bit, so scheme identities hold to the exact float."""
+    down.  This matches the subset-sum table of the region builders bit for
+    bit, so solvers and regions agree to the exact float."""
     total = 0.0
     for l in sorted(cells, reverse=True):
         total += coh[l]
@@ -165,52 +166,74 @@ def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> frozenset[int]:
     return frozenset({j} | set(others[:taken]))
 
 
-def snd_max_symmetric(state: ChannelState, j: int, i: int,
-                      max_cells: int = 12) -> tuple[float, frozenset[int], frozenset[int]]:
+def snd_max_symmetric(state: ChannelState, j: int,
+                      i: int) -> tuple[float, frozenset[int], frozenset[int]]:
     """Max symmetric rate over the union of MAC polytopes at BS j.
 
-    Every part and the union are downward closed along the diagonal, so the
-    union's symmetric rate is the max over decoded sets omega (containing j)
-    of the per-part polytope value.  Exhaustive over 2^(L-1) decoded sets;
-    refuses L > max_cells.
+    Returns ``(rate, omega, theta)``: the rate, the maximizing decoded set
+    and the binding subset of it.  Every part and the union are downward
+    closed along the diagonal, so the union's symmetric rate is the max over
+    decoded sets omega (containing j) of the per-part polytope value
+
+        v(omega) = min over nonempty theta in omega of
+                   C(N(theta) / (N(omega^c) + F)) / |theta|.
+
+    Only L of the 2^(L-1) decoded sets and L(L+1)/2 thetas need evaluating:
+
+    1. For a fixed omega and size t, the bound grows with N(theta), so the
+       binding theta of size t is the t weakest members of omega.  v(omega)
+       is therefore a min over t of the weakest-t sums.
+    2. Swap a member of omega other than j for a stronger non-member.  Each
+       weakest-t sum of omega stays or grows (the t weakest of the new set
+       dominate those of the old one elementwise), and N(omega^c), hence the
+       denominator, shrinks.  So no value falls and v(omega) cannot fall.
+       Repeated swaps turn any omega of size q + 1 into j plus the q
+       strongest interferers.
+
+    The answer is therefore the best of the L nested sets "j plus the q
+    strongest interferers", q = 0..L-1, each with its q + 1 weakest-member
+    prefixes as thetas: L(L+1)/2 bound evaluations instead of O(3^L).
+
+    Ties reproduce the exhaustive enumeration: theta minimizes (value,
+    |theta|, bitmask) and omega maximizes value, then minimizes (|omega|,
+    bitmask).  Exactly tied cells are ranked lowest index first in both the
+    weakest and the strongest order, which gives the smallest bitmask among
+    equal-valued sets.  Sums are accumulated in bit order and logs taken
+    through :func:`capacity`, so the rate is bit-identical to the one the
+    subset-sum table of :func:`snd_region` gives.
     """
-    L = state.L
-    if L > max_cells:
-        raise ValueError(
-            f"snd_max_symmetric enumerates 2^(L-1) decoded sets; L={L} exceeds "
-            f"the supported limit of {max_cells}")
-    coh = coherent_power(state, j, i)
+    if j < 0:  # numpy would read it as a BS counted from the end
+        raise ValueError(f"BS index must be nonnegative, got {j}")
+    coh = coherent_power(state, j, i).tolist()
     floor = noise_floor(state, j)
-    sums = _subset_sums(coh)
-    full_mask = (1 << L) - 1
-    jbit = 1 << j
+    weak = sorted(range(len(coh)), key=coh.__getitem__)
+    strong = [l for l in sorted(weak, key=coh.__getitem__, reverse=True) if l != j]
     best = -math.inf
-    best_omega = 0
-    best_theta = 0
-    for om in range(1, full_mask + 1):
-        if not om & jbit:
-            continue
-        den = sums[full_mask ^ om] + floor
+    for q in range(len(coh)):
+        omega = (j, *strong[:q])
+        den = _bit_order_sum(coh, strong[q:]) + floor
         inner = math.inf
-        inner_theta = 0
-        sub = om
-        while sub:
-            val = capacity(sums[sub] / den) / sub.bit_count()
-            if val < inner or (val == inner and
-                               (sub.bit_count(), sub) < (inner_theta.bit_count(), inner_theta)):
-                inner = val
-                inner_theta = sub
-            sub = (sub - 1) & om
-        if inner > best or (inner == best and
-                            (om.bit_count(), om) < (best_omega.bit_count(), best_omega)):
-            best = inner
-            best_omega = om
-            best_theta = inner_theta
-    return float(best), _mask_to_set(best_omega), _mask_to_set(best_theta)
+        theta = []
+        low = len(coh)
+        total = 0.0
+        for l in weak:
+            if l not in omega:
+                continue
+            theta.append(l)
+            if l < low:  # a new lowest index is the last term of the bit-order sum
+                total += coh[l]
+                low = l
+            else:
+                total = _bit_order_sum(coh, theta)
+            val = capacity(total / den) / len(theta)
+            if val < inner:
+                inner, inner_t = val, len(theta)
+        if inner > best:
+            best, best_omega, best_theta = inner, omega, theta[:inner_t]
+    return float(best), frozenset(best_omega), frozenset(best_theta)
 
 
-def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0,
-                      max_cells: int = 12) -> BsSymRate:
+def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0) -> BsSymRate:
     """Max symmetric rate at one BS for a decoding scheme."""
     full = frozenset(range(state.L))
     if scheme == "tin":
@@ -222,16 +245,14 @@ def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0,
         rate, theta = ssnd_max_symmetric(state, j, i)
         return BsSymRate(j, rate, theta, full)
     if scheme == "snd":
-        rate, omega, theta = snd_max_symmetric(state, j, i, max_cells=max_cells)
+        rate, omega, theta = snd_max_symmetric(state, j, i)
         return BsSymRate(j, rate, theta, omega)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def network_symmetric_rate(state: ChannelState, scheme: str, i: int = 0,
-                           max_cells: int = 12) -> SymRateReport:
+def network_symmetric_rate(state: ChannelState, scheme: str, i: int = 0) -> SymRateReport:
     """Per-BS max symmetric rates and the binding network-wide minimum."""
-    per_bs = tuple(bs_symmetric_rate(state, scheme, j, i, max_cells=max_cells)
-                   for j in range(state.L))
+    per_bs = tuple(bs_symmetric_rate(state, scheme, j, i) for j in range(state.L))
     argmin = 0
     for j in range(1, state.L):
         if per_bs[j].rate < per_bs[argmin].rate:

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from mcmimo import ChannelState, SystemParams, rate_bound_sets
+from mcmimo import CellLayout, ChannelState, SystemParams, rate_bound_sets
+from mcmimo.bounds import capacity, coherent_power, noise_floor
 
 
 def random_state(rng: np.random.Generator, L: int | None = None,
@@ -33,6 +34,23 @@ def random_state(rng: np.random.Generator, L: int | None = None,
         rho_p=float(10.0 ** rng.uniform(-1.0, 2.5)),
     )
     return ChannelState.from_beta(beta, params)
+
+
+def ring_state(rng: np.random.Generator, L: int, K: int = 2,
+               M: float = 1e4) -> ChannelState:
+    """L cells of radius 400 m on a ring with 800 m between neighbouring BSs
+    and users at random points of their own cell, under the reference
+    parameters of the bundled presets."""
+    ring = 400.0 / math.sin(math.pi / L) if L > 1 else 0.0
+    bs = [[ring * math.cos(2 * math.pi * l / L), ring * math.sin(2 * math.pi * l / L)]
+          for l in range(L)]
+    rad = 400.0 * np.sqrt(rng.uniform(0.01, 1.0, (L, K)))
+    phi = rng.uniform(0.0, 2 * math.pi, (L, K))
+    users = [[[bs[l][0] + rad[l, k] * math.cos(phi[l, k]),
+               bs[l][1] + rad[l, k] * math.sin(phi[l, k])] for k in range(K)]
+             for l in range(L)]
+    params = SystemParams(L=L, K=K, M=M, rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
+    return ChannelState.from_layout(CellLayout(bs, users), params)
 
 
 def _tiebreak(subset):
@@ -94,6 +112,58 @@ def brute_force_snd(state: ChannelState, j: int, i: int):
                     inner = min(inner, rate_bound_sets(state, j, i, theta, omega) / qt)
             best = max(best, inner)
     return best
+
+
+def _mask_to_set(mask: int) -> frozenset:
+    return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """sums[mask] = sum of values over the set bits, accumulated from the
+    highest index down (the lowest bit is added last)."""
+    sums = np.zeros(1 << len(values))
+    for mask in range(1, 1 << len(values)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
+def exhaustive_snd(state: ChannelState, j: int, i: int):
+    """SND max symmetric rate at BS j by enumerating every decoded set omega
+    containing j and every subset theta of it: O(3^L).
+
+    Returns ``(rate, omega, theta)``.  Ties are broken toward the smaller
+    (cardinality, bitmask) for theta, then for omega.
+    """
+    L = state.L
+    coh = coherent_power(state, j, i)
+    floor = noise_floor(state, j)
+    sums = _subset_sums(coh)
+    full_mask = (1 << L) - 1
+    jbit = 1 << j
+    best = -math.inf
+    best_omega = 0
+    best_theta = 0
+    for om in range(1, full_mask + 1):
+        if not om & jbit:
+            continue
+        den = sums[full_mask ^ om] + floor
+        inner = math.inf
+        inner_theta = 0
+        sub = om
+        while sub:
+            val = capacity(sums[sub] / den) / sub.bit_count()
+            if val < inner or (val == inner and
+                               (sub.bit_count(), sub) < (inner_theta.bit_count(), inner_theta)):
+                inner = val
+                inner_theta = sub
+            sub = (sub - 1) & om
+        if inner > best or (inner == best and
+                            (om.bit_count(), om) < (best_omega.bit_count(), best_omega)):
+            best = inner
+            best_omega = om
+            best_theta = inner_theta
+    return float(best), _mask_to_set(best_omega), _mask_to_set(best_theta)
 
 
 def diagonal_rate_bisection(region, dim: int, hi: float, iters: int = 80) -> float:

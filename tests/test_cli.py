@@ -1,8 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from mcmimo import PRESET_NAMES, SCHEMES
 from mcmimo.cli import ConfigError, RunConfig, emit_csv, main, parse_config
 
 
@@ -131,6 +133,16 @@ class TestEmitCsv:
             emit_csv(["a"], [[1]], str(tmp_path / "nodir" / "t.csv"))
 
 
+def ring_config(L: int) -> dict:
+    """Explicit config of L cells on a ring, one user per cell."""
+    ring = 400.0 / math.sin(math.pi / L)
+    bs = [[ring * math.cos(2 * math.pi * l / L), ring * math.sin(2 * math.pi * l / L)]
+          for l in range(L)]
+    users = [[[x + 200.0, y]] for x, y in bs]
+    return {"params": {"L": L, "K": 1, "M": 1e4, "rho_u": 30.0, "rho_p": 120.0},
+            "layout": {"kind": "explicit", "bs_positions": bs, "user_positions": users}}
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -202,6 +214,17 @@ class TestCliCommands:
                        "--out", str(out_b)) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_sweep_worker_count_does_not_change_output(self, tmp_path):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep{workers}.csv"
+            assert run_cli("sweep", "--preset", "two-cell-scenario-a", "--axis", "M",
+                           "--grid", "1e3:1e6:5:log", "--workers", workers,
+                           "--out", str(out)) == 0
+            thresholds = tmp_path / f"sweep{workers}.thresholds.csv"
+            outs.append(out.read_bytes() + thresholds.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_nats_unit_scales_rates(self, tmp_path):
         out_bits = tmp_path / "bits.csv"
         out_nats = tmp_path / "nats.csv"
@@ -258,3 +281,39 @@ class TestCliCommands:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("scope,rate,")
+
+    def test_large_network_symrate_runs_but_snd_region_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "ring16.json"
+        cfg.write_text(json.dumps(ring_config(16)))
+        assert run_cli("symrate", "--config", str(cfg), "--scheme", "snd") == 0
+        out = capsys.readouterr()
+        assert len(out.out.splitlines()) == 1 + 16 + 1
+        assert out.err == ""
+        assert run_cli("region", "--config", str(cfg), "--scheme", "snd") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def golden_commands(preset: str, kind: str):
+    if kind == "symrate":
+        return [["symrate", "--preset", preset, "--scheme", s] for s in SCHEMES]
+    if kind == "region":
+        return [["region", "--preset", preset, "--scheme", s, "--bs", str(bs)]
+                for bs in (0, 1) for s in SCHEMES]
+    return [["sweep", "--preset", preset, "--axis", "M", "--grid", "1e3:1e7:25:log"]]
+
+
+@pytest.mark.parametrize("kind", ["symrate", "region", "sweep"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_preset_output_matches_golden_csv(preset, kind, capsys):
+    """CLI output on the presets is byte-identical to the recorded files."""
+    text = ""
+    for argv in golden_commands(preset, kind):
+        assert main(argv) == 0
+        text += capsys.readouterr().out
+    assert text.encode() == (GOLDEN / f"{preset}.{kind}.csv").read_bytes()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mcmimo import (membership, rate_bound_sets, sd_region, snd_region,
+from mcmimo import (Polytope, max_symmetric_rate, membership, rate_bound_sets,
+                    sd_max_symmetric, sd_region, snd_region, ssnd_max_symmetric,
                     ssnd_region, tin_rate, tin_region)
+from mcmimo.regions import _subset_table
 
 from oracles import random_state, snd_member_three_cell, snd_member_two_cell
 
@@ -63,11 +65,89 @@ class TestConstruction:
         for subset, bound in ssnd.items():
             assert bound == sd[subset]
 
+    def test_builders_reject_bad_indices(self):
+        state = random_state(np.random.default_rng(41), L=3, K=2)
+        for builder in (sd_region, ssnd_region, snd_region):
+            with pytest.raises(ValueError, match="out of range"):
+                builder(state, 3, 0)
+            with pytest.raises(ValueError, match="out of range"):
+                builder(state, 0, 2)
+
     def test_snd_size_limit(self):
         rng = np.random.default_rng(37)
         state = random_state(rng, L=5)
         with pytest.raises(ValueError, match="limit"):
             snd_region(state, 0, 0, max_cells=4)
+
+
+class TestSubsetSumTable:
+    """The region builders share one subset-sum table, so the scheme
+    identities hold to the exact float."""
+
+    def test_full_snd_part_is_the_sd_polytope(self):
+        rng = np.random.default_rng(39)
+        for _ in range(100):
+            state = random_state(rng, L=int(rng.integers(1, 7)))
+            j = int(rng.integers(state.L))
+            snd = snd_region(state, j, 0)
+            full = snd.omegas.index(frozenset(range(state.L)))
+            assert snd.parts[full] == sd_region(state, j, 0).parts[0]
+
+    def test_polytope_rates_equal_the_fast_solvers(self):
+        rng = np.random.default_rng(40)
+        for _ in range(100):
+            state = random_state(rng, L=int(rng.integers(1, 8)))
+            j = int(rng.integers(state.L))
+            assert max_symmetric_rate(sd_region(state, j, 0).parts[0]) == \
+                sd_max_symmetric(state, j, 0)
+            assert max_symmetric_rate(ssnd_region(state, j, 0).parts[0]) == \
+                ssnd_max_symmetric(state, j, 0)
+
+
+    def test_only_small_tables_are_kept(self):
+        assert _subset_table(3) is _subset_table(3)
+        assert _subset_table(13) is not _subset_table(13)
+
+
+class TestPolytopeChecks:
+    """Table-built and hand-built constraints get the same checks."""
+
+    @staticmethod
+    def table_and_fresh(L, masks, bounds):
+        sets = _subset_table(L).sets
+        table = tuple((sets[m], b) for m, b in zip(masks, bounds))
+        fresh = tuple((frozenset(set(sets[m])), b) for m, b in zip(masks, bounds))
+        return table, fresh
+
+    def test_unsorted_input_is_sorted_alike(self):
+        table, fresh = self.table_and_fresh(3, [7, 4, 1, 6, 2], [5.0, 1.0, 2.0, 4.0, 3.0])
+        assert Polytope(3, table) == Polytope(3, fresh)
+        assert [b for _, b in Polytope(3, table).constraints] == [2.0, 3.0, 1.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("masks, bounds, match", [
+        ([1, 2, 1], [1.0, 1.0, 1.0], "duplicate"),
+        ([1, 2], [1.0, -1.0], "nonnegative"),
+        ([3, 3, 1], [1.0, 1.0, -1.0], "duplicate"),
+        ([0, 1], [1.0, 1.0], "nonempty"),
+    ])
+    def test_same_errors(self, masks, bounds, match):
+        for cons in self.table_and_fresh(2, masks, bounds):
+            with pytest.raises(ValueError, match=match):
+                Polytope(2, cons)
+
+    def test_out_of_range_table_set(self):
+        sets = _subset_table(3).sets
+        with pytest.raises(ValueError, match="out of range"):
+            Polytope(2, ((sets[4], 1.0),))
+
+    def test_malformed_constraint_raises_alike(self):
+        for subset in (_subset_table(2).sets[1], frozenset({0})):
+            with pytest.raises(ValueError, match="unpack"):
+                Polytope(2, ((subset, 1.0, 2.0),))
+
+    def test_nan_bound_accepted_alike(self):
+        for cons in self.table_and_fresh(2, [3, 1], [float("nan"), 1.0]):
+            assert [len(s) for s, _ in Polytope(2, cons).constraints] == [1, 2]
 
 
 class TestMembership:

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcmimo import (ChannelState, Polytope, SystemParams, capacity,
+from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, Polytope, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
                     network_symmetric_rate, preset_scenario, rate_bound_sets,
                     sd_max_symmetric, sd_region, snd_max_symmetric, snd_region,
                     ssnd_max_symmetric, ssnd_region, tin_rate, two_cell_layout)
 
 from oracles import (brute_force_sd, brute_force_snd, brute_force_ssnd,
-                     diagonal_rate_bisection, random_state,
-                     restricted_average_argmin)
+                     diagonal_rate_bisection, exhaustive_snd, random_state,
+                     restricted_average_argmin, ring_state)
 
 
 def low_sinr_state(rng, L, K=1):
@@ -225,11 +227,76 @@ class TestSndMaxSymmetric:
                  for s in ("tin", "sd", "ssnd", "snd")}
         assert rates["snd"] > rates["ssnd"] > rates["tin"] > rates["sd"]
 
-    def test_size_limit_enforced(self):
-        rng = np.random.default_rng(65)
-        state = random_state(rng, L=5)
-        with pytest.raises(ValueError, match="limit"):
-            snd_max_symmetric(state, 0, 0, max_cells=4)
+    def test_large_ring_needs_no_cell_cap(self):
+        # the solver is polynomial in L: a 24-cell ring is solved outright
+        state = ring_state(np.random.default_rng(65), L=24)
+        reports = {s: network_symmetric_rate(state, s) for s in SCHEMES}
+        for j in range(state.L):
+            r = {s: reports[s].per_bs[j].rate for s in SCHEMES}
+            assert r["sd"] <= r["ssnd"] * (1 + 1e-12)
+            assert r["ssnd"] <= r["snd"] * (1 + 1e-12)
+            assert r["tin"] <= r["snd"] * (1 + 1e-12)
+
+
+def fading_states(max_cells: int = 8):
+    """Channel states from random fading tensors with 1..max_cells cells.
+
+    Gains lie in [1e-4, 1] and are any float, or 10^(-k/1000) for integer
+    k, or drawn from at most three such levels, which makes exact ties
+    common.  Half of the tensors lift each user's own gain to the largest of
+    its row (nearest-BS association); the rest leave the own cell anywhere.
+    """
+    level = st.integers(0, 4000).map(lambda k: 10.0 ** (-k / 1000))
+
+    @st.composite
+    def build(draw):
+        L = draw(st.integers(1, max_cells))
+        K = draw(st.integers(1, 3))
+        gain = draw(st.sampled_from([
+            st.floats(1e-4, 1.0),
+            level,
+            st.lists(level, min_size=1, max_size=3).flatmap(st.sampled_from),
+        ]))
+        beta = np.array(draw(st.lists(gain, min_size=L * K * L, max_size=L * K * L)))
+        beta = beta.reshape(L, K, L)
+        if draw(st.booleans()):
+            for j in range(L):
+                for k in range(K):
+                    beta[j, k, j] = beta[j, k].max() * draw(st.sampled_from([1.0, 1.5, 3.0]))
+        exponent = st.integers(-10, 70).map(lambda k: 10.0 ** (k / 10))
+        params = SystemParams(L=L, K=K, M=draw(exponent), rho_u=draw(exponent),
+                              rho_p=draw(exponent))
+        return ChannelState.from_beta(beta, params), draw(st.integers(0, K - 1))
+    return build()
+
+
+class TestSndAgainstExhaustive:
+    @settings(max_examples=150, deadline=None)
+    @given(fading_states())
+    def test_equals_exhaustive_enumeration(self, case):
+        state, i = case
+        for j in range(state.L):
+            assert snd_max_symmetric(state, j, i) == exhaustive_snd(state, j, i)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_equal_exhaustive_enumeration(self, name):
+        for value in (0.0, 30.0, 90.0) if name == "three-cell-theta" else (None,):
+            scenario = preset_scenario(name)
+            if value is not None:
+                scenario = scenario.with_axis("theta", value)
+            for m in (1e3, 1e5, 1e7):
+                state = scenario.with_axis("M", m).state()
+                for j in range(state.L):
+                    for i in range(state.K):
+                        assert snd_max_symmetric(state, j, i) == exhaustive_snd(state, j, i)
+
+    def test_rings_equal_exhaustive_enumeration(self):
+        rng = np.random.default_rng(69)
+        for L in (2, 4, 6, 8):
+            state = ring_state(rng, L=L, M=float(10 ** rng.uniform(2, 6)))
+            for j in range(L):
+                for i in range(state.K):
+                    assert snd_max_symmetric(state, j, i) == exhaustive_snd(state, j, i)
 
 
 class TestNetworkReport:
@@ -281,3 +348,9 @@ class TestNetworkReport:
         state = random_state(rng, L=2)
         with pytest.raises(ValueError, match="scheme"):
             network_symmetric_rate(state, "mrc")
+
+
+def test_snd_rejects_negative_bs_index():
+    state = random_state(np.random.default_rng(70), L=2, K=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        snd_max_symmetric(state, -1, 0)
