@@ -3,15 +3,13 @@ MIMO under four decoding schemes: treating interference as noise (TIN),
 simultaneous unique decoding (SD), simultaneous non-unique decoding (SND)
 and its simplified polytope subset (S-SND)."""
 
-from .bounds import (DecodeSpec, PowerDecomposition, capacity, mu_coefficient,
-                     power_terms, rate_bound, rate_bound_sets, tin_rate,
+from .bounds import (PowerDecomposition, capacity, mu_coefficient, power_terms, tin_rate,
                      tin_rate_asymptotic)
-from .estimation import ChannelState, EstimationStats, mmse_coeffs, prelog_factors
+from .estimation import ChannelState, EstimationStats, mmse_coeffs
 from .montecarlo import empirical_power_decomposition
 from .network import (CellLayout, SystemParams, build_fading, pathloss,
                       three_cell_layout, two_cell_layout)
-from .regions import (Polytope, RegionFamily, membership, sd_region, snd_region,
-                      ssnd_region, tin_region)
+from .regions import Polytope, RegionFamily, sd_region, snd_region, ssnd_region, tin_region
 from .scenarios import (PRESET_NAMES, Scenario, SweepResult, classify_two_cell,
                         preset_scenario, sweep, two_cell_ordering_check)
 from .symrate import (SCHEMES, BsSymRate, SymRateReport, low_sinr_decode_set,
@@ -23,12 +21,11 @@ __version__ = "0.1.0"
 __all__ = [
     "SystemParams", "CellLayout", "pathloss", "build_fading",
     "two_cell_layout", "three_cell_layout",
-    "EstimationStats", "ChannelState", "mmse_coeffs", "prelog_factors",
-    "DecodeSpec", "PowerDecomposition", "capacity", "rate_bound",
-    "rate_bound_sets", "power_terms", "tin_rate", "tin_rate_asymptotic",
-    "mu_coefficient",
+    "EstimationStats", "ChannelState", "mmse_coeffs",
+    "PowerDecomposition", "capacity", "power_terms", "tin_rate",
+    "tin_rate_asymptotic", "mu_coefficient",
     "Polytope", "RegionFamily", "tin_region", "sd_region", "ssnd_region",
-    "snd_region", "membership",
+    "snd_region",
     "SCHEMES", "BsSymRate", "SymRateReport", "max_symmetric_rate",
     "sd_max_symmetric", "ssnd_max_symmetric", "snd_max_symmetric",
     "low_sinr_decode_set", "network_symmetric_rate",

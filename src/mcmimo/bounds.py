@@ -12,6 +12,14 @@ where ``N(S) = M * sqrt(rho_p) * rho_u * sum_{l in S} beta_jil * alpha_jil``
 is the coherently combined power of the users in S, and
 ``F = sum_{l,k} rho_u * beta_jkl + 1`` is the non-coherent interference plus
 noise floor.  Rates are in bits per channel use (base-2 logs).
+
+This one bound gives every rate of every scheme; the schemes differ only in
+the (omega, theta) pairs they keep: TIN has omega = theta = {j}, SD has
+omega = all cells, S-SND has omega = all cells and theta containing j, and
+SND takes any omega containing j.  Cell sets are int bitmasks (bit l stands
+for cell l).  :func:`subset_sum` gives N of a mask and :func:`mac_bound`
+turns N values into bounds; the region builders, the symmetric-rate solvers
+and TIN all go through these two functions, so their rates agree to the bit.
 """
 
 from __future__ import annotations
@@ -24,13 +32,12 @@ import numpy as np
 from .estimation import ChannelState
 
 __all__ = [
-    "DecodeSpec",
     "PowerDecomposition",
     "capacity",
     "coherent_power",
     "noise_floor",
-    "rate_bound",
-    "rate_bound_sets",
+    "subset_sum",
+    "mac_bound",
     "power_terms",
     "tin_rate",
     "tin_rate_asymptotic",
@@ -43,39 +50,6 @@ _LN2 = math.log(2.0)
 def capacity(snr) -> float:
     """Shannon rate log2(1 + snr) in bits."""
     return np.log1p(snr) / _LN2
-
-
-@dataclass(frozen=True)
-class DecodeSpec:
-    """Which users BS ``j`` decodes for pilot slot ``i``.
-
-    ``omega`` is the jointly decoded set of cell indices; ``theta`` is the
-    nonempty subset whose sum-rate is being bounded.  Users outside ``omega``
-    are treated as noise.
-    """
-
-    j: int
-    i: int
-    omega: frozenset[int]
-    theta: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", frozenset(self.omega))
-        object.__setattr__(self, "theta", frozenset(self.theta))
-        if not self.theta:
-            raise ValueError("theta must be a nonempty set of cell indices")
-        if not self.theta <= self.omega:
-            raise ValueError(f"theta {set(self.theta)} must be a subset of omega {set(self.omega)}")
-        if any(l < 0 for l in self.omega) or self.j < 0 or self.i < 0:
-            raise ValueError("cell, BS and pilot indices must be nonnegative")
-
-    def validate(self, L: int, K: int) -> None:
-        if self.j >= L:
-            raise ValueError(f"BS index {self.j} out of range for L={L}")
-        if self.i >= K:
-            raise ValueError(f"pilot index {self.i} out of range for K={K}")
-        if any(l >= L for l in self.omega):
-            raise ValueError(f"omega {set(self.omega)} has entries out of range for L={L}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +70,18 @@ class PowerDecomposition:
         return self.est_error + self.other_users + self.noise
 
 
+def check_indices(state: ChannelState, j: int, i: int) -> None:
+    """Reject a BS index outside [0, L) or a pilot index outside [0, K);
+    numpy would read a negative one from the end."""
+    if not 0 <= j < state.L:
+        raise ValueError(f"BS index {j} out of range for L={state.L}")
+    if not 0 <= i < state.K:
+        raise ValueError(f"pilot index {i} out of range for K={state.K}")
+
+
 def coherent_power(state: ChannelState, j: int, i: int) -> np.ndarray:
     """Per-cell coherent power N({l}) = M sqrt(rho_p) rho_u beta_jil alpha_jil."""
+    check_indices(state, j, i)
     p = state.params
     b = state.beta[j, i, :]
     a = state.stats.alpha[j, i, :]
@@ -109,19 +93,30 @@ def noise_floor(state: ChannelState, j: int) -> float:
     return float(state.params.rho_u * state.beta[j].sum() + 1.0)
 
 
-def rate_bound(state: ChannelState, spec: DecodeSpec) -> float:
-    """Achievable sum-rate bound for ``spec.theta`` at BS ``spec.j`` (bits)."""
-    spec.validate(state.L, state.K)
-    coh = coherent_power(state, spec.j, spec.i)
-    omega_c = [l for l in range(state.L) if l not in spec.omega]
-    num = coh[list(spec.theta)].sum()
-    den = coh[omega_c].sum() + noise_floor(state, spec.j)
-    return float(capacity(num / den))
+def subset_sum(coh, mask: int) -> float:
+    """N(mask): the sum of ``coh[l]`` over the set bits l of ``mask``.
+
+    The terms are added from the highest index down.  Every bound sums in
+    this one order, which is what makes a solver's rate equal, to the bit,
+    the value read off the matching region.
+    """
+    total = 0.0
+    while mask:
+        top = mask.bit_length() - 1
+        total += coh[top]
+        mask ^= 1 << top
+    return total
 
 
-def rate_bound_sets(state: ChannelState, j: int, i: int, theta, omega) -> float:
-    """Convenience wrapper building the :class:`DecodeSpec` inline."""
-    return rate_bound(state, DecodeSpec(j, i, frozenset(omega), frozenset(theta)))
+def mac_bound(n_theta, n_noise, floor: float):
+    """The multiple-access sum-rate bound C(N(theta) / (N(omega^c) + F)) in
+    bits, from the :func:`subset_sum` values of theta and of the cells
+    outside omega.
+
+    Scalars give a scalar; sequences are evaluated elementwise with one
+    vectorized log.
+    """
+    return capacity(np.divide(n_theta, np.add(n_noise, floor)))
 
 
 def power_terms(state: ChannelState, j: int, i: int, omega) -> PowerDecomposition:
@@ -151,7 +146,10 @@ def power_terms(state: ChannelState, j: int, i: int, omega) -> PowerDecompositio
 def tin_rate(state: ChannelState, j: int, i: int) -> float:
     """Rate when BS j decodes only its own user and treats the co-pilot
     interference (whose combined power also grows with M) as noise."""
-    return rate_bound_sets(state, j, i, theta={j}, omega={j})
+    coh = coherent_power(state, j, i).tolist()
+    own = 1 << j
+    noise = subset_sum(coh, ((1 << state.L) - 1) ^ own)
+    return float(mac_bound(subset_sum(coh, own), noise, noise_floor(state, j)))
 
 
 def tin_rate_asymptotic(state: ChannelState, j: int, i: int) -> float:

@@ -10,7 +10,7 @@ after printing a single machine-parsable ``error: ...`` line to stderr.
 Config schema (JSON object; unknown keys are rejected):
 
     preset   name of a canonical scenario, or instead:
-    params   {"L", "K", "M", "rho_u", "rho_p", "alpha_pl", "d0", "tau"}
+    params   {"L", "K", "M", "rho_u", "rho_p", "alpha_pl", "d0"}
     layout   {"kind": "two_cell",   "x", "spacing", "user_angle_deg"}
            | {"kind": "three_cell", "x", "spacing", "theta_deg", "outer_angle_deg"}
            | {"kind": "explicit",   "bs_positions", "user_positions"}
@@ -34,10 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import power_terms
-from .estimation import ChannelState
 from .montecarlo import empirical_power_decomposition
 from .network import CellLayout, SystemParams
-from .regions import RegionFamily, sd_region, snd_region, ssnd_region, tin_region
+from .regions import sd_region, snd_region, ssnd_region, tin_region
 from .scenarios import (PRESET_NAMES, SWEEP_AXES, Scenario, preset_scenario, sweep,
                         two_cell_ordering_check)
 from .symrate import SCHEMES, network_symmetric_rate
@@ -46,7 +45,7 @@ __all__ = ["RunConfig", "parse_config", "emit_csv", "main"]
 
 _LN2 = math.log(2.0)
 
-_PARAM_KEYS = {"L", "K", "M", "rho_u", "rho_p", "alpha_pl", "d0", "tau"}
+_PARAM_KEYS = {"L", "K", "M", "rho_u", "rho_p", "alpha_pl", "d0"}
 _LAYOUT_KEYS = {
     "two_cell": {"x", "spacing", "user_angle_deg"},
     "three_cell": {"x", "spacing", "theta_deg", "outer_angle_deg"},
@@ -87,8 +86,7 @@ class RunConfig:
         else:
             p = self.scenario.params
             d["params"] = {"L": p.L, "K": p.K, "M": p.M, "rho_u": p.rho_u,
-                           "rho_p": p.rho_p, "alpha_pl": p.alpha_pl, "d0": p.d0,
-                           "tau": p.tau}
+                           "rho_p": p.rho_p, "alpha_pl": p.alpha_pl, "d0": p.d0}
             args = dict(self.scenario.layout_args)
             if self.scenario.layout_kind == "explicit":
                 d["layout"] = {"kind": "explicit", **args["layout_dict"]}
@@ -133,8 +131,7 @@ def _parse_params(raw: dict, m_default: float | None = None) -> SystemParams:
         return SystemParams(
             L=int(raw["L"]), K=int(raw["K"]), M=float(raw.get("M", m_default)),
             rho_u=float(raw["rho_u"]), rho_p=float(raw["rho_p"]),
-            alpha_pl=float(raw.get("alpha_pl", 2.0)), d0=float(raw.get("d0", 100.0)),
-            tau=int(raw["tau"]) if "tau" in raw else None)
+            alpha_pl=float(raw.get("alpha_pl", 2.0)), d0=float(raw.get("d0", 100.0)))
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
@@ -314,13 +311,6 @@ def emit_csv(header: list[str], rows: list[list], path: str | None) -> str:
     return text
 
 
-def _mask(subset) -> int:
-    out = 0
-    for l in subset:
-        out |= 1 << l
-    return out
-
-
 def _unit_factor(unit: str) -> float:
     return _LN2 if unit == "nats" else 1.0
 
@@ -391,36 +381,33 @@ def _scenario_with_size(cfg: RunConfig, cells: int | None, k: int | None) -> Sce
                  "--users requires a canonical layout (user count fixes its shape)")
         params = scenario.params
         new = SystemParams(params.L, int(k), params.M, params.rho_u, params.rho_p,
-                           params.alpha_pl, params.d0, None)
+                           params.alpha_pl, params.d0)
         scenario = replace(scenario, params=new)
     if cfg.m is not None:
         scenario = scenario.with_axis("M", cfg.m)
     return scenario
 
 
-def _region_for(state: ChannelState, scheme: str, bs: int, pilot: int) -> RegionFamily:
-    builder = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region,
-               "snd": snd_region}[scheme]
-    return builder(state, bs, pilot)
-
-
-def _check_indices(state: ChannelState, bs: int, pilot: int) -> None:
-    _require(bs < state.L, f"bs index {bs} out of range for L={state.L}")
-    _require(pilot < state.K, f"pilot index {pilot} out of range for K={state.K}")
+def _check_indices(params: SystemParams, pilot: int, bs: int | None = None) -> None:
+    """Flags bypass the config's checks, so both ends of each range are checked."""
+    _require(0 <= pilot < params.K, f"pilot index {pilot} out of range for K={params.K}")
+    if bs is not None:
+        _require(0 <= bs < params.L, f"bs index {bs} out of range for L={params.L}")
 
 
 def _cmd_region(args) -> int:
     cfg = _load_config(args)
     scheme = cfg.scheme or "sd"
-    state = _scenario_with_size(cfg, None, None).state()
-    _check_indices(state, cfg.bs, cfg.pilot)
-    region = _region_for(state, scheme, cfg.bs, cfg.pilot)
+    scenario = _scenario_with_size(cfg, None, None)
+    _check_indices(scenario.params, cfg.pilot, cfg.bs)
+    builder = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region,
+               "snd": snd_region}[scheme]
+    region = builder(scenario.state(), cfg.bs, cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = []
     for omega, part in zip(region.omegas, region.parts):
         for subset, bound in part.constraints:
-            rows.append([scheme, cfg.bs, cfg.pilot, _mask(omega), _mask(subset),
-                         bound * factor])
+            rows.append([scheme, cfg.bs, cfg.pilot, omega, subset, bound * factor])
     emit_csv(["scheme", "bs", "pilot", "omega_mask", "theta_mask", "bound"],
              rows, cfg.out)
     return 0
@@ -429,21 +416,23 @@ def _cmd_region(args) -> int:
 def _cmd_symrate(args) -> int:
     cfg = _load_config(args)
     scheme = cfg.scheme or "snd"
-    state = _scenario_with_size(cfg, None, None).state()
-    report = network_symmetric_rate(state, scheme, cfg.pilot)
+    scenario = _scenario_with_size(cfg, None, None)
+    _check_indices(scenario.params, cfg.pilot)
+    report = network_symmetric_rate(scenario.state(), scheme, cfg.pilot)
     factor = _unit_factor(cfg.unit)
-    rows = [[str(entry.bs), entry.rate * factor, _mask(entry.theta), _mask(entry.omega)]
+    rows = [[str(entry.bs), entry.rate * factor, entry.theta, entry.omega]
             for entry in report.per_bs]
-    rows.append(["network", report.network_rate * factor,
-                 _mask(report.per_bs[report.network_argmin].theta),
-                 _mask(report.per_bs[report.network_argmin].omega)])
+    binding = report.per_bs[report.network_argmin]
+    rows.append(["network", report.network_rate * factor, binding.theta, binding.omega])
     emit_csv(["scope", "rate", "theta_mask", "omega_mask"], rows, cfg.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
     cfg = _load_config(args)
-    state = _scenario_with_size(cfg, None, None).state()
+    scenario = _scenario_with_size(cfg, None, None)
+    _check_indices(scenario.params, cfg.pilot)
+    state = scenario.state()
     factor = _unit_factor(cfg.unit)
     rows = []
     for j in range(state.L):
@@ -461,6 +450,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     _require(cfg.axis is not None, "sweep requires an axis (--axis or config key 'axis')")
     _require(cfg.grid is not None, "sweep requires a grid (--grid or config key 'grid')")
+    _check_indices(cfg.scenario.params, cfg.pilot)
     result = sweep(cfg.scenario, cfg.axis, cfg.grid, pilot=cfg.pilot,
                    workers=cfg.workers)
     factor = _unit_factor(cfg.unit)
@@ -485,8 +475,8 @@ def _threshold_path(out: str) -> str:
 def _cmd_montecarlo(args) -> int:
     cfg = _load_config(args)
     scenario = _scenario_with_size(cfg, args.cells, args.users)
+    _check_indices(scenario.params, cfg.pilot, cfg.bs)
     state = scenario.state()
-    _check_indices(state, cfg.bs, cfg.pilot)
     omega = cfg.omega if cfg.omega is not None else tuple(range(state.L))
     _require(all(l < state.L for l in omega),
              f"omega {list(omega)} has entries out of range for L={state.L}")

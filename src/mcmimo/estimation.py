@@ -19,7 +19,7 @@ import numpy as np
 
 from .network import CellLayout, SystemParams, build_fading
 
-__all__ = ["EstimationStats", "ChannelState", "mmse_coeffs", "prelog_factors"]
+__all__ = ["EstimationStats", "ChannelState", "mmse_coeffs"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,19 +55,6 @@ def mmse_coeffs(beta: np.ndarray, params: SystemParams) -> EstimationStats:
     est_var = sp * beta_own * alpha_own
     err_var = beta_own * (1.0 - sp * alpha_own)
     return EstimationStats(alpha=alpha, est_var=est_var, err_var=err_var)
-
-
-def prelog_factors(params: SystemParams) -> tuple[float, float]:
-    """Decoded-user pre-log factors for shared vs per-cell pilot sets.
-
-    Re-using one pilot set everywhere means a BS decodes L co-pilot users;
-    rotating distinct sets per cell contaminates the estimate with every
-    out-of-cell user, so K*(L-1)+1 users would have to be decoded.  Returns
-    ``(1/L, 1/(K*(L-1)+1))``.
-    """
-    same = 1.0 / params.L
-    different = 1.0 / (params.K * (params.L - 1) + 1)
-    return same, different
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,6 @@ class SystemParams:
         rho_p: linear pilot SNR.
         alpha_pl: path-loss exponent.
         d0: path-loss reference distance in meters.
-        tau: pilot sequence length in symbols; defaults to K.
     """
 
     L: int
@@ -52,7 +51,6 @@ class SystemParams:
     rho_p: float
     alpha_pl: float = 2.0
     d0: float = 100.0
-    tau: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.L, int) or self.L < 1:
@@ -69,15 +67,11 @@ class SystemParams:
             raise ValueError(f"alpha_pl must be >= 0, got {self.alpha_pl!r}")
         if not self.d0 > 0:
             raise ValueError(f"d0 must be positive, got {self.d0!r}")
-        if self.tau is None:
-            object.__setattr__(self, "tau", self.K)
-        elif not isinstance(self.tau, int) or self.tau < 1:
-            raise ValueError(f"tau must be a positive integer, got {self.tau!r}")
 
     def with_m(self, m: float) -> "SystemParams":
         """Copy of the parameters with a different antenna count."""
         return SystemParams(self.L, self.K, m, self.rho_u, self.rho_p,
-                            self.alpha_pl, self.d0, self.tau)
+                            self.alpha_pl, self.d0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .bounds import rate_bound_sets, tin_rate
+from .bounds import coherent_power, mac_bound, noise_floor, subset_sum
 from .estimation import ChannelState
 from .network import CellLayout, SystemParams, three_cell_layout, two_cell_layout
 from .parallel import parallel_map
@@ -140,13 +140,12 @@ class TwoCellCase:
 
 
 def _two_cell_values(state: ChannelState, j: int, i: int):
-    other = 1 - j
-    full = {0, 1}
-    a = rate_bound_sets(state, j, i, {j}, full)
-    b = rate_bound_sets(state, j, i, {other}, full)
-    f = rate_bound_sets(state, j, i, full, full)
-    t = tin_rate(state, j, i)
-    return a, b, f, t
+    """With both users decoded: the bounds on the own user, the other user
+    and both; then the TIN rate (only the own user decoded)."""
+    coh = coherent_power(state, j, i).tolist()
+    n_own, n_other = subset_sum(coh, 1 << j), subset_sum(coh, 1 << (1 - j))
+    nums = [n_own, n_other, subset_sum(coh, 0b11), n_own]
+    return mac_bound(nums, [0.0, 0.0, 0.0, n_other], noise_floor(state, j)).tolist()
 
 
 def classify_two_cell(state: ChannelState, j: int = 0, i: int = 0) -> TwoCellCase:

@@ -2,24 +2,30 @@
 
 Over a subset-sum polytope the largest R with (R, ..., R) inside is
 min over constraints of bound / |subset|; absent constraints are infinite.
-SD and S-SND reduce to comparing L candidates after sorting the squared
-gains; SND reduces to L nested decoded sets (the own cell plus its
+SD and S-SND reduce to comparing L candidates after sorting the coherent
+powers; SND reduces to L nested decoded sets (the own cell plus its
 strongest interferers) with at most L candidate subsets each, so every
-solver is polynomial in L.
+solver is polynomial in L.  Each solver sums its candidate sets with
+:func:`~mcmimo.bounds.subset_sum` and evaluates them with one
+:func:`~mcmimo.bounds.mac_bound` call, as the region builders do, so
+its rate equals the value of the matching region to the bit.
 
-Ties among minimizing (or maximizing) subsets are broken toward the smaller
-cardinality first and then the smaller bitmask, so witness sets are
-reproducible.
+Cell sets are int bitmasks (bit l stands for cell l).  Ties among
+minimizing (or maximizing) subsets are broken toward the smaller cardinality
+first and then the smaller bitmask, so witness sets are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 import numpy as np
 
-from .bounds import capacity, coherent_power, noise_floor, tin_rate
+from .bounds import (check_indices, coherent_power, mac_bound, noise_floor, subset_sum,
+                     tin_rate)
 from .estimation import ChannelState
 from .regions import Polytope
 
@@ -41,7 +47,7 @@ SCHEMES = ("tin", "sd", "ssnd", "snd")
 
 @dataclass(frozen=True)
 class BsSymRate:
-    """Max symmetric rate at one BS with its witness sets.
+    """Max symmetric rate at one BS with its witness sets (bitmasks).
 
     ``theta`` is the binding (minimizing) subset; ``omega`` the decoded set,
     which for SND is the maximizing one.
@@ -49,8 +55,8 @@ class BsSymRate:
 
     bs: int
     rate: float
-    theta: frozenset[int]
-    omega: frozenset[int]
+    theta: int
+    omega: int
 
 
 @dataclass(frozen=True)
@@ -61,49 +67,41 @@ class SymRateReport:
     network_argmin: int
 
 
-def _tiebreak_key(subset: frozenset[int]) -> tuple[int, int]:
-    mask = 0
-    for l in subset:
-        mask |= 1 << l
-    return (len(subset), mask)
+def _per_user_min(thetas, bounds) -> tuple[float, int]:
+    """The least bound / |theta| and the first theta attaining it, which is
+    the smaller set on ties since callers list thetas in (cardinality, mask)
+    order.  Takes one bound per theta from ``bounds``, which may be shared."""
+    best, best_theta = math.inf, 0
+    for theta, bound in zip(thetas, bounds):
+        val = bound / theta.bit_count()
+        if val < best:
+            best, best_theta = val, theta
+    return best, best_theta
 
 
-def max_symmetric_rate(poly: Polytope) -> tuple[float, frozenset[int]]:
-    """Largest R with (R, ..., R) in the polytope, and the binding subset."""
+def max_symmetric_rate(poly: Polytope) -> tuple[float, int]:
+    """Largest R with (R, ..., R) in the polytope, and the binding mask."""
     if not poly.constraints:
         raise ValueError("polytope has no constraints; the symmetric rate is unbounded")
-    best = math.inf
-    best_subset = None
-    for subset, bound in poly.constraints:
-        val = bound / len(subset)
-        if val < best or (val == best and _tiebreak_key(subset) < _tiebreak_key(best_subset)):
-            best = val
-            best_subset = subset
-    return best, best_subset
+    return _per_user_min(*zip(*poly.constraints))
 
 
-def _ranked_powers(state: ChannelState, j: int, i: int):
-    """Coherent powers with their ascending rank order and the noise floor.
-
-    The ascending order equals the squared-gain order since the coherent
-    power is monotone in the gain.
-    """
-    coh = coherent_power(state, j, i)
-    order = [int(l) for l in np.argsort(coh, kind="stable")]
-    return coh, order, noise_floor(state, j)
+def _powers(state: ChannelState, j: int, i: int):
+    """Coherent powers as floats, the cells from weakest to strongest (exact
+    ties lowest index first) and the noise floor."""
+    coh = coherent_power(state, j, i).tolist()
+    return coh, sorted(range(len(coh)), key=coh.__getitem__), noise_floor(state, j)
 
 
-def _bit_order_sum(coh: np.ndarray, cells) -> float:
-    """Sum of coh over a cell set, accumulated from the highest cell index
-    down.  This matches the subset-sum table of the region builders bit for
-    bit, so solvers and regions agree to the exact float."""
-    total = 0.0
-    for l in sorted(cells, reverse=True):
-        total += coh[l]
-    return total
+def _full_decode_min(coh: list, floor: float, cells: list[int]) -> tuple[float, int]:
+    """Per-user minimum over the prefixes of ``cells`` with every cell
+    decoded (no noise term)."""
+    thetas = list(accumulate((1 << l for l in cells), or_))
+    bounds = mac_bound([subset_sum(coh, t) for t in thetas], 0.0, floor).tolist()
+    return _per_user_min(thetas, bounds)
 
 
-def sd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, frozenset[int]]:
+def sd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int]:
     """Max symmetric rate of the full-MAC polytope at BS j.
 
     For each cardinality q the binding subset is the q weakest users, so only
@@ -111,35 +109,20 @@ def sd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, frozen
     sums the q smallest squared gains.  Quadratic in L overall, no region
     materialization.
     """
-    coh, order, floor = _ranked_powers(state, j, i)
-    best = math.inf
-    best_q = 0
-    for q in range(1, state.L + 1):
-        v = capacity(_bit_order_sum(coh, order[:q]) / floor) / q
-        if v < best:
-            best = v
-            best_q = q
-    return float(best), frozenset(order[:best_q])
+    coh, weak, floor = _powers(state, j, i)
+    return _full_decode_min(coh, floor, weak)
 
 
-def ssnd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, frozenset[int]]:
+def ssnd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int]:
     """Like :func:`sd_max_symmetric` but every candidate set contains the own
     cell: c_q combines the own gain with the q-1 weakest other cells."""
-    coh, order, floor = _ranked_powers(state, j, i)
-    others = [l for l in order if l != j]
-    best = capacity(_bit_order_sum(coh, [j]) / floor)  # q = 1, theta = {j}
-    best_q = 1
-    for q in range(2, state.L + 1):
-        c = capacity(_bit_order_sum(coh, [j] + others[:q - 1]) / floor) / q
-        if c < best:
-            best = c
-            best_q = q
-    return float(best), frozenset({j} | set(others[:best_q - 1]))
+    coh, weak, floor = _powers(state, j, i)
+    return _full_decode_min(coh, floor, [j] + [l for l in weak if l != j])
 
 
-def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> frozenset[int]:
-    """Greedy decoded set minimizing the average squared gain over sets that
-    contain the own cell.
+def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:
+    """Greedy decoded set (a bitmask) minimizing the average squared gain
+    over sets that contain the own cell.
 
     Starts from the own cell plus the weakest other user and keeps adding the
     next weakest while the running average decreases.  In the low-SINR regime
@@ -147,33 +130,27 @@ def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> frozenset[int]:
     S-SND symmetric rate.  Assumes the own gain is not the weakest (true for
     nearest-BS association).
     """
+    check_indices(state, j, i)
     b2 = state.beta[j, i, :] ** 2
-    others = [int(l) for l in np.argsort(b2, kind="stable") if l != j]
-    if not others:
-        return frozenset({j})
-    total = b2[j] + b2[others[0]]
-    count = 2
-    avg = total / count
-    taken = 1
-    for l in others[1:]:
-        cand = (total + b2[l]) / (count + 1)
-        if cand >= avg:
+    mask, total, count = 1 << j, b2[j], 1
+    for l in np.argsort(b2, kind="stable").tolist():
+        if l == j:
+            continue
+        if count > 1 and (total + b2[l]) / (count + 1) >= total / count:
             break
+        mask |= 1 << l
         total += b2[l]
         count += 1
-        avg = cand
-        taken += 1
-    return frozenset({j} | set(others[:taken]))
+    return mask
 
 
-def snd_max_symmetric(state: ChannelState, j: int,
-                      i: int) -> tuple[float, frozenset[int], frozenset[int]]:
+def snd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int, int]:
     """Max symmetric rate over the union of MAC polytopes at BS j.
 
     Returns ``(rate, omega, theta)``: the rate, the maximizing decoded set
-    and the binding subset of it.  Every part and the union are downward
-    closed along the diagonal, so the union's symmetric rate is the max over
-    decoded sets omega (containing j) of the per-part polytope value
+    and the binding subset of it, as bitmasks.  Every part and the union are
+    downward closed along the diagonal, so the union's symmetric rate is the
+    max over decoded sets omega (containing j) of the per-part polytope value
 
         v(omega) = min over nonempty theta in omega of
                    C(N(theta) / (N(omega^c) + F)) / |theta|.
@@ -198,46 +175,34 @@ def snd_max_symmetric(state: ChannelState, j: int,
     |theta|, bitmask) and omega maximizes value, then minimizes (|omega|,
     bitmask).  Exactly tied cells are ranked lowest index first in both the
     weakest and the strongest order, which gives the smallest bitmask among
-    equal-valued sets.  Sums are accumulated in bit order and logs taken
-    through :func:`capacity`, so the rate is bit-identical to the one the
-    subset-sum table of :func:`snd_region` gives.
+    equal-valued sets.  All bounds come from :func:`subset_sum` and one
+    :func:`mac_bound` call, so the rate is bit-identical to the best
+    part value of :func:`~mcmimo.regions.snd_region`.
     """
-    if j < 0:  # numpy would read it as a BS counted from the end
-        raise ValueError(f"BS index must be nonnegative, got {j}")
-    coh = coherent_power(state, j, i).tolist()
-    floor = noise_floor(state, j)
-    weak = sorted(range(len(coh)), key=coh.__getitem__)
+    coh, weak, floor = _powers(state, j, i)
+    full = (1 << len(coh)) - 1
     strong = [l for l in sorted(weak, key=coh.__getitem__, reverse=True) if l != j]
+    omegas = list(accumulate([1 << j] + [1 << l for l in strong], or_))
+    thetas, nums, noises = [], [], []
+    for omega in omegas:
+        prefixes = list(accumulate((1 << l for l in weak if omega >> l & 1), or_))
+        thetas.append(prefixes)
+        nums += [subset_sum(coh, t) for t in prefixes]
+        noises += [subset_sum(coh, full ^ omega)] * len(prefixes)
+    bounds = iter(mac_bound(nums, noises, floor).tolist())
     best = -math.inf
-    for q in range(len(coh)):
-        omega = (j, *strong[:q])
-        den = _bit_order_sum(coh, strong[q:]) + floor
-        inner = math.inf
-        theta = []
-        low = len(coh)
-        total = 0.0
-        for l in weak:
-            if l not in omega:
-                continue
-            theta.append(l)
-            if l < low:  # a new lowest index is the last term of the bit-order sum
-                total += coh[l]
-                low = l
-            else:
-                total = _bit_order_sum(coh, theta)
-            val = capacity(total / den) / len(theta)
-            if val < inner:
-                inner, inner_t = val, len(theta)
+    for omega, prefixes in zip(omegas, thetas):
+        inner, theta = _per_user_min(prefixes, bounds)
         if inner > best:
-            best, best_omega, best_theta = inner, omega, theta[:inner_t]
-    return float(best), frozenset(best_omega), frozenset(best_theta)
+            best, best_omega, best_theta = inner, omega, theta
+    return best, best_omega, best_theta
 
 
 def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0) -> BsSymRate:
     """Max symmetric rate at one BS for a decoding scheme."""
-    full = frozenset(range(state.L))
+    full = (1 << state.L) - 1
     if scheme == "tin":
-        return BsSymRate(j, tin_rate(state, j, i), frozenset({j}), frozenset({j}))
+        return BsSymRate(j, tin_rate(state, j, i), 1 << j, 1 << j)
     if scheme == "sd":
         rate, theta = sd_max_symmetric(state, j, i)
         return BsSymRate(j, rate, theta, full)

@@ -10,9 +10,32 @@ import math
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from mcmimo import CellLayout, ChannelState, SystemParams, rate_bound_sets
+from mcmimo import CellLayout, ChannelState, SystemParams
 from mcmimo.bounds import capacity, coherent_power, noise_floor
+
+
+def direct_bound(state: ChannelState, j: int, i: int, theta, omega) -> float:
+    """The sum-rate bound C(N(theta) / (N(omega^c) + F)) for explicit cell
+    sets, summed by numpy in index order rather than by the library's
+    bitmask kernel."""
+    theta, omega = sorted(set(theta)), set(omega)
+    if not theta or not set(theta) <= omega:
+        raise ValueError("theta must be a nonempty subset of omega")
+    coh = coherent_power(state, j, i)
+    omega_c = [l for l in range(state.L) if l not in omega]
+    return float(capacity(coh[theta].sum() / (coh[omega_c].sum() + noise_floor(state, j))))
+
+
+def cells(mask: int) -> frozenset:
+    """The cell set of a bitmask."""
+    return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
+
+
+def mask_of(cells) -> int:
+    """The bitmask of a cell set."""
+    return sum(1 << l for l in set(cells))
 
 
 def random_state(rng: np.random.Generator, L: int | None = None,
@@ -54,10 +77,7 @@ def ring_state(rng: np.random.Generator, L: int, K: int = 2,
 
 
 def _tiebreak(subset):
-    mask = 0
-    for l in subset:
-        mask |= 1 << l
-    return (len(subset), mask)
+    return (len(subset), mask_of(subset))
 
 
 def _full_decode_value(state: ChannelState, j: int, i: int, combo) -> float:
@@ -73,15 +93,16 @@ def _full_decode_value(state: ChannelState, j: int, i: int, combo) -> float:
 
 
 def brute_force_sd(state: ChannelState, j: int, i: int):
-    """Min over all 2^L - 1 nonempty subsets of bound / cardinality."""
+    """Min over all 2^L - 1 nonempty subsets of bound / cardinality, and the
+    binding subset as a bitmask."""
     best, best_set = np.inf, None
     for q in range(1, state.L + 1):
         for combo in combinations(range(state.L), q):
             val = _full_decode_value(state, j, i, combo)
             key = _tiebreak(combo)
             if val < best or (val == best and key < _tiebreak(best_set)):
-                best, best_set = val, frozenset(combo)
-    return best, best_set
+                best, best_set = val, combo
+    return best, mask_of(best_set)
 
 
 def brute_force_ssnd(state: ChannelState, j: int, i: int):
@@ -94,8 +115,8 @@ def brute_force_ssnd(state: ChannelState, j: int, i: int):
             val = _full_decode_value(state, j, i, combo)
             key = _tiebreak(combo)
             if val < best or (val == best and key < _tiebreak(best_set)):
-                best, best_set = val, frozenset(combo)
-    return best, best_set
+                best, best_set = val, combo
+    return best, mask_of(best_set)
 
 
 def brute_force_snd(state: ChannelState, j: int, i: int):
@@ -109,13 +130,9 @@ def brute_force_snd(state: ChannelState, j: int, i: int):
             inner = np.inf
             for qt in range(1, qo + 1):
                 for theta in combinations(omega, qt):
-                    inner = min(inner, rate_bound_sets(state, j, i, theta, omega) / qt)
+                    inner = min(inner, direct_bound(state, j, i, theta, omega) / qt)
             best = max(best, inner)
     return best
-
-
-def _mask_to_set(mask: int) -> frozenset:
-    return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:
@@ -132,8 +149,8 @@ def exhaustive_snd(state: ChannelState, j: int, i: int):
     """SND max symmetric rate at BS j by enumerating every decoded set omega
     containing j and every subset theta of it: O(3^L).
 
-    Returns ``(rate, omega, theta)``.  Ties are broken toward the smaller
-    (cardinality, bitmask) for theta, then for omega.
+    Returns ``(rate, omega, theta)`` with bitmask sets.  Ties are broken
+    toward the smaller (cardinality, bitmask) for theta, then for omega.
     """
     L = state.L
     coh = coherent_power(state, j, i)
@@ -163,7 +180,7 @@ def exhaustive_snd(state: ChannelState, j: int, i: int):
             best = inner
             best_omega = om
             best_theta = inner_theta
-    return float(best), _mask_to_set(best_omega), _mask_to_set(best_theta)
+    return float(best), best_omega, best_theta
 
 
 def diagonal_rate_bisection(region, dim: int, hi: float, iters: int = 80) -> float:
@@ -183,7 +200,8 @@ def diagonal_rate_bisection(region, dim: int, hi: float, iters: int = 80) -> flo
 
 
 def restricted_average_argmin(values: np.ndarray, j: int):
-    """Exhaustive argmin of mean(values over S) for sets S containing j."""
+    """Exhaustive argmin of mean(values over S) for sets S containing j, as
+    a bitmask."""
     L = len(values)
     best, best_set = np.inf, None
     for q in range(1, L + 1):
@@ -193,8 +211,8 @@ def restricted_average_argmin(values: np.ndarray, j: int):
             val = values[list(combo)].mean()
             key = _tiebreak(combo)
             if val < best or (val == best and key < _tiebreak(best_set)):
-                best, best_set = val, frozenset(combo)
-    return best_set
+                best, best_set = val, combo
+    return mask_of(best_set)
 
 
 def snd_member_two_cell(state: ChannelState, j: int, i: int, point) -> bool:
@@ -206,9 +224,9 @@ def snd_member_two_cell(state: ChannelState, j: int, i: int, point) -> bool:
     """
     o = 1 - j
     full = {0, 1}
-    a = rate_bound_sets(state, j, i, {j}, full)
-    b = rate_bound_sets(state, j, i, {o}, full)
-    f = rate_bound_sets(state, j, i, full, full)
+    a = direct_bound(state, j, i, {j}, full)
+    b = direct_bound(state, j, i, {o}, full)
+    f = direct_bound(state, j, i, full, full)
     return point[j] <= a and point[j] + min(point[o], b) <= f
 
 
@@ -218,7 +236,7 @@ def snd_member_three_cell(state: ChannelState, j: int, i: int, point) -> bool:
     full = {0, 1, 2}
 
     def c(*theta):
-        return rate_bound_sets(state, j, i, set(theta), full)
+        return direct_bound(state, j, i, theta, full)
 
     r, r1, r2 = point[j], point[o1], point[o2]
     if r > c(j):
@@ -230,3 +248,35 @@ def snd_member_three_cell(state: ChannelState, j: int, i: int, point) -> bool:
     if r + min(c(o1, o2), r1 + c(o2), r2 + c(o1), r1 + r2) > c(j, o1, o2):
         return False
     return True
+
+
+def fading_states(max_cells: int = 8):
+    """Channel states from random fading tensors with 1..max_cells cells.
+
+    Gains lie in [1e-4, 1] and are any float, or 10^(-k/1000) for integer
+    k, or drawn from at most three such levels, which makes exact ties
+    common.  Half of the tensors lift each user's own gain to the largest of
+    its row (nearest-BS association); the rest leave the own cell anywhere.
+    """
+    level = st.integers(0, 4000).map(lambda k: 10.0 ** (-k / 1000))
+
+    @st.composite
+    def build(draw):
+        L = draw(st.integers(1, max_cells))
+        K = draw(st.integers(1, 3))
+        gain = draw(st.sampled_from([
+            st.floats(1e-4, 1.0),
+            level,
+            st.lists(level, min_size=1, max_size=3).flatmap(st.sampled_from),
+        ]))
+        beta = np.array(draw(st.lists(gain, min_size=L * K * L, max_size=L * K * L)))
+        beta = beta.reshape(L, K, L)
+        if draw(st.booleans()):
+            for j in range(L):
+                for k in range(K):
+                    beta[j, k, j] = beta[j, k].max() * draw(st.sampled_from([1.0, 1.5, 3.0]))
+        exponent = st.integers(-10, 70).map(lambda k: 10.0 ** (k / 10))
+        params = SystemParams(L=L, K=K, M=draw(exponent), rho_u=draw(exponent),
+                              rho_p=draw(exponent))
+        return ChannelState.from_beta(beta, params), draw(st.integers(0, K - 1))
+    return build()

@@ -11,14 +11,14 @@ import pytest
 
 from mcmimo import (ChannelState, Polytope, SystemParams, max_symmetric_rate,
                     mu_coefficient, network_symmetric_rate, power_terms,
-                    preset_scenario, rate_bound_sets, sweep, tin_rate,
+                    preset_scenario, sweep, tin_rate,
                     tin_rate_asymptotic, two_cell_layout)
 from mcmimo.montecarlo import empirical_power_decomposition
 from mcmimo.symrate import (low_sinr_decode_set, sd_max_symmetric,
                             snd_max_symmetric, ssnd_max_symmetric)
 
 from oracles import (brute_force_sd, brute_force_ssnd, diagonal_rate_bisection,
-                     random_state, restricted_average_argmin)
+                     direct_bound, random_state, restricted_average_argmin)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -113,7 +113,7 @@ def test_criterion_05_scheme_ordering_everywhere():
 
 def test_criterion_06_high_snr_schemes_collapse_to_equal_split():
     state = preset_scenario("two-cell-scenario-a").state().with_m(1e9)
-    equal_split = rate_bound_sets(state, 0, 0, {0, 1}, {0, 1}) / 2.0
+    equal_split = direct_bound(state, 0, 0, {0, 1}, {0, 1}) / 2.0
     rates = {s: network_symmetric_rate(state, s).network_rate
              for s in ("tin", "sd", "ssnd", "snd")}
     gaps = {s: abs(rates[s] - equal_split) / rates[s] for s in ("sd", "ssnd", "snd")}
@@ -164,8 +164,7 @@ def test_criterion_09_polytope_rate_matches_diagonal_bisection():
         L = int(rng.integers(1, 7))
         n_cons = int(rng.integers(1, 2 ** L))
         masks = rng.choice(np.arange(1, 2 ** L), size=n_cons, replace=False)
-        cons = tuple((frozenset(l for l in range(L) if m & (1 << l)),
-                      float(rng.uniform(0.05, 8.0))) for m in masks)
+        cons = tuple((int(m), float(rng.uniform(0.05, 8.0))) for m in masks)
         poly = Polytope(L, cons)
         rate, _ = max_symmetric_rate(poly)
         oracle = diagonal_rate_bisection(poly, L, hi=16.0)

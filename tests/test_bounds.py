@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from mcmimo import (ChannelState, DecodeSpec, SystemParams, capacity,
-                    mu_coefficient, power_terms, preset_scenario, rate_bound,
-                    rate_bound_sets, tin_rate, tin_rate_asymptotic)
+from mcmimo import (ChannelState, SystemParams, capacity, mu_coefficient, power_terms,
+                    preset_scenario, tin_rate, tin_rate_asymptotic)
+from mcmimo.bounds import coherent_power, mac_bound, noise_floor, subset_sum
 
-from oracles import random_state
+from oracles import direct_bound, mask_of, random_state
+
+
+def kernel_bound(state, j, i, theta, omega):
+    """The library bound for bitmasks theta and omega."""
+    coh = coherent_power(state, j, i).tolist()
+    noise = subset_sum(coh, ((1 << state.L) - 1) ^ omega)
+    return float(mac_bound(subset_sum(coh, theta), noise, noise_floor(state, j)))
 
 
 def unit_state():
@@ -46,40 +53,65 @@ class TestPowerTerms:
             state = random_state(rng)
             j = int(rng.integers(state.L))
             i = int(rng.integers(state.K))
-            full = frozenset(range(state.L))
-            pw = power_terms(state, j, i, full)
+            full = (1 << state.L) - 1
+            pw = power_terms(state, j, i, range(state.L))
             via_powers = capacity(pw.desired / pw.total_noise)
-            direct = rate_bound_sets(state, j, i, full, full)
+            direct = kernel_bound(state, j, i, full, full)
             assert direct == pytest.approx(via_powers, rel=1e-12)
 
 
 class TestRateBound:
     def test_hand_value_unit_network(self):
-        rate = rate_bound_sets(unit_state(), 0, 0, {0}, {0})
+        rate = kernel_bound(unit_state(), 0, 0, 0b1, 0b1)
         assert rate == pytest.approx(math.log2(1.25), rel=1e-14)
 
-    def test_empty_theta_rejected(self):
-        with pytest.raises(ValueError, match="theta"):
-            DecodeSpec(0, 0, frozenset({0}), frozenset())
-
-    def test_theta_outside_omega_rejected(self):
-        with pytest.raises(ValueError, match="subset"):
-            DecodeSpec(0, 0, frozenset({0}), frozenset({0, 1}))
-
     def test_out_of_range_indices_rejected(self):
-        state = unit_state()
-        with pytest.raises(ValueError, match="out of range"):
-            rate_bound(state, DecodeSpec(1, 0, frozenset({0}), frozenset({0})))
-        with pytest.raises(ValueError, match="out of range"):
-            rate_bound(state, DecodeSpec(0, 0, frozenset({0, 3}), frozenset({0})))
+        state = random_state(np.random.default_rng(28), L=3, K=2)
+        for j, i in ((3, 0), (-1, 0), (0, 2), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                coherent_power(state, j, i)
+
+    def test_subset_sum_adds_highest_index_first(self):
+        # 1e16 + 1 + 1 rounds to 1e16 in index order, but the two ones added
+        # first give 2 and then 1e16 + 2 exactly
+        coh = [1e16, 1.0, 1.0]
+        assert subset_sum(coh, 0b111) == 1e16 + 2.0
+        assert subset_sum(coh, 0b110) == 2.0
+        assert subset_sum(coh, 0) == 0.0
+
+    def test_kernel_matches_direct_bound(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            state = random_state(rng)
+            j = int(rng.integers(state.L))
+            i = int(rng.integers(state.K))
+            omega = int(rng.integers(1, 1 << state.L)) | 1 << j
+            theta = int(rng.integers(1, 1 << state.L)) & omega or 1 << j
+            cells = [l for l in range(state.L) if theta >> l & 1]
+            decoded = [l for l in range(state.L) if omega >> l & 1]
+            assert kernel_bound(state, j, i, theta, omega) == pytest.approx(
+                direct_bound(state, j, i, cells, decoded), rel=1e-14)
+
+    def test_vectorized_bounds_equal_scalar_calls(self):
+        # solvers and region builders evaluate many bounds per call, TIN one
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            state = random_state(rng)
+            j = int(rng.integers(state.L))
+            coh = coherent_power(state, j, 0).tolist()
+            floor = noise_floor(state, j)
+            nums = [subset_sum(coh, m) for m in range(1, 1 << state.L)]
+            noises = nums[::-1]
+            together = mac_bound(nums, noises, floor).tolist()
+            assert together == [float(mac_bound(n, d, floor))
+                                for n, d in zip(nums, noises)]
 
     def test_monotone_in_theta(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             state = random_state(rng, L=4)
-            full = frozenset(range(4))
-            small = rate_bound_sets(state, 0, 0, {0, 1}, full)
-            large = rate_bound_sets(state, 0, 0, {0, 1, 2}, full)
+            small = kernel_bound(state, 0, 0, 0b0011, 0b1111)
+            large = kernel_bound(state, 0, 0, 0b0111, 0b1111)
             assert large > small
 
     def test_decoding_more_interferers_raises_bound(self):
@@ -88,12 +120,11 @@ class TestRateBound:
         rng = np.random.default_rng(24)
         for _ in range(50):
             state = random_state(rng, L=3)
-            narrow = rate_bound_sets(state, 0, 0, {0}, {0})
-            wide = rate_bound_sets(state, 0, 0, {0}, {0, 1})
+            narrow = kernel_bound(state, 0, 0, 0b01, 0b01)
+            wide = kernel_bound(state, 0, 0, 0b01, 0b11)
             assert wide >= narrow
 
     def test_noise_floor_at_least_unity(self):
-        from mcmimo.bounds import noise_floor
         rng = np.random.default_rng(27)
         for _ in range(50):
             state = random_state(rng)
@@ -102,10 +133,8 @@ class TestRateBound:
 
     def test_log_m_growth(self):
         state = preset_scenario("two-cell-scenario-a").state()
-        full = frozenset({0, 1})
-
         def excess(m):
-            return rate_bound_sets(state.with_m(m), 0, 0, full, full) - math.log2(m)
+            return kernel_bound(state.with_m(m), 0, 0, 0b11, 0b11) - math.log2(m)
 
         gaps = [abs(excess(10.0 ** e) - excess(10.0 ** (e + 1))) for e in (4, 6, 8)]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -115,7 +144,7 @@ class TestRateBound:
 class TestTinRates:
     def test_single_cell_tin_equals_full_bound(self):
         state = unit_state()
-        assert tin_rate(state, 0, 0) == rate_bound_sets(state, 0, 0, {0}, {0})
+        assert tin_rate(state, 0, 0) == kernel_bound(state, 0, 0, 0b1, 0b1)
 
     def test_equal_gains_saturate_at_one_bit(self):
         beta = np.full((2, 1, 2), 0.3)
@@ -152,12 +181,11 @@ class TestMuCoefficient:
             j = int(rng.integers(state.L))
             i = int(rng.integers(state.K))
             mu = mu_coefficient(state, j, i)
-            full = frozenset(range(state.L))
-            subset = frozenset(int(l) for l in
-                               rng.choice(state.L, size=rng.integers(1, state.L + 1),
-                                          replace=False))
-            via_mu = capacity(mu * (state.beta[j, i, sorted(subset)] ** 2).sum())
-            assert rate_bound_sets(state, j, i, subset, full) == pytest.approx(
+            full = (1 << state.L) - 1
+            subset = sorted(int(l) for l in rng.choice(
+                state.L, size=rng.integers(1, state.L + 1), replace=False))
+            via_mu = capacity(mu * (state.beta[j, i, subset] ** 2).sum())
+            assert kernel_bound(state, j, i, mask_of(subset), full) == pytest.approx(
                 via_mu, rel=1e-12)
 
     def test_linear_in_antennas(self):

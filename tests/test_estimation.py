@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcmimo import ChannelState, SystemParams, mmse_coeffs, prelog_factors
+from mcmimo import ChannelState, SystemParams, mmse_coeffs
 
 from oracles import random_state
 
@@ -91,21 +91,3 @@ class TestChannelState:
         assert bumped.params.M == state.params.M * 4
         np.testing.assert_array_equal(bumped.stats.alpha, state.stats.alpha)
 
-
-class TestPrelogFactors:
-    @pytest.mark.parametrize("L,K,expected", [
-        (2, 4, (0.5, 0.2)),
-        (1, 7, (1.0, 1.0)),
-        (3, 4, (1.0 / 3.0, 1.0 / 9.0)),
-    ])
-    def test_values(self, L, K, expected):
-        same, diff = prelog_factors(make_params(L, K, rho_p=1.0))
-        assert same == pytest.approx(expected[0], rel=1e-15)
-        assert diff == pytest.approx(expected[1], rel=1e-15)
-
-    def test_shared_pilots_never_worse(self):
-        for L in range(1, 6):
-            for K in range(1, 6):
-                same, diff = prelog_factors(make_params(L, K, rho_p=1.0))
-                assert same >= diff
-                assert (same == diff) == (K == 1 or L == 1)

@@ -149,17 +149,13 @@ class TestThreeCellLayout:
 
 
 class TestSystemParams:
-    def test_tau_defaults_to_k(self):
-        p = SystemParams(L=2, K=4, M=64, rho_u=30.0, rho_p=120.0)
-        assert p.tau == 4
-
     @pytest.mark.parametrize("field,value", [
         ("L", 0), ("K", -1), ("M", 0.0), ("rho_u", 0.0), ("rho_p", -2.0),
-        ("alpha_pl", -0.5), ("d0", 0.0), ("tau", 0),
+        ("alpha_pl", -0.5), ("d0", 0.0),
     ])
     def test_invalid_values_rejected(self, field, value):
         kwargs = dict(L=2, K=4, M=64, rho_u=30.0, rho_p=120.0, alpha_pl=2.0,
-                      d0=100.0, tau=4)
+                      d0=100.0)
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             SystemParams(**kwargs)

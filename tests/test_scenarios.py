@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from mcmimo import (classify_two_cell, network_symmetric_rate, preset_scenario,
-                    rate_bound_sets, sweep, two_cell_ordering_check)
+from mcmimo import (classify_two_cell, network_symmetric_rate, preset_scenario, sweep,
+                    two_cell_ordering_check)
 from mcmimo.scenarios import Scenario, case_margin
 from mcmimo import ChannelState, SystemParams
+
+from oracles import direct_bound
 
 
 class TestPresets:
@@ -94,7 +96,7 @@ class TestOrderingCheck:
         chk = two_cell_ordering_check(state)
         assert chk.case == "case_ii"
         assert chk.passed
-        half_sum = 0.5 * rate_bound_sets(state, 0, 0, {0, 1}, {0, 1})
+        half_sum = 0.5 * direct_bound(state, 0, 0, {0, 1}, {0, 1})
         for scheme in ("sd", "ssnd", "snd"):
             assert chk.rates[scheme] == pytest.approx(half_sum, rel=1e-12)
         assert chk.rates["tin"] <= chk.rates["sd"]

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, Polytope, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
-                    network_symmetric_rate, preset_scenario, rate_bound_sets,
-                    sd_max_symmetric, sd_region, snd_max_symmetric, snd_region,
-                    ssnd_max_symmetric, ssnd_region, tin_rate, two_cell_layout)
+                    network_symmetric_rate, preset_scenario, sd_max_symmetric, sd_region,
+                    snd_max_symmetric, snd_region, ssnd_max_symmetric, ssnd_region, tin_rate,
+                    two_cell_layout)
+from mcmimo.symrate import bs_symmetric_rate
 
-from oracles import (brute_force_sd, brute_force_snd, brute_force_ssnd,
-                     diagonal_rate_bisection, exhaustive_snd, random_state,
-                     restricted_average_argmin, ring_state)
+from oracles import (brute_force_sd, brute_force_snd, brute_force_ssnd, cells,
+                     diagonal_rate_bisection, direct_bound, exhaustive_snd, fading_states,
+                     random_state, restricted_average_argmin, ring_state)
 
 
 def low_sinr_state(rng, L, K=1):
@@ -28,18 +28,16 @@ def low_sinr_state(rng, L, K=1):
 
 class TestMaxSymmetricPolytope:
     def test_pair_bound_binds(self):
-        poly = Polytope(2, ((frozenset({0}), 1.0), (frozenset({1}), 1.0),
-                            (frozenset({0, 1}), 1.5)))
+        poly = Polytope(2, ((0b01, 1.0), (0b10, 1.0), (0b11, 1.5)))
         rate, subset = max_symmetric_rate(poly)
         assert rate == pytest.approx(0.75, rel=1e-15)
-        assert subset == frozenset({0, 1})
+        assert subset == 0b11
 
     def test_singleton_binds(self):
-        poly = Polytope(2, ((frozenset({0}), 1.0), (frozenset({1}), 1.0),
-                            (frozenset({0, 1}), 3.0)))
+        poly = Polytope(2, ((0b10, 1.0), (0b11, 3.0), (0b01, 1.0)))
         rate, subset = max_symmetric_rate(poly)
         assert rate == pytest.approx(1.0, rel=1e-15)
-        assert subset == frozenset({0})  # cardinality then bitmask tie-break
+        assert subset == 0b01  # cardinality then bitmask tie-break
 
     def test_empty_polytope_rejected(self):
         with pytest.raises(ValueError, match="constraint"):
@@ -51,9 +49,7 @@ class TestMaxSymmetricPolytope:
             L = int(rng.integers(1, 7))
             n_cons = int(rng.integers(1, 2 ** L))
             masks = rng.choice(np.arange(1, 2 ** L), size=n_cons, replace=False)
-            cons = tuple(
-                (frozenset(l for l in range(L) if m & (1 << l)), float(rng.uniform(0.1, 5.0)))
-                for m in masks)
+            cons = tuple((int(m), float(rng.uniform(0.1, 5.0))) for m in masks)
             poly = Polytope(L, cons)
             rate, _ = max_symmetric_rate(poly)
             oracle = diagonal_rate_bisection(poly, L, hi=10.0)
@@ -82,7 +78,7 @@ class TestFastPaths:
             slow, slow_subset = brute_force_ssnd(state, j, i)
             assert fast == pytest.approx(slow, rel=1e-12)
             assert subset == slow_subset
-            assert j in subset
+            assert subset >> j & 1
 
     def test_fast_paths_match_region_polytopes(self):
         rng = np.random.default_rng(54)
@@ -103,7 +99,7 @@ class TestFastPaths:
         expected = capacity(mu * state.beta[0, 0, 0] ** 2)
         rate, subset = sd_max_symmetric(state, 0, 0)
         assert rate == pytest.approx(expected, rel=1e-12)
-        assert subset == frozenset({0})
+        assert subset == 0b1
 
     def test_low_sinr_sd_limited_by_weakest_user(self):
         rng = np.random.default_rng(56)
@@ -114,7 +110,7 @@ class TestFastPaths:
             assert mu * s_full < 1e-2
             _, subset = sd_max_symmetric(state, 0, 0)
             weakest = int(np.argmin(state.beta[0, 0, :]))
-            assert subset == frozenset({weakest})
+            assert subset == 1 << weakest
 
     def test_ssnd_never_below_sd(self):
         rng = np.random.default_rng(57)
@@ -132,7 +128,7 @@ class TestFastPaths:
         expected_pair = 0.5 * capacity(mu * (b_own ** 2 + b_cross ** 2))
         rate, subset = ssnd_max_symmetric(state, 0, 0)
         assert rate == pytest.approx(expected_pair, rel=1e-12)
-        assert subset == frozenset({0, 1})
+        assert subset == 0b11
 
 
 class TestLowSinrDecodeSet:
@@ -144,19 +140,19 @@ class TestLowSinrDecodeSet:
         beta[0, 0] = np.sqrt([1.0, 0.01, 0.02, 0.9])
         params = SystemParams(L=4, K=1, M=1.0, rho_u=0.01, rho_p=0.01)
         state = ChannelState.from_beta(beta, params)
-        assert low_sinr_decode_set(state, 0, 0) == frozenset({0, 1, 2})
+        assert low_sinr_decode_set(state, 0, 0) == 0b0111
 
     def test_two_cells_always_both(self):
         rng = np.random.default_rng(58)
         for _ in range(20):
             state = random_state(rng, L=2)
             j = int(rng.integers(2))
-            assert low_sinr_decode_set(state, j, 0) == frozenset({0, 1})
+            assert low_sinr_decode_set(state, j, 0) == 0b11
 
     def test_single_cell(self):
         rng = np.random.default_rng(59)
         state = random_state(rng, L=1)
-        assert low_sinr_decode_set(state, 0, 0) == frozenset({0})
+        assert low_sinr_decode_set(state, 0, 0) == 0b1
 
     def test_matches_exhaustive_restricted_argmin(self):
         rng = np.random.default_rng(60)
@@ -179,7 +175,7 @@ class TestSndMaxSymmetric:
             rate, omega, theta = snd_max_symmetric(state, j, 0)
             expected = max(tin_rate(state, j, 0), ssnd_max_symmetric(state, j, 0)[0])
             assert rate == pytest.approx(expected, rel=1e-14)
-            assert theta <= omega and j in omega
+            assert theta & ~omega == 0 and omega >> j & 1
 
     def test_never_below_tin_or_ssnd(self):
         # cross-implementation comparisons tolerate summation-order ulps
@@ -238,38 +234,6 @@ class TestSndMaxSymmetric:
             assert r["tin"] <= r["snd"] * (1 + 1e-12)
 
 
-def fading_states(max_cells: int = 8):
-    """Channel states from random fading tensors with 1..max_cells cells.
-
-    Gains lie in [1e-4, 1] and are any float, or 10^(-k/1000) for integer
-    k, or drawn from at most three such levels, which makes exact ties
-    common.  Half of the tensors lift each user's own gain to the largest of
-    its row (nearest-BS association); the rest leave the own cell anywhere.
-    """
-    level = st.integers(0, 4000).map(lambda k: 10.0 ** (-k / 1000))
-
-    @st.composite
-    def build(draw):
-        L = draw(st.integers(1, max_cells))
-        K = draw(st.integers(1, 3))
-        gain = draw(st.sampled_from([
-            st.floats(1e-4, 1.0),
-            level,
-            st.lists(level, min_size=1, max_size=3).flatmap(st.sampled_from),
-        ]))
-        beta = np.array(draw(st.lists(gain, min_size=L * K * L, max_size=L * K * L)))
-        beta = beta.reshape(L, K, L)
-        if draw(st.booleans()):
-            for j in range(L):
-                for k in range(K):
-                    beta[j, k, j] = beta[j, k].max() * draw(st.sampled_from([1.0, 1.5, 3.0]))
-        exponent = st.integers(-10, 70).map(lambda k: 10.0 ** (k / 10))
-        params = SystemParams(L=L, K=K, M=draw(exponent), rho_u=draw(exponent),
-                              rho_p=draw(exponent))
-        return ChannelState.from_beta(beta, params), draw(st.integers(0, K - 1))
-    return build()
-
-
 class TestSndAgainstExhaustive:
     @settings(max_examples=150, deadline=None)
     @given(fading_states())
@@ -315,8 +279,8 @@ class TestNetworkReport:
             for scheme in ("tin", "sd", "ssnd", "snd"):
                 report = network_symmetric_rate(state, scheme)
                 for entry in report.per_bs:
-                    again = rate_bound_sets(state, entry.bs, 0, entry.theta,
-                                            entry.omega) / len(entry.theta)
+                    again = direct_bound(state, entry.bs, 0, cells(entry.theta),
+                                         cells(entry.omega)) / entry.theta.bit_count()
                     assert entry.rate == pytest.approx(again, rel=1e-12)
 
     def test_scheme_ordering_everywhere(self):
@@ -352,5 +316,17 @@ class TestNetworkReport:
 
 def test_snd_rejects_negative_bs_index():
     state = random_state(np.random.default_rng(70), L=2, K=2)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="out of range"):
         snd_max_symmetric(state, -1, 0)
+
+
+@pytest.mark.parametrize("j, i", [(-1, 0), (3, 0), (0, -1), (0, 2)])
+def test_solvers_reject_out_of_range_indices(j, i):
+    state = random_state(np.random.default_rng(71), L=3, K=2)
+    solvers = [tin_rate, sd_max_symmetric, ssnd_max_symmetric, snd_max_symmetric,
+               low_sinr_decode_set] + [
+        lambda state, j, i, scheme=scheme: bs_symmetric_rate(state, scheme, j, i)
+        for scheme in SCHEMES]
+    for solver in solvers:
+        with pytest.raises(ValueError, match="out of range"):
+            solver(state, j, i)
