@@ -125,6 +125,7 @@ def power_terms(state: ChannelState, j: int, i: int, omega) -> PowerDecompositio
     ``desired`` is the squared mean of the coherent components of the decoded
     set ``omega`` (scales as M^2); the three noise terms scale as M.
     """
+    check_indices(state, j, i)
     p = state.params
     beta = state.beta
     b_own = beta[j, i, j]
@@ -158,6 +159,7 @@ def tin_rate_asymptotic(state: ChannelState, j: int, i: int) -> float:
     Unbounded (returns ``inf``) for a single-cell network where no co-pilot
     interference exists.
     """
+    check_indices(state, j, i)
     if state.L == 1:
         return math.inf
     b = state.beta[j, i, :]
@@ -168,6 +170,7 @@ def tin_rate_asymptotic(state: ChannelState, j: int, i: int) -> float:
 def mu_coefficient(state: ChannelState, j: int, i: int) -> float:
     """SINR-per-squared-gain coefficient: with full joint decoding, the
     sum-rate bound for theta is log2(1 + mu * sum_{l in theta} beta_jil^2)."""
+    check_indices(state, j, i)
     p = state.params
     b_sum = float(state.beta[j, i, :].sum())
     return p.M * p.rho_p * p.rho_u / (noise_floor(state, j) * (1.0 + p.rho_p * b_sum))

@@ -7,9 +7,19 @@ parts); pilot transmission is simulated directly in the despread domain,
 which is equivalent to multiplying by an orthonormal pilot matrix and saves
 a K x K product per trial.
 
+The empirical decomposition at BS j, slot i samples only what the combiner
+there reads: BS j's channels to every user, shape (T, K, L, M), the despread
+pilot noise of slot i at BS j and the receiver noise at BS j, (T, M) each,
+and the symbols, (T, L, K).  Every inner product still comes from sampled
+M-vectors, so the check stays independent of the analytic formulas.  The
+full-network helpers (``sample_channels`` ... ``mrc_outputs``) remain for
+simulating every BS at once.
+
 Randomness is explicit: functions take a ``numpy.random.Generator``, and the
-trial-level driver derives one child stream per fixed-size batch from the
-seed, so results are reproducible for any worker count.
+trial-level driver derives one child stream per batch from the seed.  A
+batch holds at most 256 trials and at most ``_BATCH_BYTES`` of sampled
+arrays; its size depends only on (trials, K, L, M), so results are
+reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PowerDecomposition
+from .bounds import PowerDecomposition, check_indices
 from .estimation import ChannelState, EstimationStats
 from .parallel import parallel_map, pool_size
 
@@ -33,13 +43,19 @@ __all__ = [
     "empirical_power_decomposition",
 ]
 
-_BATCH = 256
+_BATCH = 256              # trials per batch, at most
+_BATCH_BYTES = 32 << 20   # complex128 bytes sampled per batch, at most
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
-    """Circular complex Gaussian samples with the given per-entry variance."""
-    scale = math.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """Circular complex Gaussian samples with the given per-entry variance.
+
+    Real and imaginary parts are drawn interleaved in one call and viewed
+    as complex128, so the draw allocates nothing beyond its result.
+    """
+    z = rng.standard_normal((*shape, 2))
+    z *= math.sqrt(var / 2.0)
+    return z.view(np.complex128).reshape(shape)
 
 
 def sample_channels(beta: np.ndarray, m: int, rng: np.random.Generator,
@@ -93,66 +109,60 @@ class _TrialStats:
     symbols: np.ndarray  # (T, L, K)
 
 
-def _run_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _TrialStats:
+def _antennas(M: float) -> int:
+    """The antenna count as the integer number of sampled entries."""
+    if not (M >= 1 and float(M).is_integer()):
+        raise ValueError(f"Monte Carlo needs an integer antenna count M >= 1, got M={M!r}")
+    return int(M)
+
+
+def _batch_counts(trials: int, K: int, L: int, m: int) -> list[int]:
+    """Trials per batch: at most _BATCH, and at most _BATCH_BYTES of sampled
+    channels, pilot noise, receiver noise and symbols."""
+    bytes_per_trial = 16 * (K * L * m + 2 * m + L * K)
+    size = min(_BATCH, max(1, _BATCH_BYTES // bytes_per_trial))
+    counts = [size] * (trials // size)
+    if trials % size:
+        counts.append(trials % size)
+    return counts
+
+
+def _one_batch(state: ChannelState, j: int, i: int, m: int, count: int,
+               rng: np.random.Generator):
+    """Inner products, noise projections and symbols of ``count`` trials.
+
+    A function of its own so that one batch's samples are freed before the
+    next batch is drawn, which keeps the peak at one batch's budget.
+    """
     p = state.params
-    m = int(p.M)
-    inner = []
-    nterm = []
-    sym = []
-    for seed, count in zip(seeds, counts):
-        rng = np.random.default_rng(seed)
-        g = sample_channels(state.beta, m, rng, count)
-        r = despread_pilots(g, p.rho_p, rng)
-        g_hat = mmse_estimate(r, state.stats)
-        x = complex_normal(rng, (count, p.L, p.K))
-        n = complex_normal(rng, (count, p.L, m))
-        ref = g_hat[:, j, i, :].conj()
-        inner.append(np.einsum("tm,tklm->tkl", ref, g[:, j]))
-        nterm.append(np.einsum("tm,tm->t", ref, n[:, j]))
-        sym.append(x)
+    K, L = p.K, p.L
+    g = complex_normal(rng, (count, K, L, m))
+    g *= np.sqrt(state.beta[j])[None, :, :, None]
+    # despread pilot of slot i at BS j, then ref = conj(g_hat_jij)
+    ref = g[:, i].sum(axis=1)
+    ref *= math.sqrt(p.rho_p)
+    ref += complex_normal(rng, (count, m))
+    np.conj(ref, out=ref)
+    ref *= state.stats.alpha_own[j, i]
+    ref = ref[:, :, None]
+    x = complex_normal(rng, (count, L, K))
+    n = complex_normal(rng, (count, 1, m))
+    inner = (g.reshape(count, K * L, m) @ ref).reshape(count, K, L)
+    return inner, (n @ ref).reshape(count), x
+
+
+def _run_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _TrialStats:
+    m = _antennas(state.params.M)
+    parts = [_one_batch(state, j, i, m, count, np.random.default_rng(seed))
+             for seed, count in zip(seeds, counts)]
+    inner, nterm, sym = zip(*parts)
     return _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
                        symbols=np.concatenate(sym))
 
 
-def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
-                                  trials: int, seed: int,
-                                  workers: int = 1) -> PowerDecomposition:
-    """Empirical counterpart of the analytic power split at BS j, slot i.
-
-    The desired power is the squared magnitude of the trial-mean coherent
-    component summed over the decoded set ``omega``; the other three terms
-    are empirical variances of the estimation-error interference, other-user
-    interference and noise contributions to the combiner output.
-
-    Requires at least 1000 trials for meaningful confidence.  Work is split
-    into fixed-size batches with independently derived RNG streams, so the
-    result depends only on ``seed`` and ``trials``, not on ``workers``.
-    """
-    if trials < 1000:
-        raise ValueError(
-            f"need at least 1000 trials for statistical confidence, got {trials}")
-    omega = sorted(set(omega))
-    if any(l < 0 or l >= state.L for l in omega):
-        raise ValueError(f"omega {omega} has entries out of range for L={state.L}")
-
-    counts = [_BATCH] * (trials // _BATCH)
-    if trials % _BATCH:
-        counts.append(trials % _BATCH)
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-
-    size = pool_size(workers, len(counts))
-    if size > 1:
-        chunks = np.array_split(np.arange(len(counts)), size)
-        args = [(state, j, i, [seeds[b] for b in chunk], [counts[b] for b in chunk])
-                for chunk in chunks]
-        results = parallel_map(_run_batches_star, args, size)
-        stats = _TrialStats(
-            inner=np.concatenate([r.inner for r in results]),
-            noise=np.concatenate([r.noise for r in results]),
-            symbols=np.concatenate([r.symbols for r in results]))
-    else:
-        stats = _run_batches(state, j, i, seeds, counts)
-
+def _decompose(stats: _TrialStats, state: ChannelState, i: int,
+               omega: list[int]) -> PowerDecomposition:
+    """The four power terms from the per-trial scalars at slot i."""
     rho_u = state.params.rho_u
     mean_inner = stats.inner.mean(axis=0)  # (K, L)
     desired = rho_u * float((np.abs(mean_inner[i, omega]) ** 2).sum())
@@ -168,6 +178,47 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
         other_users=float(other_term.var()),
         noise=float(stats.noise.var()),
     )
+
+
+def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
+                                  trials: int, seed: int,
+                                  workers: int = 1) -> PowerDecomposition:
+    """Empirical counterpart of the analytic power split at BS j, slot i.
+
+    The desired power is the squared magnitude of the trial-mean coherent
+    component summed over the decoded set ``omega``; the other three terms
+    are empirical variances of the estimation-error interference, other-user
+    interference and noise contributions to the combiner output.
+
+    Requires at least 1000 trials for meaningful confidence and an integer
+    antenna count M >= 1.  Work is split into batches whose sizes depend only
+    on (trials, K, L, M), each with an independently derived RNG stream, so
+    the result depends only on ``seed`` and ``trials``, not on ``workers``.
+    """
+    if trials < 1000:
+        raise ValueError(
+            f"need at least 1000 trials for statistical confidence, got {trials}")
+    check_indices(state, j, i)
+    omega = sorted(set(omega))
+    if any(l < 0 or l >= state.L for l in omega):
+        raise ValueError(f"omega {omega} has entries out of range for L={state.L}")
+
+    counts = _batch_counts(trials, state.K, state.L, _antennas(state.params.M))
+    seeds = np.random.SeedSequence(seed).spawn(len(counts))
+
+    size = pool_size(workers, len(counts))
+    if size > 1:
+        chunks = np.array_split(np.arange(len(counts)), size)
+        args = [(state, j, i, [seeds[b] for b in chunk], [counts[b] for b in chunk])
+                for chunk in chunks]
+        results = parallel_map(_run_batches_star, args, size)
+        stats = _TrialStats(
+            inner=np.concatenate([r.inner for r in results]),
+            noise=np.concatenate([r.noise for r in results]),
+            symbols=np.concatenate([r.symbols for r in results]))
+    else:
+        stats = _run_batches(state, j, i, seeds, counts)
+    return _decompose(stats, state, i, omega)
 
 
 def _run_batches_star(args):

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the production shortcuts: symmetric
 rates come from exhaustive subset enumeration or bisection on membership,
-and union-region membership comes from the explicit two- and three-cell
-inequality systems rather than the part-by-part union construction.
+union-region membership comes from the explicit two- and three-cell
+inequality systems rather than the part-by-part union construction, and the
+Monte Carlo reference samples every BS's links rather than only BS j's.
 """
 
 import math
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from mcmimo import CellLayout, ChannelState, SystemParams
 from mcmimo.bounds import capacity, coherent_power, noise_floor
+from mcmimo.montecarlo import (_TrialStats, complex_normal, despread_pilots, mmse_estimate,
+                               sample_channels)
 
 
 def direct_bound(state: ChannelState, j: int, i: int, theta, omega) -> float:
@@ -181,6 +184,30 @@ def exhaustive_snd(state: ChannelState, j: int, i: int):
             best_omega = om
             best_theta = inner_theta
     return float(best), best_omega, best_theta
+
+
+def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _TrialStats:
+    """Per-trial scalars at BS j, slot i from the full network simulation:
+    channels (T, L, K, L, M), pilots and receiver noise for every BS, of
+    which only BS j's are read."""
+    p = state.params
+    m = int(p.M)
+    inner = []
+    nterm = []
+    sym = []
+    for seed, count in zip(seeds, counts):
+        rng = np.random.default_rng(seed)
+        g = sample_channels(state.beta, m, rng, count)
+        r = despread_pilots(g, p.rho_p, rng)
+        g_hat = mmse_estimate(r, state.stats)
+        x = complex_normal(rng, (count, p.L, p.K))
+        n = complex_normal(rng, (count, p.L, m))
+        ref = g_hat[:, j, i, :].conj()
+        inner.append(np.einsum("tm,tklm->tkl", ref, g[:, j]))
+        nterm.append(np.einsum("tm,tm->t", ref, n[:, j]))
+        sym.append(x)
+    return _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
+                       symbols=np.concatenate(sym))
 
 
 def diagonal_rate_bisection(region, dim: int, hi: float, iters: int = 80) -> float:

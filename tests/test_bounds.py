@@ -141,6 +141,18 @@ class TestRateBound:
         assert gaps[2] < 1e-3
 
 
+@pytest.mark.parametrize("terms", [
+    pytest.param(lambda state, j, i: power_terms(state, j, i, [0]), id="power_terms"),
+    pytest.param(mu_coefficient, id="mu_coefficient"),
+    pytest.param(tin_rate_asymptotic, id="tin_rate_asymptotic"),
+])
+def test_analytic_terms_reject_out_of_range_indices(terms):
+    state = random_state(np.random.default_rng(27), L=3, K=2)
+    for j, i in ((-1, 0), (3, 0), (0, -1), (0, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            terms(state, j, i)
+
+
 class TestTinRates:
     def test_single_cell_tin_equals_full_bound(self):
         state = unit_state()

@@ -296,6 +296,16 @@ class TestCliCommands:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "out of range" in lines[0]
 
+    @pytest.mark.parametrize("m", ["64.9", "0.5"])
+    def test_unsampleable_antenna_count_is_one_error_line(self, m, capsys):
+        # Monte Carlo samples whole antennas; it used to truncate M silently
+        assert run_cli("montecarlo", "--cells", "2", "--m", m, "--trials", "1000") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"M={m}" in lines[0]
+
     def test_console_entry_point(self, tmp_path):
         import os
         import subprocess

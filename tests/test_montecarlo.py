@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mcmimo.montecarlo as mc
 from mcmimo import ChannelState, SystemParams, power_terms
 from mcmimo.montecarlo import (complex_normal, despread_pilots,
                                empirical_power_decomposition, estimate_for_cell,
                                mmse_estimate, mrc_outputs, sample_channels)
+
+from oracles import full_tensor_batches
 
 
 def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
@@ -17,6 +21,13 @@ def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
 
 
 class TestSampling:
+    def test_complex_normal_shape_and_variance(self):
+        z = complex_normal(np.random.default_rng(30), (4000, 3), var=2.0)
+        assert z.shape == (4000, 3) and z.dtype == np.complex128
+        assert z.real.var() == pytest.approx(1.0, rel=0.05)
+        assert z.imag.var() == pytest.approx(1.0, rel=0.05)
+        assert abs(np.mean(z.real * z.imag)) < 0.05
+
     def test_deterministic_under_fixed_seed(self):
         state = small_state()
         a = sample_channels(state.beta, 16, np.random.default_rng(99), count=8)
@@ -182,3 +193,74 @@ class TestEmpiricalDecomposition:
         state = small_state(M=8)
         with pytest.raises(ValueError, match="omega"):
             empirical_power_decomposition(state, 0, 0, {0, 5}, trials=1000, seed=1)
+
+    def test_out_of_range_indices_rejected(self):
+        state = small_state(L=3, K=2, M=8)
+        for j, i in ((-1, 0), (3, 0), (0, -1), (0, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                empirical_power_decomposition(state, j, i, {0}, trials=1000, seed=1)
+
+    @pytest.mark.parametrize("m", [64.9, 0.5])
+    def test_non_integer_antenna_count_rejected(self, m):
+        state = small_state(M=m)
+        with pytest.raises(ValueError, match=f"M={m}"):
+            empirical_power_decomposition(state, 0, 0, {0}, trials=1000, seed=1)
+
+    def test_last_bs_and_pilot_match_full_tensor_oracle(self):
+        # j = L - 1, i = K - 1 and a strict subset omega: indexing slips that
+        # the (0, 0) cases cannot show
+        state = small_state(L=3, K=2, M=32, seed=3)
+        j, i, omega = 2, 1, [0, 2]
+        trials, seed = 6000, 23
+        ana = power_terms(state, j, i, omega)
+        emp = empirical_power_decomposition(state, j, i, omega, trials=trials, seed=seed)
+        counts = mc._batch_counts(trials, state.K, state.L, 32)
+        seeds = np.random.SeedSequence(seed).spawn(len(counts))
+        ref = mc._decompose(full_tensor_batches(state, j, i, seeds, counts), state, i, omega)
+        for e, r, a in zip(emp.as_tuple(), ref.as_tuple(), ana.as_tuple()):
+            assert e == pytest.approx(a, rel=0.12)
+            assert r == pytest.approx(a, rel=0.12)
+
+    def test_samples_only_bs_j_links(self, monkeypatch):
+        drawn = []
+
+        def counting(rng, shape, var=1.0):
+            drawn.append(math.prod(shape))
+            return complex_normal(rng, shape, var)
+
+        monkeypatch.setattr(mc, "complex_normal", counting)
+        L, K, M, trials = 3, 2, 8, 1000
+        empirical_power_decomposition(small_state(L=L, K=K, M=M), 1, 1, {1},
+                                      trials=trials, seed=4)
+        assert sum(drawn) == trials * (K * L * M + 2 * M + L * K)
+
+
+class TestBatchBudget:
+    # 256 trials at this shape would sample about 3x the budget
+    L, K, M = 2, 2, 4096
+
+    def test_benchmark_shapes_keep_full_batches(self):
+        # the largest K * L * M the tests and the benchmark use
+        assert mc._batch_counts(2000, 2, 2, 1024) == [256] * 7 + [208]
+        assert mc._batch_counts(1000, 1, 1, 8) == [256] * 3 + [232]
+
+    def test_large_m_batches_stay_under_budget(self):
+        per_trial = 16 * (self.K * self.L * self.M + 2 * self.M + self.L * self.K)
+        assert 256 * per_trial > 2 * mc._BATCH_BYTES
+        counts = mc._batch_counts(1000, self.K, self.L, self.M)
+        assert max(counts) * per_trial <= mc._BATCH_BYTES
+        state = small_state(L=self.L, K=self.K, M=self.M)
+        tracemalloc.start()
+        try:
+            empirical_power_decomposition(state, 0, 0, {0, 1}, trials=1000, seed=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * mc._BATCH_BYTES
+
+    def test_large_m_worker_invariant(self):
+        state = small_state(L=self.L, K=self.K, M=self.M)
+        a = empirical_power_decomposition(state, 1, 0, {1}, trials=1000, seed=32)
+        b = empirical_power_decomposition(state, 1, 0, {1}, trials=1000, seed=32,
+                                          workers=2)
+        assert a == b
