@@ -332,9 +332,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             updates["omega"] = tuple(sorted({int(v) for v in args.omega.split(",")}))
         except ValueError:
             raise ConfigError(f"omega must be comma-separated integers, got {args.omega!r}")
-    if updates.get("unit") is not None:
-        _require(updates["unit"] in ("bits", "nats"),
-                 f"unit must be 'bits' or 'nats', got {updates['unit']!r}")
+    _require(updates.get("workers", 1) >= 1,
+             f"workers must be a positive integer, got {updates.get('workers')!r}")
     return replace(cfg, **updates)
 
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bounds import PowerDecomposition, check_indices
 from .estimation import ChannelState, EstimationStats
-from .parallel import parallel_map, pool_size
+from .parallel import parallel_map
 
 __all__ = [
     "complex_normal",
@@ -127,13 +128,15 @@ def _batch_counts(trials: int, K: int, L: int, m: int) -> list[int]:
     return counts
 
 
-def _one_batch(state: ChannelState, j: int, i: int, m: int, count: int,
-               rng: np.random.Generator):
-    """Inner products, noise projections and symbols of ``count`` trials.
+def _one_batch(state: ChannelState, j: int, i: int, m: int, task):
+    """Inner products, noise projections and symbols of one ``(count,
+    seed)`` batch task.
 
     A function of its own so that one batch's samples are freed before the
     next batch is drawn, which keeps the peak at one batch's budget.
     """
+    count, seed = task
+    rng = np.random.default_rng(seed)
     p = state.params
     K, L = p.K, p.L
     g = complex_normal(rng, (count, K, L, m))
@@ -149,15 +152,6 @@ def _one_batch(state: ChannelState, j: int, i: int, m: int, count: int,
     n = complex_normal(rng, (count, 1, m))
     inner = (g.reshape(count, K * L, m) @ ref).reshape(count, K, L)
     return inner, (n @ ref).reshape(count), x
-
-
-def _run_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _TrialStats:
-    m = _antennas(state.params.M)
-    parts = [_one_batch(state, j, i, m, count, np.random.default_rng(seed))
-             for seed, count in zip(seeds, counts)]
-    inner, nterm, sym = zip(*parts)
-    return _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
-                       symbols=np.concatenate(sym))
 
 
 def _decompose(stats: _TrialStats, state: ChannelState, i: int,
@@ -203,23 +197,12 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     if any(l < 0 or l >= state.L for l in omega):
         raise ValueError(f"omega {omega} has entries out of range for L={state.L}")
 
-    counts = _batch_counts(trials, state.K, state.L, _antennas(state.params.M))
+    m = _antennas(state.params.M)
+    counts = _batch_counts(trials, state.K, state.L, m)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
-
-    size = pool_size(workers, len(counts))
-    if size > 1:
-        chunks = np.array_split(np.arange(len(counts)), size)
-        args = [(state, j, i, [seeds[b] for b in chunk], [counts[b] for b in chunk])
-                for chunk in chunks]
-        results = parallel_map(_run_batches_star, args, size)
-        stats = _TrialStats(
-            inner=np.concatenate([r.inner for r in results]),
-            noise=np.concatenate([r.noise for r in results]),
-            symbols=np.concatenate([r.symbols for r in results]))
-    else:
-        stats = _run_batches(state, j, i, seeds, counts)
+    parts = parallel_map(partial(_one_batch, state, j, i, m), list(zip(counts, seeds)),
+                         workers)
+    inner, nterm, sym = zip(*parts)
+    stats = _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
+                        symbols=np.concatenate(sym))
     return _decompose(stats, state, i, omega)
-
-
-def _run_batches_star(args):
-    return _run_batches(*args)

@@ -11,7 +11,9 @@ The bundled presets use the reference parameter set K=4, path-loss exponent
   user angle theta is movable (90 deg default).
 
 Sweeps evaluate the four network symmetric rates on a grid and locate
-scheme-ordering changes and two-cell case transitions by bisection.
+scheme-ordering changes and two-cell case transitions by bisection.  All
+thresholds of a sweep share one evaluation memo, so a bracket where several
+orderings flip is refined once and no axis value is evaluated twice.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("M", "radius_x", "theta")
+REL_TOL = 1e-3  # relative bracket width at which a sweep bisection stops
+EQ_RTOL = 1e-9  # relative band within which two rates count as equal
 
 _REFERENCE = dict(K=4, rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
 
@@ -185,24 +189,23 @@ class OrderingCheck:
     passed: bool
 
 
-def two_cell_ordering_check(state: ChannelState, j: int = 0, i: int = 0,
-                            rtol: float = 1e-9) -> OrderingCheck:
+def two_cell_ordering_check(state: ChannelState, j: int = 0, i: int = 0) -> OrderingCheck:
     """Verify the scheme ordering implied by the active case at BS j.
 
     Case (i) requires sd < ssnd < snd = tin; case (ii) requires
-    tin <= sd = snd = ssnd.  Equalities are checked to relative ``rtol``.
+    tin <= sd = snd = ssnd.  Equalities are checked to relative ``EQ_RTOL``.
     """
     case = classify_two_cell(state, j, i)
     rates = {s: network_symmetric_rate(state, s, i).per_bs[j].rate for s in SCHEMES}
 
     def close(u, v):
-        return math.isclose(u, v, rel_tol=rtol, abs_tol=0.0)
+        return math.isclose(u, v, rel_tol=EQ_RTOL, abs_tol=0.0)
 
     if case.label == "case_i":
         ok = (rates["sd"] < rates["ssnd"] < rates["snd"] and
               close(rates["snd"], rates["tin"]))
     else:
-        ok = (rates["tin"] <= rates["sd"] * (1.0 + rtol) and
+        ok = (rates["tin"] <= rates["sd"] * (1.0 + EQ_RTOL) and
               close(rates["sd"], rates["snd"]) and close(rates["sd"], rates["ssnd"]))
     return OrderingCheck(case=case.label, rates=rates, lhs=case.lhs, rhs=case.rhs,
                          passed=ok)
@@ -218,7 +221,8 @@ class SweepRow:
 @dataclass(frozen=True)
 class Crossing:
     """A detected transition of a scheme ordering (or case label) between two
-    axis values, located by bisection to relative tolerance ``rel_tol``."""
+    axis values, located by bisection to relative tolerance ``rel_tol``
+    (the module's ``REL_TOL``)."""
 
     name: str
     before: str
@@ -252,25 +256,28 @@ def _eval_point_star(args):
     return _eval_point(*args)
 
 
-def _order_sign(ra: float, rb: float, eq_rtol: float) -> int:
-    """-1, 0 or +1 for ra vs rb with a relative equality band."""
-    if abs(ra - rb) <= eq_rtol * max(abs(ra), abs(rb), 1.0):
+def _order_sign(ra: float, rb: float) -> int:
+    """-1, 0 or +1 for ra vs rb with a relative equality band of EQ_RTOL."""
+    if abs(ra - rb) <= EQ_RTOL * max(abs(ra), abs(rb), 1.0):
         return 0
     return 1 if ra > rb else -1
 
 
 _SIGN_LABEL = {-1: "<", 0: "=", 1: ">"}
+_CASE_LABEL = {1: "case_i", -1: "case_ii"}
 
 
 def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0,
-          rel_tol: float = 1e-3, eq_rtol: float = 1e-9, workers: int = 1) -> SweepResult:
+          workers: int = 1) -> SweepResult:
     """Evaluate all scheme rates over a grid and locate transitions.
 
-    ``grid`` must be nonempty and strictly increasing.  For every scheme pair
-    the ordering indicator (<, =, >) is tracked across the grid; each change
-    between neighbors is refined by bisection on the indicator until the
-    bracket shrinks below ``rel_tol`` relative width.  Two-cell scenarios
-    also track the case label, refined on the continuous case margin.
+    ``grid`` must be nonempty and strictly increasing.  The indicators are
+    the ordering (<, =, >) of every scheme pair and, for two-cell scenarios,
+    the sign of the case margin.  Each change of an indicator between grid
+    neighbours is refined by bisection until the bracket shrinks below
+    ``REL_TOL`` relative width.  All indicators read one memo of channel
+    states and scheme rates, seeded by the grid rows, so a midpoint that
+    several indicators visit is evaluated once.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -283,50 +290,42 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0,
     rows = parallel_map(_eval_point_star, [(scenario, axis, v, pilot) for v in grid],
                         workers)
 
+    # (value, scheme) -> network rate and (value, "case") -> margin sign
+    memo = {(row.value, s): r for row in rows for s, r in row.rates.items()}
+    memo.update(((row.value, "case"), 1 if row.case == "case_i" else -1)
+                for row in rows if row.case is not None)
+    states = {}
+
+    def lookup(value: float, key: str):
+        if (value, key) not in memo:
+            if value not in states:
+                states[value] = scenario.with_axis(axis, value).state()
+            state = states[value]
+            memo[value, key] = (
+                (1 if case_margin(state, 0, pilot) > 0 else -1) if key == "case"
+                else network_symmetric_rate(state, key, pilot).network_rate)
+        return memo[value, key]
+
+    indicators = [(f"{sa}-{sb}", _SIGN_LABEL,
+                   lambda v, sa=sa, sb=sb: _order_sign(lookup(v, sa), lookup(v, sb)))
+                  for sa, sb in _PAIRS]
+    if rows[0].case is not None:
+        indicators.append(("case", _CASE_LABEL, lambda v: lookup(v, "case")))
+
     thresholds = []
-
-    def pair_sign(row: SweepRow, sa: str, sb: str) -> int:
-        return _order_sign(row.rates[sa], row.rates[sb], eq_rtol)
-
-    def locate(lo: float, hi: float, sign_fn, lo_sign) -> float:
-        while hi - lo > rel_tol * max(abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if sign_fn(mid) == lo_sign:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    for sa, sb in _PAIRS:
-        for left, right in zip(rows, rows[1:]):
-            s_lo, s_hi = pair_sign(left, sa, sb), pair_sign(right, sa, sb)
+    for name, label, sign in indicators:
+        for lo, hi in zip(grid, grid[1:]):
+            s_lo, s_hi = sign(lo), sign(hi)
             if s_lo == s_hi:
                 continue
-
-            def sign_at(v, sa=sa, sb=sb):
-                # only the two schemes being ordered, not the whole row
-                state = scenario.with_axis(axis, v).state()
-                return _order_sign(network_symmetric_rate(state, sa, pilot).network_rate,
-                                   network_symmetric_rate(state, sb, pilot).network_rate,
-                                   eq_rtol)
-
-            value = locate(left.value, right.value, sign_at, s_lo)
-            thresholds.append(Crossing(
-                name=f"{sa}-{sb}", before=_SIGN_LABEL[s_lo], after=_SIGN_LABEL[s_hi],
-                value=value, rel_tol=rel_tol))
-
-    if rows[0].case is not None:
-        for left, right in zip(rows, rows[1:]):
-            if left.case == right.case:
-                continue
-
-            def margin_sign(v):
-                return 1 if case_margin(scenario.with_axis(axis, v).state(), 0, pilot) > 0 else -1
-
-            value = locate(left.value, right.value, margin_sign,
-                           1 if left.case == "case_i" else -1)
-            thresholds.append(Crossing(name="case", before=left.case, after=right.case,
-                                       value=value, rel_tol=rel_tol))
+            while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
+                mid = 0.5 * (lo + hi)
+                if sign(mid) == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            thresholds.append(Crossing(name=name, before=label[s_lo], after=label[s_hi],
+                                       value=0.5 * (lo + hi), rel_tol=REL_TOL))
 
     thresholds.sort(key=lambda c: (c.value, c.name))
     return SweepResult(axis=axis, scenario=scenario, rows=tuple(rows),

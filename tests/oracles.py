@@ -31,6 +31,19 @@ def direct_bound(state: ChannelState, j: int, i: int, theta, omega) -> float:
     return float(capacity(coh[theta].sum() / (coh[omega_c].sum() + noise_floor(state, j))))
 
 
+def case_threshold_m(state: ChannelState, j: int, i: int) -> float:
+    """The antenna count at which a two-cell network leaves case (i).
+
+    With c the coherent power per antenna (own cell c_o, cross cell c_x) and
+    F the noise floor, case (i) holds iff the cross user's bound is below the
+    TIN rate, C(c_x M / F) < C(c_o M / (c_x M + F)), that is iff
+    c_x^2 M + c_x F < c_o F, so the threshold is M* = F (c_o - c_x) / c_x^2.
+    """
+    c = coherent_power(state, j, i) / state.params.M
+    c_own, c_cross = c[j], c[1 - j]
+    return float(noise_floor(state, j) * (c_own - c_cross) / c_cross ** 2)
+
+
 def cells(mask: int) -> frozenset:
     """The cell set of a bitmask."""
     return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)

@@ -306,6 +306,19 @@ class TestCliCommands:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert f"M={m}" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["symrate", "--workers", "0"],
+        ["sweep", "--axis", "M", "--grid", "1e3,1e4", "--workers", "-3"],
+    ])
+    def test_nonpositive_workers_flag_is_one_error_line(self, argv, capsys):
+        # the same check and message as the "workers" config key
+        assert run_cli(*argv, "--preset", "two-cell-scenario-a") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == f"error: workers must be a positive integer, got {argv[-1]}"
+
     def test_console_entry_point(self, tmp_path):
         import os
         import subprocess

@@ -179,7 +179,8 @@ class TestEmpiricalDecomposition:
     def test_deterministic_and_worker_invariant(self):
         state = small_state(M=8)
         a = empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
-        b = empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
+        b = empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5,
+                                          workers=2)
         assert a == b
         c = empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=6)
         assert a != c

@@ -3,10 +3,10 @@ import pytest
 
 from mcmimo import (classify_two_cell, network_symmetric_rate, preset_scenario, sweep,
                     two_cell_ordering_check)
-from mcmimo.scenarios import Scenario, case_margin
+from mcmimo.scenarios import REL_TOL, Scenario, case_margin
 from mcmimo import ChannelState, SystemParams
 
-from oracles import direct_bound
+from oracles import case_threshold_m, direct_bound
 
 
 class TestPresets:
@@ -174,3 +174,56 @@ class TestSweep:
         parallel = sweep(sc, "M", grid, workers=2)
         for a, b in zip(serial.rows, parallel.rows):
             assert a == b
+
+
+M_GRID = np.geomspace(1e3, 1e7, 25)  # the CLI grid 1e3:1e7:25:log
+
+
+class TestCaseThresholdOracle:
+    @pytest.mark.parametrize("preset, radius", [
+        ("two-cell-scenario-a", 360.0), ("two-cell-scenario-a", 400.0),
+        ("two-cell-scenario-a", 440.0), ("two-cell-scenario-b", 205.0),
+        ("two-cell-scenario-b", 225.0), ("two-cell-scenario-b", 245.0)])
+    def test_thresholds_in_the_case_bracket_match_closed_form(self, preset, radius):
+        sc = preset_scenario(preset).with_axis("radius_x", radius)
+        m_star = case_threshold_m(sc.state(), 0, 0)
+        result = sweep(sc, "M", M_GRID)
+        (case,) = [c for c in result.thresholds if c.name == "case"]
+        k = int(np.searchsorted(M_GRID, case.value))
+        in_bracket = [c for c in result.thresholds if M_GRID[k - 1] < c.value < M_GRID[k]]
+        assert len(in_bracket) > 1  # the scheme orderings flip with the case
+        for c in in_bracket:
+            assert c.rel_tol == REL_TOL
+            assert abs(c.value - m_star) <= REL_TOL * m_star, c
+
+
+class TestSweepEvaluations:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Axis values, as (M, layout), of every channel state built."""
+        built = []
+        from_layout = ChannelState.from_layout.__func__
+
+        def counted(cls, layout, params):
+            built.append((params.M, repr(layout.to_dict())))
+            return from_layout(cls, layout, params)
+
+        monkeypatch.setattr(ChannelState, "from_layout", classmethod(counted))
+        return built
+
+    @pytest.mark.parametrize("preset, axis, grid", [
+        ("two-cell-scenario-a", "M", M_GRID),
+        ("two-cell-scenario-b", "radius_x", np.linspace(200.0, 250.0, 11)),
+        ("three-cell-theta", "theta", np.linspace(0.0, 180.0, 19))])
+    def test_no_axis_value_built_twice(self, builds, preset, axis, grid):
+        result = sweep(preset_scenario(preset), axis, grid)
+        assert result.thresholds
+        assert len(builds) > len(grid)
+        assert len(set(builds)) == len(builds)
+
+    def test_antenna_sweep_refines_the_shared_bracket_once(self, builds):
+        # 25 grid points plus one bisection of the bracket where all seven
+        # indicators flip; refining each indicator on its own built 88
+        result = sweep(preset_scenario("two-cell-scenario-a"), "M", M_GRID)
+        assert len(result.thresholds) == 7
+        assert len(builds) <= 34
