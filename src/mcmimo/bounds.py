@@ -30,12 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import ChannelState
+from .network import SystemParams
 
 __all__ = [
     "PowerDecomposition",
     "capacity",
     "coherent_power",
+    "coherent_powers",
     "noise_floor",
+    "noise_floors",
     "subset_sum",
     "mac_bound",
     "power_terms",
@@ -70,27 +73,46 @@ class PowerDecomposition:
         return self.est_error + self.other_users + self.noise
 
 
-def check_indices(state: ChannelState, j: int, i: int) -> None:
-    """Reject a BS index outside [0, L) or a pilot index outside [0, K);
-    numpy would read a negative one from the end."""
+def check_indices(state, j: int, i: int) -> None:
+    """Reject a BS index outside [0, L) or a pilot index outside [0, K) of a
+    channel state (or of its ``SystemParams``); numpy would read a negative
+    one from the end."""
     if not 0 <= j < state.L:
         raise ValueError(f"BS index {j} out of range for L={state.L}")
     if not 0 <= i < state.K:
         raise ValueError(f"pilot index {i} out of range for K={state.K}")
 
 
+def coherent_powers(m, params: SystemParams, beta: np.ndarray, alpha: np.ndarray,
+                    i: int) -> np.ndarray:
+    """N({l}) seen by every BS j in pilot slot i, as ``coh[..., j, l]``.
+
+    ``beta`` and ``alpha`` are (..., L, K, L) fading and MMSE tensors and
+    ``m`` one antenna count, or one per leading index.  Each entry is
+    ``((M sqrt(rho_p)) rho_u) beta_jil alpha_jil``, multiplied in that order.
+    """
+    scale = np.multiply(m, math.sqrt(params.rho_p)) * params.rho_u
+    return scale[..., None, None] * beta[..., i, :] * alpha[..., i, :]
+
+
+def noise_floors(beta: np.ndarray, rho_u: float) -> np.ndarray:
+    """The floor F of every BS j, sum_{l,k} rho_u beta_jkl + 1, as an
+    (..., L) array from (..., L, K, L) fading.  Each sum runs over a
+    contiguous K*L row, the order in which ``beta[j].sum()`` adds."""
+    beta = np.ascontiguousarray(beta)
+    return rho_u * beta.reshape(*beta.shape[:-2], -1).sum(axis=-1) + 1.0
+
+
 def coherent_power(state: ChannelState, j: int, i: int) -> np.ndarray:
     """Per-cell coherent power N({l}) = M sqrt(rho_p) rho_u beta_jil alpha_jil."""
     check_indices(state, j, i)
     p = state.params
-    b = state.beta[j, i, :]
-    a = state.stats.alpha[j, i, :]
-    return p.M * math.sqrt(p.rho_p) * p.rho_u * b * a
+    return coherent_powers(p.M, p, state.beta, state.stats.alpha, i)[j]
 
 
 def noise_floor(state: ChannelState, j: int) -> float:
     """Non-coherent interference plus noise floor sum_{l,k} rho_u beta_jkl + 1."""
-    return float(state.params.rho_u * state.beta[j].sum() + 1.0)
+    return float(noise_floors(state.beta[j], state.params.rho_u))
 
 
 def subset_sum(coh, mask: int) -> float:

@@ -37,8 +37,8 @@ from .bounds import power_terms
 from .montecarlo import empirical_power_decomposition
 from .network import CellLayout, SystemParams
 from .regions import sd_region, snd_region, ssnd_region, tin_region
-from .scenarios import (PRESET_NAMES, SWEEP_AXES, Scenario, preset_scenario, sweep,
-                        two_cell_ordering_check)
+from .scenarios import (MAX_GRID_POINTS, PRESET_NAMES, SWEEP_AXES, Scenario, preset_scenario,
+                        sweep, two_cell_ordering_check)
 from .symrate import SCHEMES, network_symmetric_rate
 
 __all__ = ["RunConfig", "parse_config", "emit_csv", "main"]
@@ -181,6 +181,8 @@ def _parse_layout(raw: dict, params: SystemParams) -> Scenario:
 def _parse_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, (list, tuple)):
         _require(len(raw) > 0, "grid must be nonempty")
+        _require(len(raw) <= MAX_GRID_POINTS,
+                 f"grid has {len(raw)} points; at most {MAX_GRID_POINTS} are allowed")
         try:
             grid = tuple(float(v) for v in raw)
         except (TypeError, ValueError):
@@ -192,7 +194,8 @@ def _parse_grid(raw) -> tuple[float, ...]:
         scale = raw.get("scale", "lin")
         _require(scale in ("lin", "log"), f"grid scale must be 'lin' or 'log', got {scale!r}")
         start, stop, num = float(raw["start"]), float(raw["stop"]), int(raw["num"])
-        _require(num >= 2, f"grid num must be >= 2, got {num}")
+        _require(2 <= num <= MAX_GRID_POINTS,
+                 f"grid num must be in [2, {MAX_GRID_POINTS}], got {num}")
         _require(start < stop, f"grid start must be below stop, got [{start}, {stop}]")
         if scale == "log":
             _require(start > 0, "log grids require a positive start")
@@ -450,8 +453,7 @@ def _cmd_sweep(args) -> int:
     _require(cfg.axis is not None, "sweep requires an axis (--axis or config key 'axis')")
     _require(cfg.grid is not None, "sweep requires a grid (--grid or config key 'grid')")
     _check_indices(cfg.scenario.params, cfg.pilot)
-    result = sweep(cfg.scenario, cfg.axis, cfg.grid, pilot=cfg.pilot,
-                   workers=cfg.workers)
+    result = sweep(cfg.scenario, cfg.axis, cfg.grid, pilot=cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = [[cfg.axis, row.value, row.rates["tin"] * factor, row.rates["sd"] * factor,
              row.rates["ssnd"] * factor, row.rates["snd"] * factor, row.case]
@@ -498,7 +500,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--seed", type=int, help="RNG seed (default 0)")
     parser.add_argument("--unit", choices=("bits", "nats"), help="rate unit")
-    parser.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    parser.add_argument("--workers", type=int,
+                        help="Monte Carlo worker processes (default 1)")
     parser.add_argument("--pilot", type=int, help="pilot slot index (default 0)")
 
 

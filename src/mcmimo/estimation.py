@@ -19,7 +19,7 @@ import numpy as np
 
 from .network import CellLayout, SystemParams, build_fading
 
-__all__ = ["EstimationStats", "ChannelState", "mmse_coeffs"]
+__all__ = ["EstimationStats", "ChannelState", "mmse_coeffs", "check_fading"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +44,25 @@ class EstimationStats:
 
 
 def mmse_coeffs(beta: np.ndarray, params: SystemParams) -> EstimationStats:
-    """MMSE estimation statistics for a fading tensor."""
+    """MMSE estimation statistics for a fading tensor, or for a stack of
+    them along leading axes (every array then gains those axes)."""
     beta = np.asarray(beta, dtype=float)
     sp = math.sqrt(params.rho_p)
-    denom = 1.0 + params.rho_p * beta.sum(axis=2)  # (L, K)
-    alpha = sp * beta / denom[:, :, None]
+    denom = 1.0 + params.rho_p * beta.sum(axis=-1)  # (..., L, K)
+    alpha = sp * beta / denom[..., None]
     idx = np.arange(params.L)
-    beta_own = beta[idx[:, None], np.arange(params.K)[None, :], idx[:, None]]
-    alpha_own = alpha[idx[:, None], np.arange(params.K)[None, :], idx[:, None]]
+    own = (idx[:, None], np.arange(params.K)[None, :], idx[:, None])
+    beta_own = beta[(..., *own)]
+    alpha_own = alpha[(..., *own)]
     est_var = sp * beta_own * alpha_own
     err_var = beta_own * (1.0 - sp * alpha_own)
     return EstimationStats(alpha=alpha, est_var=est_var, err_var=err_var)
+
+
+def check_fading(beta: np.ndarray) -> None:
+    """Reject fading gains that are not finite and strictly positive."""
+    if not np.all(np.isfinite(beta)) or np.any(beta <= 0):
+        raise ValueError("beta entries must be finite and strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +82,7 @@ class ChannelState:
         expected = (self.params.L, self.params.K, self.params.L)
         if beta.shape != expected:
             raise ValueError(f"beta must have shape {expected}, got {beta.shape}")
-        if not np.all(np.isfinite(beta)) or np.any(beta <= 0):
-            raise ValueError("beta entries must be finite and strictly positive")
+        check_fading(beta)
         object.__setattr__(self, "beta", beta)
 
     @classmethod

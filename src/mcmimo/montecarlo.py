@@ -42,10 +42,12 @@ __all__ = [
     "estimate_for_cell",
     "mrc_outputs",
     "empirical_power_decomposition",
+    "MAX_TRIALS",
 ]
 
 _BATCH = 256              # trials per batch, at most
 _BATCH_BYTES = 32 << 20   # complex128 bytes sampled per batch, at most
+MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
@@ -184,14 +186,17 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     are empirical variances of the estimation-error interference, other-user
     interference and noise contributions to the combiner output.
 
-    Requires at least 1000 trials for meaningful confidence and an integer
-    antenna count M >= 1.  Work is split into batches whose sizes depend only
-    on (trials, K, L, M), each with an independently derived RNG stream, so
-    the result depends only on ``seed`` and ``trials``, not on ``workers``.
+    Requires at least 1000 trials for meaningful confidence, at most
+    ``MAX_TRIALS``, and an integer antenna count M >= 1.  Work is split into
+    batches whose sizes depend only on (trials, K, L, M), each with an
+    independently derived RNG stream, so the result depends only on ``seed``
+    and ``trials``, not on ``workers``.
     """
     if trials < 1000:
         raise ValueError(
             f"need at least 1000 trials for statistical confidence, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS} trials are allowed, got {trials}")
     check_indices(state, j, i)
     omega = sorted(set(omega))
     if any(l < 0 or l >= state.L for l in omega):

@@ -24,6 +24,7 @@ __all__ = [
     "CellLayout",
     "pathloss",
     "build_fading",
+    "fading_stack",
     "two_cell_layout",
     "three_cell_layout",
 ]
@@ -141,19 +142,28 @@ def build_fading(layout: CellLayout, params: SystemParams) -> np.ndarray:
     the layout dimensions disagree with ``params`` or if a user sits exactly
     on a BS.
     """
-    if layout.num_cells != params.L:
-        raise ValueError(
-            f"layout has {layout.num_cells} cells but params.L = {params.L}")
-    if layout.users_per_cell != params.K:
-        raise ValueError(
-            f"layout has {layout.users_per_cell} users per cell but params.K = {params.K}")
-    # diff[j, l, k] = user k of cell l relative to BS j
-    diff = layout.users[None, :, :, :] - layout.bs[:, None, None, :]
-    dist = np.linalg.norm(diff, axis=-1)  # (L, L, K), indexed [j, l, k]
+    return fading_stack([layout], params)[0]
+
+
+def fading_stack(layouts, params: SystemParams) -> np.ndarray:
+    """Fading tensors of G layouts in one pass, as a (G, L, K, L) array whose
+    row g is :func:`build_fading` of ``layouts[g]``."""
+    for layout in layouts:
+        if layout.num_cells != params.L:
+            raise ValueError(
+                f"layout has {layout.num_cells} cells but params.L = {params.L}")
+        if layout.users_per_cell != params.K:
+            raise ValueError(f"layout has {layout.users_per_cell} users per cell but "
+                             f"params.K = {params.K}")
+    bs = np.stack([layout.bs for layout in layouts])
+    users = np.stack([layout.users for layout in layouts])
+    # diff[g, j, l, k] = user k of cell l relative to BS j
+    diff = users[:, None, :, :, :] - bs[:, :, None, None, :]
+    dist = np.linalg.norm(diff, axis=-1)  # (G, L, L, K), indexed [g, j, l, k]
     if np.any(dist <= 0.0):
         raise ValueError("a user is co-located with a BS; distances must be positive")
     beta = pathloss(dist, params.d0, params.alpha_pl)
-    return np.ascontiguousarray(beta.transpose(0, 2, 1))  # -> [j, k, l]
+    return np.ascontiguousarray(beta.transpose(0, 1, 3, 2))  # -> [g, j, k, l]
 
 
 def _mirrored_pair(center_a, center_b, radius, angle_deg):

@@ -11,21 +11,33 @@ The bundled presets use the reference parameter set K=4, path-loss exponent
   user angle theta is movable (90 deg default).
 
 Sweeps evaluate the four network symmetric rates on a grid and locate
-scheme-ordering changes and two-cell case transitions by bisection.  All
-thresholds of a sweep share one evaluation memo, so a bracket where several
-orderings flip is refined once and no axis value is evaluated twice.
+scheme-ordering changes and two-cell case transitions by bisection.  Every
+evaluation is one stacked call of :func:`~mcmimo.symrate.stacked_rates`
+over many axis values: the grid at once, then one call per bisection step,
+in which every open bracket of every indicator moves to its midpoint
+together (lockstep).  An M sweep builds one channel state and scales its
+coherent powers by each M; a radius or theta sweep stacks its layouts and
+computes their fading and MMSE statistics in one pass.  Stacks are split
+into chunks of bounded memory, which changes no output bit.  All
+thresholds of a sweep share one memo of evaluated values, so a bracket
+where several orderings flip is refined once and no axis value is
+evaluated twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 
-from .bounds import coherent_power, mac_bound, noise_floor, subset_sum
-from .estimation import ChannelState
-from .network import CellLayout, SystemParams, three_cell_layout, two_cell_layout
-from .parallel import parallel_map
-from .symrate import SCHEMES, network_symmetric_rate
+import numpy as np
+
+from .bounds import (check_indices, coherent_power, coherent_powers, mac_bound, noise_floor,
+                     noise_floors)
+from .estimation import ChannelState, check_fading, mmse_coeffs
+from .network import (CellLayout, SystemParams, fading_stack, three_cell_layout,
+                      two_cell_layout)
+from .symrate import SCHEMES, STACK_BYTES, network_symmetric_rate, stacked_rates
 
 __all__ = [
     "Scenario",
@@ -40,11 +52,13 @@ __all__ = [
     "SweepResult",
     "sweep",
     "SWEEP_AXES",
+    "MAX_GRID_POINTS",
 ]
 
 SWEEP_AXES = ("M", "radius_x", "theta")
 REL_TOL = 1e-3  # relative bracket width at which a sweep bisection stops
 EQ_RTOL = 1e-9  # relative band within which two rates count as equal
+MAX_GRID_POINTS = 10_000  # points of one sweep grid, at most
 
 _REFERENCE = dict(K=4, rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
 
@@ -143,13 +157,26 @@ class TwoCellCase:
     rhs: float
 
 
-def _two_cell_values(state: ChannelState, j: int, i: int):
+def _two_cell_values(coh, floor, j: int) -> np.ndarray:
     """With both users decoded: the bounds on the own user, the other user
-    and both; then the TIN rate (only the own user decoded)."""
-    coh = coherent_power(state, j, i).tolist()
-    n_own, n_other = subset_sum(coh, 1 << j), subset_sum(coh, 1 << (1 - j))
-    nums = [n_own, n_other, subset_sum(coh, 0b11), n_own]
-    return mac_bound(nums, [0.0, 0.0, 0.0, n_other], noise_floor(state, j)).tolist()
+    and both; then the TIN rate (only the own user decoded).  From the
+    coherent powers (..., 2) at BS j and the noise floors (...), as a
+    (4, ...) array."""
+    own, other = coh[..., j], coh[..., 1 - j]
+    zero = np.zeros_like(own)
+    nums = np.stack([own, other, coh[..., 1] + coh[..., 0], own])
+    return mac_bound(nums, np.stack([zero, zero, zero, other]), floor)
+
+
+def _case(a: float, b: float, f: float, t: float) -> TwoCellCase:
+    """The case label of the :func:`_two_cell_values` ``a, b, f, t``."""
+    if b < t:
+        return TwoCellCase(label="case_i", lhs=b, rhs=t)
+    if 0.5 * f <= min(a, b):
+        return TwoCellCase(label="case_ii", lhs=0.5 * f, rhs=min(a, b))
+    raise ValueError(
+        "unclassifiable two-cell instance: the cross user is received more "
+        "strongly than the own user (violates nearest-BS association)")
 
 
 def classify_two_cell(state: ChannelState, j: int = 0, i: int = 0) -> TwoCellCase:
@@ -161,20 +188,15 @@ def classify_two_cell(state: ChannelState, j: int = 0, i: int = 0) -> TwoCellCas
     """
     if state.L != 2:
         raise ValueError(f"two-cell classification requires L=2, got L={state.L}")
-    a, b, f, t = _two_cell_values(state, j, i)
-    if b < t:
-        return TwoCellCase(label="case_i", lhs=b, rhs=t)
-    if 0.5 * f <= min(a, b):
-        return TwoCellCase(label="case_ii", lhs=0.5 * f, rhs=min(a, b))
-    raise ValueError(
-        "unclassifiable two-cell instance: the cross user is received more "
-        "strongly than the own user (violates nearest-BS association)")
+    values = _two_cell_values(coherent_power(state, j, i), noise_floor(state, j), j)
+    return _case(*values.tolist())
 
 
 def case_margin(state: ChannelState, j: int = 0, i: int = 0) -> float:
     """Positive in case (i), negative in case (ii); crosses zero at the
     transition, which makes it the natural bisection target."""
-    _, b, _, t = _two_cell_values(state, j, i)
+    _, b, _, t = _two_cell_values(coherent_power(state, j, i), noise_floor(state, j),
+                                  j).tolist()
     return t - b
 
 
@@ -239,94 +261,154 @@ class SweepResult:
     thresholds: tuple[Crossing, ...]
 
 
-_PAIRS = tuple((SCHEMES[p], SCHEMES[q])
-               for p in range(len(SCHEMES)) for q in range(p + 1, len(SCHEMES)))
+_PAIRS = tuple((p, q) for p in range(len(SCHEMES)) for q in range(p + 1, len(SCHEMES)))
 
 
-def _eval_point(scenario: Scenario, axis: str, value: float, pilot: int) -> SweepRow:
-    state = scenario.with_axis(axis, value).state()
-    rates = {s: network_symmetric_rate(state, s, pilot).network_rate for s in SCHEMES}
-    case = None
-    if state.L == 2:
-        case = classify_two_cell(state, 0, pilot).label
-    return SweepRow(value=float(value), rates=rates, case=case)
+def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int,
+                  base: ChannelState | None):
+    """Coherent powers (G, L, L) and noise floors (G, L) at every BS of the
+    scenario at each axis value.
+
+    An M sweep scales the coherent powers of ``base``, the scenario's one
+    channel state (fading and MMSE statistics do not depend on M); the other
+    axes stack the G layouts and compute their fading and MMSE statistics in
+    one pass.  Every input check of a per-value state build still runs.
+    """
+    p = scenario.params
+    if axis == "M":
+        m = np.array(values)
+        bad = m[~(m > 0)]
+        if bad.size:
+            raise ValueError(f"M must be positive, got {float(bad[0])!r}")
+        beta, alpha = base.beta, base.stats.alpha
+    else:
+        m = p.M
+        beta = fading_stack([scenario.with_axis(axis, v).layout() for v in values], p)
+        check_fading(beta)
+        alpha = mmse_coeffs(beta, p).alpha
+    coh = coherent_powers(m, p, beta, alpha, pilot)
+    return coh, np.broadcast_to(noise_floors(beta, p.rho_u), coh.shape[:-1])
 
 
-def _eval_point_star(args):
-    return _eval_point(*args)
+def _evaluate(scenario: Scenario, axis: str, values: list[float], pilot: int,
+              base: ChannelState | None):
+    """The network rates of every scheme, (G, 4) in ``SCHEMES`` order, and
+    for two cells the :func:`_two_cell_values` at BS 0, (4, G), at each axis
+    value.
+
+    Values are evaluated in chunks of at most ``STACK_BYTES`` of arrays.
+    Per value the kernel holds about 64 bytes for each of its L^2 (L + 3)
+    (BS, decoded set, cell) entries, and a fading stack about 64 bytes for
+    each of its K L^2 links.
+    """
+    L, K = scenario.params.L, scenario.params.K
+    step = max(1, STACK_BYTES // (64 * L * L * (L + 3 + K)))
+    rates, cases = [], []
+    for start in range(0, len(values), step):
+        coh, floor = _stack_powers(scenario, axis, values[start:start + step], pilot, base)
+        solved = stacked_rates(coh, floor)
+        rates.append(np.stack([solved[s][0].min(axis=1) for s in SCHEMES], axis=1))
+        if L == 2:
+            cases.append(_two_cell_values(coh[:, 0], floor[:, 0], 0))
+    return np.concatenate(rates), np.concatenate(cases, axis=1) if cases else None
 
 
-def _order_sign(ra: float, rb: float) -> int:
-    """-1, 0 or +1 for ra vs rb with a relative equality band of EQ_RTOL."""
-    if abs(ra - rb) <= EQ_RTOL * max(abs(ra), abs(rb), 1.0):
-        return 0
-    return 1 if ra > rb else -1
+def _order_signs(rates: np.ndarray) -> np.ndarray:
+    """-1, 0 or +1 for every scheme pair (p, q) of ``_PAIRS``: rate p vs
+    rate q in each row of the (G, 4) ``rates``, with a relative equality
+    band of EQ_RTOL.  Returns a (G, 6) array."""
+    ra, rb = rates[:, [p for p, _ in _PAIRS]], rates[:, [q for _, q in _PAIRS]]
+    band = EQ_RTOL * np.maximum(np.maximum(np.abs(ra), np.abs(rb)), 1.0)
+    return np.where(np.abs(ra - rb) <= band, 0, np.where(ra > rb, 1, -1))
 
 
 _SIGN_LABEL = {-1: "<", 0: "=", 1: ">"}
 _CASE_LABEL = {1: "case_i", -1: "case_ii"}
 
 
-def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0,
-          workers: int = 1) -> SweepResult:
+@dataclass
+class _Bracket:
+    """A change of one indicator between grid neighbours, narrowed by
+    bisection: ``lo`` keeps the sign ``s_lo`` and ``hi`` the other one."""
+
+    name: str
+    key: int  # the indicator's index: a pair of _PAIRS, or the case
+    labels: dict
+    s_lo: int
+    s_hi: int
+    lo: float
+    hi: float
+
+    def is_open(self) -> bool:
+        return self.hi - self.lo > REL_TOL * max(abs(self.lo), abs(self.hi))
+
+
+def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
     """Evaluate all scheme rates over a grid and locate transitions.
 
-    ``grid`` must be nonempty and strictly increasing.  The indicators are
-    the ordering (<, =, >) of every scheme pair and, for two-cell scenarios,
-    the sign of the case margin.  Each change of an indicator between grid
-    neighbours is refined by bisection until the bracket shrinks below
-    ``REL_TOL`` relative width.  All indicators read one memo of channel
-    states and scheme rates, seeded by the grid rows, so a midpoint that
+    ``grid`` must be nonempty, strictly increasing and at most
+    ``MAX_GRID_POINTS`` long.  The indicators are the ordering (<, =, >) of
+    every scheme pair and, for two-cell scenarios, the sign of the case
+    margin.  Each change of an indicator between grid neighbours is refined
+    by bisection until the bracket shrinks below ``REL_TOL`` relative width.
+    All open brackets step in lockstep: each step evaluates the midpoints
+    not yet in the memo in one stacked call, then moves every bracket by
+    the usual rule, so the thresholds equal those of bisecting one bracket
+    at a time.  The memo is seeded by the grid rows, so a midpoint that
     several indicators visit is evaluated once.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    grid = [float(v) for v in grid]
+    grid = [float(v) for v in islice(grid, MAX_GRID_POINTS + 1)]
     if not grid:
         raise ValueError("sweep grid must be nonempty")
+    if len(grid) > MAX_GRID_POINTS:
+        raise ValueError(f"sweep grid has more than {MAX_GRID_POINTS} points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
+    check_indices(scenario.params, 0, pilot)
+    base = scenario.state() if axis == "M" else None
 
-    rows = parallel_map(_eval_point_star, [(scenario, axis, v, pilot) for v in grid],
-                        workers)
+    # value -> the signs of every indicator: the scheme pairs, then for two
+    # cells the case margin
+    memo = {}
 
-    # (value, scheme) -> network rate and (value, "case") -> margin sign
-    memo = {(row.value, s): r for row in rows for s, r in row.rates.items()}
-    memo.update(((row.value, "case"), 1 if row.case == "case_i" else -1)
-                for row in rows if row.case is not None)
-    states = {}
+    def fill(values: list[float]):
+        rates, cases = _evaluate(scenario, axis, values, pilot, base)
+        signs = _order_signs(rates)
+        if cases is not None:
+            signs = np.column_stack([signs, np.where(cases[1] < cases[3], 1, -1)])
+        memo.update(zip(values, signs.tolist()))
+        return rates, cases
 
-    def lookup(value: float, key: str):
-        if (value, key) not in memo:
-            if value not in states:
-                states[value] = scenario.with_axis(axis, value).state()
-            state = states[value]
-            memo[value, key] = (
-                (1 if case_margin(state, 0, pilot) > 0 else -1) if key == "case"
-                else network_symmetric_rate(state, key, pilot).network_rate)
-        return memo[value, key]
+    rates, cases = fill(grid)
+    rows = tuple(SweepRow(value=v, rates=dict(zip(SCHEMES, r)),
+                          case=None if cases is None else _case(*c).label)
+                 for v, r, c in zip(grid, rates.tolist(),
+                                    repeat(None) if cases is None else cases.T.tolist()))
 
-    indicators = [(f"{sa}-{sb}", _SIGN_LABEL,
-                   lambda v, sa=sa, sb=sb: _order_sign(lookup(v, sa), lookup(v, sb)))
-                  for sa, sb in _PAIRS]
-    if rows[0].case is not None:
-        indicators.append(("case", _CASE_LABEL, lambda v: lookup(v, "case")))
+    indicators = [(f"{SCHEMES[p]}-{SCHEMES[q]}", _SIGN_LABEL) for p, q in _PAIRS]
+    if cases is not None:
+        indicators.append(("case", _CASE_LABEL))
+    brackets = [_Bracket(name, key, labels, memo[lo][key], memo[hi][key], lo, hi)
+                for key, (name, labels) in enumerate(indicators)
+                for lo, hi in zip(grid, grid[1:]) if memo[lo][key] != memo[hi][key]]
 
-    thresholds = []
-    for name, label, sign in indicators:
-        for lo, hi in zip(grid, grid[1:]):
-            s_lo, s_hi = sign(lo), sign(hi)
-            if s_lo == s_hi:
-                continue
-            while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
-                mid = 0.5 * (lo + hi)
-                if sign(mid) == s_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            thresholds.append(Crossing(name=name, before=label[s_lo], after=label[s_hi],
-                                       value=0.5 * (lo + hi), rel_tol=REL_TOL))
+    active = [b for b in brackets if b.is_open()]
+    while active:
+        mids = [0.5 * (b.lo + b.hi) for b in active]
+        new = list(dict.fromkeys(v for v in mids if v not in memo))
+        if new:
+            fill(new)
+        for b, mid in zip(active, mids):
+            if memo[mid][b.key] == b.s_lo:
+                b.lo = mid
+            else:
+                b.hi = mid
+        active = [b for b in active if b.is_open()]
 
-    thresholds.sort(key=lambda c: (c.value, c.name))
-    return SweepResult(axis=axis, scenario=scenario, rows=tuple(rows),
-                       thresholds=tuple(thresholds))
+    thresholds = sorted((Crossing(name=b.name, before=b.labels[b.s_lo],
+                                  after=b.labels[b.s_hi], value=0.5 * (b.lo + b.hi),
+                                  rel_tol=REL_TOL) for b in brackets),
+                        key=lambda c: (c.value, c.name))
+    return SweepResult(axis=axis, scenario=scenario, rows=rows, thresholds=tuple(thresholds))

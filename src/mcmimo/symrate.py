@@ -2,30 +2,44 @@
 
 Over a subset-sum polytope the largest R with (R, ..., R) inside is
 min over constraints of bound / |subset|; absent constraints are infinite.
-SD and S-SND reduce to comparing L candidates after sorting the coherent
-powers; SND reduces to L nested decoded sets (the own cell plus its
-strongest interferers) with at most L candidate subsets each, so every
-solver is polynomial in L.  Each solver sums its candidate sets with
-:func:`~mcmimo.bounds.subset_sum` and evaluates them with one
-:func:`~mcmimo.bounds.mac_bound` call, as the region builders do, so
-its rate equals the value of the matching region to the bit.
+The four schemes are (omega, theta) filters over one kernel,
+:func:`stacked_rates`.  It takes a (G, L_bs, L) stack of coherent-power
+rows, one row per (grid point, BS), with their noise floors, and solves
+every row of the requested schemes at once:
 
-Cell sets are int bitmasks (bit l stands for cell l).  Ties among
-minimizing (or maximizing) subsets are broken toward the smaller cardinality
-first and then the smaller bitmask, so witness sets are reproducible.
+* TIN decodes the own cell only (one bound),
+* SD and S-SND decode every cell; their binding subset of each size is the
+  weakest cells (S-SND: the own cell plus the weakest others), so L
+  prefixes are compared,
+* SND compares the L nested decoded sets "own cell plus its q strongest
+  interferers", each with its weakest-member prefixes as thetas, which is
+  L(L+1)/2 bounds instead of O(3^L) (see :func:`snd_max_symmetric`).
+
+The per-state functions (:func:`network_symmetric_rate`,
+:func:`bs_symmetric_rate` and the ``*_max_symmetric`` solvers) are the
+kernel on a stack of one state.  Every sum of coherent powers adds the
+cells from the highest index down, as :func:`~mcmimo.bounds.subset_sum`
+does, and every bound is one :func:`~mcmimo.bounds.mac_bound`, so a
+solver's rate equals the value of the matching region to the bit, and a
+stacked row equals the same row solved alone.
+
+Cell sets are int bitmasks (bit l stands for cell l).  The weakest and
+strongest orders are stable sorts of each row, so exactly tied cells rank
+lowest index first in both; rounding can tie cells at some antenna counts
+and not at others, so every row is sorted on its own.  Ties among
+minimizing (or maximizing) subsets are broken toward the smaller
+cardinality first and then the smaller bitmask, so witness sets are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
 
 import numpy as np
 
-from .bounds import (check_indices, coherent_power, mac_bound, noise_floor, subset_sum,
-                     tin_rate)
+from .bounds import check_indices, coherent_powers, mac_bound, noise_floors
 from .estimation import ChannelState
 from .regions import Polytope
 
@@ -34,6 +48,8 @@ __all__ = [
     "BsSymRate",
     "SymRateReport",
     "max_symmetric_rate",
+    "stacked_rates",
+    "STACK_BYTES",
     "sd_max_symmetric",
     "ssnd_max_symmetric",
     "low_sinr_decode_set",
@@ -43,6 +59,7 @@ __all__ = [
 ]
 
 SCHEMES = ("tin", "sd", "ssnd", "snd")
+STACK_BYTES = 32 << 20  # bytes of arrays one chunk of stacked rows holds, at most
 
 
 @dataclass(frozen=True)
@@ -67,57 +84,164 @@ class SymRateReport:
     network_argmin: int
 
 
-def _per_user_min(thetas, bounds) -> tuple[float, int]:
-    """The least bound / |theta| and the first theta attaining it, which is
-    the smaller set on ties since callers list thetas in (cardinality, mask)
-    order.  Takes one bound per theta from ``bounds``, which may be shared."""
+def max_symmetric_rate(poly: Polytope) -> tuple[float, int]:
+    """Largest R with (R, ..., R) in the polytope, and the binding mask: the
+    first constraint attaining the least bound / |mask|, which is the
+    smaller set on ties since constraints are kept in (cardinality, mask)
+    order."""
+    if not poly.constraints:
+        raise ValueError("polytope has no constraints; the symmetric rate is unbounded")
     best, best_theta = math.inf, 0
-    for theta, bound in zip(thetas, bounds):
+    for theta, bound in poly.constraints:
         val = bound / theta.bit_count()
         if val < best:
             best, best_theta = val, theta
     return best, best_theta
 
 
-def max_symmetric_rate(poly: Polytope) -> tuple[float, int]:
-    """Largest R with (R, ..., R) in the polytope, and the binding mask."""
-    if not poly.constraints:
-        raise ValueError("polytope has no constraints; the symmetric rate is unbounded")
-    return _per_user_min(*zip(*poly.constraints))
+def _masks(member: np.ndarray) -> np.ndarray:
+    """The bitmasks of the cell sets ``member[..., l]``."""
+    L = member.shape[-1]
+    weights = np.array([1 << l for l in range(L)], dtype=np.int64 if L < 64 else object)
+    return (member * weights).sum(axis=-1)
 
 
-def _powers(state: ChannelState, j: int, i: int):
-    """Coherent powers as floats, the cells from weakest to strongest (exact
-    ties lowest index first) and the noise floor."""
-    coh = coherent_power(state, j, i).tolist()
-    return coh, sorted(range(len(coh)), key=coh.__getitem__), noise_floor(state, j)
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """rank[..., l]: the position of cell l when each row of ``keys`` is
+    sorted ascending, exact ties lowest index first."""
+    return keys.argsort(axis=-1, kind="stable").argsort(axis=-1)
 
 
-def _full_decode_min(coh: list, floor: float, cells: list[int]) -> tuple[float, int]:
-    """Per-user minimum over the prefixes of ``cells`` with every cell
-    decoded (no noise term)."""
-    thetas = list(accumulate((1 << l for l in cells), or_))
-    bounds = mac_bound([subset_sum(coh, t) for t in thetas], 0.0, floor).tolist()
-    return _per_user_min(thetas, bounds)
+def stacked_rates(coh, floor, schemes=SCHEMES, bs=None) -> dict:
+    """Max symmetric rates and witness masks of a stack of BS rows.
+
+    ``coh[g, b, l]`` is the coherent power N({l}) of cell l at BS ``bs[b]``
+    (default ``range(L)``) in stack entry g, and ``floor[g, b]`` the noise
+    floor there.  Returns ``{scheme: (rate, theta, omega)}`` for each
+    requested scheme, three (G, B) arrays; only those schemes are computed.
+    The G * B rows are solved in chunks of at most ``STACK_BYTES`` of
+    arrays, about 64 bytes per (row, decoded set, cell): SND has L decoded
+    sets per row, the other schemes one.
+    """
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    coh = np.asarray(coh, dtype=float)
+    G, B, L = coh.shape
+    rows = coh.reshape(G * B, L)
+    floors = np.asarray(floor, dtype=float).reshape(G * B)
+    owns = np.tile(np.arange(L) if bs is None else np.asarray(bs), G)
+    sets = sum(L if scheme == "snd" else 1 for scheme in schemes)
+    step = max(1, STACK_BYTES // (64 * sets * L))
+    parts = [_solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step], schemes)
+             for k in range(0, G * B, step)]
+    return {scheme: tuple(np.concatenate([part[scheme][t] for part in parts]).reshape(G, B)
+                          for t in range(3))
+            for scheme in schemes}
+
+
+def _solve_rows(coh, floor, own, schemes) -> dict:
+    """:func:`stacked_rates` of N rows: coherent powers (N, L), noise floors
+    (N,) and own cells (N,); returns (N,) arrays.
+
+    Each scheme contributes decoded sets q (one, or L for SND) and a rank
+    of the cells per set; the thetas of set q are, for r < L, its members
+    of rank at most r, and r counts only where the cell of rank r is a
+    member, so each theta appears once and in cardinality order.  The rate
+    is the max over sets of the min over thetas of bound / |theta|; the
+    first minimizing theta and then the first maximizing set win ties.
+    """
+    N, L = coh.shape
+    is_own = own[:, None] == np.arange(L)
+    weak = _ranks(coh)
+    spans, Q = [], 0
+    for scheme in schemes:
+        spans.append((scheme, Q, Q + (L if scheme == "snd" else 1)))
+        Q = spans[-1][2]
+    omega_in = np.empty((N, Q, L), dtype=bool)
+    rank = np.empty((N, Q, L), dtype=weak.dtype)
+    for scheme, lo, hi in spans:
+        if scheme == "tin":
+            # the own cell alone, ranked ahead of every other
+            omega_in[:, lo] = is_own
+            rank[:, lo] = ~is_own
+        elif scheme == "sd":
+            omega_in[:, lo] = True
+            rank[:, lo] = weak
+        elif scheme == "ssnd":
+            # the own cell first, then the others from the weakest
+            omega_in[:, lo] = True
+            rank[:, lo] = _ranks(np.where(is_own, -np.inf, coh))
+        else:
+            # decoded set q: the own cell and its q strongest interferers
+            strong = _ranks(np.where(is_own, -np.inf, -coh))
+            omega_in[:, lo:hi] = strong[:, None, :] <= np.arange(L)[:, None]
+            rank[:, lo:hi] = weak[:, None, :]
+
+    # member_rank: the rank of each member, L for the cells outside the set;
+    # fresh[n, q, r]: whether the cell of rank r is in set q
+    member_rank = np.where(omega_in, rank, L)
+    fresh = np.zeros((N * Q, L), dtype=bool)
+    fresh[np.arange(N * Q)[:, None], rank.reshape(N * Q, L)] = omega_in.reshape(N * Q, L)
+    fresh = fresh.reshape(N, Q, L)
+    # every theta sum adds its cells from the highest index down, as
+    # bounds.subset_sum does, and so does the sum outside each decoded set
+    r = np.arange(L)
+    outside = ~omega_in
+    noise = np.zeros((N, Q))
+    num = np.zeros((N, Q, L))
+    for l in range(L - 1, -1, -1):
+        c = coh[:, l, None]
+        np.add(noise, c, out=noise, where=outside[..., l])
+        np.add(num, c[..., None], out=num, where=member_rank[..., l, None] <= r)
+    bound = mac_bound(num, noise[..., None], floor[:, None, None])
+    vals = np.divide(bound, fresh.cumsum(axis=-1), out=np.full((N, Q, L), np.inf),
+                     where=fresh)
+    inner = vals.min(axis=-1)
+    r_best = vals.argmin(axis=-1)
+
+    rates, members = [], []
+    for scheme, lo, hi in spans:
+        part = inner[:, lo:hi]
+        pick = np.arange(Q) == lo + part.argmax(axis=-1)[:, None]
+        members += [member_rank[pick] <= r_best[pick][:, None], omega_in[pick]]
+        rates.append(part.max(axis=-1))
+    masks = _masks(np.array(members))
+    return {scheme: (rate, masks[2 * k], masks[2 * k + 1])
+            for k, ((scheme, _, _), rate) in enumerate(zip(spans, rates))}
+
+
+def _state_rates(state: ChannelState, scheme: str, i: int, bs: list[int]):
+    """:func:`stacked_rates` of one scheme on one state's rows for the BSs
+    ``bs``, as lists of rates, theta masks and omega masks.  ``bs`` is
+    increasing, so checking its ends checks every index."""
+    check_indices(state, bs[0], i)
+    check_indices(state, bs[-1], i)
+    p = state.params
+    beta, alpha = state.beta[bs], state.stats.alpha[bs]
+    coh = coherent_powers(p.M, p, beta, alpha, i)
+    rate, theta, omega = stacked_rates(coh[None], noise_floors(beta, p.rho_u)[None],
+                                       (scheme,), bs)[scheme]
+    return rate[0].tolist(), theta[0].tolist(), omega[0].tolist()
 
 
 def sd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int]:
-    """Max symmetric rate of the full-MAC polytope at BS j.
+    """Max symmetric rate of the full-MAC polytope at BS j, and the binding
+    mask.
 
     For each cardinality q the binding subset is the q weakest users, so only
     L candidates v_q = log2(1 + mu_ji * s_q) / q need comparing, where s_q
-    sums the q smallest squared gains.  Quadratic in L overall, no region
-    materialization.
+    sums the q smallest squared gains.  No region materialization.
     """
-    coh, weak, floor = _powers(state, j, i)
-    return _full_decode_min(coh, floor, weak)
+    entry = bs_symmetric_rate(state, "sd", j, i)
+    return entry.rate, entry.theta
 
 
 def ssnd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int]:
     """Like :func:`sd_max_symmetric` but every candidate set contains the own
     cell: c_q combines the own gain with the q-1 weakest other cells."""
-    coh, weak, floor = _powers(state, j, i)
-    return _full_decode_min(coh, floor, [j] + [l for l in weak if l != j])
+    entry = bs_symmetric_rate(state, "ssnd", j, i)
+    return entry.rate, entry.theta
 
 
 def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:
@@ -175,52 +299,25 @@ def snd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int, 
     |theta|, bitmask) and omega maximizes value, then minimizes (|omega|,
     bitmask).  Exactly tied cells are ranked lowest index first in both the
     weakest and the strongest order, which gives the smallest bitmask among
-    equal-valued sets.  All bounds come from :func:`subset_sum` and one
-    :func:`mac_bound` call, so the rate is bit-identical to the best
-    part value of :func:`~mcmimo.regions.snd_region`.
+    equal-valued sets.  Every bound adds its cells in the order of
+    :func:`~mcmimo.bounds.subset_sum`, so the rate is bit-identical to the
+    best part value of :func:`~mcmimo.regions.snd_region`.
     """
-    coh, weak, floor = _powers(state, j, i)
-    full = (1 << len(coh)) - 1
-    strong = [l for l in sorted(weak, key=coh.__getitem__, reverse=True) if l != j]
-    omegas = list(accumulate([1 << j] + [1 << l for l in strong], or_))
-    thetas, nums, noises = [], [], []
-    for omega in omegas:
-        prefixes = list(accumulate((1 << l for l in weak if omega >> l & 1), or_))
-        thetas.append(prefixes)
-        nums += [subset_sum(coh, t) for t in prefixes]
-        noises += [subset_sum(coh, full ^ omega)] * len(prefixes)
-    bounds = iter(mac_bound(nums, noises, floor).tolist())
-    best = -math.inf
-    for omega, prefixes in zip(omegas, thetas):
-        inner, theta = _per_user_min(prefixes, bounds)
-        if inner > best:
-            best, best_omega, best_theta = inner, omega, theta
-    return best, best_omega, best_theta
+    entry = bs_symmetric_rate(state, "snd", j, i)
+    return entry.rate, entry.omega, entry.theta
 
 
 def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0) -> BsSymRate:
     """Max symmetric rate at one BS for a decoding scheme."""
-    full = (1 << state.L) - 1
-    if scheme == "tin":
-        return BsSymRate(j, tin_rate(state, j, i), 1 << j, 1 << j)
-    if scheme == "sd":
-        rate, theta = sd_max_symmetric(state, j, i)
-        return BsSymRate(j, rate, theta, full)
-    if scheme == "ssnd":
-        rate, theta = ssnd_max_symmetric(state, j, i)
-        return BsSymRate(j, rate, theta, full)
-    if scheme == "snd":
-        rate, omega, theta = snd_max_symmetric(state, j, i)
-        return BsSymRate(j, rate, theta, omega)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    (rate,), (theta,), (omega,) = _state_rates(state, scheme, i, [j])
+    return BsSymRate(j, rate, theta, omega)
 
 
 def network_symmetric_rate(state: ChannelState, scheme: str, i: int = 0) -> SymRateReport:
-    """Per-BS max symmetric rates and the binding network-wide minimum."""
-    per_bs = tuple(bs_symmetric_rate(state, scheme, j, i) for j in range(state.L))
-    argmin = 0
-    for j in range(1, state.L):
-        if per_bs[j].rate < per_bs[argmin].rate:
-            argmin = j
+    """Per-BS max symmetric rates and the binding network-wide minimum (the
+    lowest BS index on ties)."""
+    rates, thetas, omegas = _state_rates(state, scheme, i, list(range(state.L)))
+    per_bs = tuple(map(BsSymRate, range(state.L), rates, thetas, omegas))
+    argmin = rates.index(min(rates))
     return SymRateReport(scheme=scheme, per_bs=per_bs,
-                         network_rate=per_bs[argmin].rate, network_argmin=argmin)
+                         network_rate=rates[argmin], network_argmin=argmin)

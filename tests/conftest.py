@@ -1,7 +1,14 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 # Allow running the suite from a fresh checkout without installing.
 _src = Path(__file__).resolve().parents[1] / "src"
 if _src.exists() and str(_src) not in sys.path:
     sys.path.insert(0, str(_src))
+
+# A loaded 2-core host can stall any single example for seconds, so no
+# property test has a per-example deadline.
+settings.register_profile("mcmimo", deadline=None)
+settings.load_profile("mcmimo")

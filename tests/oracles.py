@@ -75,11 +75,9 @@ def random_state(rng: np.random.Generator, L: int | None = None,
     return ChannelState.from_beta(beta, params)
 
 
-def ring_state(rng: np.random.Generator, L: int, K: int = 2,
-               M: float = 1e4) -> ChannelState:
+def ring_layout(rng: np.random.Generator, L: int, K: int = 2) -> CellLayout:
     """L cells of radius 400 m on a ring with 800 m between neighbouring BSs
-    and users at random points of their own cell, under the reference
-    parameters of the bundled presets."""
+    and users at random points of their own cell."""
     ring = 400.0 / math.sin(math.pi / L) if L > 1 else 0.0
     bs = [[ring * math.cos(2 * math.pi * l / L), ring * math.sin(2 * math.pi * l / L)]
           for l in range(L)]
@@ -88,8 +86,18 @@ def ring_state(rng: np.random.Generator, L: int, K: int = 2,
     users = [[[bs[l][0] + rad[l, k] * math.cos(phi[l, k]),
                bs[l][1] + rad[l, k] * math.sin(phi[l, k])] for k in range(K)]
              for l in range(L)]
-    params = SystemParams(L=L, K=K, M=M, rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
-    return ChannelState.from_layout(CellLayout(bs, users), params)
+    return CellLayout(bs, users)
+
+
+def ring_params(L: int, K: int = 2, M: float = 1e4) -> SystemParams:
+    """The reference parameters of the bundled presets for an L-cell ring."""
+    return SystemParams(L=L, K=K, M=M, rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
+
+
+def ring_state(rng: np.random.Generator, L: int, K: int = 2,
+               M: float = 1e4) -> ChannelState:
+    """A :func:`ring_layout` network under :func:`ring_params`."""
+    return ChannelState.from_layout(ring_layout(rng, L, K), ring_params(L, K, M))
 
 
 def _tiebreak(subset):
@@ -290,8 +298,9 @@ def snd_member_three_cell(state: ChannelState, j: int, i: int, point) -> bool:
     return True
 
 
-def fading_states(max_cells: int = 8):
-    """Channel states from random fading tensors with 1..max_cells cells.
+def fading_states(max_cells: int = 8, min_cells: int = 1):
+    """Channel states from random fading tensors with min_cells..max_cells
+    cells.
 
     Gains lie in [1e-4, 1] and are any float, or 10^(-k/1000) for integer
     k, or drawn from at most three such levels, which makes exact ties
@@ -302,7 +311,7 @@ def fading_states(max_cells: int = 8):
 
     @st.composite
     def build(draw):
-        L = draw(st.integers(1, max_cells))
+        L = draw(st.integers(min_cells, max_cells))
         K = draw(st.integers(1, 3))
         gain = draw(st.sampled_from([
             st.floats(1e-4, 1.0),

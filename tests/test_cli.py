@@ -4,8 +4,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+import mcmimo.montecarlo as mc
 from mcmimo import PRESET_NAMES, SCHEMES
 from mcmimo.cli import ConfigError, RunConfig, emit_csv, main, parse_config
+from mcmimo.montecarlo import MAX_TRIALS
+from mcmimo.scenarios import MAX_GRID_POINTS
 
 
 GOOD_EXPLICIT = {
@@ -318,6 +323,44 @@ class TestCliCommands:
         lines = out.err.splitlines()
         assert len(lines) == 1
         assert lines[0] == f"error: workers must be a positive integer, got {argv[-1]}"
+
+    @pytest.mark.parametrize("grid", [f"1e3:1e7:{10 ** 8}:log", f"0:1:{MAX_GRID_POINTS + 1}"])
+    def test_grid_point_limit_is_one_error_line(self, grid, monkeypatch, capsys):
+        # the count is checked before any grid point is made
+        def fail(*args, **kwargs):
+            raise AssertionError("built an over-long grid")
+
+        monkeypatch.setattr(np, "geomspace", fail)
+        monkeypatch.setattr(np, "linspace", fail)
+        assert run_cli("sweep", "--preset", "two-cell-scenario-a", "--axis", "M",
+                       "--grid", grid) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == (f"error: grid num must be in [2, {MAX_GRID_POINTS}], "
+                            f"got {grid.split(':')[2]}")
+        with pytest.raises(ConfigError, match="grid num"):
+            parse_config({"preset": "two-cell-scenario-a", "axis": "M",
+                          "grid": {"scale": "log", "start": 1e3, "stop": 1e7,
+                                   "num": 10 ** 8}})
+        with pytest.raises(ConfigError, match=f"at most {MAX_GRID_POINTS}"):
+            parse_config({"preset": "two-cell-scenario-a", "axis": "M",
+                          "grid": list(range(1, MAX_GRID_POINTS + 2))})
+
+    def test_trial_limit_is_one_error_line(self, monkeypatch, capsys):
+        # rejected before any batch is planned or sampled
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled an over-long run")
+
+        monkeypatch.setattr(mc, "complex_normal", fail)
+        monkeypatch.setattr(mc, "_batch_counts", fail)
+        assert run_cli("montecarlo", "--cells", "2", "--m", "8",
+                       "--trials", str(10 ** 12)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert lines == [f"error: at most {MAX_TRIALS} trials are allowed, got {10 ** 12}"]
 
     def test_console_entry_point(self, tmp_path):
         import os

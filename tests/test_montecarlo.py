@@ -190,6 +190,21 @@ class TestEmpiricalDecomposition:
         with pytest.raises(ValueError, match="trials"):
             empirical_power_decomposition(state, 0, 0, {0}, trials=200, seed=1)
 
+    def test_too_many_trials_rejected(self, monkeypatch):
+        # rejected before the batch plan, whose list and seed streams would
+        # grow with the trial count
+        def fail(*args, **kwargs):
+            raise AssertionError("planned or sampled an over-long run")
+
+        monkeypatch.setattr(mc, "complex_normal", fail)
+        monkeypatch.setattr(mc, "_batch_counts", fail)
+        state = small_state(M=8)
+        with pytest.raises(ValueError, match=f"at most {mc.MAX_TRIALS} trials"):
+            empirical_power_decomposition(state, 0, 0, {0}, trials=10 ** 12, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            empirical_power_decomposition(state, 0, 0, {0}, trials=mc.MAX_TRIALS + 1,
+                                          seed=1)
+
     def test_bad_omega_rejected(self):
         state = small_state(M=8)
         with pytest.raises(ValueError, match="omega"):

@@ -103,7 +103,7 @@ class TestSubsetSumTable:
             assert max_symmetric_rate(ssnd_region(state, j, 0).parts[0]) == \
                 ssnd_max_symmetric(state, j, 0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(fading_states(), st.data())
     def test_bounds_equal_direct_evaluation(self, case, data):
         state, i = case

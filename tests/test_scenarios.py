@@ -1,12 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mcmimo import (classify_two_cell, network_symmetric_rate, preset_scenario, sweep,
-                    two_cell_ordering_check)
-from mcmimo.scenarios import REL_TOL, Scenario, case_margin
+from mcmimo import (classify_two_cell, network_symmetric_rate, preset_scenario, scenarios,
+                    sweep, two_cell_ordering_check)
+from mcmimo.scenarios import MAX_GRID_POINTS, REL_TOL, Scenario, case_margin
 from mcmimo import ChannelState, SystemParams
 
-from oracles import case_threshold_m, direct_bound
+from oracles import case_threshold_m, direct_bound, ring_layout, ring_params
 
 
 class TestPresets:
@@ -167,13 +170,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="increasing"):
             sweep(sc, "M", [2.0, 1.0])
 
-    def test_worker_parallel_rows_match_serial(self):
+    def test_grid_point_limit(self, monkeypatch):
+        # an endless grid is cut at MAX_GRID_POINTS + 1 values and rejected
+        # before anything is evaluated
+        def fail(*args):
+            raise AssertionError("evaluated an over-long grid")
+
+        monkeypatch.setattr(scenarios, "_stack_powers", fail)
         sc = preset_scenario("two-cell-scenario-a")
-        grid = [1e3, 1e4, 1e5]
-        serial = sweep(sc, "M", grid)
-        parallel = sweep(sc, "M", grid, workers=2)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a == b
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            sweep(sc, "M", itertools.count(1.0))
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            sweep(sc, "M", range(1, MAX_GRID_POINTS + 2))
+
+    def test_non_positive_antenna_count_rejected(self):
+        # an M sweep builds one state, so the per-value check stays its own
+        sc = preset_scenario("two-cell-scenario-a")
+        with pytest.raises(ValueError, match="M must be positive, got 0.0"):
+            sweep(sc, "M", [0.0, 1e3])
 
 
 M_GRID = np.geomspace(1e3, 1e7, 25)  # the CLI grid 1e3:1e7:25:log
@@ -199,13 +213,26 @@ class TestCaseThresholdOracle:
 
 class TestSweepEvaluations:
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """Axis values, as (M, layout), of every channel state built."""
+    def evaluated(self, monkeypatch):
+        """Axis values handed to the stacked state builder."""
+        values = []
+        stack_powers = scenarios._stack_powers
+
+        def counted(scenario, axis, chunk, pilot, base):
+            values.extend(chunk)
+            return stack_powers(scenario, axis, chunk, pilot, base)
+
+        monkeypatch.setattr(scenarios, "_stack_powers", counted)
+        return values
+
+    @pytest.fixture
+    def states(self, monkeypatch):
+        """Antenna counts of every channel state built by ``from_layout``."""
         built = []
         from_layout = ChannelState.from_layout.__func__
 
         def counted(cls, layout, params):
-            built.append((params.M, repr(layout.to_dict())))
+            built.append(params.M)
             return from_layout(cls, layout, params)
 
         monkeypatch.setattr(ChannelState, "from_layout", classmethod(counted))
@@ -215,15 +242,41 @@ class TestSweepEvaluations:
         ("two-cell-scenario-a", "M", M_GRID),
         ("two-cell-scenario-b", "radius_x", np.linspace(200.0, 250.0, 11)),
         ("three-cell-theta", "theta", np.linspace(0.0, 180.0, 19))])
-    def test_no_axis_value_built_twice(self, builds, preset, axis, grid):
+    def test_no_axis_value_built_twice(self, evaluated, preset, axis, grid):
         result = sweep(preset_scenario(preset), axis, grid)
         assert result.thresholds
-        assert len(builds) > len(grid)
-        assert len(set(builds)) == len(builds)
+        assert len(evaluated) > len(grid)
+        assert len(set(evaluated)) == len(evaluated)
 
-    def test_antenna_sweep_refines_the_shared_bracket_once(self, builds):
+    def test_antenna_sweep_refines_the_shared_bracket_once(self, evaluated, states):
         # 25 grid points plus one bisection of the bracket where all seven
-        # indicators flip; refining each indicator on its own built 88
+        # indicators flip; refining each indicator on its own built 88, and
+        # every value shares the one channel state of the scenario
         result = sweep(preset_scenario("two-cell-scenario-a"), "M", M_GRID)
         assert len(result.thresholds) == 7
-        assert len(builds) <= 34
+        assert len(evaluated) <= 34
+        assert len(states) == 1
+
+
+class TestStackBudget:
+    def test_large_antenna_sweep_stays_under_budget(self):
+        # a 12-cell ring at MAX_GRID_POINTS antenna counts: one value holds
+        # about 150 kB of kernel arrays, so the whole grid would hold 1.5 GB
+        L = 12
+        sc = Scenario.from_layout(ring_layout(np.random.default_rng(12), L), ring_params(L))
+        grid = np.geomspace(1e2, 1e7, MAX_GRID_POINTS).tolist()
+        tracemalloc.start()
+        try:
+            result = sweep(sc, "M", grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == MAX_GRID_POINTS
+        assert peak < 1.25 * scenarios.STACK_BYTES
+
+    def test_chunks_change_no_bit(self, monkeypatch):
+        sc = preset_scenario("three-cell-theta")
+        grid = np.linspace(0.0, 180.0, 19)
+        whole = sweep(sc, "theta", grid)
+        monkeypatch.setattr(scenarios, "STACK_BYTES", 1)
+        assert sweep(sc, "theta", grid) == whole

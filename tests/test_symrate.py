@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, Polytope, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
                     network_symmetric_rate, preset_scenario, sd_max_symmetric, sd_region,
                     snd_max_symmetric, snd_region, ssnd_max_symmetric, ssnd_region, tin_rate,
                     two_cell_layout)
-from mcmimo.symrate import bs_symmetric_rate
+from mcmimo.bounds import coherent_powers, noise_floors
+from mcmimo import symrate
+from mcmimo.symrate import bs_symmetric_rate, stacked_rates
 
 from oracles import (brute_force_sd, brute_force_snd, brute_force_ssnd, cells,
                      diagonal_rate_bisection, direct_bound, exhaustive_snd, fading_states,
@@ -235,7 +239,7 @@ class TestSndMaxSymmetric:
 
 
 class TestSndAgainstExhaustive:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(fading_states())
     def test_equals_exhaustive_enumeration(self, case):
         state, i = case
@@ -261,6 +265,91 @@ class TestSndAgainstExhaustive:
             for j in range(L):
                 for i in range(state.K):
                     assert snd_max_symmetric(state, j, i) == exhaustive_snd(state, j, i)
+
+
+def stack_of(cases):
+    """Coherent powers (G, L, L) and noise floors (G, L) of (state, pilot)
+    pairs with a common L."""
+    coh = np.stack([coherent_powers(s.params.M, s.params, s.beta, s.stats.alpha, i)
+                    for s, i in cases])
+    floor = np.stack([noise_floors(s.beta, s.params.rho_u) for s, _ in cases])
+    return coh, floor
+
+
+def assert_rows_match_oracles(stacked, cases):
+    """Row g of a stacked solve equals the single-state solvers on case g, to
+    the bit, and the exhaustive SND enumeration; every witness pair
+    reproduces its rate."""
+    for g, (state, i) in enumerate(cases):
+        for scheme in SCHEMES:
+            rates, thetas, omegas = (a[g].tolist() for a in stacked[scheme])
+            report = network_symmetric_rate(state, scheme, i)
+            assert [(e.rate, e.theta, e.omega) for e in report.per_bs] == \
+                list(zip(rates, thetas, omegas))
+            for j in range(state.L):
+                again = direct_bound(state, j, i, cells(thetas[j]), cells(omegas[j]))
+                assert rates[j] == pytest.approx(again / thetas[j].bit_count(), rel=1e-12)
+                if scheme == "snd":
+                    assert (rates[j], omegas[j], thetas[j]) == exhaustive_snd(state, j, i)
+
+
+class TestStackedKernel:
+    @settings(max_examples=60)
+    @given(st.integers(1, 6).flatmap(
+        lambda L: st.lists(fading_states(L, L), min_size=1, max_size=4)))
+    def test_rows_equal_single_state_solves_and_oracles(self, cases):
+        coh, floor = stack_of(cases)
+        assert_rows_match_oracles(stacked_rates(coh, floor), cases)
+
+    def test_m_grid_with_coherent_power_ties_at_some_points(self):
+        # cells 1 and 2 differ by one ulp of fading: rounding ties their
+        # coherent powers at about half of the antenna counts, and there the
+        # stable order ranks cell 1 first, elsewhere cell 2 (the weaker)
+        b = 0.03
+        row = [1.0, np.nextafter(b, 1.0), b]
+        beta = np.array([[np.roll(row, j)] for j in range(3)])
+        state = ChannelState.from_beta(beta, SystemParams(L=3, K=1, M=1e3, rho_u=30.0,
+                                                          rho_p=120.0))
+        grid = np.geomspace(1e2, 1e6, 41)
+        cases = [(state.with_m(float(m)), 0) for m in grid]
+        coh, floor = stack_of(cases)
+        ties = int((coh[:, 0, 1] == coh[:, 0, 2]).sum())
+        assert 0 < ties < len(grid)
+        assert_rows_match_oracles(stacked_rates(coh, floor), cases)
+
+    def test_chunks_of_rows_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        cases = [(ring_state(rng, L=5, M=float(10 ** rng.uniform(2, 6))), 1) for _ in range(3)]
+        coh, floor = stack_of(cases)
+        whole = stacked_rates(coh, floor)
+        monkeypatch.setattr(symrate, "STACK_BYTES", 1)  # one row per chunk
+        rowwise = stacked_rates(coh, floor)
+        for scheme in SCHEMES:
+            for a, b in zip(whole[scheme], rowwise[scheme]):
+                assert a.shape == b.shape == (3, 5)
+                assert a.tolist() == b.tolist()
+
+    def test_one_large_network_stays_under_budget(self, monkeypatch):
+        # unchunked, the SND arrays of a 40-cell network hold about 4 MB
+        budget = 1 << 20
+        monkeypatch.setattr(symrate, "STACK_BYTES", budget)
+        state = ring_state(np.random.default_rng(74), L=40)
+        tracemalloc.start()
+        try:
+            report = network_symmetric_rate(state, "snd")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * budget
+        monkeypatch.undo()
+        assert network_symmetric_rate(state, "snd") == report
+
+    def test_only_requested_schemes_are_returned(self):
+        state = ring_state(np.random.default_rng(72), L=4)
+        coh, floor = stack_of([(state, 0)])
+        assert set(stacked_rates(coh, floor, ("ssnd",))) == {"ssnd"}
+        with pytest.raises(ValueError, match="scheme"):
+            stacked_rates(coh, floor, ("mrc",))
 
 
 class TestNetworkReport:
