@@ -18,8 +18,8 @@ the (omega, theta) pairs they keep: TIN has omega = theta = {j}, SD has
 omega = all cells, S-SND has omega = all cells and theta containing j, and
 SND takes any omega containing j.  Cell sets are int bitmasks (bit l stands
 for cell l).  :func:`subset_sum` gives N of a mask and :func:`mac_bound`
-turns N values into bounds; the region builders, the symmetric-rate solvers
-and TIN all go through these two functions, so their rates agree to the bit.
+turns N values into bounds; the region builders, the solvers and TIN all sum
+in its order and call :func:`mac_bound`, so their rates agree to the bit.
 """
 
 from __future__ import annotations

@@ -299,10 +299,13 @@ def emit_csv(header: list[str], rows: list[list], path: str | None) -> str:
     Column order follows ``header``; floats use 12 significant digits and
     lines end with LF, so identical inputs yield byte-identical files.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    return _write_csv(header, [",".join(map(_format_cell, row)) for row in rows], path)
+
+
+def _write_csv(header: list[str], lines: list[str], path: str | None) -> str:
+    """Write a header and already formatted rows as CSV text to ``path``
+    (or stdout)."""
+    text = "\n".join([",".join(header), *lines]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -405,13 +408,12 @@ def _cmd_region(args) -> int:
     builder = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region,
                "snd": snd_region}[scheme]
     region = builder(scenario.state(), cfg.bs, cfg.pilot)
-    factor = _unit_factor(cfg.unit)
-    rows = []
-    for omega, part in zip(region.omegas, region.parts):
-        for subset, bound in part.constraints:
-            rows.append([scheme, cfg.bs, cfg.pilot, omega, subset, bound * factor])
-    emit_csv(["scheme", "bs", "pilot", "omega_mask", "theta_mask", "bound"],
-             rows, cfg.out)
+    prefix = ",".join(map(_format_cell, (scheme, cfg.bs, cfg.pilot, "")))
+    omega = np.repeat(region.omega, np.diff(region.offsets)).tolist()
+    bound = (region.bound * _unit_factor(cfg.unit)).tolist()
+    _write_csv(["scheme", "bs", "pilot", "omega_mask", "theta_mask", "bound"],
+               [f"{prefix}{o},{m},{b:.12g}" for o, m, b in
+                zip(omega, region.theta.tolist(), bound)], cfg.out)
     return 0
 
 

@@ -7,27 +7,30 @@ region is a union of one MAC polytope per decoded set ``omega`` containing
 the own cell; users outside ``omega`` enter the bounds as noise and their
 rate coordinates are unconstrained within that part.
 
-Cell sets are int bitmasks (bit l stands for cell l), as in the CSV output.
-Every builder sums the coherent powers of each of the 2^L masks once with
-:func:`~mcmimo.bounds.subset_sum` and reads all its bounds off that table
-with one vectorized :func:`~mcmimo.bounds.mac_bound` call.  Regions are
+A :class:`RegionFamily` holds its parts as flat columns, and ``parts`` is
+their view as validated polytopes.  Cell sets are int bitmasks (bit l
+stands for cell l), as in the CSV output.  The SD, S-SND and SND builders
+read every bound off one table of the subset sums of all 2^L masks with one
+vectorized :func:`~mcmimo.bounds.mac_bound` call, and refuse a region of
+more than ``MAX_CONSTRAINTS`` constraints before allocating it.  Regions are
 immutable after construction and membership queries are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import cached_property
+from itertools import repeat
 from operator import lt
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import (check_indices, coherent_power, mac_bound, noise_floor, subset_sum,
-                     tin_rate)
+from .bounds import check_indices, coherent_power, mac_bound, noise_floor, subset_sum, tin_rate
 from .estimation import ChannelState
 
 __all__ = [
+    "MAX_CONSTRAINTS",
     "Polytope",
     "RegionFamily",
     "tin_region",
@@ -35,6 +38,17 @@ __all__ = [
     "ssnd_region",
     "snd_region",
 ]
+
+MAX_CONSTRAINTS = 1 << 20  # constraints of one SD, S-SND or SND region, at most
+
+
+def _rate_point(point: Sequence[float], dim: int) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    if point.shape != (dim,):
+        raise ValueError(f"point must have length {dim}, got shape {point.shape}")
+    if np.any(point < 0):
+        raise ValueError("rate points must be componentwise nonnegative")
+    return point
 
 
 @dataclass(frozen=True)
@@ -76,37 +90,92 @@ class Polytope:
         object.__setattr__(self, "constraints", cons)
 
     def contains(self, point: Sequence[float]) -> bool:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            raise ValueError(f"point must have length {self.dim}, got shape {point.shape}")
-        if np.any(point < 0):
-            raise ValueError("rate points must be componentwise nonnegative")
-        rates = point.tolist()
+        rates = _rate_point(point, self.dim).tolist()
         return not any(subset_sum(rates, mask) > bound for mask, bound in self.constraints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionFamily:
     """A per-BS achievable region: one polytope, or a union of them for SND.
 
-    ``omegas[p]`` is the decoded set (a bitmask) of ``parts[p]``; for SND the
-    union runs over every decoded set containing the own cell.
+    Part p decodes the cell set ``omega[p]`` and has the constraints
+    ``offsets[p]:offsets[p + 1]`` of the read-only ``theta`` and ``bound``
+    columns, in (cardinality, mask) order.  For SND the union runs over
+    every decoded set containing the own cell.
     """
 
     kind: str
-    parts: tuple[Polytope, ...]
-    omegas: tuple[int, ...]
+    dim: int
+    omega: np.ndarray
+    offsets: np.ndarray
+    theta: np.ndarray
+    bound: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("tin", "sd", "ssnd", "snd"):
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if len(self.parts) != len(self.omegas):
-            raise ValueError("parts and omegas must align")
-        if self.kind != "snd" and len(self.parts) != 1:
+        if len(self.offsets) != len(self.omega) + 1:
+            raise ValueError("offsets must hold one entry per part plus one")
+        if self.kind != "snd" and len(self.omega) != 1:
             raise ValueError(f"{self.kind} region must have exactly one part")
+        for column in (self.omega, self.offsets, self.theta, self.bound):
+            column.flags.writeable = False
+
+    @cached_property
+    def parts(self) -> tuple[Polytope, ...]:
+        """The parts as :class:`Polytope` objects, built on first access."""
+        pairs = list(zip(self.theta.tolist(), self.bound.tolist()))
+        ends = self.offsets.tolist()
+        return tuple(Polytope(self.dim, tuple(pairs[a:b])) for a, b in zip(ends, ends[1:]))
 
     def contains(self, point: Sequence[float]) -> bool:
-        return any(part.contains(point) for part in self.parts)
+        """Whether some part holds the point.  Each theta sum adds its rates
+        from the highest cell down, as :func:`~mcmimo.bounds.subset_sum`
+        does; the sums are taken per constraint, not from a 2^L table, as a
+        TIN region has one constraint at any L."""
+        rates = _rate_point(point, self.dim)
+        total = np.zeros(len(self.theta))
+        for l in range(self.dim - 1, -1, -1):
+            np.add(total, rates[l], out=total, where=self.theta >> l & 1 == 1)
+        broken = np.logical_or.reduceat(total > self.bound, self.offsets[:-1])
+        return not broken.all()
+
+
+def _check(kind: str, state: ChannelState, j: int, i: int, count: int) -> None:
+    """Reject bad indices, and a region of ``count`` constraints above
+    ``MAX_CONSTRAINTS``, before anything is allocated."""
+    check_indices(state, j, i)
+    if count > MAX_CONSTRAINTS:
+        raise ValueError(
+            f"{kind} region at L={state.L} has {count} constraints, above the "
+            f"limit of {MAX_CONSTRAINTS}")
+
+
+def _subset_sums(coh: np.ndarray) -> np.ndarray:
+    """N(mask) of every mask below 2^L, equal to the bit to
+    :func:`~mcmimo.bounds.subset_sum`: each mask adds its lowest cell to the
+    sum of its higher cells, so the highest cell comes first."""
+    sums = np.zeros(1 << len(coh))
+    for b in range(len(coh) - 1, -1, -1):
+        sums[1 << b::2 << b] = sums[0::2 << b] + coh[b]
+    return sums
+
+
+def _region(kind: str, state: ChannelState, j: int, i: int, omega: np.ndarray,
+            masks: np.ndarray) -> RegionFamily:
+    """The region with one part per decoded set ``omega[p]`` that constrains
+    the subsets of it among ``masks`` (in (cardinality, mask) order)."""
+    L = state.L
+    narrow = np.min_scalar_type((1 << L) - 1)
+    inside = (masks.astype(narrow) & ~omega.astype(narrow)[:, None]) == 0
+    part, col = np.divmod(np.flatnonzero(inside), len(masks))  # row-major order
+    del inside
+    theta = masks[col]
+    sums = _subset_sums(coherent_power(state, j, i))
+    noise = sums[((1 << L) - 1) ^ omega]
+    bound = mac_bound(sums[theta], noise[part], noise_floor(state, j))
+    offsets = np.searchsorted(part, np.arange(len(omega) + 1))
+    return RegionFamily(kind, L, omega, offsets, theta, bound)
 
 
 def _ordered_masks(L: int) -> np.ndarray:
@@ -115,58 +184,37 @@ def _ordered_masks(L: int) -> np.ndarray:
     return masks[np.argsort(np.bitwise_count(masks), kind="stable")]
 
 
-def _parts(state: ChannelState, j: int, i: int, omegas: list[int],
-           thetas: list[np.ndarray]) -> tuple[Polytope, ...]:
-    """One polytope per decoded set ``omegas[p]``, constraining the masks
-    ``thetas[p]`` (in (cardinality, mask) order)."""
-    coh = coherent_power(state, j, i).tolist()
-    full = (1 << state.L) - 1
-    sums = np.array([subset_sum(coh, mask) for mask in range(full + 1)])
-    counts = [len(t) for t in thetas]
-    flat = np.concatenate(thetas)
-    noise = np.repeat(sums[full ^ np.array(omegas)], counts)
-    bounds = mac_bound(sums[flat], noise, noise_floor(state, j)).tolist()
-    pairs = zip(flat.tolist(), bounds)
-    return tuple(Polytope(state.L, tuple(islice(pairs, count))) for count in counts)
-
-
 def tin_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     """Own-rate box: only the own user is decoded, others are noise."""
-    rate = tin_rate(state, j, i)
-    poly = Polytope(dim=state.L, constraints=((1 << j, rate),))
-    return RegionFamily(kind="tin", parts=(poly,), omegas=(1 << j,))
+    rate = np.array([tin_rate(state, j, i)])
+    own = np.array([1 << j], dtype=np.int64 if state.L < 64 else object)
+    return RegionFamily("tin", state.L, own, np.array([0, 1]), own, rate)
 
 
 def sd_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     """Full MAC polytope: all L co-pilot users jointly and uniquely decoded."""
-    full = (1 << state.L) - 1
-    return RegionFamily(kind="sd", omegas=(full,),
-                        parts=_parts(state, j, i, [full], [_ordered_masks(state.L)]))
+    _check("sd", state, j, i, (1 << state.L) - 1)
+    return _region("sd", state, j, i, np.array([(1 << state.L) - 1]),
+                   _ordered_masks(state.L))
 
 
 def ssnd_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     """SD polytope with every constraint not involving the own rate removed."""
-    full = (1 << state.L) - 1
+    _check("ssnd", state, j, i, 1 << (state.L - 1))
     masks = _ordered_masks(state.L)
-    return RegionFamily(kind="ssnd", omegas=(full,),
-                        parts=_parts(state, j, i, [full], [masks[masks >> j & 1 == 1]]))
+    return _region("ssnd", state, j, i, np.array([(1 << state.L) - 1]),
+                   masks[masks >> j & 1 == 1])
 
 
-def snd_region(state: ChannelState, j: int, i: int, max_cells: int = 12) -> RegionFamily:
+def snd_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     """Union of MAC polytopes over all decoded sets containing the own cell.
 
     Within the part for decoded set omega, users outside omega contribute
     their coherent power to the bound denominators and their rate coordinates
-    are unconstrained.  Exponential in L; refuses L > max_cells.
+    are unconstrained.  Exponential in L: the 2^(L-1) parts hold
+    2 * 3^(L-1) - 2^(L-1) constraints, which allows L <= 12.
     """
     L = state.L
-    if L > max_cells:
-        raise ValueError(
-            f"snd_region enumerates 2^(L-1) decoded sets; L={L} exceeds the "
-            f"supported limit of {max_cells}")
-    check_indices(state, j, i)
-    masks = _ordered_masks(L)
-    omegas = [om for om in range(1, 1 << L) if om >> j & 1]
-    thetas = [masks[masks & ~om == 0] for om in omegas]
-    return RegionFamily(kind="snd", parts=_parts(state, j, i, omegas, thetas),
-                        omegas=tuple(omegas))
+    _check("snd", state, j, i, 2 * 3 ** (L - 1) - (1 << (L - 1)))
+    omega = np.arange(1 << L)
+    return _region("snd", state, j, i, omega[omega >> j & 1 == 1], _ordered_masks(L))

@@ -7,6 +7,7 @@ import pytest
 import numpy as np
 
 import mcmimo.montecarlo as mc
+import mcmimo.regions as regions
 from mcmimo import PRESET_NAMES, SCHEMES
 from mcmimo.cli import ConfigError, RunConfig, emit_csv, main, parse_config
 from mcmimo.montecarlo import MAX_TRIALS
@@ -392,6 +393,25 @@ class TestCliCommands:
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("scheme, L", [("sd", 21), ("ssnd", 22), ("snd", 13)])
+    def test_region_size_limit_is_one_error_line(self, scheme, L, tmp_path, monkeypatch,
+                                                  capsys):
+        # the constraint count is checked before any mask is made
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated an over-limit region")
+
+        monkeypatch.setattr(regions, "_ordered_masks", fail)
+        cfg = tmp_path / "ring.json"
+        cfg.write_text(json.dumps(ring_config(L)))
+        assert run_cli("region", "--config", str(cfg), "--scheme", scheme) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        count = {"sd": 2 ** L - 1, "ssnd": 2 ** (L - 1),
+                 "snd": 2 * 3 ** (L - 1) - 2 ** (L - 1)}[scheme]
+        assert out.err.splitlines() == [
+            f"error: {scheme} region at L={L} has {count} constraints, above the "
+            f"limit of {regions.MAX_CONSTRAINTS}"]
+
 
 GOLDEN = Path(__file__).resolve().parent / "data"
 # An explicit 6-cell ring (tests/data/ring6.json): beyond three cells the
@@ -399,7 +419,8 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 # its interference sum once ran in numpy index order.
 RING = "ring6"
 GOLDEN_CASES = [(p, k) for p in PRESET_NAMES for k in ("region", "sweep", "symrate")] + [
-    (RING, "region"), (RING, "symrate")]
+    (RING, "region"), (RING, "symrate"), ("three-cell-theta", "region-nats"),
+    (RING, "region-nats")]
 
 
 def golden_commands(preset: str, kind: str):
@@ -408,6 +429,10 @@ def golden_commands(preset: str, kind: str):
         schemes, bss = ("sd", "ssnd", "snd"), (0,)
     else:
         source, schemes, bss = ["--preset", preset], SCHEMES, (0, 1)
+    if kind == "region-nats":
+        # the nats emit of one SND region and one SD region
+        scheme, bs = ("sd", "0") if preset == RING else ("snd", "1")
+        return [["region", *source, "--scheme", scheme, "--bs", bs, "--unit", "nats"]]
     if kind == "symrate":
         return [["symrate", *source, "--scheme", s] for s in schemes]
     if kind == "region":

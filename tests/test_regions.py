@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import (Polytope, max_symmetric_rate, sd_max_symmetric, sd_region, snd_region,
-                    ssnd_max_symmetric, ssnd_region, tin_rate, tin_region)
+from mcmimo import (Polytope, max_symmetric_rate, regions, sd_max_symmetric, sd_region,
+                    snd_region, ssnd_max_symmetric, ssnd_region, tin_rate, tin_region)
+from mcmimo.bounds import subset_sum
 
-from oracles import (cells, direct_bound, fading_states, random_state, snd_member_three_cell,
-                     snd_member_two_cell)
+from oracles import (cells, direct_bound, fading_states, random_state, ring_state,
+                     snd_member_three_cell, snd_member_two_cell)
 
 
 class TestConstruction:
@@ -32,9 +35,9 @@ class TestConstruction:
         state = random_state(rng, L=3)
         region = snd_region(state, 1, 0)
         assert len(region.parts) == 4
-        assert all(om & 0b10 for om in region.omegas)
+        assert all(om & 0b10 for om in region.omega.tolist())
         # the part for decoded set omega constrains exactly its subsets
-        for om, part in zip(region.omegas, region.parts):
+        for om, part in zip(region.omega.tolist(), region.parts):
             assert len(part.constraints) == 2 ** om.bit_count() - 1
             assert all(mask & ~om == 0 for mask, _ in part.constraints)
 
@@ -72,11 +75,51 @@ class TestConstruction:
                 with pytest.raises(ValueError, match="out of range"):
                     builder(state, j, i)
 
-    def test_snd_size_limit(self):
+    def test_snd_size_limit(self, monkeypatch):
+        # MAX_CONSTRAINTS bounds the exact count, 2 * 3^(L-1) - 2^(L-1) for SND
         rng = np.random.default_rng(37)
         state = random_state(rng, L=5)
+        count = 2 * 3 ** 4 - 2 ** 4
+        monkeypatch.setattr(regions, "MAX_CONSTRAINTS", count - 1)
         with pytest.raises(ValueError, match="limit"):
-            snd_region(state, 0, 0, max_cells=4)
+            snd_region(state, 0, 0)
+        monkeypatch.setattr(regions, "MAX_CONSTRAINTS", count)
+        assert len(snd_region(state, 0, 0).theta) == count
+
+    @pytest.mark.parametrize("builder, count", [(sd_region, 2 ** 5 - 1),
+                                                (ssnd_region, 2 ** 4)])
+    def test_sd_and_ssnd_size_limits(self, builder, count, monkeypatch):
+        state = random_state(np.random.default_rng(38), L=5)
+        monkeypatch.setattr(regions, "MAX_CONSTRAINTS", count - 1)
+        with pytest.raises(ValueError, match="limit"):
+            builder(state, 0, 0)
+        monkeypatch.setattr(regions, "MAX_CONSTRAINTS", count)
+        assert len(builder(state, 0, 0).theta) == count
+
+    @pytest.mark.parametrize("builder, L", [(sd_region, 21), (ssnd_region, 22),
+                                            (snd_region, 13)])
+    def test_over_limit_rejected_before_allocating(self, builder, L, monkeypatch):
+        state = random_state(np.random.default_rng(L), L=L, K=1)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated an over-limit region")
+
+        for name in ("arange", "zeros", "empty"):
+            monkeypatch.setattr(np, name, fail)
+        with pytest.raises(ValueError, match=f"at L={L} .* above the limit of {1 << 20}"):
+            builder(state, 0, 0)
+
+    def test_snd_memory_peak(self):
+        # the tuple-of-Polytopes SND region of this ring peaked at 52.5 MiB
+        state = ring_state(np.random.default_rng(12), 12, K=2, M=3e4)
+        tracemalloc.start()
+        try:
+            region = snd_region(state, 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(region.theta) == 2 * 3 ** 11 - 2 ** 11
+        assert peak <= 52.5 * 2 ** 20
 
 
 class TestSubsetSumTable:
@@ -84,13 +127,21 @@ class TestSubsetSumTable:
     sums, as the solvers sum their sets, so the scheme identities hold to
     the exact float."""
 
+    def test_doubling_table_is_subset_sum_to_the_bit(self):
+        rng = np.random.default_rng(48)
+        for L in range(0, 13):
+            for scale in (1.0, 1e-3, 1e6):
+                coh = scale * rng.uniform(0.0, 1.0, L) ** 3
+                want = [subset_sum(coh.tolist(), mask) for mask in range(1 << L)]
+                assert regions._subset_sums(coh).tolist() == want
+
     def test_full_snd_part_is_the_sd_polytope(self):
         rng = np.random.default_rng(39)
         for _ in range(100):
             state = random_state(rng, L=int(rng.integers(1, 7)))
             j = int(rng.integers(state.L))
             snd = snd_region(state, j, 0)
-            full = snd.omegas.index((1 << state.L) - 1)
+            full = snd.omega.tolist().index((1 << state.L) - 1)
             assert snd.parts[full] == sd_region(state, j, 0).parts[0]
 
     def test_polytope_rates_equal_the_fast_solvers(self):
@@ -114,7 +165,7 @@ class TestSubsetSumTable:
             if j == snd_bs:
                 regions.append(snd_region(state, j, i))
             for region in regions:
-                for omega, part in zip(region.omegas, region.parts):
+                for omega, part in zip(region.omega.tolist(), region.parts):
                     for theta, bound in part.constraints:
                         want = direct_bound(state, j, i, cells(theta), cells(omega))
                         assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -289,3 +340,42 @@ class TestSndUnionAgainstExplicitConditions:
             for pt in rng.uniform(0.0, top, size=(500, 2)):
                 assert snd.contains(pt) == (
                     ssnd.contains(pt) or tin.contains(pt))
+
+
+class TestColumns:
+    """The columns against direct evaluation, the ``parts`` view against the
+    validating constructor, and column membership against the parts."""
+
+    @settings(max_examples=40)
+    @given(fading_states(), st.data())
+    def test_columns_parts_and_membership(self, case, data):
+        state, i = case
+        j = data.draw(st.integers(0, state.L - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        for builder in (tin_region, sd_region, ssnd_region, snd_region):
+            region = builder(state, j, i)
+            ends = region.offsets.tolist()
+            assert ends[0] == 0 and ends[-1] == len(region.theta) == len(region.bound)
+            rebuilt = []
+            for omega, a, b in zip(region.omega.tolist(), ends, ends[1:]):
+                pairs = list(zip(region.theta[a:b].tolist(), region.bound[a:b].tolist()))
+                for theta, bound in pairs:
+                    want = direct_bound(state, j, i, cells(theta), cells(omega))
+                    assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
+                rebuilt.append(Polytope(state.L, tuple(pairs)))
+                assert rebuilt[-1].constraints == tuple(pairs)  # already in order
+            assert region.parts == tuple(rebuilt)
+
+            rate = max(max_symmetric_rate(part)[0] for part in region.parts)
+            points = list(rng.uniform(0.0, 1.5 * region.bound.max(), (20, state.L)))
+            points += [np.full(state.L, r) for r in
+                       (rate, np.nextafter(rate, 0.0), np.nextafter(rate, np.inf))]
+            # unequal rates scaled onto a constraint, where the order of the
+            # additions decides the last bit
+            for c in rng.integers(len(region.theta), size=5).tolist():
+                point = rng.uniform(0.5, 1.0, state.L)
+                point *= region.bound[c] / subset_sum(point.tolist(), int(region.theta[c]))
+                points += [point, np.nextafter(point, 0.0), np.nextafter(point, np.inf)]
+            for point in points:
+                assert region.contains(point) == \
+                    any(part.contains(point) for part in region.parts)

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcmimo import (classify_two_cell, network_symmetric_rate, preset_scenario, scenarios,
-                    sweep, two_cell_ordering_check)
+from mcmimo import (SCHEMES, classify_two_cell, network_symmetric_rate, preset_scenario,
+                    scenarios, sweep, two_cell_ordering_check)
 from mcmimo.scenarios import MAX_GRID_POINTS, REL_TOL, Scenario, case_margin
 from mcmimo import ChannelState, SystemParams
 
@@ -93,6 +93,18 @@ class TestOrderingCheck:
         for m in np.geomspace(1e3, 1e7, 9):
             chk = two_cell_ordering_check(sc.with_axis("M", m).state())
             assert chk.passed, f"ordering check failed at M={m:g}: {chk}"
+
+    @pytest.mark.parametrize("preset", ["two-cell-scenario-a", "two-cell-scenario-b"])
+    def test_rates_equal_single_scheme_solves(self, preset):
+        # one stacked call for all four schemes gives each scheme's own rate
+        sc = preset_scenario(preset)
+        for m in np.geomspace(1e2, 1e7, 16):
+            state = sc.with_axis("M", m).state()
+            for j in range(2):
+                got = two_cell_ordering_check(state, j).rates
+                want = {s: network_symmetric_rate(state, s).per_bs[j].rate for s in SCHEMES}
+                assert {s: r.hex() for s, r in got.items()} == \
+                    {s: r.hex() for s, r in want.items()}
 
     def test_case_ii_ordering_and_half_sum_value(self):
         state = preset_scenario("two-cell-scenario-a").with_axis("M", 1e5).state()
