@@ -112,6 +112,23 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+_COUNT_WORDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _number(key: str, val, count: bool = False, least: int | None = None):
+    """The config value ``val`` of ``key`` as a float or, for a ``count``,
+    an int of at least ``least``.  JSON booleans are rejected although
+    Python counts them as ints, and so is a count with a fractional part."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if not count:
+        _require(number, f"{key} must be a number, got {val!r}")
+        return float(val)
+    _require(number and (isinstance(val, int) or val.is_integer()) and
+             (least is None or val >= least),
+             f"{key} must be {_COUNT_WORDS[least]}, got {val!r}")
+    return int(val)
+
+
 def _reject_unknown(raw: dict, allowed: set, what: str) -> None:
     unknown = sorted(set(raw) - allowed)
     if unknown:
@@ -127,11 +144,10 @@ def _parse_params(raw: dict, m_default: float | None = None) -> SystemParams:
         _require(req in raw, f"params is missing required key {req!r}")
     _require("M" in raw or m_default is not None,
              "params is missing required key 'M' (only omittable when sweeping axis 'M')")
+    values = {key: _number(f"params key {key!r}", raw[key], count=key in ("L", "K"))
+              for key in raw}
     try:
-        return SystemParams(
-            L=int(raw["L"]), K=int(raw["K"]), M=float(raw.get("M", m_default)),
-            rho_u=float(raw["rho_u"]), rho_p=float(raw["rho_p"]),
-            alpha_pl=float(raw.get("alpha_pl", 2.0)), d0=float(raw.get("d0", 100.0)))
+        return SystemParams(**{"M": m_default, "alpha_pl": 2.0, "d0": 100.0, **values})
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
@@ -156,8 +172,7 @@ def _parse_layout(raw: dict, params: SystemParams) -> Scenario:
                  f"params.K = {params.K}")
         return Scenario.from_layout(layout, params)
     _require("x" in body, "layout is missing required key 'x'")
-    for key, val in body.items():
-        _require(isinstance(val, (int, float)), f"layout key {key!r} must be a number")
+    body = {key: _number(f"layout key {key!r}", val) for key, val in body.items()}
     _require(body["x"] > 0, f"layout key 'x' must be positive, got {body['x']}")
     if "spacing" in body:
         _require(body["spacing"] > 0,
@@ -175,7 +190,7 @@ def _parse_layout(raw: dict, params: SystemParams) -> Scenario:
         body.setdefault("outer_angle_deg", 180.0)
         _require(params.L == 3, f"three_cell layout requires params.L = 3, got {params.L}")
     return Scenario(params=params, layout_kind=kind,
-                    layout_args=tuple(sorted((k, float(v)) for k, v in body.items())))
+                    layout_args=tuple(sorted(body.items())))
 
 
 def _parse_grid(raw) -> tuple[float, ...]:
@@ -183,17 +198,15 @@ def _parse_grid(raw) -> tuple[float, ...]:
         _require(len(raw) > 0, "grid must be nonempty")
         _require(len(raw) <= MAX_GRID_POINTS,
                  f"grid has {len(raw)} points; at most {MAX_GRID_POINTS} are allowed")
-        try:
-            grid = tuple(float(v) for v in raw)
-        except (TypeError, ValueError):
-            raise ConfigError("grid entries must be numbers") from None
+        grid = tuple(_number("grid entry", v) for v in raw)
     elif isinstance(raw, dict):
         _reject_unknown(raw, {"scale", "start", "stop", "num"}, "grid")
         for req in ("start", "stop", "num"):
             _require(req in raw, f"grid is missing required key {req!r}")
         scale = raw.get("scale", "lin")
         _require(scale in ("lin", "log"), f"grid scale must be 'lin' or 'log', got {scale!r}")
-        start, stop, num = float(raw["start"]), float(raw["stop"]), int(raw["num"])
+        start, stop = _number("grid start", raw["start"]), _number("grid stop", raw["stop"])
+        num = _number("grid num", raw["num"], count=True)
         _require(2 <= num <= MAX_GRID_POINTS,
                  f"grid num must be in [2, {MAX_GRID_POINTS}], got {num}")
         _require(start < stop, f"grid start must be below stop, got [{start}, {stop}]")
@@ -251,29 +264,20 @@ def parse_config(source) -> RunConfig:
     scheme = raw.get("scheme")
     _require(scheme is None or scheme in SCHEMES,
              f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), f"seed must be an integer, got {seed!r}")
-    trials = raw.get("trials", 10000)
-    _require(isinstance(trials, int) and trials > 0,
-             f"trials must be a positive integer, got {trials!r}")
-    bs = raw.get("bs", 0)
-    pilot = raw.get("pilot", 0)
-    for key, val in (("bs", bs), ("pilot", pilot)):
-        _require(isinstance(val, int) and val >= 0,
-                 f"{key} must be a nonnegative integer, got {val!r}")
+    seed = _number("seed", raw.get("seed", 0), count=True)
+    trials = _number("trials", raw.get("trials", 10000), count=True, least=1)
+    bs = _number("bs", raw.get("bs", 0), count=True, least=0)
+    pilot = _number("pilot", raw.get("pilot", 0), count=True, least=0)
     omega = raw.get("omega")
     if omega is not None:
-        _require(isinstance(omega, (list, tuple)) and
-                 all(isinstance(v, int) and v >= 0 for v in omega),
+        _require(isinstance(omega, (list, tuple)),
                  "omega must be a list of nonnegative cell indices")
-        omega = tuple(sorted(set(omega)))
+        omega = tuple(sorted({_number("omega entry", v, count=True, least=0) for v in omega}))
     m = raw.get("m")
     if m is not None:
-        _require(isinstance(m, (int, float)) and m > 0, f"m must be positive, got {m!r}")
-        m = float(m)
-    workers = raw.get("workers", 1)
-    _require(isinstance(workers, int) and workers >= 1,
-             f"workers must be a positive integer, got {workers!r}")
+        m = _number("m", m)
+        _require(m > 0, f"m must be positive, got {m!r}")
+    workers = _number("workers", raw.get("workers", 1), count=True, least=1)
     out = raw.get("out")
     _require(out is None or isinstance(out, str), "out must be a path string")
     return RunConfig(scenario=scenario, unit=unit, scheme=scheme, axis=axis,
@@ -350,7 +354,7 @@ def _parse_grid_spec(spec: str) -> tuple[float, ...]:
         _require(len(parts) in (3, 4), f"grid spec must be lo:hi:n[:log|lin], got {spec!r}")
         scale = parts[3] if len(parts) == 4 else "lin"
         return _parse_grid({"start": float(parts[0]), "stop": float(parts[1]),
-                            "num": int(parts[2]), "scale": scale})
+                            "num": float(parts[2]), "scale": scale})
     try:
         return _parse_grid([float(v) for v in spec.split(",")])
     except ValueError as exc:

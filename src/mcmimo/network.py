@@ -25,6 +25,7 @@ __all__ = [
     "pathloss",
     "build_fading",
     "fading_stack",
+    "layout_stack",
     "two_cell_layout",
     "three_cell_layout",
 ]
@@ -142,21 +143,18 @@ def build_fading(layout: CellLayout, params: SystemParams) -> np.ndarray:
     the layout dimensions disagree with ``params`` or if a user sits exactly
     on a BS.
     """
-    return fading_stack([layout], params)[0]
+    return fading_stack(layout.bs[None], layout.users[None], params)[0]
 
 
-def fading_stack(layouts, params: SystemParams) -> np.ndarray:
-    """Fading tensors of G layouts in one pass, as a (G, L, K, L) array whose
-    row g is :func:`build_fading` of ``layouts[g]``."""
-    for layout in layouts:
-        if layout.num_cells != params.L:
-            raise ValueError(
-                f"layout has {layout.num_cells} cells but params.L = {params.L}")
-        if layout.users_per_cell != params.K:
-            raise ValueError(f"layout has {layout.users_per_cell} users per cell but "
-                             f"params.K = {params.K}")
-    bs = np.stack([layout.bs for layout in layouts])
-    users = np.stack([layout.users for layout in layouts])
+def fading_stack(bs: np.ndarray, users: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Fading tensors of G layouts in one pass, from their (G, L, 2) BS and
+    (G, L, K, 2) user positions, as a (G, L, K, L) array whose row g is
+    :func:`build_fading` of layout g."""
+    if bs.shape[1] != params.L:
+        raise ValueError(f"layout has {bs.shape[1]} cells but params.L = {params.L}")
+    if users.shape[2] != params.K:
+        raise ValueError(f"layout has {users.shape[2]} users per cell but "
+                         f"params.K = {params.K}")
     # diff[g, j, l, k] = user k of cell l relative to BS j
     diff = users[:, None, :, :, :] - bs[:, :, None, None, :]
     dist = np.linalg.norm(diff, axis=-1)  # (G, L, L, K), indexed [g, j, l, k]
@@ -182,6 +180,62 @@ def _mirrored_pair(center_a, center_b, radius, angle_deg):
     return pa, pb
 
 
+def _two_cell_points(users_per_cell: int, x: float, spacing: float,
+                     user_angle_deg: float = 180.0):
+    """BS points and one user point per cell of one :func:`two_cell_layout`."""
+    if x <= 0:
+        raise ValueError(f"cell radius x must be positive, got {x!r}")
+    if spacing <= 0:
+        raise ValueError(f"BS spacing must be positive, got {spacing!r}")
+    if users_per_cell < 1:
+        raise ValueError("users_per_cell must be >= 1")
+    bs = ((0.0, 0.0), (spacing, 0.0))
+    return bs, _mirrored_pair(*bs, x, user_angle_deg)
+
+
+def _three_cell_points(users_per_cell: int, x: float, spacing: float | None = None,
+                       theta_deg: float = 90.0, outer_angle_deg: float = 180.0):
+    """BS points and one user point per cell of one :func:`three_cell_layout`."""
+    if x <= 0:
+        raise ValueError(f"cell radius x must be positive, got {x!r}")
+    if spacing is None:
+        spacing = 2.0 * x
+    if spacing <= 0:
+        raise ValueError(f"BS spacing must be positive, got {spacing!r}")
+    if not 0.0 <= theta_deg <= 360.0:
+        raise ValueError(f"theta_deg must be in [0, 360], got {theta_deg!r}")
+    if users_per_cell < 1:
+        raise ValueError("users_per_cell must be >= 1")
+    bs = ((0.0, 0.0), (spacing, 0.0), (2.0 * spacing, 0.0))
+    p_left, p_right = _mirrored_pair(bs[0], bs[2], x, outer_angle_deg)
+    th = math.radians(theta_deg)
+    p_mid = (spacing - x * math.cos(th), x * math.sin(th))
+    return bs, (p_left, p_mid, p_right)
+
+
+_RECIPES = {"two_cell": _two_cell_points, "three_cell": _three_cell_points}
+
+
+def layout_stack(kind: str, users_per_cell: int, recipes) -> tuple[np.ndarray, np.ndarray]:
+    """BS positions (G, L, 2) and user positions (G, L, K, 2) of G canonical
+    layouts.
+
+    ``kind`` is ``two_cell`` or ``three_cell``, and each of the G
+    ``recipes`` holds the keyword arguments of :func:`two_cell_layout` or
+    :func:`three_cell_layout` other than ``users_per_cell``, which are
+    this function's G = 1 views.  Every recipe is checked in turn, and its
+    points come from ``math`` trig on scalars, as numpy's trig can differ
+    in the last bit.
+    """
+    if kind not in _RECIPES:
+        raise ValueError(f"unknown layout kind {kind!r}")
+    points = _RECIPES[kind]
+    bs, users = zip(*(points(users_per_cell, **recipe) for recipe in recipes))
+    users = np.array(users, dtype=float)[:, :, None, :]
+    return (np.array(bs, dtype=float),
+            np.repeat(users, users_per_cell, axis=2))
+
+
 def two_cell_layout(x: float, spacing: float, user_angle_deg: float = 180.0,
                     users_per_cell: int = 1) -> CellLayout:
     """Symmetric two-cell layout: BSs ``spacing`` apart, users at radius ``x``.
@@ -192,16 +246,9 @@ def two_cell_layout(x: float, spacing: float, user_angle_deg: float = 180.0,
     so the cross-cell distance is ``spacing + x``; 0 deg ("facing") gives a
     cross distance of ``spacing - x``.
     """
-    if x <= 0:
-        raise ValueError(f"cell radius x must be positive, got {x!r}")
-    if spacing <= 0:
-        raise ValueError(f"BS spacing must be positive, got {spacing!r}")
-    if users_per_cell < 1:
-        raise ValueError("users_per_cell must be >= 1")
-    bs = np.array([[0.0, 0.0], [spacing, 0.0]])
-    p1, p2 = _mirrored_pair(bs[0], bs[1], x, user_angle_deg)
-    users = np.array([[p1] * users_per_cell, [p2] * users_per_cell])
-    return CellLayout(bs, users)
+    bs, users = layout_stack("two_cell", users_per_cell, [dict(
+        x=x, spacing=spacing, user_angle_deg=user_angle_deg)])
+    return CellLayout(bs[0], users[0])
 
 
 def three_cell_layout(x: float, spacing: float | None = None, theta_deg: float = 90.0,
@@ -216,23 +263,6 @@ def three_cell_layout(x: float, spacing: float | None = None, theta_deg: float =
     from the ray toward BS 0, so theta = 0 is nearest cell 0 and theta = 180
     nearest cell 2.  The layout for theta and 360 - theta is mirror-identical.
     """
-    if x <= 0:
-        raise ValueError(f"cell radius x must be positive, got {x!r}")
-    if spacing is None:
-        spacing = 2.0 * x
-    if spacing <= 0:
-        raise ValueError(f"BS spacing must be positive, got {spacing!r}")
-    if not 0.0 <= theta_deg <= 360.0:
-        raise ValueError(f"theta_deg must be in [0, 360], got {theta_deg!r}")
-    if users_per_cell < 1:
-        raise ValueError("users_per_cell must be >= 1")
-    bs = np.array([[0.0, 0.0], [spacing, 0.0], [2.0 * spacing, 0.0]])
-    p_left, p_right = _mirrored_pair(bs[0], bs[2], x, outer_angle_deg)
-    th = math.radians(theta_deg)
-    p_mid = (spacing - x * math.cos(th), x * math.sin(th))
-    users = np.array([
-        [p_left] * users_per_cell,
-        [p_mid] * users_per_cell,
-        [p_right] * users_per_cell,
-    ])
-    return CellLayout(bs, users)
+    bs, users = layout_stack("three_cell", users_per_cell, [dict(
+        x=x, spacing=spacing, theta_deg=theta_deg, outer_angle_deg=outer_angle_deg)])
+    return CellLayout(bs[0], users[0])

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["pool_size", "parallel_map"]
 
@@ -20,5 +19,8 @@ def parallel_map(fn, args: list, workers: int) -> list:
     size = pool_size(workers, len(args))
     if size <= 1:
         return [fn(a) for a in args]
+    # imported here: it loads multiprocessing, which a run without a pool
+    # never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, args))

@@ -13,15 +13,15 @@ The bundled presets use the reference parameter set K=4, path-loss exponent
 Sweeps evaluate the four network symmetric rates on a grid and locate
 scheme-ordering changes and two-cell case transitions by bisection.  Every
 evaluation is one stacked call of :func:`~mcmimo.symrate.stacked_rates`
-over many axis values: the grid at once, then one call per bisection step,
-in which every open bracket of every indicator moves to its midpoint
-together (lockstep).  An M sweep builds one channel state and scales its
-coherent powers by each M; a radius or theta sweep stacks its layouts and
-computes their fading and MMSE statistics in one pass.  Stacks are split
-into chunks of bounded memory, which changes no output bit.  All
-thresholds of a sweep share one memo of evaluated values, so a bracket
-where several orderings flip is refined once and no axis value is
-evaluated twice.
+over many axis values: the grid at once, then calls that each resolve
+several bisection levels of every open bracket, as many as the grid
+length allows.  An M sweep builds one channel state and scales its
+coherent powers by each M; a radius or theta sweep builds its positions
+as arrays straight from the layout recipe and computes their fading and
+MMSE statistics in one pass.  Stacks are split into chunks of bounded
+memory, which changes no output bit.  All thresholds of a sweep share one
+memo of evaluated values, so a bracket where several orderings flip is
+refined once and no axis value is evaluated twice.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import numpy as np
 from .bounds import (check_indices, coherent_power, coherent_powers, mac_bound, noise_floor,
                      noise_floors)
 from .estimation import ChannelState, check_fading, mmse_coeffs
-from .network import (CellLayout, SystemParams, fading_stack, three_cell_layout,
-                      two_cell_layout)
+from .network import CellLayout, SystemParams, fading_stack, layout_stack
 from .symrate import SCHEMES, STACK_BYTES, stacked_rates
 
 __all__ = [
@@ -59,6 +58,7 @@ SWEEP_AXES = ("M", "radius_x", "theta")
 REL_TOL = 1e-3  # relative bracket width at which a sweep bisection stops
 EQ_RTOL = 1e-9  # relative band within which two rates count as equal
 MAX_GRID_POINTS = 10_000  # points of one sweep grid, at most
+_RECIPE_KEYS = {"radius_x": "x", "theta": "theta_deg"}  # geometry axis -> recipe argument
 
 _REFERENCE = dict(K=4, rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
 
@@ -79,14 +79,10 @@ class Scenario:
     name: str | None = None
 
     def layout(self) -> CellLayout:
-        args = dict(self.layout_args)
-        if self.layout_kind == "two_cell":
-            return two_cell_layout(users_per_cell=self.params.K, **args)
-        if self.layout_kind == "three_cell":
-            return three_cell_layout(users_per_cell=self.params.K, **args)
         if self.layout_kind == "explicit":
-            return CellLayout.from_dict(args["layout_dict"])
-        raise ValueError(f"unknown layout kind {self.layout_kind!r}")
+            return CellLayout.from_dict(dict(self.layout_args)["layout_dict"])
+        bs, users = layout_stack(self.layout_kind, self.params.K, [dict(self.layout_args)])
+        return CellLayout(bs[0], users[0])
 
     def state(self) -> ChannelState:
         return ChannelState.from_layout(self.layout(), self.params)
@@ -101,18 +97,27 @@ class Scenario:
         """Scenario with one swept quantity replaced."""
         if axis == "M":
             return replace(self, params=self.params.with_m(float(value)))
+        args = self._recipe(axis)
+        args[_RECIPE_KEYS[axis]] = float(value)
+        return replace(self, layout_args=tuple(sorted(args.items())))
+
+    def positions(self, axis: str, values) -> tuple[np.ndarray, np.ndarray]:
+        """BS positions (G, L, 2) and user positions (G, L, K, 2) of the
+        layouts at G values of the geometry axis ``axis``; row g is the
+        layout of ``with_axis(axis, values[g])``."""
+        args, key = self._recipe(axis), _RECIPE_KEYS[axis]
+        return layout_stack(self.layout_kind, self.params.K,
+                            [{**args, key: float(v)} for v in values])
+
+    def _recipe(self, axis: str) -> dict:
+        """The layout recipe arguments, once ``axis`` is known to move one."""
         if self.layout_kind == "explicit":
             raise ValueError(f"axis {axis!r} requires a canonical (two/three cell) layout")
-        args = dict(self.layout_args)
-        if axis == "radius_x":
-            args["x"] = float(value)
-        elif axis == "theta":
-            if self.layout_kind != "three_cell":
-                raise ValueError("axis 'theta' requires the three-cell layout")
-            args["theta_deg"] = float(value)
-        else:
+        if axis not in _RECIPE_KEYS:
             raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-        return replace(self, layout_args=tuple(sorted(args.items())))
+        if axis == "theta" and self.layout_kind != "three_cell":
+            raise ValueError("axis 'theta' requires the three-cell layout")
+        return dict(self.layout_args)
 
 
 def _reference_params(L: int, M: float) -> SystemParams:
@@ -285,7 +290,7 @@ def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int
         beta, alpha = base.beta, base.stats.alpha
     else:
         m = p.M
-        beta = fading_stack([scenario.with_axis(axis, v).layout() for v in values], p)
+        beta = fading_stack(*scenario.positions(axis, values), p)
         check_fading(beta)
         alpha = mmse_coeffs(beta, p).alpha
     coh = coherent_powers(m, p, beta, alpha, pilot)
@@ -328,6 +333,11 @@ _SIGN_LABEL = {-1: "<", 0: "=", 1: ">"}
 _CASE_LABEL = {1: "case_i", -1: "case_ii"}
 
 
+def _is_open(lo: float, hi: float) -> bool:
+    """Whether bisection still narrows the bracket [lo, hi]."""
+    return hi - lo > REL_TOL * max(abs(lo), abs(hi))
+
+
 @dataclass
 class _Bracket:
     """A change of one indicator between grid neighbours, narrowed by
@@ -341,8 +351,31 @@ class _Bracket:
     lo: float
     hi: float
 
-    def is_open(self) -> bool:
-        return self.hi - self.lo > REL_TOL * max(abs(self.lo), abs(self.hi))
+    def bisect(self, memo: dict, steps: int) -> None:
+        """Take up to ``steps`` bisection steps, reading the signs at the
+        midpoints from ``memo``."""
+        for _ in range(steps):
+            if not _is_open(self.lo, self.hi):
+                return
+            mid = 0.5 * (self.lo + self.hi)
+            if memo[mid][self.key] == self.s_lo:
+                self.lo = mid
+            else:
+                self.hi = mid
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint that up to ``levels`` bisection steps from [lo, hi]
+    can visit: the nodes of its bisection tree of that depth whose
+    interval is still open."""
+    mids, todo = [], [(lo, hi, levels)]
+    while todo:
+        lo, hi, levels = todo.pop()
+        if levels and _is_open(lo, hi):
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            todo += [(lo, mid, levels - 1), (mid, hi, levels - 1)]
+    return mids
 
 
 def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
@@ -353,11 +386,16 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
     every scheme pair and, for two-cell scenarios, the sign of the case
     margin.  Each change of an indicator between grid neighbours is refined
     by bisection until the bracket shrinks below ``REL_TOL`` relative width.
-    All open brackets step in lockstep: each step evaluates the midpoints
-    not yet in the memo in one stacked call, then moves every bracket by
-    the usual rule, so the thresholds equal those of bisecting one bracket
-    at a time.  The memo is seeded by the grid rows, so a midpoint that
-    several indicators visit is evaluated once.
+    Each refinement call resolves d levels at once, the most for which the
+    n distinct open brackets need at most n (2^d - 1) <= ``len(grid)``
+    values (at least one level): it evaluates, in one stacked call, every
+    midpoint of each bracket's depth-d bisection tree whose interval is
+    still open and that is not yet in the memo, then moves every bracket
+    up to d steps by the usual rule, reading only the memo.  So each
+    bracket visits the midpoints that bisecting it alone would, and the
+    thresholds equal those of bisecting one bracket at a time.  The memo
+    is seeded by the grid rows, so a midpoint that several indicators
+    visit is evaluated once.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -396,18 +434,18 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
                 for key, (name, labels) in enumerate(indicators)
                 for lo, hi in zip(grid, grid[1:]) if memo[lo][key] != memo[hi][key]]
 
-    active = [b for b in brackets if b.is_open()]
+    active = [b for b in brackets if _is_open(b.lo, b.hi)]
     while active:
-        mids = [0.5 * (b.lo + b.hi) for b in active]
-        new = list(dict.fromkeys(v for v in mids if v not in memo))
+        spans = {(b.lo, b.hi) for b in active}
+        # the most levels whose trees, 2^d - 1 nodes per span, fit in a
+        # stack as long as the grid
+        levels = max(1, (len(grid) // len(spans) + 1).bit_length() - 1)
+        new = {v for lo, hi in spans for v in _midpoints(lo, hi, levels) if v not in memo}
         if new:
-            fill(new)
-        for b, mid in zip(active, mids):
-            if memo[mid][b.key] == b.s_lo:
-                b.lo = mid
-            else:
-                b.hi = mid
-        active = [b for b in active if b.is_open()]
+            fill(sorted(new))
+        for b in active:
+            b.bisect(memo, levels)
+        active = [b for b in active if _is_open(b.lo, b.hi)]
 
     thresholds = sorted((Crossing(name=b.name, before=b.labels[b.s_lo],
                                   after=b.labels[b.s_hi], value=0.5 * (b.lo + b.hi),

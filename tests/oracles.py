@@ -13,8 +13,10 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from mcmimo import CellLayout, ChannelState, SystemParams
+from mcmimo import (SCHEMES, CellLayout, ChannelState, SystemParams, classify_two_cell,
+                    network_symmetric_rate)
 from mcmimo.bounds import capacity, coherent_power, noise_floor
+from mcmimo.scenarios import EQ_RTOL, REL_TOL, Crossing, SweepRow
 from mcmimo.montecarlo import (_TrialStats, complex_normal, despread_pilots, mmse_estimate,
                                sample_channels)
 
@@ -42,6 +44,82 @@ def case_threshold_m(state: ChannelState, j: int, i: int) -> float:
     c = coherent_power(state, j, i) / state.params.M
     c_own, c_cross = c[j], c[1 - j]
     return float(noise_floor(state, j) * (c_own - c_cross) / c_cross ** 2)
+
+
+def sequential_sweep(scenario, axis: str, grid, pilot: int = 0):
+    """The rows and thresholds of ``sweep``, from one channel state per axis
+    value and one bracket bisected at a time.
+
+    Every value gets its own ``scenario.with_axis(axis, value).state()``,
+    its network rates from ``network_symmetric_rate`` per scheme and, for
+    two cells, its case from ``classify_two_cell`` at BS 0.  The indicators
+    are the order of every scheme pair, with rates within relative EQ_RTOL
+    of each other (or of 1) counting as equal, and the case label.  Each
+    change of an indicator between grid neighbours is bisected on its own
+    until the bracket is narrower than REL_TOL relative.
+    """
+    points = {}
+
+    def point(value):
+        if value not in points:
+            state = scenario.with_axis(axis, value).state()
+            rates = {s: network_symmetric_rate(state, s, pilot).network_rate for s in SCHEMES}
+            case = classify_two_cell(state, 0, pilot).label if state.L == 2 else None
+            points[value] = rates, case
+        return points[value]
+
+    def order(rates, p, q):
+        a, b = rates[p], rates[q]
+        if abs(a - b) <= EQ_RTOL * max(abs(a), abs(b), 1.0):
+            return "="
+        return ">" if a > b else "<"
+
+    indicators = {f"{p}-{q}": lambda v, p=p, q=q: order(point(v)[0], p, q)
+                  for p, q in combinations(SCHEMES, 2)}
+    if scenario.params.L == 2:
+        indicators["case"] = lambda v: point(v)[1]
+    rows = tuple(SweepRow(value=v, rates=point(v)[0], case=point(v)[1]) for v in grid)
+
+    thresholds = []
+    for name, label in indicators.items():
+        for lo, hi in zip(grid, grid[1:]):
+            before, after = label(lo), label(hi)
+            if before == after:
+                continue
+            while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
+                mid = 0.5 * (lo + hi)
+                if label(mid) == before:
+                    lo = mid
+                else:
+                    hi = mid
+            thresholds.append(Crossing(name=name, before=before, after=after,
+                                       value=0.5 * (lo + hi), rel_tol=REL_TOL))
+    return rows, tuple(sorted(thresholds, key=lambda c: (c.value, c.name)))
+
+
+def canonical_layout(kind: str, users_per_cell: int, x: float, spacing: float | None = None,
+                     user_angle_deg: float = 180.0, theta_deg: float = 90.0,
+                     outer_angle_deg: float = 180.0) -> CellLayout:
+    """A two- or three-cell recipe built one layout at a time, point by
+    point from its BS array, with scalar trig: the construction the stacked
+    layout builder must reproduce to the bit."""
+    if spacing is None:
+        spacing = 2.0 * x
+    L = 2 if kind == "two_cell" else 3
+    bs = np.array([[l * spacing, 0.0] for l in range(L)])
+
+    def mirrored(a, b, angle_deg):
+        phi = math.radians(angle_deg)
+        ux, uy = x * math.cos(phi), x * math.sin(phi)
+        return (a[0] + ux, a[1] + uy), (b[0] - ux, b[1] + uy)
+
+    if kind == "two_cell":
+        points = mirrored(bs[0], bs[1], user_angle_deg)
+    else:
+        left, right = mirrored(bs[0], bs[2], outer_angle_deg)
+        th = math.radians(theta_deg)
+        points = (left, (spacing - x * math.cos(th), x * math.sin(th)), right)
+    return CellLayout(bs, np.array([[p] * users_per_cell for p in points]))
 
 
 def cells(mask: int) -> frozenset:

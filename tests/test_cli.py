@@ -302,6 +302,46 @@ class TestCliCommands:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "out of range" in lines[0]
 
+    @pytest.mark.parametrize("command, change, message", [
+        ("region", {"bs": True}, "bs must be a nonnegative integer, got True"),
+        ("symrate", {"pilot": True}, "pilot must be a nonnegative integer, got True"),
+        ("symrate", {"workers": True}, "workers must be a positive integer, got True"),
+        ("symrate", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("symrate", {"params": {"K": True}}, "params key 'K' must be an integer, got True"),
+        ("symrate", {"params": {"L": 2.7}}, "params key 'L' must be an integer, got 2.7"),
+        ("symrate", {"params": {"K": 2.7}}, "params key 'K' must be an integer, got 2.7"),
+        ("symrate", {"params": {"rho_u": True}},
+         "params key 'rho_u' must be a number, got True"),
+        ("symrate", {"layout": {"x": True}}, "layout key 'x' must be a number, got True"),
+        ("sweep", {"axis": "M", "grid": {"start": 1e3, "stop": 1e4, "num": 2.5}},
+         "grid num must be an integer, got 2.5"),
+        ("sweep", {"axis": "M", "grid": [1e3, True]}, "grid entry must be a number, got True"),
+        ("montecarlo", {"omega": [0, True]},
+         "omega entry must be a nonnegative integer, got True"),
+    ])
+    def test_booleans_and_fractional_counts_are_one_error_line(self, command, change,
+                                                               message, tmp_path, capsys):
+        # JSON true is a Python int, and int() used to truncate 2.7 to 2
+        config = json.loads(json.dumps(GOOD_EXPLICIT))
+        for key, val in change.items():
+            if isinstance(val, dict) and key in ("params", "layout"):
+                config[key].update(val)
+            else:
+                config[key] = val
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(command, "--config", str(path)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {message}"]
+
+    def test_fractional_grid_flag_count_is_one_error_line(self, capsys):
+        assert run_cli("sweep", "--preset", "two-cell-scenario-a", "--axis", "M",
+                       "--grid", "1e3:1e4:2.5") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: grid num must be an integer, got 2.5"]
+
     @pytest.mark.parametrize("m", ["64.9", "0.5"])
     def test_unsampleable_antenna_count_is_one_error_line(self, m, capsys):
         # Monte Carlo samples whole antennas; it used to truncate M silently

@@ -1,4 +1,9 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from mcmimo.parallel import pool_size
 
@@ -17,3 +22,24 @@ class TestPoolSize:
     def test_unknown_cpu_count_means_one(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool_size(10 ** 6, 10 ** 6) == 1
+
+
+class TestLazyPool:
+    @pytest.mark.parametrize("argv", [
+        ["-c", "import mcmimo"],
+        ["-m", "mcmimo.cli", "symrate", "--preset", "two-cell-scenario-a", "--scheme", "tin"],
+    ])
+    def test_runs_without_a_pool_import_no_pool_machinery(self, argv):
+        # -X importtime lists every module the interpreter imports on stderr
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "mcmimo.parallel" in imported
+        assert "concurrent.futures" not in imported
+        assert "multiprocessing" not in imported

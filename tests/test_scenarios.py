@@ -1,15 +1,20 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmimo import (SCHEMES, classify_two_cell, network_symmetric_rate, preset_scenario,
                     scenarios, sweep, two_cell_ordering_check)
 from mcmimo.scenarios import MAX_GRID_POINTS, REL_TOL, Scenario, case_margin
-from mcmimo import ChannelState, SystemParams
+from mcmimo import ChannelState, SystemParams, build_fading, three_cell_layout, two_cell_layout
+from mcmimo.network import fading_stack
 
-from oracles import case_threshold_m, direct_bound, ring_layout, ring_params
+from oracles import (canonical_layout, case_threshold_m, direct_bound, ring_layout, ring_params,
+                     sequential_sweep)
 
 
 class TestPresets:
@@ -238,6 +243,19 @@ class TestSweepEvaluations:
         return values
 
     @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The number of axis values of every stacked evaluation."""
+        sizes = []
+        evaluate = scenarios._evaluate
+
+        def counted(scenario, axis, values, pilot, base):
+            sizes.append(len(values))
+            return evaluate(scenario, axis, values, pilot, base)
+
+        monkeypatch.setattr(scenarios, "_evaluate", counted)
+        return sizes
+
+    @pytest.fixture
     def states(self, monkeypatch):
         """Antenna counts of every channel state built by ``from_layout``."""
         built = []
@@ -260,14 +278,48 @@ class TestSweepEvaluations:
         assert len(evaluated) > len(grid)
         assert len(set(evaluated)) == len(evaluated)
 
-    def test_antenna_sweep_refines_the_shared_bracket_once(self, evaluated, states):
-        # 25 grid points plus one bisection of the bracket where all seven
-        # indicators flip; refining each indicator on its own built 88, and
-        # every value shares the one channel state of the scenario
+    def test_antenna_sweep_refines_the_shared_bracket_once(self, evaluated, stacks,
+                                                            states):
+        # 25 grid points, then the one bracket where all seven indicators
+        # flip, bisected 4 levels per call (15 <= 25 values) over 9 levels:
+        # its full 4-level tree twice, then the last midpoint.  Refining each
+        # indicator on its own built 88 values, and every value shares the
+        # one channel state of the scenario.
         result = sweep(preset_scenario("two-cell-scenario-a"), "M", M_GRID)
         assert len(result.thresholds) == 7
-        assert len(evaluated) <= 34
+        assert stacks == [25, 15, 15, 1]
+        assert len(evaluated) == 56
         assert len(states) == 1
+
+    @pytest.mark.parametrize("preset, axis, grid", [
+        ("two-cell-scenario-a", "M", M_GRID),
+        ("two-cell-scenario-a", "M", [1e3, 2e3, 3e4, 5e4, 6e4, 1e7]),
+        ("two-cell-scenario-b", "radius_x", np.linspace(200.0, 250.0, 11)),
+        ("two-cell-scenario-b", "radius_x", [150.0, 231.0, 236.0, 249.0]),
+        ("three-cell-theta", "theta", np.linspace(0.0, 180.0, 19)),
+        ("three-cell-theta", "theta", [0.0, 20.0, 30.0, 100.0, 170.0])])
+    def test_refinement_calls_stack_at_most_the_grid(self, stacks, preset, axis, grid):
+        result = sweep(preset_scenario(preset), axis, grid)
+        assert result.thresholds
+        assert stacks[0] == len(grid)
+        assert len(stacks) > 1
+        assert max(stacks[1:]) <= len(grid)
+
+    @pytest.mark.parametrize("preset, axis, grid", [
+        ("two-cell-scenario-a", "M", [1e4, 1e5]),
+        ("two-cell-scenario-b", "radius_x", [200.0, 250.0])])
+    def test_two_point_grid_bisects_one_level_per_call(self, stacks, preset, axis, grid):
+        # 1 * (2^d - 1) <= 2 only for d = 1: every call takes one midpoint
+        result = sweep(preset_scenario(preset), axis, grid)
+        (case,) = [c for c in result.thresholds if c.name == "case"]
+        lo, hi = grid
+        levels = 0
+        while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if case.value > mid else (lo, mid)
+            levels += 1
+        assert levels > 1
+        assert stacks == [2] + [1] * levels
 
 
 class TestStackBudget:
@@ -292,3 +344,142 @@ class TestStackBudget:
         whole = sweep(sc, "theta", grid)
         monkeypatch.setattr(scenarios, "STACK_BYTES", 1)
         assert sweep(sc, "theta", grid) == whole
+
+
+def _sweep_grid(values, size):
+    """``size`` distinct ``values`` in increasing order: a non-uniform grid."""
+    return st.lists(values, min_size=size, max_size=size, unique=True).map(sorted).filter(
+        lambda grid: all(b > a for a, b in zip(grid, grid[1:])))
+
+
+_ANTENNAS = st.floats(3.0, 7.0).map(lambda e: 10.0 ** e)
+
+# (preset, swept axis, grid values, the moves that perturb the preset)
+_PERTURBED = [
+    ("two-cell-scenario-a", "M", _ANTENNAS, [("radius_x", st.floats(300.0, 460.0))]),
+    ("two-cell-scenario-b", "M", _ANTENNAS, [("radius_x", st.floats(180.0, 250.0))]),
+    ("three-cell-theta", "M", _ANTENNAS, [("theta", st.floats(60.0, 120.0))]),
+    ("two-cell-scenario-a", "radius_x", st.floats(100.0, 420.0),
+     [("M", st.floats(4.5, 5.5).map(lambda e: 10.0 ** e))]),
+    ("two-cell-scenario-b", "radius_x", st.floats(120.0, 250.0),
+     [("M", st.floats(4.5, 5.2).map(lambda e: 10.0 ** e))]),
+    ("three-cell-theta", "theta", st.floats(0.0, 180.0),
+     [("M", st.floats(3.5, 4.5).map(lambda e: 10.0 ** e))]),
+]
+
+
+@st.composite
+def perturbed_sweeps(draw):
+    preset, axis, values, moves = draw(st.sampled_from(_PERTURBED))
+    scenario = preset_scenario(preset)
+    for move_axis, value in moves:
+        scenario = scenario.with_axis(move_axis, draw(value))
+    size = draw(st.sampled_from([2, 3, 5, 8]))
+    return scenario, axis, draw(_sweep_grid(values, size))
+
+
+class TestSweepOracle:
+    @settings(max_examples=40)
+    @given(perturbed_sweeps())
+    def test_sweep_equals_sequential_bisection(self, case):
+        scenario, axis, grid = case
+        result = sweep(scenario, axis, grid)
+        rows, thresholds = sequential_sweep(scenario, axis, grid)
+        assert repr(result.rows) == repr(rows)
+        assert repr(result.thresholds) == repr(thresholds)
+
+    @pytest.mark.parametrize("preset, axis, grid", [
+        ("two-cell-scenario-a", "M", [1e4, 1e5]),
+        ("two-cell-scenario-b", "radius_x", [200.0, 250.0]),
+        ("three-cell-theta", "theta", [40.0, 70.0]),
+        ("two-cell-scenario-a", "M", M_GRID.tolist())])
+    def test_presets(self, preset, axis, grid):
+        scenario = preset_scenario(preset)
+        result = sweep(scenario, axis, grid)
+        rows, thresholds = sequential_sweep(scenario, axis, grid)
+        assert thresholds
+        assert repr(result.rows) == repr(rows)
+        assert repr(result.thresholds) == repr(thresholds)
+
+
+def _hex(array) -> list[str]:
+    return [v.hex() for v in np.asarray(array).ravel().tolist()]
+
+
+_LENGTHS = st.floats(1.0, 1e4)
+_ANGLES = st.floats(0.0, 360.0)
+
+
+class TestLayoutStack:
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["two_cell", "three_cell", "three_cell_default_spacing"]),
+           axis=st.sampled_from(["radius_x", "theta"]), K=st.integers(1, 3),
+           spacing=_LENGTHS, angle=_ANGLES, x=_LENGTHS, theta=_ANGLES,
+           data=st.data())
+    def test_rows_equal_single_layouts(self, kind, axis, K, spacing, angle, x, theta,
+                                       data):
+        if kind == "two_cell":
+            axis = "radius_x"
+            recipe = dict(x=x, spacing=spacing, user_angle_deg=angle)
+            single = two_cell_layout
+        else:
+            recipe = dict(x=x, theta_deg=theta, outer_angle_deg=angle)
+            if kind == "three_cell":
+                recipe["spacing"] = spacing
+            single = three_cell_layout
+        key = {"radius_x": "x", "theta": "theta_deg"}[axis]
+        grid = data.draw(st.lists(_LENGTHS if axis == "radius_x" else _ANGLES,
+                                    min_size=1, max_size=6))
+        params = SystemParams(L=2 if kind == "two_cell" else 3, K=K, M=1e4,
+                              rho_u=30.0, rho_p=120.0)
+        scenario = Scenario(params=params, layout_kind=kind.replace("_default_spacing", ""),
+                            layout_args=tuple(sorted(recipe.items())))
+        bs, users = scenario.positions(axis, grid)
+        layouts = [single(**{**recipe, key: v}, users_per_cell=K) for v in grid]
+        reference = [canonical_layout(scenario.layout_kind, K, **{**recipe, key: v})
+                     for v in grid]
+        for want in (layouts, reference):
+            assert _hex(bs) == _hex([layout.bs for layout in want])
+            assert _hex(users) == _hex([layout.users for layout in want])
+        if kind == "three_cell_default_spacing" and axis == "radius_x":
+            # the spacing moves with the radius
+            assert _hex(bs[:, 1, 0]) == _hex([2.0 * v for v in grid])
+        try:
+            per_value = [build_fading(layout, params) for layout in layouts]
+        except ValueError as exc:  # a user drawn onto a BS
+            with pytest.raises(ValueError, match=str(exc)):
+                fading_stack(bs, users, params)
+        else:
+            assert _hex(fading_stack(bs, users, params)) == _hex(per_value)
+
+    @pytest.mark.parametrize("scenario, axis, grid, message", [
+        (preset_scenario("two-cell-scenario-b"), "radius_x", [-5.0, 100.0],
+         "cell radius x must be positive, got -5.0"),
+        (preset_scenario("three-cell-theta"), "radius_x", [0.0, 100.0],
+         "cell radius x must be positive, got 0.0"),
+        (preset_scenario("three-cell-theta"), "theta", [90.0, 361.0],
+         "theta_deg must be in [0, 360], got 361.0"),
+        (preset_scenario("two-cell-scenario-a"), "theta", [10.0, 20.0],
+         "axis 'theta' requires the three-cell layout"),
+        (Scenario.from_layout(preset_scenario("two-cell-scenario-a").layout(),
+                              preset_scenario("two-cell-scenario-a").params),
+         "radius_x", [100.0, 200.0],
+         "axis 'radius_x' requires a canonical (two/three cell) layout"),
+        (Scenario(params=preset_scenario("two-cell-scenario-b").params,
+                  layout_kind="two_cell",
+                  layout_args=(("spacing", 500.0), ("user_angle_deg", 0.0), ("x", 100.0))),
+         "radius_x", [100.0, 500.0],
+         "a user is co-located with a BS; distances must be positive"),
+        (replace(preset_scenario("two-cell-scenario-b"),
+                 params=replace(preset_scenario("two-cell-scenario-b").params,
+                                alpha_pl=200.0)),
+         "radius_x", [100.0, 1e4],  # the own gain (100 / 1e4)^200 underflows to 0
+         "beta entries must be finite and strictly positive"),
+    ])
+    def test_per_value_errors_reach_sweep(self, scenario, axis, grid, message):
+        with pytest.raises(ValueError) as per_value:
+            for v in grid:
+                scenario.with_axis(axis, v).state()
+        with pytest.raises(ValueError) as stacked:
+            sweep(scenario, axis, grid)
+        assert str(stacked.value) == str(per_value.value) == message
