@@ -75,7 +75,7 @@ class RunConfig:
     pilot: int = 0
     omega: tuple[int, ...] | None = None
     m: float | None = None
-    workers: int = 1
+    workers: int | None = None
 
     def to_dict(self) -> dict:
         """Effective configuration; ``parse_config`` reproduces this object."""
@@ -93,7 +93,7 @@ class RunConfig:
             else:
                 d["layout"] = {"kind": self.scenario.layout_kind, **args}
         d["unit"] = self.unit
-        for key in ("scheme", "axis", "out", "omega", "m"):
+        for key in ("scheme", "axis", "out", "omega", "m", "workers"):
             val = getattr(self, key)
             if val is not None:
                 d[key] = list(val) if isinstance(val, tuple) else val
@@ -103,7 +103,6 @@ class RunConfig:
         d["trials"] = self.trials
         d["bs"] = self.bs
         d["pilot"] = self.pilot
-        d["workers"] = self.workers
         return d
 
 
@@ -277,7 +276,8 @@ def parse_config(source) -> RunConfig:
     if m is not None:
         m = _number("m", m)
         _require(m > 0, f"m must be positive, got {m!r}")
-    workers = _number("workers", raw.get("workers", 1), count=True, least=1)
+    workers = (_number("workers", raw["workers"], count=True, least=1)
+               if "workers" in raw else None)
     out = raw.get("out")
     _require(out is None or isinstance(out, str), "out must be a path string")
     return RunConfig(scenario=scenario, unit=unit, scheme=scheme, axis=axis,
@@ -507,7 +507,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="RNG seed (default 0)")
     parser.add_argument("--unit", choices=("bits", "nats"), help="rate unit")
     parser.add_argument("--workers", type=int,
-                        help="Monte Carlo worker processes (default 1)")
+                        help="cap on Monte Carlo threads, which hold at most 32 MiB of "
+                             "batches in flight (default: all usable CPUs)")
     parser.add_argument("--pilot", type=int, help="pilot slot index (default 0)")
 
 

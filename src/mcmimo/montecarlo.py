@@ -11,96 +11,54 @@ The empirical decomposition at BS j, slot i samples only what the combiner
 there reads: BS j's channels to every user, shape (T, K, L, M), the despread
 pilot noise of slot i at BS j and the receiver noise at BS j, (T, M) each,
 and the symbols, (T, L, K).  Every inner product still comes from sampled
-M-vectors, so the check stays independent of the analytic formulas.  The
-full-network helpers (``sample_channels`` ... ``mrc_outputs``) remain for
-simulating every BS at once.
+M-vectors, so the check stays independent of the analytic formulas.
 
 Randomness is explicit: functions take a ``numpy.random.Generator``, and the
 trial-level driver derives one child stream per batch from the seed.  A
 batch holds at most 256 trials and at most ``_BATCH_BYTES`` of sampled
 arrays; its size depends only on (trials, K, L, M), so results are
-reproducible for any worker count.
+reproducible for any worker count.  Batches run on threads (numpy releases
+the GIL while it draws), as many at once as ``workers``, the usable CPUs and
+the batch count allow, and never more than ``_BATCH_BYTES`` of batches in
+flight.  Each thread draws into buffers the caller allocated for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .bounds import PowerDecomposition, check_indices
-from .estimation import ChannelState, EstimationStats
-from .parallel import parallel_map
+from .estimation import ChannelState
+from .parallel import pool_size, run_lanes
 
 __all__ = [
     "complex_normal",
-    "sample_channels",
-    "despread_pilots",
-    "mmse_estimate",
-    "estimate_for_cell",
-    "mrc_outputs",
     "empirical_power_decomposition",
     "MAX_TRIALS",
 ]
 
 _BATCH = 256              # trials per batch, at most
-_BATCH_BYTES = 32 << 20   # complex128 bytes sampled per batch, at most
+_BATCH_BYTES = 32 << 20   # complex128 bytes sampled by all batches in flight, at most
 MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
 
 
-def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, var: float = 1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Circular complex Gaussian samples with the given per-entry variance.
 
-    Real and imaginary parts are drawn interleaved in one call and viewed
-    as complex128, so the draw allocates nothing beyond its result.
+    Real and imaginary parts are drawn interleaved in one call into ``out``,
+    a C-contiguous complex128 array of ``shape`` (allocated when not given)
+    viewed as float pairs, so the draw allocates nothing beyond its result.
     """
-    z = rng.standard_normal((*shape, 2))
+    if out is None:
+        out = np.empty(shape, np.complex128)
+    z = out.view(np.float64).reshape(*shape, 2)
+    rng.standard_normal(out=z)
     z *= math.sqrt(var / 2.0)
-    return z.view(np.complex128).reshape(shape)
-
-
-def sample_channels(beta: np.ndarray, m: int, rng: np.random.Generator,
-                    count: int = 1) -> np.ndarray:
-    """Channel vectors g[t, j, k, l, :] = sqrt(beta[j,k,l]) * h, h ~ CN(0, I_m)."""
-    h = complex_normal(rng, (count, *beta.shape, m))
-    return np.sqrt(beta)[None, :, :, :, None] * h
-
-
-def despread_pilots(g: np.ndarray, rho_p: float, rng: np.random.Generator) -> np.ndarray:
-    """Despread pilot observations r[t, j, k, :] = sqrt(rho_p) sum_l g + noise."""
-    signal = math.sqrt(rho_p) * g.sum(axis=3)
-    return signal + complex_normal(rng, signal.shape)
-
-
-def mmse_estimate(r: np.ndarray, stats: EstimationStats) -> np.ndarray:
-    """Own-channel MMSE estimates g_hat[t, j, k, :] = alpha_own[j,k] * r."""
-    return stats.alpha_own[None, :, :, None] * r
-
-
-def estimate_for_cell(g_hat: np.ndarray, beta: np.ndarray, j: int, k: int,
-                      l: int) -> np.ndarray:
-    """Cross-channel estimate: the own estimate rescaled by beta_jkl / beta_jkj."""
-    return (beta[j, k, l] / beta[j, k, j]) * g_hat[:, j, k, :]
-
-
-def mrc_outputs(g: np.ndarray, g_hat: np.ndarray, x: np.ndarray, rho_u: float,
-                rng: np.random.Generator | None = None,
-                noise: np.ndarray | None = None) -> np.ndarray:
-    """Combiner outputs yhat[t, j, i] = g_hat_jij^H y_j for all BSs and slots.
-
-    ``x[t, l, k]`` are the transmitted symbols.  Receiver noise is drawn from
-    ``rng`` unless an explicit ``noise`` array of shape (t, L, m) is given.
-    """
-    count, L, K, _, m = g.shape
-    if noise is None:
-        if rng is None:
-            raise ValueError("mrc_outputs needs either rng or an explicit noise array")
-        noise = complex_normal(rng, (count, L, m))
-    # y[t, j, :] = sqrt(rho_u) * sum_{l,k} g[t,j,k,l,:] x[t,l,k] + n
-    y = math.sqrt(rho_u) * np.einsum("tjklm,tlk->tjm", g, x) + noise
-    return np.einsum("tjim,tjm->tji", g_hat.conj(), y)
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,41 +77,59 @@ def _antennas(M: float) -> int:
     return int(M)
 
 
+def _bytes_per_trial(K: int, L: int, m: int) -> int:
+    """Bytes sampled per trial: channels, pilot noise, receiver noise and
+    symbols."""
+    return 16 * (K * L * m + 2 * m + L * K)
+
+
 def _batch_counts(trials: int, K: int, L: int, m: int) -> list[int]:
     """Trials per batch: at most _BATCH, and at most _BATCH_BYTES of sampled
-    channels, pilot noise, receiver noise and symbols."""
-    bytes_per_trial = 16 * (K * L * m + 2 * m + L * K)
-    size = min(_BATCH, max(1, _BATCH_BYTES // bytes_per_trial))
+    arrays."""
+    size = min(_BATCH, max(1, _BATCH_BYTES // _bytes_per_trial(K, L, m)))
     counts = [size] * (trials // size)
     if trials % size:
         counts.append(trials % size)
     return counts
 
 
-def _one_batch(state: ChannelState, j: int, i: int, m: int, task):
-    """Inner products, noise projections and symbols of one ``(count,
-    seed)`` batch task.
+def _lanes(workers: int | None, counts: list[int], per_trial: int) -> int:
+    """Batches run at once: at most ``pool_size(workers, batches)`` and at
+    most as many full batches as fit in _BATCH_BYTES together, but at least
+    one."""
+    fit = _BATCH_BYTES // (counts[0] * per_trial)
+    return max(1, min(pool_size(workers, len(counts)), fit))
 
-    A function of its own so that one batch's samples are freed before the
-    next batch is drawn, which keeps the peak at one batch's budget.
+
+def _one_batch(state: ChannelState, j: int, i: int, seed, buffers,
+               inner: np.ndarray, noise: np.ndarray, symbols: np.ndarray) -> None:
+    """Draw one batch of ``len(inner)`` trials from ``seed`` and write its
+    inner products, noise projections and symbols into ``inner``, ``noise``
+    and ``symbols``.
+
+    The batch's channels, reference vector and noise go into leading slices
+    of ``buffers``, its lane's (channels, reference, scratch) arrays, so a
+    batch allocates nothing of size M.
     """
-    count, seed = task
+    count = len(inner)
     rng = np.random.default_rng(seed)
     p = state.params
     K, L = p.K, p.L
-    g = complex_normal(rng, (count, K, L, m))
+    g, ref, scratch = (buf[:count] for buf in buffers)
+    m = ref.shape[1]
+    complex_normal(rng, g.shape, out=g)
     g *= np.sqrt(state.beta[j])[None, :, :, None]
     # despread pilot of slot i at BS j, then ref = conj(g_hat_jij)
-    ref = g[:, i].sum(axis=1)
+    g[:, i].sum(axis=1, out=ref)
     ref *= math.sqrt(p.rho_p)
-    ref += complex_normal(rng, (count, m))
+    ref += complex_normal(rng, ref.shape, out=scratch)
     np.conj(ref, out=ref)
     ref *= state.stats.alpha_own[j, i]
-    ref = ref[:, :, None]
-    x = complex_normal(rng, (count, L, K))
-    n = complex_normal(rng, (count, 1, m))
-    inner = (g.reshape(count, K * L, m) @ ref).reshape(count, K, L)
-    return inner, (n @ ref).reshape(count), x
+    col = ref[:, :, None]
+    complex_normal(rng, symbols.shape, out=symbols)
+    n = complex_normal(rng, (count, 1, m), out=scratch.reshape(count, 1, m))
+    np.matmul(g.reshape(count, K * L, m), col, out=inner.reshape(count, K * L, 1))
+    np.matmul(n, col, out=noise.reshape(count, 1, 1))
 
 
 def _decompose(stats: _TrialStats, state: ChannelState, i: int,
@@ -178,7 +154,7 @@ def _decompose(stats: _TrialStats, state: ChannelState, i: int,
 
 def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
                                   trials: int, seed: int,
-                                  workers: int = 1) -> PowerDecomposition:
+                                  workers: int | None = None) -> PowerDecomposition:
     """Empirical counterpart of the analytic power split at BS j, slot i.
 
     The desired power is the squared magnitude of the trial-mean coherent
@@ -191,6 +167,11 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     batches whose sizes depend only on (trials, K, L, M), each with an
     independently derived RNG stream, so the result depends only on ``seed``
     and ``trials``, not on ``workers``.
+
+    Batches run on threads, lane t taking batches t, t + n, ... of n lanes.
+    ``workers`` caps the threads (default ``None``: all usable CPUs), and
+    the lanes' buffers together hold at most ``_BATCH_BYTES``, so a shape
+    whose batch fills more than half of it runs on one lane, inline.
     """
     if trials < 1000:
         raise ValueError(
@@ -203,11 +184,23 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
         raise ValueError(f"omega {omega} has entries out of range for L={state.L}")
 
     m = _antennas(state.params.M)
-    counts = _batch_counts(trials, state.K, state.L, m)
+    K, L = state.K, state.L
+    counts = _batch_counts(trials, K, L, m)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    parts = parallel_map(partial(_one_batch, state, j, i, m), list(zip(counts, seeds)),
-                         workers)
-    inner, nterm, sym = zip(*parts)
-    stats = _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
-                        symbols=np.concatenate(sym))
+    lanes = _lanes(workers, counts, _bytes_per_trial(K, L, m))
+    size = counts[0]
+    buffers = [(np.empty((size, K, L, m), np.complex128),
+                np.empty((size, m), np.complex128),
+                np.empty((size, m), np.complex128)) for _ in range(lanes)]
+    stats = _TrialStats(inner=np.empty((trials, K, L), np.complex128),
+                        noise=np.empty(trials, np.complex128),
+                        symbols=np.empty((trials, L, K), np.complex128))
+
+    def lane(t: int) -> None:
+        for b in range(t, len(counts), lanes):
+            lo, hi = b * size, b * size + counts[b]
+            _one_batch(state, j, i, seeds[b], buffers[t], stats.inner[lo:hi],
+                       stats.noise[lo:hi], stats.symbols[lo:hi])
+
+    run_lanes(lane, lanes)
     return _decompose(stats, state, i, omega)

@@ -55,9 +55,9 @@ class SystemParams:
     d0: float = 100.0
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 1:
+        if not isinstance(self.L, int) or isinstance(self.L, bool) or self.L < 1:
             raise ValueError(f"L must be a positive integer, got {self.L!r}")
-        if not isinstance(self.K, int) or self.K < 1:
+        if not isinstance(self.K, int) or isinstance(self.K, bool) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         if not self.M > 0:
             raise ValueError(f"M must be positive, got {self.M!r}")
@@ -180,21 +180,18 @@ def _mirrored_pair(center_a, center_b, radius, angle_deg):
     return pa, pb
 
 
-def _two_cell_points(users_per_cell: int, x: float, spacing: float,
-                     user_angle_deg: float = 180.0):
+def _two_cell_points(x: float, spacing: float, user_angle_deg: float = 180.0):
     """BS points and one user point per cell of one :func:`two_cell_layout`."""
     if x <= 0:
         raise ValueError(f"cell radius x must be positive, got {x!r}")
     if spacing <= 0:
         raise ValueError(f"BS spacing must be positive, got {spacing!r}")
-    if users_per_cell < 1:
-        raise ValueError("users_per_cell must be >= 1")
     bs = ((0.0, 0.0), (spacing, 0.0))
     return bs, _mirrored_pair(*bs, x, user_angle_deg)
 
 
-def _three_cell_points(users_per_cell: int, x: float, spacing: float | None = None,
-                       theta_deg: float = 90.0, outer_angle_deg: float = 180.0):
+def _three_cell_points(x: float, spacing: float | None = None, theta_deg: float = 90.0,
+                       outer_angle_deg: float = 180.0):
     """BS points and one user point per cell of one :func:`three_cell_layout`."""
     if x <= 0:
         raise ValueError(f"cell radius x must be positive, got {x!r}")
@@ -204,8 +201,6 @@ def _three_cell_points(users_per_cell: int, x: float, spacing: float | None = No
         raise ValueError(f"BS spacing must be positive, got {spacing!r}")
     if not 0.0 <= theta_deg <= 360.0:
         raise ValueError(f"theta_deg must be in [0, 360], got {theta_deg!r}")
-    if users_per_cell < 1:
-        raise ValueError("users_per_cell must be >= 1")
     bs = ((0.0, 0.0), (spacing, 0.0), (2.0 * spacing, 0.0))
     p_left, p_right = _mirrored_pair(bs[0], bs[2], x, outer_angle_deg)
     th = math.radians(theta_deg)
@@ -229,8 +224,10 @@ def layout_stack(kind: str, users_per_cell: int, recipes) -> tuple[np.ndarray, n
     """
     if kind not in _RECIPES:
         raise ValueError(f"unknown layout kind {kind!r}")
+    if isinstance(users_per_cell, bool) or users_per_cell < 1:
+        raise ValueError("users_per_cell must be >= 1")
     points = _RECIPES[kind]
-    bs, users = zip(*(points(users_per_cell, **recipe) for recipe in recipes))
+    bs, users = zip(*(points(**recipe) for recipe in recipes))
     users = np.array(users, dtype=float)[:, :, None, :]
     return (np.array(bs, dtype=float),
             np.repeat(users, users_per_cell, axis=2))

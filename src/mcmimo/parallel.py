@@ -1,26 +1,29 @@
-"""Process pools sized to the work: never more workers than tasks or CPUs."""
+"""Thread lanes sized to the work: never more lanes than tasks or CPUs."""
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["pool_size", "parallel_map"]
+__all__ = ["pool_size", "run_lanes"]
 
 
-def pool_size(workers: int, tasks: int) -> int:
-    """Worker processes to start for ``tasks`` tasks when ``workers`` were
-    requested: ``min(workers, tasks, os.cpu_count() or 1)``."""
-    return min(workers, tasks, os.cpu_count() or 1)
+def pool_size(workers: int | None, tasks: int) -> int:
+    """Lanes to run for ``tasks`` tasks when at most ``workers`` were
+    requested (``None``: no cap): ``min(workers, tasks, os.cpu_count() or 1)``."""
+    cpus = os.cpu_count() or 1
+    return min(tasks, cpus) if workers is None else min(workers, tasks, cpus)
 
 
-def parallel_map(fn, args: list, workers: int) -> list:
-    """``[fn(a) for a in args]``, in order, on a pool of
-    :func:`pool_size` processes when that is more than one."""
-    size = pool_size(workers, len(args))
-    if size <= 1:
-        return [fn(a) for a in args]
-    # imported here: it loads multiprocessing, which a run without a pool
-    # never needs
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, args))
+def run_lanes(fn, lanes: int) -> None:
+    """Call ``fn(t)`` for every lane ``t`` in ``range(lanes)``: inline when
+    there is one lane, otherwise on one thread per lane.  The first lane's
+    exception, if any, is raised in the caller once every lane has ended."""
+    if lanes <= 1:
+        fn(0)
+        return
+    # imported here: a run with one lane never needs it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        futures = [pool.submit(fn, t) for t in range(lanes)]
+    for future in futures:
+        future.result()

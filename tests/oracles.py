@@ -17,8 +17,8 @@ from mcmimo import (SCHEMES, CellLayout, ChannelState, SystemParams, classify_tw
                     network_symmetric_rate)
 from mcmimo.bounds import capacity, coherent_power, noise_floor
 from mcmimo.scenarios import EQ_RTOL, REL_TOL, Crossing, SweepRow
-from mcmimo.montecarlo import (_TrialStats, complex_normal, despread_pilots, mmse_estimate,
-                               sample_channels)
+from mcmimo.estimation import EstimationStats
+from mcmimo.montecarlo import _TrialStats, complex_normal
 
 
 def direct_bound(state: ChannelState, j: int, i: int, theta, omega) -> float:
@@ -283,6 +283,48 @@ def exhaustive_snd(state: ChannelState, j: int, i: int):
             best_omega = om
             best_theta = inner_theta
     return float(best), best_omega, best_theta
+
+
+def sample_channels(beta: np.ndarray, m: int, rng: np.random.Generator,
+                    count: int = 1) -> np.ndarray:
+    """Channel vectors g[t, j, k, l, :] = sqrt(beta[j,k,l]) * h, h ~ CN(0, I_m)."""
+    h = complex_normal(rng, (count, *beta.shape, m))
+    return np.sqrt(beta)[None, :, :, :, None] * h
+
+
+def despread_pilots(g: np.ndarray, rho_p: float, rng: np.random.Generator) -> np.ndarray:
+    """Despread pilot observations r[t, j, k, :] = sqrt(rho_p) sum_l g + noise."""
+    signal = math.sqrt(rho_p) * g.sum(axis=3)
+    return signal + complex_normal(rng, signal.shape)
+
+
+def mmse_estimate(r: np.ndarray, stats: EstimationStats) -> np.ndarray:
+    """Own-channel MMSE estimates g_hat[t, j, k, :] = alpha_own[j,k] * r."""
+    return stats.alpha_own[None, :, :, None] * r
+
+
+def estimate_for_cell(g_hat: np.ndarray, beta: np.ndarray, j: int, k: int,
+                      l: int) -> np.ndarray:
+    """Cross-channel estimate: the own estimate rescaled by beta_jkl / beta_jkj."""
+    return (beta[j, k, l] / beta[j, k, j]) * g_hat[:, j, k, :]
+
+
+def mrc_outputs(g: np.ndarray, g_hat: np.ndarray, x: np.ndarray, rho_u: float,
+                rng: np.random.Generator | None = None,
+                noise: np.ndarray | None = None) -> np.ndarray:
+    """Combiner outputs yhat[t, j, i] = g_hat_jij^H y_j for all BSs and slots.
+
+    ``x[t, l, k]`` are the transmitted symbols.  Receiver noise is drawn from
+    ``rng`` unless an explicit ``noise`` array of shape (t, L, m) is given.
+    """
+    count, L, K, _, m = g.shape
+    if noise is None:
+        if rng is None:
+            raise ValueError("mrc_outputs needs either rng or an explicit noise array")
+        noise = complex_normal(rng, (count, L, m))
+    # y[t, j, :] = sqrt(rho_u) * sum_{l,k} g[t,j,k,l,:] x[t,l,k] + n
+    y = math.sqrt(rho_u) * np.einsum("tjklm,tlk->tjm", g, x) + noise
+    return np.einsum("tjim,tjm->tji", g_hat.conj(), y)
 
 
 def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _TrialStats:

@@ -109,6 +109,12 @@ class TestParseConfig:
         again = parse_config(cfg.to_dict())
         assert again == cfg
 
+    def test_workers_default_to_no_cap_and_round_trip(self):
+        cfg = parse_config({"preset": "two-cell-scenario-a"})
+        assert cfg.workers is None and "workers" not in cfg.to_dict()
+        cfg = parse_config({"preset": "two-cell-scenario-a", "workers": 2})
+        assert parse_config(cfg.to_dict()) == cfg and cfg.workers == 2
+
     def test_round_trip_explicit(self):
         cfg = parse_config(dict(GOOD_EXPLICIT, scheme="sd", trials=2000))
         again = parse_config(cfg.to_dict())
@@ -491,3 +497,22 @@ def test_preset_output_matches_golden_csv(preset, kind, capsys):
         assert main(argv) == 0
         text += capsys.readouterr().out
     assert text.encode() == (GOLDEN / f"{preset}.{kind}.csv").read_bytes()
+
+
+# Monte Carlo CSVs recorded with the single-process sampler: a two-cell run
+# whose last batch is short (2100 = 8 x 256 + 52 trials) and a three-cell
+# config run at a non-default BS and decoded set.
+MC_GOLDEN = {
+    "two-cell": ["--cells", "2", "--users", "2", "--m", "64", "--trials", "2100",
+                 "--seed", "1"],
+    "three-cell": ["--config", str(GOLDEN / "three-cell-mc.json"), "--m", "128",
+                   "--bs", "2", "--omega", "0,2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_GOLDEN))
+def test_montecarlo_output_matches_golden_csv_for_any_workers(name, capsys):
+    golden = (GOLDEN / f"montecarlo-{name}.csv").read_bytes()
+    for workers in ([], ["--workers", "1"], ["--workers", "3"]):
+        assert main(["montecarlo", *MC_GOLDEN[name], *workers]) == 0
+        assert capsys.readouterr().out.encode() == golden

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,11 +9,10 @@ import pytest
 
 import mcmimo.montecarlo as mc
 from mcmimo import ChannelState, SystemParams, power_terms
-from mcmimo.montecarlo import (complex_normal, despread_pilots,
-                               empirical_power_decomposition, estimate_for_cell,
-                               mmse_estimate, mrc_outputs, sample_channels)
+from mcmimo.montecarlo import complex_normal, empirical_power_decomposition
 
-from oracles import full_tensor_batches
+from oracles import (despread_pilots, estimate_for_cell, full_tensor_batches, mmse_estimate,
+                     mrc_outputs, sample_channels)
 
 
 def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
@@ -240,9 +242,9 @@ class TestEmpiricalDecomposition:
     def test_samples_only_bs_j_links(self, monkeypatch):
         drawn = []
 
-        def counting(rng, shape, var=1.0):
+        def counting(rng, shape, var=1.0, **kwargs):
             drawn.append(math.prod(shape))
-            return complex_normal(rng, shape, var)
+            return complex_normal(rng, shape, var, **kwargs)
 
         monkeypatch.setattr(mc, "complex_normal", counting)
         L, K, M, trials = 3, 2, 8, 1000
@@ -280,3 +282,116 @@ class TestBatchBudget:
         b = empirical_power_decomposition(state, 1, 0, {1}, trials=1000, seed=32,
                                           workers=2)
         assert a == b
+
+
+def lanes_at(workers, trials, L, K, M):
+    return mc._lanes(workers, mc._batch_counts(trials, K, L, M), mc._bytes_per_trial(K, L, M))
+
+
+def within(seconds, fn):
+    """``fn()`` on a thread joined with a timeout: its result, or its
+    exception re-raised here."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+class TestLanes:
+    def test_budget_forces_one_lane(self, monkeypatch):
+        # one 256-trial batch at (L, K, M) = (2, 2, 1024) is 25.2 MB, over
+        # half the budget
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert lanes_at(None, 2000, 2, 2, 1024) == 1
+
+    def test_lanes_capped_by_cpus_workers_and_budget(self, monkeypatch):
+        # a (2, 4, 256) batch is 10.5 MB: three fit in the budget
+        assert lanes_at(None, 2000, 2, 4, 256) == min(os.cpu_count() or 1, 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert lanes_at(None, 2000, 2, 4, 256) == 3
+        assert lanes_at(2, 2000, 2, 4, 256) == 2
+        assert lanes_at(None, 1000, 1, 1, 8) == 4  # one lane per batch
+
+    def test_never_below_one_lane(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        # one trial alone exceeds the budget; only the batch plan is built
+        assert mc._bytes_per_trial(2, 2, 10 ** 6) > mc._BATCH_BYTES
+        assert lanes_at(None, 1000, 2, 2, 10 ** 6) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert lanes_at(None, 2000, 2, 4, 256) == 1
+
+    @pytest.mark.parametrize("L, K, M, trials", [
+        (2, 2, 8, 1001),     # 256-trial batches and a 233-trial last batch
+        (3, 2, 64, 2000),    # a 208-trial last batch, up to four lanes
+        (2, 2, 1024, 1100),  # the budget forces one lane
+    ])
+    def test_results_do_not_depend_on_lanes(self, monkeypatch, L, K, M, trials):
+        state = small_state(L=L, K=K, M=M, seed=7)
+        runs = set()
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            for workers in (None, 1, 2, 3):
+                runs.add(repr(empirical_power_decomposition(state, L - 1, K - 1, {0},
+                                                            trials=trials, seed=41,
+                                                            workers=workers)))
+        assert len(runs) == 1
+
+    def test_more_lanes_than_cores_with_fast_switching(self, monkeypatch):
+        # 16 batches on 8 lanes, switching threads every microsecond: a batch
+        # written to the wrong rows, or lost, changes the result
+        state = small_state(M=8, seed=9)
+        ref = repr(empirical_power_decomposition(state, 1, 0, {0, 1}, trials=4000, seed=12,
+                                                 workers=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert lanes_at(None, 4000, 2, 2, 8) == 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = within(120, lambda: empirical_power_decomposition(
+                state, 1, 0, {0, 1}, trials=4000, seed=12))
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(got) == ref
+
+    def test_two_lanes_stay_under_budget(self, monkeypatch):
+        # a (2, 2, 512) batch is 12.6 MB, so two lanes fit and three do not
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert lanes_at(None, 2000, 2, 2, 512) == 2
+        state = small_state(L=2, K=2, M=512)
+        tracemalloc.start()
+        try:
+            empirical_power_decomposition(state, 0, 0, {0, 1}, trials=2000, seed=33)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * mc._BATCH_BYTES
+
+    def test_lane_error_reaches_caller(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        real = mc._one_batch
+
+        def failing(state, j, i, seed, *args):
+            if seed.spawn_key[-1] == 1:  # batch 1: the second lane's first
+                raise Boom("batch 1")
+            real(state, j, i, seed, *args)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(mc, "_one_batch", failing)
+        state = small_state(M=8)
+        for workers in (None, 2, 1):
+            with pytest.raises(Boom, match="batch 1"):
+                within(120, lambda: empirical_power_decomposition(
+                    state, 0, 0, {0}, trials=2000, seed=5, workers=workers))

@@ -171,3 +171,18 @@ class TestLayoutSerialization:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="user_positions"):
             CellLayout.from_dict({"bs_positions": [[0.0, 0.0]]})
+
+
+class TestBooleanCounts:
+    # bool is an int subclass: True would count as one cell, user or antenna row
+    @pytest.mark.parametrize("key", ["L", "K"])
+    def test_system_params_reject_booleans(self, key):
+        kw = dict(L=2, K=2, M=100.0, rho_u=30.0, rho_p=120.0)
+        kw[key] = True
+        with pytest.raises(ValueError, match=f"{key} must be a positive integer, got True"):
+            SystemParams(**kw)
+
+    @pytest.mark.parametrize("build", [two_cell_layout, three_cell_layout])
+    def test_layouts_reject_boolean_users_per_cell(self, build):
+        with pytest.raises(ValueError, match="users_per_cell must be >= 1"):
+            build(400.0, 800.0, users_per_cell=True)

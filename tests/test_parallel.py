@@ -19,6 +19,11 @@ class TestPoolSize:
     def test_serial_request_stays_serial(self):
         assert pool_size(1, 10 ** 6) == 1
 
+    def test_no_cap_means_tasks_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert pool_size(None, 10 ** 6) == 4
+        assert pool_size(None, 3) == 3
+
     def test_unknown_cpu_count_means_one(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool_size(10 ** 6, 10 ** 6) == 1
@@ -28,6 +33,8 @@ class TestLazyPool:
     @pytest.mark.parametrize("argv", [
         ["-c", "import mcmimo"],
         ["-m", "mcmimo.cli", "symrate", "--preset", "two-cell-scenario-a", "--scheme", "tin"],
+        ["-m", "mcmimo.cli", "montecarlo", "--cells", "2", "--users", "1", "--m", "8",
+         "--trials", "1000", "--workers", "1"],
     ])
     def test_runs_without_a_pool_import_no_pool_machinery(self, argv):
         # -X importtime lists every module the interpreter imports on stderr
