@@ -3,7 +3,7 @@ MIMO under four decoding schemes: treating interference as noise (TIN),
 simultaneous unique decoding (SD), simultaneous non-unique decoding (SND)
 and its simplified polytope subset (S-SND)."""
 
-from .bounds import (PowerDecomposition, capacity, mu_coefficient, power_terms, tin_rate,
+from .bounds import (PowerDecomposition, capacity, mu_coefficient, power_terms,
                      tin_rate_asymptotic)
 from .estimation import ChannelState, EstimationStats, mmse_coeffs
 from .montecarlo import empirical_power_decomposition
@@ -12,9 +12,9 @@ from .network import (CellLayout, SystemParams, build_fading, pathloss,
 from .regions import Polytope, RegionFamily, sd_region, snd_region, ssnd_region, tin_region
 from .scenarios import (PRESET_NAMES, Scenario, SweepResult, classify_two_cell,
                         preset_scenario, sweep, two_cell_ordering_check)
-from .symrate import (SCHEMES, BsSymRate, SymRateReport, low_sinr_decode_set,
-                      max_symmetric_rate, network_symmetric_rate, sd_max_symmetric,
-                      snd_max_symmetric, ssnd_max_symmetric)
+from .symrate import (SCHEMES, BsSymRate, SymRateReport, bs_symmetric_rate,
+                      low_sinr_decode_set, max_symmetric_rate, network_symmetric_rate,
+                      tin_rate)
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,7 @@ __all__ = [
     "Polytope", "RegionFamily", "tin_region", "sd_region", "ssnd_region",
     "snd_region",
     "SCHEMES", "BsSymRate", "SymRateReport", "max_symmetric_rate",
-    "sd_max_symmetric", "ssnd_max_symmetric", "snd_max_symmetric",
-    "low_sinr_decode_set", "network_symmetric_rate",
+    "bs_symmetric_rate", "low_sinr_decode_set", "network_symmetric_rate",
     "empirical_power_decomposition",
     "Scenario", "PRESET_NAMES", "preset_scenario", "classify_two_cell",
     "two_cell_ordering_check", "sweep", "SweepResult",

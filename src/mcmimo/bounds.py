@@ -18,8 +18,8 @@ the (omega, theta) pairs they keep: TIN has omega = theta = {j}, SD has
 omega = all cells, S-SND has omega = all cells and theta containing j, and
 SND takes any omega containing j.  Cell sets are int bitmasks (bit l stands
 for cell l).  :func:`subset_sum` gives N of a mask and :func:`mac_bound`
-turns N values into bounds; the region builders, the solvers and TIN all sum
-in its order and call :func:`mac_bound`, so their rates agree to the bit.
+turns N values into bounds; the region builders and the solvers all sum in
+its order and call :func:`mac_bound`, so their rates agree to the bit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "subset_sum",
     "mac_bound",
     "power_terms",
-    "tin_rate",
     "tin_rate_asymptotic",
     "mu_coefficient",
 ]
@@ -164,15 +163,6 @@ def power_terms(state: ChannelState, j: int, i: int, omega) -> PowerDecompositio
     other_users = scale * p.rho_u * float(beta[j, mask, :].sum())
     return PowerDecomposition(desired=float(desired), est_error=float(est_error),
                               other_users=float(other_users), noise=float(scale))
-
-
-def tin_rate(state: ChannelState, j: int, i: int) -> float:
-    """Rate when BS j decodes only its own user and treats the co-pilot
-    interference (whose combined power also grows with M) as noise."""
-    coh = coherent_power(state, j, i).tolist()
-    own = 1 << j
-    noise = subset_sum(coh, ((1 << state.L) - 1) ^ own)
-    return float(mac_bound(subset_sum(coh, own), noise, noise_floor(state, j)))
 
 
 def tin_rate_asymptotic(state: ChannelState, j: int, i: int) -> float:

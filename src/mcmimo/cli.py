@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import power_terms
+from .bounds import check_indices, power_terms
 from .montecarlo import empirical_power_decomposition
 from .network import CellLayout, SystemParams
 from .regions import sd_region, snd_region, ssnd_region, tin_region
@@ -397,18 +397,11 @@ def _scenario_with_size(cfg: RunConfig, cells: int | None, k: int | None) -> Sce
     return scenario
 
 
-def _check_indices(params: SystemParams, pilot: int, bs: int | None = None) -> None:
-    """Flags bypass the config's checks, so both ends of each range are checked."""
-    _require(0 <= pilot < params.K, f"pilot index {pilot} out of range for K={params.K}")
-    if bs is not None:
-        _require(0 <= bs < params.L, f"bs index {bs} out of range for L={params.L}")
-
-
 def _cmd_region(args) -> int:
     cfg = _load_config(args)
     scheme = cfg.scheme or "sd"
     scenario = _scenario_with_size(cfg, None, None)
-    _check_indices(scenario.params, cfg.pilot, cfg.bs)
+    check_indices(scenario.params, cfg.bs, cfg.pilot)
     builder = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region,
                "snd": snd_region}[scheme]
     region = builder(scenario.state(), cfg.bs, cfg.pilot)
@@ -425,7 +418,7 @@ def _cmd_symrate(args) -> int:
     cfg = _load_config(args)
     scheme = cfg.scheme or "snd"
     scenario = _scenario_with_size(cfg, None, None)
-    _check_indices(scenario.params, cfg.pilot)
+    check_indices(scenario.params, 0, cfg.pilot)
     report = network_symmetric_rate(scenario.state(), scheme, cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = [[str(entry.bs), entry.rate * factor, entry.theta, entry.omega]
@@ -439,7 +432,7 @@ def _cmd_symrate(args) -> int:
 def _cmd_classify(args) -> int:
     cfg = _load_config(args)
     scenario = _scenario_with_size(cfg, None, None)
-    _check_indices(scenario.params, cfg.pilot)
+    check_indices(scenario.params, 0, cfg.pilot)
     state = scenario.state()
     factor = _unit_factor(cfg.unit)
     rows = []
@@ -458,7 +451,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     _require(cfg.axis is not None, "sweep requires an axis (--axis or config key 'axis')")
     _require(cfg.grid is not None, "sweep requires a grid (--grid or config key 'grid')")
-    _check_indices(cfg.scenario.params, cfg.pilot)
+    check_indices(cfg.scenario.params, 0, cfg.pilot)
     result = sweep(cfg.scenario, cfg.axis, cfg.grid, pilot=cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = [[cfg.axis, row.value, row.rates["tin"] * factor, row.rates["sd"] * factor,
@@ -482,7 +475,7 @@ def _threshold_path(out: str) -> str:
 def _cmd_montecarlo(args) -> int:
     cfg = _load_config(args)
     scenario = _scenario_with_size(cfg, args.cells, args.users)
-    _check_indices(scenario.params, cfg.pilot, cfg.bs)
+    check_indices(scenario.params, cfg.bs, cfg.pilot)
     state = scenario.state()
     omega = cfg.omega if cfg.omega is not None else tuple(range(state.L))
     _require(all(l < state.L for l in omega),

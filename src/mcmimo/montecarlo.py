@@ -26,13 +26,13 @@ flight.  Each thread draws into buffers the caller allocated for it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import PowerDecomposition, check_indices
 from .estimation import ChannelState
-from .parallel import pool_size, run_lanes
 
 __all__ = [
     "complex_normal",
@@ -94,11 +94,27 @@ def _batch_counts(trials: int, K: int, L: int, m: int) -> list[int]:
 
 
 def _lanes(workers: int | None, counts: list[int], per_trial: int) -> int:
-    """Batches run at once: at most ``pool_size(workers, batches)`` and at
-    most as many full batches as fit in _BATCH_BYTES together, but at least
-    one."""
+    """Batches run at once: at most ``workers`` (``None``: no cap), the
+    batch count, ``os.cpu_count()`` and as many full batches as fit in
+    _BATCH_BYTES together, but at least one."""
     fit = _BATCH_BYTES // (counts[0] * per_trial)
-    return max(1, min(pool_size(workers, len(counts)), fit))
+    cap = len(counts) if workers is None else min(workers, len(counts))
+    return max(1, min(cap, os.cpu_count() or 1, fit))
+
+
+def _run_lanes(fn, lanes: int) -> None:
+    """Call ``fn(t)`` for every lane ``t`` in ``range(lanes)``: inline when
+    there is one lane, otherwise on one thread per lane.  The first lane's
+    exception, if any, is raised in the caller once every lane has ended."""
+    if lanes <= 1:
+        fn(0)
+        return
+    # imported here: a run with one lane never needs it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        futures = [pool.submit(fn, t) for t in range(lanes)]
+    for future in futures:
+        future.result()
 
 
 def _one_batch(state: ChannelState, j: int, i: int, seed, buffers,
@@ -202,5 +218,5 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
             _one_batch(state, j, i, seeds[b], buffers[t], stats.inner[lo:hi],
                        stats.noise[lo:hi], stats.symbols[lo:hi])
 
-    run_lanes(lane, lanes)
+    _run_lanes(lane, lanes)
     return _decompose(stats, state, i, omega)

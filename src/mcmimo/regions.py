@@ -26,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import check_indices, coherent_power, mac_bound, noise_floor, subset_sum, tin_rate
+from .bounds import check_indices, coherent_power, mac_bound, noise_floor, subset_sum
 from .estimation import ChannelState
+from .symrate import tin_rate
 
 __all__ = [
     "MAX_CONSTRAINTS",

@@ -197,14 +197,6 @@ def classify_two_cell(state: ChannelState, j: int = 0, i: int = 0) -> TwoCellCas
     return _case(*values.tolist())
 
 
-def case_margin(state: ChannelState, j: int = 0, i: int = 0) -> float:
-    """Positive in case (i), negative in case (ii); crosses zero at the
-    transition, which makes it the natural bisection target."""
-    _, b, _, t = _two_cell_values(coherent_power(state, j, i), noise_floor(state, j),
-                                  j).tolist()
-    return t - b
-
-
 @dataclass(frozen=True)
 class OrderingCheck:
     """Expected scheme ordering for the active two-cell case at one BS."""

@@ -13,15 +13,15 @@ every row of the requested schemes at once:
   prefixes are compared,
 * SND compares the L nested decoded sets "own cell plus its q strongest
   interferers", each with its weakest-member prefixes as thetas, which is
-  L(L+1)/2 bounds instead of O(3^L) (see :func:`snd_max_symmetric`).
+  L(L+1)/2 bounds instead of O(3^L) (see :func:`_solve_rows`).
 
 The per-state functions (:func:`network_symmetric_rate`,
-:func:`bs_symmetric_rate` and the ``*_max_symmetric`` solvers) are the
-kernel on a stack of one state.  Every sum of coherent powers adds the
-cells from the highest index down, as :func:`~mcmimo.bounds.subset_sum`
-does, and every bound is one :func:`~mcmimo.bounds.mac_bound`, so a
-solver's rate equals the value of the matching region to the bit, and a
-stacked row equals the same row solved alone.
+:func:`bs_symmetric_rate` and :func:`tin_rate`) are the kernel on a stack
+of one state.  Every sum of coherent powers adds the cells from the
+highest index down, as :func:`~mcmimo.bounds.subset_sum` does, and every
+bound is one :func:`~mcmimo.bounds.mac_bound`, so a solver's rate equals
+the value of the matching region to the bit, and a stacked row equals the
+same row solved alone.
 
 Cell sets are int bitmasks (bit l stands for cell l).  The weakest and
 strongest orders are stable sorts of each row, so exactly tied cells rank
@@ -36,12 +36,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bounds import check_indices, coherent_powers, mac_bound, noise_floors
 from .estimation import ChannelState
-from .regions import Polytope
+
+if TYPE_CHECKING:
+    from .regions import Polytope
 
 __all__ = [
     "SCHEMES",
@@ -50,11 +53,9 @@ __all__ = [
     "max_symmetric_rate",
     "stacked_rates",
     "STACK_BYTES",
-    "sd_max_symmetric",
-    "ssnd_max_symmetric",
     "low_sinr_decode_set",
-    "snd_max_symmetric",
     "bs_symmetric_rate",
+    "tin_rate",
     "network_symmetric_rate",
 ]
 
@@ -150,6 +151,38 @@ def _solve_rows(coh, floor, own, schemes) -> dict:
     member, so each theta appears once and in cardinality order.  The rate
     is the max over sets of the min over thetas of bound / |theta|; the
     first minimizing theta and then the first maximizing set win ties.
+
+    SND's rate is that of the union of MAC polytopes at the BS.  Every part
+    and the union are downward closed along the diagonal, so the union's
+    symmetric rate is the max over decoded sets omega (containing the own
+    cell j) of the per-part polytope value
+
+        v(omega) = min over nonempty theta in omega of
+                   C(N(theta) / (N(omega^c) + F)) / |theta|.
+
+    Only L of the 2^(L-1) decoded sets and L(L+1)/2 thetas need evaluating:
+
+    1. For a fixed omega and size t, the bound grows with N(theta), so the
+       binding theta of size t is the t weakest members of omega.  v(omega)
+       is therefore a min over t of the weakest-t sums.
+    2. Swap a member of omega other than j for a stronger non-member.  Each
+       weakest-t sum of omega stays or grows (the t weakest of the new set
+       dominate those of the old one elementwise), and N(omega^c), hence the
+       denominator, shrinks.  So no value falls and v(omega) cannot fall.
+       Repeated swaps turn any omega of size q + 1 into j plus the q
+       strongest interferers.
+
+    The answer is therefore the best of the L nested sets "j plus the q
+    strongest interferers", q = 0..L-1, each with its q + 1 weakest-member
+    prefixes as thetas: L(L+1)/2 bound evaluations instead of O(3^L).
+
+    Ties reproduce the exhaustive enumeration: theta minimizes (value,
+    |theta|, bitmask) and omega maximizes value, then minimizes (|omega|,
+    bitmask).  Exactly tied cells are ranked lowest index first in both the
+    weakest and the strongest order, which gives the smallest bitmask among
+    equal-valued sets.  Every bound adds its cells in the order of
+    :func:`~mcmimo.bounds.subset_sum`, so the rate is bit-identical to the
+    best part value of :func:`~mcmimo.regions.snd_region`.
     """
     N, L = coh.shape
     is_own = own[:, None] == np.arange(L)
@@ -225,25 +258,6 @@ def _state_rates(state: ChannelState, scheme: str, i: int, bs: list[int]):
     return rate[0].tolist(), theta[0].tolist(), omega[0].tolist()
 
 
-def sd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int]:
-    """Max symmetric rate of the full-MAC polytope at BS j, and the binding
-    mask.
-
-    For each cardinality q the binding subset is the q weakest users, so only
-    L candidates v_q = log2(1 + mu_ji * s_q) / q need comparing, where s_q
-    sums the q smallest squared gains.  No region materialization.
-    """
-    entry = bs_symmetric_rate(state, "sd", j, i)
-    return entry.rate, entry.theta
-
-
-def ssnd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int]:
-    """Like :func:`sd_max_symmetric` but every candidate set contains the own
-    cell: c_q combines the own gain with the q-1 weakest other cells."""
-    entry = bs_symmetric_rate(state, "ssnd", j, i)
-    return entry.rate, entry.theta
-
-
 def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:
     """Greedy decoded set (a bitmask) minimizing the average squared gain
     over sets that contain the own cell.
@@ -268,49 +282,16 @@ def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:
     return mask
 
 
-def snd_max_symmetric(state: ChannelState, j: int, i: int) -> tuple[float, int, int]:
-    """Max symmetric rate over the union of MAC polytopes at BS j.
-
-    Returns ``(rate, omega, theta)``: the rate, the maximizing decoded set
-    and the binding subset of it, as bitmasks.  Every part and the union are
-    downward closed along the diagonal, so the union's symmetric rate is the
-    max over decoded sets omega (containing j) of the per-part polytope value
-
-        v(omega) = min over nonempty theta in omega of
-                   C(N(theta) / (N(omega^c) + F)) / |theta|.
-
-    Only L of the 2^(L-1) decoded sets and L(L+1)/2 thetas need evaluating:
-
-    1. For a fixed omega and size t, the bound grows with N(theta), so the
-       binding theta of size t is the t weakest members of omega.  v(omega)
-       is therefore a min over t of the weakest-t sums.
-    2. Swap a member of omega other than j for a stronger non-member.  Each
-       weakest-t sum of omega stays or grows (the t weakest of the new set
-       dominate those of the old one elementwise), and N(omega^c), hence the
-       denominator, shrinks.  So no value falls and v(omega) cannot fall.
-       Repeated swaps turn any omega of size q + 1 into j plus the q
-       strongest interferers.
-
-    The answer is therefore the best of the L nested sets "j plus the q
-    strongest interferers", q = 0..L-1, each with its q + 1 weakest-member
-    prefixes as thetas: L(L+1)/2 bound evaluations instead of O(3^L).
-
-    Ties reproduce the exhaustive enumeration: theta minimizes (value,
-    |theta|, bitmask) and omega maximizes value, then minimizes (|omega|,
-    bitmask).  Exactly tied cells are ranked lowest index first in both the
-    weakest and the strongest order, which gives the smallest bitmask among
-    equal-valued sets.  Every bound adds its cells in the order of
-    :func:`~mcmimo.bounds.subset_sum`, so the rate is bit-identical to the
-    best part value of :func:`~mcmimo.regions.snd_region`.
-    """
-    entry = bs_symmetric_rate(state, "snd", j, i)
-    return entry.rate, entry.omega, entry.theta
-
-
 def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0) -> BsSymRate:
     """Max symmetric rate at one BS for a decoding scheme."""
     (rate,), (theta,), (omega,) = _state_rates(state, scheme, i, [j])
     return BsSymRate(j, rate, theta, omega)
+
+
+def tin_rate(state: ChannelState, j: int, i: int) -> float:
+    """Rate when BS j decodes only its own user and treats the co-pilot
+    interference (whose combined power also grows with M) as noise."""
+    return bs_symmetric_rate(state, "tin", j, i).rate
 
 
 def network_symmetric_rate(state: ChannelState, scheme: str, i: int = 0) -> SymRateReport:

@@ -14,8 +14,7 @@ from mcmimo import (ChannelState, Polytope, SystemParams, max_symmetric_rate,
                     preset_scenario, sweep, tin_rate,
                     tin_rate_asymptotic, two_cell_layout)
 from mcmimo.montecarlo import empirical_power_decomposition
-from mcmimo.symrate import (low_sinr_decode_set, sd_max_symmetric,
-                            snd_max_symmetric, ssnd_max_symmetric)
+from mcmimo.symrate import bs_symmetric_rate, low_sinr_decode_set
 
 from oracles import (brute_force_sd, brute_force_ssnd, diagonal_rate_bisection,
                      direct_bound, random_state, restricted_average_argmin)
@@ -77,9 +76,9 @@ def test_criterion_04_fast_paths_equal_exhaustive_enumeration():
         state = random_state(rng, L=int(rng.integers(1, 9)), K=int(rng.integers(1, 5)))
         j = int(rng.integers(state.L))
         i = int(rng.integers(state.K))
-        fast_sd, _ = sd_max_symmetric(state, j, i)
+        fast_sd = bs_symmetric_rate(state, "sd", j, i).rate
         slow_sd, _ = brute_force_sd(state, j, i)
-        fast_ss, _ = ssnd_max_symmetric(state, j, i)
+        fast_ss = bs_symmetric_rate(state, "ssnd", j, i).rate
         slow_ss, _ = brute_force_ssnd(state, j, i)
         worst = max(worst, abs(fast_sd - slow_sd) / slow_sd,
                     abs(fast_ss - slow_ss) / slow_ss)
@@ -97,9 +96,8 @@ def test_criterion_05_scheme_ordering_everywhere():
         state = random_state(rng, L=int(rng.integers(1, 7)))
         for j in range(state.L):
             r_tin = tin_rate(state, j, 0)
-            r_sd, _ = sd_max_symmetric(state, j, 0)
-            r_ssnd, _ = ssnd_max_symmetric(state, j, 0)
-            r_snd, _, _ = snd_max_symmetric(state, j, 0)
+            r_sd, r_ssnd, r_snd = (bs_symmetric_rate(state, s, j, 0).rate
+                                   for s in ("sd", "ssnd", "snd"))
             assert r_sd >= 0 and r_tin >= 0
             assert r_sd <= r_ssnd / slack
             assert r_ssnd <= r_snd / slack
@@ -190,8 +188,8 @@ def test_criterion_10_low_snr_structure():
             continue
         assert len(set(b2)) == L, "constructed gains must be distinct"
         assert b2[j] > b2.min()
-        r_sd, _ = sd_max_symmetric(state, j, 0)
-        r_ssnd, _ = ssnd_max_symmetric(state, j, 0)
+        r_sd = bs_symmetric_rate(state, "sd", j, 0).rate
+        r_ssnd = bs_symmetric_rate(state, "ssnd", j, 0).rate
         assert r_ssnd > r_sd, "non-unique decoding must win strictly at low SINR"
         greedy = low_sinr_decode_set(state, j, 0)
         exhaustive = restricted_average_argmin(b2, j)

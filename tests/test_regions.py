@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import (Polytope, max_symmetric_rate, regions, sd_max_symmetric, sd_region,
-                    snd_region, ssnd_max_symmetric, ssnd_region, tin_rate, tin_region)
+from mcmimo import (Polytope, bs_symmetric_rate, max_symmetric_rate, regions, sd_region,
+                    snd_region, ssnd_region, tin_rate, tin_region)
 from mcmimo.bounds import subset_sum
 
 from oracles import (cells, direct_bound, fading_states, random_state, ring_state,
                      snd_member_three_cell, snd_member_two_cell)
+
+
+def rate_and_theta(state, scheme, j, i):
+    """The per-BS solver's rate and binding mask, as max_symmetric_rate gives them."""
+    entry = bs_symmetric_rate(state, scheme, j, i)
+    return entry.rate, entry.theta
 
 
 class TestConstruction:
@@ -150,9 +156,9 @@ class TestSubsetSumTable:
             state = random_state(rng, L=int(rng.integers(1, 8)))
             j = int(rng.integers(state.L))
             assert max_symmetric_rate(sd_region(state, j, 0).parts[0]) == \
-                sd_max_symmetric(state, j, 0)
+                rate_and_theta(state, "sd", j, 0)
             assert max_symmetric_rate(ssnd_region(state, j, 0).parts[0]) == \
-                ssnd_max_symmetric(state, j, 0)
+                rate_and_theta(state, "ssnd", j, 0)
 
     @settings(max_examples=60)
     @given(fading_states(), st.data())
@@ -171,8 +177,8 @@ class TestSubsetSumTable:
                         assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
             tin, sd, ssnd = (max_symmetric_rate(r.parts[0]) for r in regions[:3])
             assert tin == (tin_rate(state, j, i), 1 << j)
-            assert sd == sd_max_symmetric(state, j, i)
-            assert ssnd == ssnd_max_symmetric(state, j, i)
+            assert sd == rate_and_theta(state, "sd", j, i)
+            assert ssnd == rate_and_theta(state, "ssnd", j, i)
 
 
 class TestPolytopeChecks:

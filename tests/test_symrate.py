@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, Polytope, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
-                    network_symmetric_rate, preset_scenario, sd_max_symmetric, sd_region,
-                    snd_max_symmetric, snd_region, ssnd_max_symmetric, ssnd_region, tin_rate,
-                    two_cell_layout)
+                    network_symmetric_rate, preset_scenario, sd_region, snd_region,
+                    ssnd_region, tin_rate, two_cell_layout)
 from mcmimo.bounds import coherent_powers, noise_floors
 from mcmimo import symrate
 from mcmimo.symrate import bs_symmetric_rate, stacked_rates
@@ -67,10 +66,10 @@ class TestFastPaths:
             state = random_state(rng)
             j = int(rng.integers(state.L))
             i = int(rng.integers(state.K))
-            fast, subset = sd_max_symmetric(state, j, i)
+            fast = bs_symmetric_rate(state, "sd", j, i)
             slow, slow_subset = brute_force_sd(state, j, i)
-            assert fast == pytest.approx(slow, rel=1e-12)
-            assert subset == slow_subset
+            assert fast.rate == pytest.approx(slow, rel=1e-12)
+            assert fast.theta == slow_subset
 
     def test_ssnd_matches_brute_force(self):
         rng = np.random.default_rng(53)
@@ -78,21 +77,21 @@ class TestFastPaths:
             state = random_state(rng)
             j = int(rng.integers(state.L))
             i = int(rng.integers(state.K))
-            fast, subset = ssnd_max_symmetric(state, j, i)
+            fast = bs_symmetric_rate(state, "ssnd", j, i)
             slow, slow_subset = brute_force_ssnd(state, j, i)
-            assert fast == pytest.approx(slow, rel=1e-12)
-            assert subset == slow_subset
-            assert subset >> j & 1
+            assert fast.rate == pytest.approx(slow, rel=1e-12)
+            assert fast.theta == slow_subset
+            assert fast.theta >> j & 1
 
     def test_fast_paths_match_region_polytopes(self):
         rng = np.random.default_rng(54)
         for _ in range(50):
             state = random_state(rng, L=int(rng.integers(1, 6)))
             j = int(rng.integers(state.L))
-            sd_fast, _ = sd_max_symmetric(state, j, 0)
+            sd_fast = bs_symmetric_rate(state, "sd", j, 0).rate
             sd_poly, _ = max_symmetric_rate(sd_region(state, j, 0).parts[0])
             assert sd_fast == pytest.approx(sd_poly, rel=1e-12)
-            ssnd_fast, _ = ssnd_max_symmetric(state, j, 0)
+            ssnd_fast = bs_symmetric_rate(state, "ssnd", j, 0).rate
             ssnd_poly, _ = max_symmetric_rate(ssnd_region(state, j, 0).parts[0])
             assert ssnd_fast == pytest.approx(ssnd_poly, rel=1e-12)
 
@@ -101,9 +100,9 @@ class TestFastPaths:
         state = random_state(rng, L=1, K=2)
         mu = mu_coefficient(state, 0, 0)
         expected = capacity(mu * state.beta[0, 0, 0] ** 2)
-        rate, subset = sd_max_symmetric(state, 0, 0)
-        assert rate == pytest.approx(expected, rel=1e-12)
-        assert subset == 0b1
+        entry = bs_symmetric_rate(state, "sd", 0, 0)
+        assert entry.rate == pytest.approx(expected, rel=1e-12)
+        assert entry.theta == 0b1
 
     def test_low_sinr_sd_limited_by_weakest_user(self):
         rng = np.random.default_rng(56)
@@ -112,7 +111,7 @@ class TestFastPaths:
             mu = mu_coefficient(state, 0, 0)
             s_full = (state.beta[0, 0, :] ** 2).sum()
             assert mu * s_full < 1e-2
-            _, subset = sd_max_symmetric(state, 0, 0)
+            subset = bs_symmetric_rate(state, "sd", 0, 0).theta
             weakest = int(np.argmin(state.beta[0, 0, :]))
             assert subset == 1 << weakest
 
@@ -121,7 +120,8 @@ class TestFastPaths:
         for _ in range(200):
             state = random_state(rng)
             j = int(rng.integers(state.L))
-            assert ssnd_max_symmetric(state, j, 0)[0] >= sd_max_symmetric(state, j, 0)[0]
+            assert (bs_symmetric_rate(state, "ssnd", j, 0).rate
+                    >= bs_symmetric_rate(state, "sd", j, 0).rate)
 
     def test_symmetric_two_cell_pair_value(self):
         layout = two_cell_layout(400.0, 800.0, users_per_cell=4)
@@ -130,9 +130,9 @@ class TestFastPaths:
         mu = mu_coefficient(state, 0, 0)
         b_own, b_cross = state.beta[0, 0, 0], state.beta[0, 0, 1]
         expected_pair = 0.5 * capacity(mu * (b_own ** 2 + b_cross ** 2))
-        rate, subset = ssnd_max_symmetric(state, 0, 0)
-        assert rate == pytest.approx(expected_pair, rel=1e-12)
-        assert subset == 0b11
+        entry = bs_symmetric_rate(state, "ssnd", 0, 0)
+        assert entry.rate == pytest.approx(expected_pair, rel=1e-12)
+        assert entry.theta == 0b11
 
 
 class TestLowSinrDecodeSet:
@@ -176,10 +176,10 @@ class TestSndMaxSymmetric:
         for _ in range(100):
             state = random_state(rng, L=2)
             j = int(rng.integers(2))
-            rate, omega, theta = snd_max_symmetric(state, j, 0)
-            expected = max(tin_rate(state, j, 0), ssnd_max_symmetric(state, j, 0)[0])
-            assert rate == pytest.approx(expected, rel=1e-14)
-            assert theta & ~omega == 0 and omega >> j & 1
+            snd = bs_symmetric_rate(state, "snd", j, 0)
+            expected = max(tin_rate(state, j, 0), bs_symmetric_rate(state, "ssnd", j, 0).rate)
+            assert snd.rate == pytest.approx(expected, rel=1e-14)
+            assert snd.theta & ~snd.omega == 0 and snd.omega >> j & 1
 
     def test_never_below_tin_or_ssnd(self):
         # cross-implementation comparisons tolerate summation-order ulps
@@ -187,16 +187,16 @@ class TestSndMaxSymmetric:
         for _ in range(100):
             state = random_state(rng, L=int(rng.integers(2, 6)))
             j = int(rng.integers(state.L))
-            rate, _, _ = snd_max_symmetric(state, j, 0)
+            rate = bs_symmetric_rate(state, "snd", j, 0).rate
             assert rate >= tin_rate(state, j, 0) * (1.0 - 1e-12)
-            assert rate >= ssnd_max_symmetric(state, j, 0)[0] * (1.0 - 1e-12)
+            assert rate >= bs_symmetric_rate(state, "ssnd", j, 0).rate * (1.0 - 1e-12)
 
     def test_matches_subset_enumeration(self):
         rng = np.random.default_rng(63)
         for _ in range(60):
             state = random_state(rng, L=int(rng.integers(1, 6)))
             j = int(rng.integers(state.L))
-            rate, _, _ = snd_max_symmetric(state, j, 0)
+            rate = bs_symmetric_rate(state, "snd", j, 0).rate
             assert rate == pytest.approx(brute_force_snd(state, j, 0), rel=1e-12)
 
     def test_matches_union_region_diagonal_bisection(self):
@@ -204,7 +204,7 @@ class TestSndMaxSymmetric:
         for _ in range(25):
             state = random_state(rng, L=int(rng.integers(2, 5)))
             j = int(rng.integers(state.L))
-            rate, _, _ = snd_max_symmetric(state, j, 0)
+            rate = bs_symmetric_rate(state, "snd", j, 0).rate
             region = snd_region(state, j, 0)
             oracle = diagonal_rate_bisection(region, state.L, hi=max(rate, 1.0))
             assert rate == pytest.approx(oracle, rel=1e-6)
@@ -238,13 +238,19 @@ class TestSndMaxSymmetric:
             assert r["tin"] <= r["snd"] * (1 + 1e-12)
 
 
+def snd_witness(state, j, i):
+    """The SND solution at BS j in the oracle's ``(rate, omega, theta)`` order."""
+    entry = bs_symmetric_rate(state, "snd", j, i)
+    return entry.rate, entry.omega, entry.theta
+
+
 class TestSndAgainstExhaustive:
     @settings(max_examples=150)
     @given(fading_states())
     def test_equals_exhaustive_enumeration(self, case):
         state, i = case
         for j in range(state.L):
-            assert snd_max_symmetric(state, j, i) == exhaustive_snd(state, j, i)
+            assert snd_witness(state, j, i) == exhaustive_snd(state, j, i)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_equal_exhaustive_enumeration(self, name):
@@ -256,7 +262,7 @@ class TestSndAgainstExhaustive:
                 state = scenario.with_axis("M", m).state()
                 for j in range(state.L):
                     for i in range(state.K):
-                        assert snd_max_symmetric(state, j, i) == exhaustive_snd(state, j, i)
+                        assert snd_witness(state, j, i) == exhaustive_snd(state, j, i)
 
     def test_rings_equal_exhaustive_enumeration(self):
         rng = np.random.default_rng(69)
@@ -264,7 +270,7 @@ class TestSndAgainstExhaustive:
             state = ring_state(rng, L=L, M=float(10 ** rng.uniform(2, 6)))
             for j in range(L):
                 for i in range(state.K):
-                    assert snd_max_symmetric(state, j, i) == exhaustive_snd(state, j, i)
+                    assert snd_witness(state, j, i) == exhaustive_snd(state, j, i)
 
 
 def stack_of(cases):
@@ -406,14 +412,13 @@ class TestNetworkReport:
 def test_snd_rejects_negative_bs_index():
     state = random_state(np.random.default_rng(70), L=2, K=2)
     with pytest.raises(ValueError, match="out of range"):
-        snd_max_symmetric(state, -1, 0)
+        bs_symmetric_rate(state, "snd", -1, 0)
 
 
 @pytest.mark.parametrize("j, i", [(-1, 0), (3, 0), (0, -1), (0, 2)])
 def test_solvers_reject_out_of_range_indices(j, i):
     state = random_state(np.random.default_rng(71), L=3, K=2)
-    solvers = [tin_rate, sd_max_symmetric, ssnd_max_symmetric, snd_max_symmetric,
-               low_sinr_decode_set] + [
+    solvers = [tin_rate, low_sinr_decode_set] + [
         lambda state, j, i, scheme=scheme: bs_symmetric_rate(state, scheme, j, i)
         for scheme in SCHEMES]
     for solver in solvers:
