@@ -75,7 +75,11 @@ class PowerDecomposition:
 def check_indices(state, j: int, i: int) -> None:
     """Reject a BS index outside [0, L) or a pilot index outside [0, K) of a
     channel state (or of its ``SystemParams``); numpy would read a negative
-    one from the end."""
+    one from the end.  Either must be a Python or NumPy integer: numpy reads
+    ``True`` as a mask and refuses ``1.0``."""
+    for name, index in (("BS", j), ("pilot", i)):
+        if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
+            raise ValueError(f"{name} index must be an integer, got {index!r}")
     if not 0 <= j < state.L:
         raise ValueError(f"BS index {j} out of range for L={state.L}")
     if not 0 <= i < state.K:

@@ -2,10 +2,11 @@
 
 One executable with subcommands ``region``, ``symrate``, ``sweep``,
 ``classify`` and ``montecarlo``.  A run is configured either by ``--preset``
-or by a JSON config file; CLI flags override config values.  All output is
-CSV with a header row, LF line endings and 12 significant digits, so a given
-config and seed always produce byte-identical files.  Errors exit nonzero
-after printing a single machine-parsable ``error: ...`` line to stderr.
+or by a JSON config file; a flag replaces its config key before validation,
+so flags and config values pass the same checks.  All output is CSV with a
+header row, LF line endings and 12 significant digits, so a given config and
+seed always produce byte-identical files.  Every error, bad argv included,
+prints a single machine-parsable ``error: ...`` line to stderr and exits 2.
 
 Config schema (JSON object; unknown keys are rejected):
 
@@ -17,7 +18,10 @@ Config schema (JSON object; unknown keys are rejected):
     unit     "bits" (default) or "nats"
     scheme, axis, grid, seed, trials, out, bs, pilot, omega, m, workers
              optional subcommand parameters; grid is a list of values or
-             {"scale": "log"|"lin", "start", "stop", "num"}
+             {"scale": "log"|"lin", "start", "stop", "num"}; m replaces the
+             antenna count in every subcommand, sweep included
+
+Every number must be finite.
 
 Cell, BS and pilot indices are 0-based everywhere; subset columns are emitted
 as bitmasks with bit l for cell l.
@@ -33,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import check_indices, power_terms
+from .bounds import power_terms
 from .montecarlo import empirical_power_decomposition
 from .network import CellLayout, SystemParams
 from .regions import sd_region, snd_region, ssnd_region, tin_region
@@ -117,10 +121,13 @@ _COUNT_WORDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive i
 def _number(key: str, val, count: bool = False, least: int | None = None):
     """The config value ``val`` of ``key`` as a float or, for a ``count``,
     an int of at least ``least``.  JSON booleans are rejected although
-    Python counts them as ints, and so is a count with a fractional part."""
+    Python counts them as ints, and so is a count with a fractional part or
+    a value that is not finite (Python's JSON reads ``Infinity`` and
+    ``NaN``)."""
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if not count:
         _require(number, f"{key} must be a number, got {val!r}")
+        _require(math.isfinite(val), f"{key} must be finite, got {val!r}")
         return float(val)
     _require(number and (isinstance(val, int) or val.is_integer()) and
              (least is None or val >= least),
@@ -221,19 +228,22 @@ def _parse_grid(raw) -> tuple[float, ...]:
     return grid
 
 
+def _json_object(text: str) -> dict:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    _require(isinstance(raw, dict), "config root must be a JSON object")
+    return raw
+
+
 def parse_config(source) -> RunConfig:
     """Build a validated :class:`RunConfig` from a dict or a JSON string.
 
     Unknown keys are rejected by name; out-of-range values report the
     offending key and the accepted bounds.
     """
-    if isinstance(source, str):
-        try:
-            raw = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-    else:
-        raw = source
+    raw = _json_object(source) if isinstance(source, str) else source
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _reject_unknown(raw, _CONFIG_KEYS, "config")
 
@@ -325,83 +335,69 @@ def _unit_factor(unit: str) -> float:
     return _LN2 if unit == "nats" else 1.0
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    for key in ("scheme", "axis", "out", "unit"):
-        val = getattr(args, key, None)
-        if val is not None:
-            updates[key] = val
-    for key in ("seed", "trials", "bs", "pilot", "workers", "m"):
-        val = getattr(args, key, None)
-        if val is not None:
-            updates[key] = val
-    if getattr(args, "grid", None) is not None:
-        updates["grid"] = _parse_grid_spec(args.grid)
-    if getattr(args, "omega", None) is not None:
-        try:
-            updates["omega"] = tuple(sorted({int(v) for v in args.omega.split(",")}))
-        except ValueError:
-            raise ConfigError(f"omega must be comma-separated integers, got {args.omega!r}")
-    _require(updates.get("workers", 1) >= 1,
-             f"workers must be a positive integer, got {updates.get('workers')!r}")
-    return replace(cfg, **updates)
-
-
-def _parse_grid_spec(spec: str) -> tuple[float, ...]:
-    """Grid flag syntax: 'lo:hi:n[:log|lin]' or comma-separated values."""
-    if ":" in spec:
-        parts = spec.split(":")
-        _require(len(parts) in (3, 4), f"grid spec must be lo:hi:n[:log|lin], got {spec!r}")
-        scale = parts[3] if len(parts) == 4 else "lin"
-        return _parse_grid({"start": float(parts[0]), "stop": float(parts[1]),
-                            "num": float(parts[2]), "scale": scale})
+def _grid_flag(spec: str):
+    """The config form of ``--grid``: 'lo:hi:n[:log|lin]' becomes a grid
+    object, comma-separated values a list."""
+    parts = spec.split(":")
+    _require(len(parts) in (1, 3, 4), f"grid spec must be lo:hi:n[:log|lin], got {spec!r}")
     try:
-        return _parse_grid([float(v) for v in spec.split(",")])
+        if len(parts) == 1:
+            return [float(v) for v in spec.split(",")]
+        start, stop, num = map(float, parts[:3])
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}: {exc}") from None
+    return {"start": start, "stop": stop, "num": num,
+            "scale": parts[3] if len(parts) == 4 else "lin"}
 
 
-def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        _require(getattr(args, "preset", None) is None,
-                 "give either --config or --preset, not both")
+def _omega_flag(spec: str) -> list[int]:
+    """The config form of ``--omega``: a list of cell indices."""
+    try:
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"omega must be comma-separated integers, got {spec!r}") from None
+
+
+def _load_run(args) -> tuple[RunConfig, Scenario]:
+    """The validated config of a run and the scenario it runs on.
+
+    The config is the ``--config`` file, or else ``{"preset": ...}``.  Each
+    given flag replaces its config key before the one ``parse_config`` call,
+    so a flag passes the checks of its key.  The ``m`` key and the
+    ``--cells`` and ``--users`` flags then adjust the scenario.
+    """
+    flags = {key: val for key, val in vars(args).items()
+             if key in _CONFIG_KEYS and val is not None}
+    if "grid" in flags:
+        flags["grid"] = _grid_flag(flags["grid"])
+    if "omega" in flags:
+        flags["omega"] = _omega_flag(flags["omega"])
+    raw = {"preset": "two-cell-scenario-a"}
+    if args.config:
+        _require("preset" not in flags, "give either --config or --preset, not both")
         try:
             with open(args.config) as fh:
-                text = fh.read()
+                raw = _json_object(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
-        cfg = parse_config(text)
-    elif getattr(args, "preset", None):
-        cfg = parse_config({"preset": args.preset})
-    else:
-        cfg = parse_config({"preset": "two-cell-scenario-a"})
-    cfg = _apply_overrides(cfg, args)
-    return cfg
+    cfg = parse_config({**raw, **flags})
 
-
-def _scenario_with_size(cfg: RunConfig, cells: int | None, k: int | None) -> Scenario:
     scenario = cfg.scenario
+    cells, users = getattr(args, "cells", None), getattr(args, "users", None)
     if cells is not None and scenario.params.L != cells:
         _require(cells in (2, 3), f"--cells must be 2 or 3, got {cells}")
-        name = "two-cell-scenario-a" if cells == 2 else "three-cell-theta"
-        scenario = preset_scenario(name)
-    if k is not None:
+        scenario = preset_scenario("two-cell-scenario-a" if cells == 2 else "three-cell-theta")
+    if users is not None:
         _require(scenario.layout_kind != "explicit",
                  "--users requires a canonical layout (user count fixes its shape)")
-        params = scenario.params
-        new = SystemParams(params.L, int(k), params.M, params.rho_u, params.rho_p,
-                           params.alpha_pl, params.d0)
-        scenario = replace(scenario, params=new)
+        scenario = replace(scenario, params=replace(scenario.params, K=users))
     if cfg.m is not None:
         scenario = scenario.with_axis("M", cfg.m)
-    return scenario
+    return cfg, scenario
 
 
-def _cmd_region(args) -> int:
-    cfg = _load_config(args)
+def _cmd_region(cfg: RunConfig, scenario: Scenario) -> int:
     scheme = cfg.scheme or "sd"
-    scenario = _scenario_with_size(cfg, None, None)
-    check_indices(scenario.params, cfg.bs, cfg.pilot)
     builder = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region,
                "snd": snd_region}[scheme]
     region = builder(scenario.state(), cfg.bs, cfg.pilot)
@@ -414,12 +410,8 @@ def _cmd_region(args) -> int:
     return 0
 
 
-def _cmd_symrate(args) -> int:
-    cfg = _load_config(args)
-    scheme = cfg.scheme or "snd"
-    scenario = _scenario_with_size(cfg, None, None)
-    check_indices(scenario.params, 0, cfg.pilot)
-    report = network_symmetric_rate(scenario.state(), scheme, cfg.pilot)
+def _cmd_symrate(cfg: RunConfig, scenario: Scenario) -> int:
+    report = network_symmetric_rate(scenario.state(), cfg.scheme or "snd", cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = [[str(entry.bs), entry.rate * factor, entry.theta, entry.omega]
             for entry in report.per_bs]
@@ -429,10 +421,7 @@ def _cmd_symrate(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    cfg = _load_config(args)
-    scenario = _scenario_with_size(cfg, None, None)
-    check_indices(scenario.params, 0, cfg.pilot)
+def _cmd_classify(cfg: RunConfig, scenario: Scenario) -> int:
     state = scenario.state()
     factor = _unit_factor(cfg.unit)
     rows = []
@@ -447,12 +436,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(cfg: RunConfig, scenario: Scenario) -> int:
     _require(cfg.axis is not None, "sweep requires an axis (--axis or config key 'axis')")
     _require(cfg.grid is not None, "sweep requires a grid (--grid or config key 'grid')")
-    check_indices(cfg.scenario.params, 0, cfg.pilot)
-    result = sweep(cfg.scenario, cfg.axis, cfg.grid, pilot=cfg.pilot)
+    result = sweep(scenario, cfg.axis, cfg.grid, pilot=cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = [[cfg.axis, row.value, row.rates["tin"] * factor, row.rates["sd"] * factor,
              row.rates["ssnd"] * factor, row.rates["snd"] * factor, row.case]
@@ -472,14 +459,9 @@ def _threshold_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".thresholds.csv"
 
 
-def _cmd_montecarlo(args) -> int:
-    cfg = _load_config(args)
-    scenario = _scenario_with_size(cfg, args.cells, args.users)
-    check_indices(scenario.params, cfg.bs, cfg.pilot)
+def _cmd_montecarlo(cfg: RunConfig, scenario: Scenario) -> int:
     state = scenario.state()
     omega = cfg.omega if cfg.omega is not None else tuple(range(state.L))
-    _require(all(l < state.L for l in omega),
-             f"omega {list(omega)} has entries out of range for L={state.L}")
     empirical = empirical_power_decomposition(
         state, cfg.bs, cfg.pilot, omega, trials=cfg.trials, seed=cfg.seed,
         workers=cfg.workers)
@@ -491,6 +473,14 @@ def _cmd_montecarlo(args) -> int:
         rows.append([name, emp, ana, rel])
     emit_csv(["term", "empirical", "analytic", "rel_error"], rows, cfg.out)
     return 0
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take the one ``error:`` line
+    path of every other failure instead of printing a usage block."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -506,7 +496,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mcmimo",
         description="Uplink rate regions and max-min symmetric rates for "
                     "multi-cell massive MIMO under TIN/SD/SND/S-SND decoding.")
@@ -549,11 +539,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
+        args = _build_parser().parse_args(argv)
+        return args.func(*_load_run(args))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

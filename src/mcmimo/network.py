@@ -69,6 +69,9 @@ class SystemParams:
             raise ValueError(f"alpha_pl must be >= 0, got {self.alpha_pl!r}")
         if not self.d0 > 0:
             raise ValueError(f"d0 must be positive, got {self.d0!r}")
+        for name in ("M", "rho_u", "rho_p", "alpha_pl", "d0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     def with_m(self, m: float) -> "SystemParams":
         """Copy of the parameters with a different antenna count."""

@@ -279,6 +279,9 @@ def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int
         bad = m[~(m > 0)]
         if bad.size:
             raise ValueError(f"M must be positive, got {float(bad[0])!r}")
+        bad = m[~np.isfinite(m)]
+        if bad.size:
+            raise ValueError(f"M must be finite, got {float(bad[0])!r}")
         beta, alpha = base.beta, base.stats.alpha
     else:
         m = p.M

@@ -11,7 +11,7 @@ import mcmimo.regions as regions
 from mcmimo import PRESET_NAMES, SCHEMES
 from mcmimo.cli import ConfigError, RunConfig, emit_csv, main, parse_config
 from mcmimo.montecarlo import MAX_TRIALS
-from mcmimo.scenarios import MAX_GRID_POINTS
+from mcmimo.scenarios import MAX_GRID_POINTS, preset_scenario, sweep
 
 
 GOOD_EXPLICIT = {
@@ -300,13 +300,18 @@ class TestCliCommands:
         ["montecarlo", "--bs", "2", "--trials", "1000"],
     ])
     def test_out_of_range_index_is_one_error_line(self, argv, capsys):
-        # the preset has L = 2 cells and K = 4 pilots
+        # the preset has L = 2 cells and K = 4 pilots; a negative index is
+        # refused by its config key, a too-large one by the library
         assert run_cli(*argv, "--preset", "two-cell-scenario-a") == 2
         out = capsys.readouterr()
         assert out.out == ""
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "out of range" in lines[0]
+        if "-1" in argv:
+            key = argv[argv.index("-1") - 1].lstrip("-")
+            assert lines[0] == f"error: {key} must be a nonnegative integer, got -1"
+        else:
+            assert "out of range" in lines[0]
 
     @pytest.mark.parametrize("command, change, message", [
         ("region", {"bs": True}, "bs must be a nonnegative integer, got True"),
@@ -457,6 +462,80 @@ class TestCliCommands:
         assert out.err.splitlines() == [
             f"error: {scheme} region at L={L} has {count} constraints, above the "
             f"limit of {regions.MAX_CONSTRAINTS}"]
+
+
+class TestOneInputPath:
+    """A flag is another way to set its config key: it replaces the key
+    before the one validation, and bad argv takes the same error path."""
+
+    PARITY = [
+        ("symrate", "workers", "0", 0, "workers must be a positive integer, got 0"),
+        ("symrate", "pilot", "-1", -1, "pilot must be a nonnegative integer, got -1"),
+        ("region", "bs", "-1", -1, "bs must be a nonnegative integer, got -1"),
+        ("symrate", "m", "inf", math.inf, "m must be finite, got inf"),
+        ("symrate", "m", "-5", -5, "m must be positive, got -5.0"),
+        ("sweep", "grid", "1e3,inf", [1e3, math.inf], "grid entry must be finite, got inf"),
+        ("montecarlo", "omega", "-1", [-1], "omega entry must be a nonnegative integer, got -1"),
+    ]
+
+    @pytest.mark.parametrize("command, key, flag, value, message", PARITY,
+                             ids=[f"{c[1]}={c[2]}" for c in PARITY])
+    def test_flag_and_config_key_give_the_same_error(self, command, key, flag, value,
+                                                     message, tmp_path, capsys):
+        # json.dumps writes inf as Infinity, which Python's JSON reads back
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-cell-scenario-a", key: value}))
+        results = []
+        for argv in ([command, "--preset", "two-cell-scenario-a", f"--{key}", flag],
+                     [command, "--config", str(path)]):
+            code = run_cli(*argv)
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        assert results[0] == results[1] == (2, "", f"error: {message}\n")
+
+    def test_axis_and_grid_flags_let_an_explicit_config_omit_m(self, tmp_path, capsys):
+        config = json.loads(json.dumps(GOOD_EXPLICIT))
+        del config["params"]["M"]
+        flags_path, keys_path = tmp_path / "flags.json", tmp_path / "keys.json"
+        flags_path.write_text(json.dumps(config))
+        keys_path.write_text(json.dumps(dict(config, axis="M", grid=[1e3, 1e4, 1e5])))
+        assert run_cli("sweep", "--config", str(flags_path), "--axis", "M",
+                       "--grid", "1e3,1e4,1e5") == 0
+        by_flags = capsys.readouterr()
+        assert run_cli("sweep", "--config", str(keys_path)) == 0
+        by_keys = capsys.readouterr()
+        assert by_flags.err == by_keys.err == ""
+        assert by_flags.out.encode() == by_keys.out.encode()
+
+    def test_config_m_applies_to_sweep(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-cell-scenario-b", "m": 1e3}))
+        assert run_cli("sweep", "--config", str(path), "--axis", "radius_x",
+                       "--grid", "150,200,240") == 0
+        rows, thresholds = capsys.readouterr().out.split("\n\n")
+        scenario = preset_scenario("two-cell-scenario-b")
+        result = sweep(scenario.with_axis("M", 1e3), "radius_x", [150.0, 200.0, 240.0])
+        assert rows.splitlines()[1:] == [
+            ",".join(["radius_x", *(f"{v:.12g}" for v in (row.value, *row.rates.values())),
+                      row.case]) for row in result.rows]
+        assert thresholds.splitlines()[1:] == [
+            f"{c.name},{c.before},{c.after},{c.value:.12g},{c.rel_tol:.12g}"
+            for c in result.thresholds]
+        unchanged = sweep(scenario, "radius_x", [150.0, 200.0, 240.0])
+        assert [r.rates for r in unchanged.rows] != [r.rates for r in result.rows]
+
+    @pytest.mark.parametrize("argv", [
+        ["symrate", "--pilot", "x"],
+        ["symrate", "--scheme", "foo"],
+        ["symrate", "--bogus"],
+        [],
+    ])
+    def test_bad_argv_is_one_error_line(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"

@@ -160,6 +160,15 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=field):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["M", "rho_u", "rho_p", "alpha_pl", "d0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = dict(L=2, K=4, M=64, rho_u=30.0, rho_p=120.0, alpha_pl=2.0,
+                      d0=100.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            SystemParams(**kwargs)
+
 
 class TestLayoutSerialization:
     def test_round_trip(self):

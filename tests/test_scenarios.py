@@ -201,6 +201,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="M must be positive, got 0.0"):
             sweep(sc, "M", [0.0, 1e3])
 
+    def test_non_finite_antenna_count_rejected(self):
+        # an infinite M gave nan rates and thresholds at inf
+        sc = preset_scenario("two-cell-scenario-a")
+        with pytest.raises(ValueError, match="M must be finite, got inf"):
+            sweep(sc, "M", [1e3, np.inf])
+        with pytest.raises(ValueError, match="M must be finite, got inf"):
+            sc.with_axis("M", np.inf)
+
 
 M_GRID = np.geomspace(1e3, 1e7, 25)  # the CLI grid 1e3:1e7:25:log
 

@@ -424,3 +424,27 @@ def test_solvers_reject_out_of_range_indices(j, i):
     for solver in solvers:
         with pytest.raises(ValueError, match="out of range"):
             solver(state, j, i)
+
+
+def test_indices_must_be_integers():
+    # numpy reads True as a mask and refuses 1.0 with its own message; a
+    # one-cell network's size-1 axis would even take True as a new axis
+    state = preset_scenario("two-cell-scenario-a").state()
+    one_cell = random_state(np.random.default_rng(72), L=1, K=1)
+    calls = [
+        (lambda: tin_rate(state, True, 0), "BS index must be an integer, got True"),
+        (lambda: bs_symmetric_rate(state, "snd", True, 0),
+         "BS index must be an integer, got True"),
+        (lambda: sd_region(state, True, 0), "BS index must be an integer, got True"),
+        (lambda: tin_rate(state, 1.0, 0), "BS index must be an integer, got 1.0"),
+        (lambda: tin_rate(state, 0, True), "pilot index must be an integer, got True"),
+        (lambda: tin_rate(one_cell, True, 0), "BS index must be an integer, got True"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    j, i = np.int64(1), np.int64(0)
+    assert tin_rate(state, j, i) == tin_rate(state, 1, 0)
+    assert bs_symmetric_rate(state, "snd", j, i) == bs_symmetric_rate(state, "snd", 1, 0)
+    assert np.array_equal(sd_region(state, j, i).bound, sd_region(state, 1, 0).bound)
