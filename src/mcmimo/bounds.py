@@ -93,17 +93,34 @@ def coherent_powers(m, params: SystemParams, beta: np.ndarray, alpha: np.ndarray
     ``beta`` and ``alpha`` are (..., L, K, L) fading and MMSE tensors and
     ``m`` one antenna count, or one per leading index.  Each entry is
     ``((M sqrt(rho_p)) rho_u) beta_jil alpha_jil``, multiplied in that order.
+
+    Finite inputs whose product overflows raise ``ValueError``, since a rate
+    read off such powers would be ``nan``.  numpy's floating-point status
+    check on each multiply is the test, so it costs no pass over the result
+    and no numpy warning is emitted.  The inputs themselves are finite:
+    ``SystemParams``, ``ChannelState`` and the sweep's M axis check them.
     """
-    scale = np.multiply(m, math.sqrt(params.rho_p)) * params.rho_u
-    return scale[..., None, None] * beta[..., i, :] * alpha[..., i, :]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            scale = np.multiply(m, math.sqrt(params.rho_p)) * params.rho_u
+            return scale[..., None, None] * beta[..., i, :] * alpha[..., i, :]
+    except FloatingPointError:
+        raise ValueError("coherent power M sqrt(rho_p) rho_u beta alpha overflows: "
+                         "M, rho_p or rho_u is too large") from None
 
 
 def noise_floors(beta: np.ndarray, rho_u: float) -> np.ndarray:
     """The floor F of every BS j, sum_{l,k} rho_u beta_jkl + 1, as an
     (..., L) array from (..., L, K, L) fading.  Each sum runs over a
-    contiguous K*L row, the order in which ``beta[j].sum()`` adds."""
+    contiguous K*L row, the order in which ``beta[j].sum()`` adds.  A floor
+    that overflows raises ``ValueError``, as in :func:`coherent_powers`."""
     beta = np.ascontiguousarray(beta)
-    return rho_u * beta.reshape(*beta.shape[:-2], -1).sum(axis=-1) + 1.0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return rho_u * beta.reshape(*beta.shape[:-2], -1).sum(axis=-1) + 1.0
+    except FloatingPointError:
+        raise ValueError("noise floor rho_u sum(beta) + 1 overflows: "
+                         "rho_u is too large") from None
 
 
 def coherent_power(state: ChannelState, j: int, i: int) -> np.ndarray:

@@ -17,16 +17,22 @@ Randomness is explicit: functions take a ``numpy.random.Generator``, and the
 trial-level driver derives one child stream per batch from the seed.  A
 batch holds at most 256 trials and at most ``_BATCH_BYTES`` of sampled
 arrays; its size depends only on (trials, K, L, M), so results are
-reproducible for any worker count.  Batches run on threads (numpy releases
-the GIL while it draws), as many at once as ``workers``, the usable CPUs and
-the batch count allow, and never more than ``_BATCH_BYTES`` of batches in
-flight.  Each thread draws into buffers the caller allocated for it.
+reproducible for any worker count.  A shape whose single trial samples more
+than ``_BATCH_BYTES`` is refused before anything is allocated.
+
+Batches run on lanes: lane 0 on the calling thread, the others on their own
+threads (numpy releases the GIL while it draws).  Each lane draws into
+buffers the caller allocated for it: a batch's channels and reference
+vector, plus a small scratch through which the noise is drawn a few trials
+at a time.  There are as many lanes as ``workers``, the usable CPUs and the
+batch count allow, and never more than fit together in ``_BATCH_BYTES``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +47,8 @@ __all__ = [
 ]
 
 _BATCH = 256              # trials per batch, at most
-_BATCH_BYTES = 32 << 20   # complex128 bytes sampled by all batches in flight, at most
+_BATCH_BYTES = 32 << 20   # complex128 bytes of one batch, and of all lanes' buffers, at most
+_SCRATCH_BYTES = 256 << 10  # complex128 bytes of noise per draw, at most (or one M-vector)
 MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
 
 
@@ -79,13 +86,22 @@ def _antennas(M: float) -> int:
 
 def _bytes_per_trial(K: int, L: int, m: int) -> int:
     """Bytes sampled per trial: channels, pilot noise, receiver noise and
-    symbols."""
+    symbols.
+
+    Part of the output contract: it sizes the batches, and the batch plan
+    fixes which RNG stream draws each trial.  Lane memory is counted by
+    :func:`_lane_bytes` instead.
+    """
     return 16 * (K * L * m + 2 * m + L * K)
 
 
 def _batch_counts(trials: int, K: int, L: int, m: int) -> list[int]:
     """Trials per batch: at most _BATCH, and at most _BATCH_BYTES of sampled
-    arrays."""
+    arrays.
+
+    Part of the output contract: batch b draws from the b-th stream spawned
+    from the seed, so changing this plan changes every result.
+    """
     size = min(_BATCH, max(1, _BATCH_BYTES // _bytes_per_trial(K, L, m)))
     counts = [size] * (trials // size)
     if trials % size:
@@ -93,28 +109,60 @@ def _batch_counts(trials: int, K: int, L: int, m: int) -> list[int]:
     return counts
 
 
-def _lanes(workers: int | None, counts: list[int], per_trial: int) -> int:
+def _max_antennas(K: int, L: int) -> int:
+    """The largest M whose single trial samples at most _BATCH_BYTES."""
+    return (_BATCH_BYTES // 16 - L * K) // (K * L + 2)
+
+
+def _lane_shapes(size: int, K: int, L: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of one lane's complex128 buffers for batches of ``size``
+    trials: channels, reference vectors, and a noise scratch of as many
+    M-vectors as _SCRATCH_BYTES holds (at least one, at most a batch)."""
+    rows = min(size, max(1, _SCRATCH_BYTES // (16 * m)))
+    return (size, K, L, m), (size, m), (rows, m)
+
+
+def _lane_bytes(size: int, K: int, L: int, m: int) -> int:
+    """Bytes of one lane's buffers: everything a batch holds at once except
+    the per-trial results, which live in the caller's arrays."""
+    return 16 * sum(math.prod(shape) for shape in _lane_shapes(size, K, L, m))
+
+
+def _lanes(workers: int | None, counts: list[int], lane_bytes: int) -> int:
     """Batches run at once: at most ``workers`` (``None``: no cap), the
-    batch count, ``os.cpu_count()`` and as many full batches as fit in
-    _BATCH_BYTES together, but at least one."""
-    fit = _BATCH_BYTES // (counts[0] * per_trial)
+    batch count, ``os.cpu_count()`` and as many lanes of ``lane_bytes`` as
+    fit in _BATCH_BYTES together, but at least one."""
+    fit = _BATCH_BYTES // lane_bytes
     cap = len(counts) if workers is None else min(workers, len(counts))
     return max(1, min(cap, os.cpu_count() or 1, fit))
 
 
 def _run_lanes(fn, lanes: int) -> None:
-    """Call ``fn(t)`` for every lane ``t`` in ``range(lanes)``: inline when
-    there is one lane, otherwise on one thread per lane.  The first lane's
-    exception, if any, is raised in the caller once every lane has ended."""
-    if lanes <= 1:
-        fn(0)
-        return
-    # imported here: a run with one lane never needs it
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=lanes) as pool:
-        futures = [pool.submit(fn, t) for t in range(lanes)]
-    for future in futures:
-        future.result()
+    """Call ``fn(t)`` for every lane ``t`` in ``range(lanes)``: lane 0 on the
+    calling thread, every other lane on a thread of its own.  Once every
+    lane has ended, the exception of the lowest failing lane, if any, is
+    raised in the caller."""
+    errors = [None] * lanes
+
+    def run(t: int) -> None:
+        try:
+            fn(t)
+        except BaseException as exc:  # re-raised below, after every join
+            errors[t] = exc
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(1, lanes)]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _one_batch(state: ChannelState, j: int, i: int, seed, buffers,
@@ -123,29 +171,37 @@ def _one_batch(state: ChannelState, j: int, i: int, seed, buffers,
     inner products, noise projections and symbols into ``inner``, ``noise``
     and ``symbols``.
 
-    The batch's channels, reference vector and noise go into leading slices
-    of ``buffers``, its lane's (channels, reference, scratch) arrays, so a
-    batch allocates nothing of size M.
+    The batch's channels and reference vectors go into leading slices of
+    ``buffers``, its lane's (channels, reference, scratch) arrays.  The pilot
+    and receiver noise are drawn through the scratch, as many trials at a
+    time as it holds; filling one stream in pieces gives the values of one
+    fill, so the draws (channels, pilot noise, symbols, receiver noise) and
+    the result are those of the whole batch at once.  A batch allocates
+    nothing of size M.
     """
     count = len(inner)
     rng = np.random.default_rng(seed)
     p = state.params
     K, L = p.K, p.L
-    g, ref, scratch = (buf[:count] for buf in buffers)
-    m = ref.shape[1]
+    g, ref = (buf[:count] for buf in buffers[:2])
+    scratch = buffers[2]
+    rows, m = scratch.shape
+    chunks = [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
     complex_normal(rng, g.shape, out=g)
     g *= np.sqrt(state.beta[j])[None, :, :, None]
     # despread pilot of slot i at BS j, then ref = conj(g_hat_jij)
     g[:, i].sum(axis=1, out=ref)
     ref *= math.sqrt(p.rho_p)
-    ref += complex_normal(rng, ref.shape, out=scratch)
+    for lo, hi in chunks:
+        ref[lo:hi] += complex_normal(rng, (hi - lo, m), out=scratch[:hi - lo])
     np.conj(ref, out=ref)
     ref *= state.stats.alpha_own[j, i]
     col = ref[:, :, None]
     complex_normal(rng, symbols.shape, out=symbols)
-    n = complex_normal(rng, (count, 1, m), out=scratch.reshape(count, 1, m))
     np.matmul(g.reshape(count, K * L, m), col, out=inner.reshape(count, K * L, 1))
-    np.matmul(n, col, out=noise.reshape(count, 1, 1))
+    for lo, hi in chunks:
+        n = complex_normal(rng, (hi - lo, 1, m), out=scratch[:hi - lo].reshape(hi - lo, 1, m))
+        np.matmul(n, col[lo:hi], out=noise[lo:hi].reshape(hi - lo, 1, 1))
 
 
 def _decompose(stats: _TrialStats, state: ChannelState, i: int,
@@ -179,15 +235,17 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     interference and noise contributions to the combiner output.
 
     Requires at least 1000 trials for meaningful confidence, at most
-    ``MAX_TRIALS``, and an integer antenna count M >= 1.  Work is split into
+    ``MAX_TRIALS``, and an integer antenna count M >= 1 whose single trial
+    samples at most ``_BATCH_BYTES``.  Work is split into
     batches whose sizes depend only on (trials, K, L, M), each with an
     independently derived RNG stream, so the result depends only on ``seed``
     and ``trials``, not on ``workers``.
 
-    Batches run on threads, lane t taking batches t, t + n, ... of n lanes.
-    ``workers`` caps the threads (default ``None``: all usable CPUs), and
-    the lanes' buffers together hold at most ``_BATCH_BYTES``, so a shape
-    whose batch fills more than half of it runs on one lane, inline.
+    Batches run on lanes, lane t taking batches t, t + n, ... of n lanes;
+    lane 0 runs on the calling thread.  ``workers`` caps the lanes (default
+    ``None``: all usable CPUs), and the lanes' buffers together hold at most
+    ``_BATCH_BYTES``, so a shape whose lane fills more than half of it runs
+    on one lane, inline.
     """
     if trials < 1000:
         raise ValueError(
@@ -201,13 +259,17 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
 
     m = _antennas(state.params.M)
     K, L = state.K, state.L
+    if m > _max_antennas(K, L):
+        raise ValueError(
+            f"Monte Carlo at L={L}, K={K} samples at most M={_max_antennas(K, L)} antennas "
+            f"(one trial within {_BATCH_BYTES} bytes), got M={state.params.M:g}")
     counts = _batch_counts(trials, K, L, m)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
-    lanes = _lanes(workers, counts, _bytes_per_trial(K, L, m))
     size = counts[0]
-    buffers = [(np.empty((size, K, L, m), np.complex128),
-                np.empty((size, m), np.complex128),
-                np.empty((size, m), np.complex128)) for _ in range(lanes)]
+    shapes = _lane_shapes(size, K, L, m)
+    lanes = _lanes(workers, counts, _lane_bytes(size, K, L, m))
+    buffers = [tuple(np.empty(shape, np.complex128) for shape in shapes)
+               for _ in range(lanes)]
     stats = _TrialStats(inner=np.empty((trials, K, L), np.complex128),
                         noise=np.empty(trials, np.complex128),
                         symbols=np.empty((trials, L, K), np.complex128))

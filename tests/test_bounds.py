@@ -5,7 +5,8 @@ import pytest
 
 from mcmimo import (ChannelState, SystemParams, capacity, mu_coefficient, power_terms,
                     preset_scenario, tin_rate, tin_rate_asymptotic)
-from mcmimo.bounds import coherent_power, mac_bound, noise_floor, subset_sum
+from mcmimo.bounds import (coherent_power, coherent_powers, mac_bound, noise_floor,
+                           noise_floors, subset_sum)
 
 from oracles import direct_bound, mask_of, random_state
 
@@ -205,3 +206,25 @@ class TestMuCoefficient:
         state = random_state(rng, L=3, K=2)
         assert mu_coefficient(state.with_m(2 * state.params.M), 0, 0) == pytest.approx(
             2.0 * mu_coefficient(state, 0, 0), rel=1e-13)
+
+
+class TestOverflow:
+    """Finite inputs whose powers overflow raise one ValueError, and no numpy
+    warning (the suite turns warnings into errors)."""
+
+    def test_overflowing_coherent_power_rejected(self):
+        state = preset_scenario("two-cell-scenario-a").state()
+        p, beta, alpha = state.params, state.beta, state.stats.alpha
+        coh = coherent_powers(np.array([1e3, 1e300]), p, beta, alpha, 0)
+        assert coh.shape == (2, 2, 2) and np.isfinite(coh).all()
+        with pytest.raises(ValueError,
+                           match=r"coherent power .* overflows: M, rho_p or rho_u"):
+            coherent_powers(np.array([1e3, 1e308]), p, beta, alpha, 0)
+        with pytest.raises(ValueError, match="overflows"):
+            coherent_power(state.with_m(1e308), 0, 0)
+
+    def test_overflowing_noise_floor_rejected(self):
+        beta = np.ones((2, 1, 2))
+        assert noise_floors(beta, 1e307).tolist() == [2e307 + 1.0] * 2
+        with pytest.raises(ValueError, match=r"noise floor .* overflows: rho_u is too large"):
+            noise_floors(beta, 1e308)

@@ -155,6 +155,10 @@ class TestEmitCsv:
             emit_csv(["a"], [[1]], str(tmp_path / "nodir" / "t.csv"))
 
 
+PRESET_A = {"preset": "two-cell-scenario-a"}
+BIG_RHO_U = {**GOOD_EXPLICIT, "params": {**GOOD_EXPLICIT["params"], "rho_u": 1e308}}
+
+
 def ring_config(L: int) -> dict:
     """Explicit config of L cells on a ring, one user per cell."""
     ring = 400.0 / math.sin(math.pi / L)
@@ -362,6 +366,46 @@ class TestCliCommands:
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert f"M={m}" in lines[0]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["symrate", "--m", "1e308"], PRESET_A),
+        (["classify", "--m", "1e308"], PRESET_A),
+        (["region"], {**PRESET_A, "m": 1e308}),
+        (["sweep", "--axis", "radius_x", "--grid", "300,400"], {**PRESET_A, "m": 1e308}),
+        (["sweep", "--axis", "M", "--grid", "1e3,1e308"], PRESET_A),
+        (["symrate"], BIG_RHO_U),
+        (["region", "--scheme", "snd"], BIG_RHO_U),
+        (["classify"], BIG_RHO_U),
+        (["sweep", "--axis", "M", "--grid", "1e3,1e4"], BIG_RHO_U),
+    ])
+    def test_overflowing_finite_input_is_one_error_line(self, argv, config, tmp_path,
+                                                        capsys):
+        # finite values whose coherent power overflows used to print nan
+        # rates and numpy warnings, and exit 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(*argv, "--config", str(cfg)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: coherent power M sqrt(rho_p) rho_u beta alpha overflows: "
+            "M, rho_p or rho_u is too large"]
+
+    @pytest.mark.parametrize("m", ["400000", "1e308"])
+    def test_trial_over_budget_is_one_error_line(self, m, monkeypatch, capsys):
+        # refused before any batch is planned or sampled
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled an over-budget trial")
+
+        monkeypatch.setattr(mc, "complex_normal", fail)
+        monkeypatch.setattr(mc, "_batch_counts", fail)
+        assert run_cli("montecarlo", "--cells", "2", "--users", "2", "--m", m,
+                       "--trials", "1000") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            f"error: Monte Carlo at L=2, K=2 samples at most M=349524 antennas (one trial "
+            f"within {mc._BATCH_BYTES} bytes), got M={float(m):g}"]
 
     @pytest.mark.parametrize("argv", [
         ["symrate", "--workers", "0"],
@@ -579,13 +623,18 @@ def test_preset_output_matches_golden_csv(preset, kind, capsys):
 
 
 # Monte Carlo CSVs recorded with the single-process sampler: a two-cell run
-# whose last batch is short (2100 = 8 x 256 + 52 trials) and a three-cell
-# config run at a non-default BS and decoded set.
+# whose last batch is short (2100 = 8 x 256 + 52 trials), a three-cell
+# config run at a non-default BS and decoded set, and a one-user run at
+# M = 1024 (1100 = 4 x 256 + 76 trials) recorded on one lane with each
+# batch's noise drawn in one piece; it now runs on two lanes and draws the
+# noise 16 trials at a time.
 MC_GOLDEN = {
     "two-cell": ["--cells", "2", "--users", "2", "--m", "64", "--trials", "2100",
                  "--seed", "1"],
     "three-cell": ["--config", str(GOLDEN / "three-cell-mc.json"), "--m", "128",
                    "--bs", "2", "--omega", "0,2"],
+    "two-cell-one-user": ["--cells", "2", "--users", "1", "--m", "1024",
+                          "--trials", "1100"],
 }
 
 

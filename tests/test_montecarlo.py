@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ from mcmimo import ChannelState, SystemParams, power_terms
 from mcmimo.montecarlo import complex_normal, empirical_power_decomposition
 
 from oracles import (despread_pilots, estimate_for_cell, full_tensor_batches, mmse_estimate,
-                     mrc_outputs, sample_channels)
+                     mrc_outputs, sample_channels, unchunked_batches)
 
 
 def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
@@ -209,6 +210,32 @@ class TestEmpiricalDecomposition:
             empirical_power_decomposition(state, 0, 0, {0}, trials=mc.MAX_TRIALS + 1,
                                           seed=1)
 
+    @pytest.mark.parametrize("m", [400000.0, 1e308])
+    def test_trial_over_budget_rejected_before_allocation(self, monkeypatch, m):
+        # one trial at (L, K) = (2, 2) and M > 349,524 samples more than the
+        # budget; refused before the batch plan or any buffer exists
+        def fail(*args, **kwargs):
+            raise AssertionError("planned or sampled an over-budget trial")
+
+        monkeypatch.setattr(mc, "complex_normal", fail)
+        monkeypatch.setattr(mc, "_batch_counts", fail)
+        state = small_state(M=m)
+        message = re.escape(f"at most M=349524 antennas (one trial within "
+                            f"{mc._BATCH_BYTES} bytes), got M={m:g}")
+
+        def refused():
+            with pytest.raises(ValueError, match=message):
+                empirical_power_decomposition(state, 0, 0, {0}, trials=1000, seed=1)
+
+        assert traced_peak(refused) < 1 << 20
+
+    def test_antenna_limit_is_the_last_m_within_budget(self):
+        for K, L in ((1, 1), (2, 2), (4, 3)):
+            top = mc._max_antennas(K, L)
+            assert mc._bytes_per_trial(K, L, top) <= mc._BATCH_BYTES
+            assert mc._bytes_per_trial(K, L, top + 1) > mc._BATCH_BYTES
+        assert mc._max_antennas(2, 2) == 349524
+
     def test_bad_omega_rejected(self):
         state = small_state(M=8)
         with pytest.raises(ValueError, match="omega"):
@@ -270,12 +297,8 @@ class TestBatchBudget:
         counts = mc._batch_counts(1000, self.K, self.L, self.M)
         assert max(counts) * per_trial <= mc._BATCH_BYTES
         state = small_state(L=self.L, K=self.K, M=self.M)
-        tracemalloc.start()
-        try:
-            empirical_power_decomposition(state, 0, 0, {0, 1}, trials=1000, seed=31)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: empirical_power_decomposition(state, 0, 0, {0, 1},
+                                                                 trials=1000, seed=31))
         assert peak < 1.25 * mc._BATCH_BYTES
 
     def test_large_m_worker_invariant(self):
@@ -287,7 +310,19 @@ class TestBatchBudget:
 
 
 def lanes_at(workers, trials, L, K, M):
-    return mc._lanes(workers, mc._batch_counts(trials, K, L, M), mc._bytes_per_trial(K, L, M))
+    counts = mc._batch_counts(trials, K, L, M)
+    return mc._lanes(workers, counts, mc._lane_bytes(counts[0], K, L, M))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def within(seconds, fn):
@@ -311,14 +346,26 @@ def within(seconds, fn):
 
 
 class TestLanes:
+    def test_lane_holds_channels_reference_and_scratch(self):
+        # 256 x (2 x 1024 channel + 1024 reference) entries and a 16-trial
+        # noise scratch; the symbols live in the caller's result arrays
+        assert mc._lane_shapes(256, 1, 2, 1024) == ((256, 1, 2, 1024), (256, 1024),
+                                                    (16, 1024))
+        assert mc._lane_bytes(256, 1, 2, 1024) == 12_845_056
+        # small M draws a whole batch's noise at once; huge M one trial at a time
+        assert mc._lane_shapes(256, 2, 2, 64)[2] == (256, 64)
+        assert mc._lane_shapes(34, 1, 1, 20000)[2] == (1, 20000)
+
     def test_budget_forces_one_lane(self, monkeypatch):
-        # one 256-trial batch at (L, K, M) = (2, 2, 1024) is 25.2 MB, over
+        # one 256-trial lane at (L, K, M) = (2, 2, 1024) holds 21.2 MB, over
         # half the budget
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert lanes_at(None, 2000, 2, 2, 1024) == 1
+        # a (2, 1, 1024) lane holds 12.85 MB: two fit, three do not
+        assert lanes_at(None, 2000, 2, 1, 1024) == 2
 
     def test_lanes_capped_by_cpus_workers_and_budget(self, monkeypatch):
-        # a (2, 4, 256) batch is 10.5 MB: three fit in the budget
+        # a (2, 4, 256) lane is 9.7 MB: three fit in the budget
         assert lanes_at(None, 2000, 2, 4, 256) == min(os.cpu_count() or 1, 3)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert lanes_at(None, 2000, 2, 4, 256) == 3
@@ -337,6 +384,7 @@ class TestLanes:
         (2, 2, 8, 1001),     # 256-trial batches and a 233-trial last batch
         (3, 2, 64, 2000),    # a 208-trial last batch, up to four lanes
         (2, 2, 1024, 1100),  # the budget forces one lane
+        (2, 1, 1024, 1100),  # two lanes on two or more CPUs, 16-trial noise chunks
     ])
     def test_results_do_not_depend_on_lanes(self, monkeypatch, L, K, M, trials):
         state = small_state(L=L, K=K, M=M, seed=7)
@@ -366,18 +414,56 @@ class TestLanes:
             sys.setswitchinterval(interval)
         assert repr(got) == ref
 
-    def test_two_lanes_stay_under_budget(self, monkeypatch):
-        # a (2, 2, 512) batch is 12.6 MB, so two lanes fit and three do not
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert lanes_at(None, 2000, 2, 2, 512) == 2
-        state = small_state(L=2, K=2, M=512)
-        tracemalloc.start()
-        try:
-            empirical_power_decomposition(state, 0, 0, {0, 1}, trials=2000, seed=33)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    @pytest.mark.parametrize("L, K, M, cpus, lanes", [
+        (2, 2, 512, 4, 3),   # a 10.7 MB lane: three fit and four do not
+        (2, 1, 1024, 2, 2),  # a 12.85 MB lane: two fit
+    ])
+    def test_lanes_stay_under_budget(self, monkeypatch, L, K, M, cpus, lanes):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert lanes_at(None, 2000, L, K, M) == lanes
+        state = small_state(L=L, K=K, M=M)
+        peak = traced_peak(lambda: empirical_power_decomposition(state, 0, 0, {0, 1},
+                                                                 trials=2000, seed=33))
         assert peak < 1.25 * mc._BATCH_BYTES
+
+    @pytest.mark.parametrize("L, K, M, trials", [
+        (1, 1, 1024, 1001),   # 256-trial batches and a 233-trial last batch, 16-trial chunks
+        (2, 2, 4096, 1000),   # 85-trial batches and a 65-trial last batch, 4-trial chunks
+        (1, 1, 20000, 1000),  # one trial per chunk
+    ])
+    def test_chunked_noise_matches_unchunked_batches(self, monkeypatch, L, K, M, trials):
+        counts = mc._batch_counts(trials, K, L, M)
+        rows = mc._lane_shapes(counts[0], K, L, M)[2][0]
+        assert rows < counts[0] and (rows == 1 or counts[-1] % rows)  # a ragged last chunk
+        state = small_state(L=L, K=K, M=M, seed=8)
+        j, i, omega, seed = L - 1, K - 1, [0], 43
+        seeds = np.random.SeedSequence(seed).spawn(len(counts))
+        ref = repr(mc._decompose(unchunked_batches(state, j, i, seeds, counts), state, i,
+                                 omega))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for workers in (None, 1):
+            assert repr(empirical_power_decomposition(state, j, i, omega, trials=trials,
+                                                      seed=seed, workers=workers)) == ref
+
+    def test_lane_zero_runs_on_the_caller_and_lowest_error_wins(self):
+        seen = {}
+        barrier = threading.Barrier(3, timeout=60)
+
+        def fn(t):
+            seen[t] = threading.current_thread()
+            barrier.wait()  # every lane is running before any fails
+            if t:
+                raise ValueError(f"lane {t}")
+
+        def call():
+            seen["caller"] = threading.current_thread()
+            mc._run_lanes(fn, 3)
+
+        with pytest.raises(ValueError, match="lane 1"):
+            within(120, call)
+        assert seen[0] is seen["caller"]
+        assert len({id(seen[t]) for t in range(3)}) == 3
+        assert not seen[1].is_alive() and not seen[2].is_alive()
 
     def test_lane_error_reaches_caller(self, monkeypatch):
         class Boom(Exception):
@@ -400,8 +486,9 @@ class TestLanes:
 
 
 def lanes_for(workers, tasks):
-    """Lanes for ``tasks`` one-trial batches of one byte each: the budget
-    never binds, so only ``workers``, the batch count and the CPUs do."""
+    """Lanes for ``tasks`` one-trial batches on lanes of one byte each: the
+    budget never binds, so only ``workers``, the batch count and the CPUs
+    do."""
     return mc._lanes(workers, [1] * tasks, 1)
 
 
@@ -432,6 +519,9 @@ class TestLazyPool:
         ["-m", "mcmimo.cli", "symrate", "--preset", "two-cell-scenario-a", "--scheme", "tin"],
         ["-m", "mcmimo.cli", "montecarlo", "--cells", "2", "--users", "1", "--m", "8",
          "--trials", "1000", "--workers", "1"],
+        # several lanes, on plain threads
+        ["-m", "mcmimo.cli", "montecarlo", "--cells", "2", "--users", "1", "--m", "8",
+         "--trials", "1000", "--workers", "2"],
     ])
     def test_runs_without_a_pool_import_no_pool_machinery(self, argv):
         # -X importtime lists every module the interpreter imports on stderr
