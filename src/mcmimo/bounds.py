@@ -86,6 +86,18 @@ def check_indices(state, j: int, i: int) -> None:
         raise ValueError(f"pilot index {i} out of range for K={state.K}")
 
 
+def check_omega(state, omega) -> list:
+    """The decoded set ``omega`` as sorted distinct cell indices in [0, L),
+    each a Python or NumPy integer, as in :func:`check_indices`."""
+    omega = list(omega)
+    if not all(isinstance(l, (int, np.integer)) and not isinstance(l, bool) for l in omega):
+        raise ValueError(f"omega entries must be integers, got {omega}")
+    omega = sorted(set(omega))
+    if any(l < 0 or l >= state.L for l in omega):
+        raise ValueError(f"omega {omega} has entries out of range for L={state.L}")
+    return omega
+
+
 def coherent_powers(m, params: SystemParams, beta: np.ndarray, alpha: np.ndarray,
                     i: int) -> np.ndarray:
     """N({l}) seen by every BS j in pilot slot i, as ``coh[..., j, l]``.
@@ -165,23 +177,26 @@ def power_terms(state: ChannelState, j: int, i: int, omega) -> PowerDecompositio
     """Analytic power split of the combined output at BS j, pilot slot i.
 
     ``desired`` is the squared mean of the coherent components of the decoded
-    set ``omega`` (scales as M^2); the three noise terms scale as M.
+    set ``omega`` (scales as M^2); the three noise terms scale as M.  Terms
+    that overflow raise ``ValueError``, as in :func:`coherent_powers`.
     """
     check_indices(state, j, i)
+    omega = check_omega(state, omega)
     p = state.params
     beta = state.beta
     b_own = beta[j, i, j]
     a_own = state.stats.alpha[j, i, j]
-    omega = sorted(set(omega))
-    if any(l < 0 or l >= state.L for l in omega):
-        raise ValueError(f"omega {omega} has entries out of range for L={state.L}")
-    desired = p.M ** 2 * p.rho_p * p.rho_u * float(
-        (beta[j, i, omega] ** 2).sum()) * a_own ** 2
-    scale = p.M * math.sqrt(p.rho_p) * b_own * a_own
-    est_error = scale * p.rho_u * float(beta[j, i, :].sum())
-    mask = np.ones(state.K, dtype=bool)
-    mask[i] = False
-    other_users = scale * p.rho_u * float(beta[j, mask, :].sum())
+    m = np.float64(p.M)  # numpy scalars, so an overflow sets the status errstate reads
+    mask = np.arange(state.K) != i
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            desired = m ** 2 * p.rho_p * p.rho_u * float(
+                (beta[j, i, omega] ** 2).sum()) * a_own ** 2
+            scale = m * math.sqrt(p.rho_p) * b_own * a_own
+            est_error = scale * p.rho_u * float(beta[j, i, :].sum())
+            other_users = scale * p.rho_u * float(beta[j, mask, :].sum())
+    except FloatingPointError:
+        raise ValueError("power terms overflow: M, rho_p or rho_u is too large") from None
     return PowerDecomposition(desired=float(desired), est_error=float(est_error),
                               other_users=float(other_users), noise=float(scale))
 

@@ -2,10 +2,12 @@
 
 One executable with subcommands ``region``, ``symrate``, ``sweep``,
 ``classify`` and ``montecarlo``.  A run is configured either by ``--preset``
-or by a JSON config file; a flag replaces its config key before validation,
-so flags and config values pass the same checks.  All output is CSV with a
-header row, LF line endings and 12 significant digits, so a given config and
-seed always produce byte-identical files.  Every error, bad argv included,
+or by a JSON config file.  Each option is one row of ``_OPTIONS``, and its
+flag is only another way to set its config key: the flag string is read as
+a JSON value (an int, else a float, else the string) and passes the key's
+one check.  No key accepts ``null``.  All output is CSV with a header row,
+LF line endings and 12 significant digits, so a given config and seed
+always produce byte-identical files.  Every error, bad argv included,
 prints a single machine-parsable ``error: ...`` line to stderr and exits 2.
 
 Config schema (JSON object; unknown keys are rejected):
@@ -21,7 +23,8 @@ Config schema (JSON object; unknown keys are rejected):
              {"scale": "log"|"lin", "start", "stop", "num"}; m replaces the
              antenna count in every subcommand, sweep included
 
-Every number must be finite.
+Every number must be finite.  ``RunConfig.to_dict()`` describes the run,
+with ``m``, ``--cells`` and ``--users`` applied to its scenario.
 
 Cell, BS and pilot indices are 0-based everywhere; subset columns are emitted
 as bitmasks with bit l for cell l.
@@ -33,13 +36,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .bounds import power_terms
 from .montecarlo import empirical_power_decomposition
-from .network import CellLayout, SystemParams
+from .network import CellLayout, SystemParams, build_fading
 from .regions import sd_region, snd_region, ssnd_region, tin_region
 from .scenarios import (MAX_GRID_POINTS, PRESET_NAMES, SWEEP_AXES, Scenario, preset_scenario,
                         sweep, two_cell_ordering_check)
@@ -55,8 +59,6 @@ _LAYOUT_KEYS = {
     "three_cell": {"x", "spacing", "theta_deg", "outer_angle_deg"},
     "explicit": {"bs_positions", "user_positions"},
 }
-_CONFIG_KEYS = {"preset", "params", "layout", "unit", "scheme", "axis", "grid",
-                "seed", "trials", "out", "bs", "pilot", "omega", "m", "workers"}
 
 
 class ConfigError(ValueError):
@@ -82,31 +84,20 @@ class RunConfig:
     workers: int | None = None
 
     def to_dict(self) -> dict:
-        """Effective configuration; ``parse_config`` reproduces this object."""
+        """Effective configuration; ``parse_config`` reproduces this object,
+        but a preset changed by ``m`` or ``--users`` comes back unnamed."""
         d: dict = {}
         if self.scenario.name in PRESET_NAMES and \
                 self.scenario == preset_scenario(self.scenario.name):
             d["preset"] = self.scenario.name
         else:
-            p = self.scenario.params
-            d["params"] = {"L": p.L, "K": p.K, "M": p.M, "rho_u": p.rho_u,
-                           "rho_p": p.rho_p, "alpha_pl": p.alpha_pl, "d0": p.d0}
+            d["params"] = asdict(self.scenario.params)
+            # an explicit scenario holds its positions as one "layout_dict" argument
             args = dict(self.scenario.layout_args)
-            if self.scenario.layout_kind == "explicit":
-                d["layout"] = {"kind": "explicit", **args["layout_dict"]}
-            else:
-                d["layout"] = {"kind": self.scenario.layout_kind, **args}
-        d["unit"] = self.unit
-        for key in ("scheme", "axis", "out", "omega", "m", "workers"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = list(val) if isinstance(val, tuple) else val
-        if self.grid is not None:
-            d["grid"] = list(self.grid)
-        d["seed"] = self.seed
-        d["trials"] = self.trials
-        d["bs"] = self.bs
-        d["pilot"] = self.pilot
+            d["layout"] = {"kind": self.scenario.layout_kind, **args.get("layout_dict", args)}
+        for field in fields(self)[1:]:  # the options, after the scenario
+            if getattr(self, field.name) is not None:
+                d[field.name] = getattr(self, field.name)
         return d
 
 
@@ -159,47 +150,36 @@ def _parse_params(raw: dict, m_default: float | None = None) -> SystemParams:
 
 
 def _parse_layout(raw: dict, params: SystemParams) -> Scenario:
+    """The scenario of a ``layout`` object.  Its layout and fading are built
+    once here, so the network's own checks of the recipe, the positions and
+    their shape against ``params`` report a bad value as a config error."""
     _require(isinstance(raw, dict), "config key 'layout' must be an object")
     _require("kind" in raw, "layout is missing required key 'kind'")
     kind = raw["kind"]
-    _require(kind in _LAYOUT_KEYS, f"layout kind {kind!r} must be one of "
-             f"{sorted(_LAYOUT_KEYS)}")
+    _require(isinstance(kind, str) and kind in _LAYOUT_KEYS,
+             f"layout kind {kind!r} must be one of {sorted(_LAYOUT_KEYS)}")
     body = {k: v for k, v in raw.items() if k != "kind"}
     _reject_unknown(body, _LAYOUT_KEYS[kind], f"layout (kind {kind!r})")
-    if kind == "explicit":
-        try:
+    if kind != "explicit":
+        _require("x" in body, "layout is missing required key 'x'")
+        body = {key: _number(f"layout key {key!r}", val) for key, val in body.items()}
+        # fixed here, so a radius sweep keeps the config's spacing
+        body = {"spacing": 2.0 * body["x"], **body}
+    try:
+        if kind == "explicit":
             layout = CellLayout.from_dict(body)
-        except ValueError as exc:
-            raise ConfigError(f"layout: {exc}") from None
-        _require(layout.num_cells == params.L,
-                 f"layout has {layout.num_cells} cells but params.L = {params.L}")
-        _require(layout.users_per_cell == params.K,
-                 f"layout has {layout.users_per_cell} users per cell but "
-                 f"params.K = {params.K}")
-        return Scenario.from_layout(layout, params)
-    _require("x" in body, "layout is missing required key 'x'")
-    body = {key: _number(f"layout key {key!r}", val) for key, val in body.items()}
-    _require(body["x"] > 0, f"layout key 'x' must be positive, got {body['x']}")
-    if "spacing" in body:
-        _require(body["spacing"] > 0,
-                 f"layout key 'spacing' must be positive, got {body['spacing']}")
-    if kind == "three_cell" and "theta_deg" in body:
-        _require(0 <= body["theta_deg"] <= 360,
-                 f"layout key 'theta_deg' must be in [0, 360], got {body['theta_deg']}")
-    if kind == "two_cell":
-        body.setdefault("spacing", 2.0 * body["x"])
-        body.setdefault("user_angle_deg", 180.0)
-        _require(params.L == 2, f"two_cell layout requires params.L = 2, got {params.L}")
-    else:
-        body.setdefault("spacing", 2.0 * body["x"])
-        body.setdefault("theta_deg", 90.0)
-        body.setdefault("outer_angle_deg", 180.0)
-        _require(params.L == 3, f"three_cell layout requires params.L = 3, got {params.L}")
-    return Scenario(params=params, layout_kind=kind,
-                    layout_args=tuple(sorted(body.items())))
+            scenario = Scenario.from_layout(layout, params)
+        else:
+            scenario = Scenario(params=params, layout_kind=kind,
+                                layout_args=tuple(sorted(body.items())))
+            layout = scenario.layout()
+        build_fading(layout, params)
+    except ValueError as exc:
+        raise ConfigError(f"layout: {exc}") from None
+    return scenario
 
 
-def _parse_grid(raw) -> tuple[float, ...]:
+def _parse_grid(key: str, raw) -> tuple[float, ...]:
     if isinstance(raw, (list, tuple)):
         _require(len(raw) > 0, "grid must be nonempty")
         _require(len(raw) <= MAX_GRID_POINTS,
@@ -222,10 +202,99 @@ def _parse_grid(raw) -> tuple[float, ...]:
         else:
             grid = tuple(float(v) for v in np.linspace(start, stop, num))
     else:
-        raise ConfigError("grid must be a list of values or a start/stop/num object")
+        raise ConfigError(f"{key} must be a list of values or a start/stop/num object")
     _require(all(b > a for a, b in zip(grid, grid[1:])),
              "grid must be strictly increasing")
     return grid
+
+
+def _choice(*allowed):
+    def check(key: str, val):
+        _require(val in allowed, f"{key} must be one of {allowed}, got {val!r}")
+        return val
+    return check
+
+
+def _count(least: int | None = None):
+    return lambda key, val: _number(key, val, count=True, least=least)
+
+
+def _positive(key: str, val) -> float:
+    val = _number(key, val)
+    _require(val > 0, f"{key} must be positive, got {val!r}")
+    return val
+
+
+def _path(key: str, val) -> str:
+    _require(isinstance(val, str), f"{key} must be a path string")
+    return val
+
+
+def _cells(key: str, val) -> tuple[int, ...]:
+    _require(isinstance(val, (list, tuple)), f"{key} must be a list of nonnegative cell indices")
+    return tuple(sorted({_number(f"{key} entry", v, count=True, least=0) for v in val}))
+
+
+def _scalar_flag(text: str):
+    """A flag's config value: an int, else a float, else the string itself."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _list_flag(spec: str) -> list:
+    return [_scalar_flag(v) for v in spec.split(",")]
+
+
+def _grid_flag(spec: str):
+    """The config form of ``--grid``: 'lo:hi:n[:log|lin]' becomes a grid
+    object, comma-separated values a list."""
+    parts = spec.split(":")
+    _require(len(parts) in (1, 3, 4), f"grid spec must be lo:hi:n[:log|lin], got {spec!r}")
+    if len(parts) == 1:
+        return _list_flag(spec)
+    start, stop, num = map(_scalar_flag, parts[:3])
+    return {"start": start, "stop": stop, "num": num,
+            "scale": parts[3] if len(parts) == 4 else "lin"}
+
+
+_ALL = ("region", "symrate", "classify", "sweep", "montecarlo")
+
+
+@dataclass(frozen=True)
+class _Option:
+    """A config key's value check and its flag's help, subcommands and reader."""
+
+    check: Callable[[str, object], object]
+    help: str
+    commands: tuple[str, ...] = _ALL
+    read: Callable[[str], object] = _scalar_flag
+
+
+_OPTIONS = {
+    "preset": _Option(_choice(*PRESET_NAMES),
+                      f"{'|'.join(PRESET_NAMES)} (default {PRESET_NAMES[0]})"),
+    "out": _Option(_path, "output CSV path (default: stdout)", read=str),
+    "seed": _Option(_count(), "RNG seed (default 0)"),
+    "unit": _Option(_choice("bits", "nats"), "bits|nats: rate unit (default bits)"),
+    "workers": _Option(_count(1), "cap on Monte Carlo threads, which hold at most 32 MiB "
+                                  "of batches in flight (default: all usable CPUs)"),
+    "pilot": _Option(_count(0), "pilot slot index (default 0)"),
+    "scheme": _Option(_choice(*SCHEMES), f"{'|'.join(SCHEMES)} (default sd for region, "
+                                         "snd for symrate)", ("region", "symrate")),
+    "bs": _Option(_count(0), "BS index (default 0)", ("region", "montecarlo")),
+    "m": _Option(_positive, "override antenna count", ("symrate", "classify", "montecarlo")),
+    "axis": _Option(_choice(*SWEEP_AXES), "|".join(SWEEP_AXES), ("sweep",)),
+    "grid": _Option(_parse_grid, "lo:hi:n[:log|lin] or comma-separated values", ("sweep",),
+                    _grid_flag),
+    "trials": _Option(_count(1), "number of trials (default 10000)", ("montecarlo",)),
+    "omega": _Option(_cells, "decoded set, comma-separated cell indices", ("montecarlo",),
+                     _list_flag),
+}
+_CONFIG_KEYS = {"params", "layout", *_OPTIONS}
 
 
 def _json_object(text: str) -> dict:
@@ -246,53 +315,20 @@ def parse_config(source) -> RunConfig:
     raw = _json_object(source) if isinstance(source, str) else source
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _reject_unknown(raw, _CONFIG_KEYS, "config")
+    values = {key: opt.check(key, raw[key]) for key, opt in _OPTIONS.items() if key in raw}
 
-    axis = raw.get("axis")
-    _require(axis is None or axis in SWEEP_AXES,
-             f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    grid = _parse_grid(raw["grid"]) if "grid" in raw else None
-
-    has_preset = "preset" in raw
     has_explicit = "params" in raw or "layout" in raw
-    _require(has_preset != has_explicit,
+    _require(("preset" in values) != has_explicit,
              "config must specify exactly one of 'preset' or 'params'+'layout'")
-    if has_preset:
-        try:
-            scenario = preset_scenario(raw["preset"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    if "preset" in values:
+        scenario = preset_scenario(values.pop("preset"))
     else:
         _require("params" in raw, "explicit config requires 'params'")
         _require("layout" in raw, "explicit config requires 'layout'")
-        m_default = grid[0] if (axis == "M" and grid) else None
-        params = _parse_params(raw["params"], m_default=m_default)
-        scenario = _parse_layout(raw["layout"], params)
-
-    unit = raw.get("unit", "bits")
-    _require(unit in ("bits", "nats"), f"unit must be 'bits' or 'nats', got {unit!r}")
-    scheme = raw.get("scheme")
-    _require(scheme is None or scheme in SCHEMES,
-             f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    seed = _number("seed", raw.get("seed", 0), count=True)
-    trials = _number("trials", raw.get("trials", 10000), count=True, least=1)
-    bs = _number("bs", raw.get("bs", 0), count=True, least=0)
-    pilot = _number("pilot", raw.get("pilot", 0), count=True, least=0)
-    omega = raw.get("omega")
-    if omega is not None:
-        _require(isinstance(omega, (list, tuple)),
-                 "omega must be a list of nonnegative cell indices")
-        omega = tuple(sorted({_number("omega entry", v, count=True, least=0) for v in omega}))
-    m = raw.get("m")
-    if m is not None:
-        m = _number("m", m)
-        _require(m > 0, f"m must be positive, got {m!r}")
-    workers = (_number("workers", raw["workers"], count=True, least=1)
-               if "workers" in raw else None)
-    out = raw.get("out")
-    _require(out is None or isinstance(out, str), "out must be a path string")
-    return RunConfig(scenario=scenario, unit=unit, scheme=scheme, axis=axis,
-                     grid=grid, seed=seed, trials=trials, out=out, bs=bs,
-                     pilot=pilot, omega=omega, m=m, workers=workers)
+        grid = values.get("grid")
+        m_default = grid[0] if (values.get("axis") == "M" and grid) else None
+        scenario = _parse_layout(raw["layout"], _parse_params(raw["params"], m_default))
+    return RunConfig(scenario=scenario, **values)
 
 
 def _format_cell(value) -> str:
@@ -335,43 +371,16 @@ def _unit_factor(unit: str) -> float:
     return _LN2 if unit == "nats" else 1.0
 
 
-def _grid_flag(spec: str):
-    """The config form of ``--grid``: 'lo:hi:n[:log|lin]' becomes a grid
-    object, comma-separated values a list."""
-    parts = spec.split(":")
-    _require(len(parts) in (1, 3, 4), f"grid spec must be lo:hi:n[:log|lin], got {spec!r}")
-    try:
-        if len(parts) == 1:
-            return [float(v) for v in spec.split(",")]
-        start, stop, num = map(float, parts[:3])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid spec {spec!r}: {exc}") from None
-    return {"start": start, "stop": stop, "num": num,
-            "scale": parts[3] if len(parts) == 4 else "lin"}
-
-
-def _omega_flag(spec: str) -> list[int]:
-    """The config form of ``--omega``: a list of cell indices."""
-    try:
-        return [int(v) for v in spec.split(",")]
-    except ValueError:
-        raise ConfigError(f"omega must be comma-separated integers, got {spec!r}") from None
-
-
-def _load_run(args) -> tuple[RunConfig, Scenario]:
-    """The validated config of a run and the scenario it runs on.
+def _load_run(args) -> RunConfig:
+    """The validated config of a run, holding the scenario it runs on.
 
     The config is the ``--config`` file, or else ``{"preset": ...}``.  Each
     given flag replaces its config key before the one ``parse_config`` call,
-    so a flag passes the checks of its key.  The ``m`` key and the
-    ``--cells`` and ``--users`` flags then adjust the scenario.
+    so a flag passes the checks of its key.  The ``--cells`` and ``--users``
+    flags and then the ``m`` key adjust the scenario.
     """
-    flags = {key: val for key, val in vars(args).items()
-             if key in _CONFIG_KEYS and val is not None}
-    if "grid" in flags:
-        flags["grid"] = _grid_flag(flags["grid"])
-    if "omega" in flags:
-        flags["omega"] = _omega_flag(flags["omega"])
+    flags = {key: opt.read(getattr(args, key)) for key, opt in _OPTIONS.items()
+             if getattr(args, key, None) is not None}
     raw = {"preset": "two-cell-scenario-a"}
     if args.config:
         _require("preset" not in flags, "give either --config or --preset, not both")
@@ -393,14 +402,14 @@ def _load_run(args) -> tuple[RunConfig, Scenario]:
         scenario = replace(scenario, params=replace(scenario.params, K=users))
     if cfg.m is not None:
         scenario = scenario.with_axis("M", cfg.m)
-    return cfg, scenario
+    return replace(cfg, scenario=scenario)
 
 
-def _cmd_region(cfg: RunConfig, scenario: Scenario) -> int:
+def _cmd_region(cfg: RunConfig) -> int:
     scheme = cfg.scheme or "sd"
     builder = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region,
                "snd": snd_region}[scheme]
-    region = builder(scenario.state(), cfg.bs, cfg.pilot)
+    region = builder(cfg.scenario.state(), cfg.bs, cfg.pilot)
     prefix = ",".join(map(_format_cell, (scheme, cfg.bs, cfg.pilot, "")))
     omega = np.repeat(region.omega, np.diff(region.offsets)).tolist()
     bound = (region.bound * _unit_factor(cfg.unit)).tolist()
@@ -410,8 +419,8 @@ def _cmd_region(cfg: RunConfig, scenario: Scenario) -> int:
     return 0
 
 
-def _cmd_symrate(cfg: RunConfig, scenario: Scenario) -> int:
-    report = network_symmetric_rate(scenario.state(), cfg.scheme or "snd", cfg.pilot)
+def _cmd_symrate(cfg: RunConfig) -> int:
+    report = network_symmetric_rate(cfg.scenario.state(), cfg.scheme or "snd", cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = [[str(entry.bs), entry.rate * factor, entry.theta, entry.omega]
             for entry in report.per_bs]
@@ -421,8 +430,8 @@ def _cmd_symrate(cfg: RunConfig, scenario: Scenario) -> int:
     return 0
 
 
-def _cmd_classify(cfg: RunConfig, scenario: Scenario) -> int:
-    state = scenario.state()
+def _cmd_classify(cfg: RunConfig) -> int:
+    state = cfg.scenario.state()
     factor = _unit_factor(cfg.unit)
     rows = []
     for j in range(state.L):
@@ -436,10 +445,10 @@ def _cmd_classify(cfg: RunConfig, scenario: Scenario) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig, scenario: Scenario) -> int:
+def _cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg.axis is not None, "sweep requires an axis (--axis or config key 'axis')")
     _require(cfg.grid is not None, "sweep requires a grid (--grid or config key 'grid')")
-    result = sweep(scenario, cfg.axis, cfg.grid, pilot=cfg.pilot)
+    result = sweep(cfg.scenario, cfg.axis, cfg.grid, pilot=cfg.pilot)
     factor = _unit_factor(cfg.unit)
     rows = [[cfg.axis, row.value, row.rates["tin"] * factor, row.rates["sd"] * factor,
              row.rates["ssnd"] * factor, row.rates["snd"] * factor, row.case]
@@ -459,8 +468,8 @@ def _threshold_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".thresholds.csv"
 
 
-def _cmd_montecarlo(cfg: RunConfig, scenario: Scenario) -> int:
-    state = scenario.state()
+def _cmd_montecarlo(cfg: RunConfig) -> int:
+    state = cfg.scenario.state()
     omega = cfg.omega if cfg.omega is not None else tuple(range(state.L))
     empirical = empirical_power_decomposition(
         state, cfg.bs, cfg.pilot, omega, trials=cfg.trials, seed=cfg.seed,
@@ -483,16 +492,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--preset", choices=PRESET_NAMES, help="named scenario")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    parser.add_argument("--unit", choices=("bits", "nats"), help="rate unit")
-    parser.add_argument("--workers", type=int,
-                        help="cap on Monte Carlo threads, which hold at most 32 MiB of "
-                             "batches in flight (default: all usable CPUs)")
-    parser.add_argument("--pilot", type=int, help="pilot slot index (default 0)")
+_COMMANDS = {
+    "region": (_cmd_region, "emit the constraint list of a region"),
+    "symrate": (_cmd_symrate, "per-BS and network max symmetric rates"),
+    "classify": (_cmd_classify, "two-cell case label and ordering check"),
+    "sweep": (_cmd_sweep, "rates over a parameter grid plus thresholds"),
+    "montecarlo": (_cmd_montecarlo, "empirical vs analytic power decomposition"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -501,47 +507,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Uplink rate regions and max-min symmetric rates for "
                     "multi-cell massive MIMO under TIN/SD/SND/S-SND decoding.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_region = subs.add_parser("region", help="emit the constraint list of a region")
-    _add_common(p_region)
-    p_region.add_argument("--scheme", choices=SCHEMES)
-    p_region.add_argument("--bs", type=int, help="BS index (default 0)")
-    p_region.set_defaults(func=_cmd_region)
-
-    p_sym = subs.add_parser("symrate", help="per-BS and network max symmetric rates")
-    _add_common(p_sym)
-    p_sym.add_argument("--scheme", choices=SCHEMES)
-    p_sym.add_argument("--m", type=float, help="override antenna count")
-    p_sym.set_defaults(func=_cmd_symrate)
-
-    p_cls = subs.add_parser("classify", help="two-cell case label and ordering check")
-    _add_common(p_cls)
-    p_cls.add_argument("--m", type=float, help="override antenna count")
-    p_cls.set_defaults(func=_cmd_classify)
-
-    p_sweep = subs.add_parser("sweep", help="rates over a parameter grid plus thresholds")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=SWEEP_AXES)
-    p_sweep.add_argument("--grid", help="lo:hi:n[:log|lin] or comma-separated values")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_mc = subs.add_parser("montecarlo",
-                           help="empirical vs analytic power decomposition")
-    _add_common(p_mc)
-    p_mc.add_argument("--cells", type=int, help="2 or 3: pick the canonical scenario")
-    p_mc.add_argument("--users", type=int, help="override users per cell")
-    p_mc.add_argument("--m", type=float, help="override antenna count")
-    p_mc.add_argument("--trials", type=int, help="number of trials (default 10000)")
-    p_mc.add_argument("--bs", type=int, help="BS index (default 0)")
-    p_mc.add_argument("--omega", help="decoded set, comma-separated cell indices")
-    p_mc.set_defaults(func=_cmd_montecarlo)
+    for command, (func, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="JSON config file")
+        for key, opt in _OPTIONS.items():
+            if command in opt.commands:
+                sub.add_argument(f"--{key}", help=opt.help)
+        sub.set_defaults(func=func)
+    # the two flags without a config key
+    montecarlo = subs.choices["montecarlo"]
+    montecarlo.add_argument("--cells", type=int, help="2 or 3: pick the canonical scenario")
+    montecarlo.add_argument("--users", type=int, help="override users per cell")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(*_load_run(args))
+        return args.func(_load_run(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PowerDecomposition, check_indices
+from .bounds import PowerDecomposition, check_indices, check_omega, power_terms
 from .estimation import ChannelState
 
 __all__ = [
@@ -236,7 +236,8 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
 
     Requires at least 1000 trials for meaningful confidence, at most
     ``MAX_TRIALS``, and an integer antenna count M >= 1 whose single trial
-    samples at most ``_BATCH_BYTES``.  Work is split into
+    samples at most ``_BATCH_BYTES``; a state whose analytic terms overflow
+    is refused before any draw, as its sampled terms would.  Work is split into
     batches whose sizes depend only on (trials, K, L, M), each with an
     independently derived RNG stream, so the result depends only on ``seed``
     and ``trials``, not on ``workers``.
@@ -253,9 +254,7 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     if trials > MAX_TRIALS:
         raise ValueError(f"at most {MAX_TRIALS} trials are allowed, got {trials}")
     check_indices(state, j, i)
-    omega = sorted(set(omega))
-    if any(l < 0 or l >= state.L for l in omega):
-        raise ValueError(f"omega {omega} has entries out of range for L={state.L}")
+    omega = check_omega(state, omega)
 
     m = _antennas(state.params.M)
     K, L = state.K, state.L
@@ -263,6 +262,7 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
         raise ValueError(
             f"Monte Carlo at L={L}, K={K} samples at most M={_max_antennas(K, L)} antennas "
             f"(one trial within {_BATCH_BYTES} bytes), got M={state.params.M:g}")
+    power_terms(state, j, i, omega)  # raises if the terms overflow
     counts = _batch_counts(trials, K, L, m)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
     size = counts[0]

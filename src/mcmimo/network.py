@@ -186,9 +186,9 @@ def _mirrored_pair(center_a, center_b, radius, angle_deg):
 def _two_cell_points(x: float, spacing: float, user_angle_deg: float = 180.0):
     """BS points and one user point per cell of one :func:`two_cell_layout`."""
     if x <= 0:
-        raise ValueError(f"cell radius x must be positive, got {x!r}")
+        raise ValueError(f"cell radius 'x' must be positive, got {x!r}")
     if spacing <= 0:
-        raise ValueError(f"BS spacing must be positive, got {spacing!r}")
+        raise ValueError(f"BS spacing 'spacing' must be positive, got {spacing!r}")
     bs = ((0.0, 0.0), (spacing, 0.0))
     return bs, _mirrored_pair(*bs, x, user_angle_deg)
 
@@ -197,13 +197,13 @@ def _three_cell_points(x: float, spacing: float | None = None, theta_deg: float 
                        outer_angle_deg: float = 180.0):
     """BS points and one user point per cell of one :func:`three_cell_layout`."""
     if x <= 0:
-        raise ValueError(f"cell radius x must be positive, got {x!r}")
+        raise ValueError(f"cell radius 'x' must be positive, got {x!r}")
     if spacing is None:
         spacing = 2.0 * x
     if spacing <= 0:
-        raise ValueError(f"BS spacing must be positive, got {spacing!r}")
+        raise ValueError(f"BS spacing 'spacing' must be positive, got {spacing!r}")
     if not 0.0 <= theta_deg <= 360.0:
-        raise ValueError(f"theta_deg must be in [0, 360], got {theta_deg!r}")
+        raise ValueError(f"'theta_deg' must be in [0, 360], got {theta_deg!r}")
     bs = ((0.0, 0.0), (spacing, 0.0), (2.0 * spacing, 0.0))
     p_left, p_right = _mirrored_pair(bs[0], bs[2], x, outer_angle_deg)
     th = math.radians(theta_deg)

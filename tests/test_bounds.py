@@ -5,8 +5,8 @@ import pytest
 
 from mcmimo import (ChannelState, SystemParams, capacity, mu_coefficient, power_terms,
                     preset_scenario, tin_rate, tin_rate_asymptotic)
-from mcmimo.bounds import (coherent_power, coherent_powers, mac_bound, noise_floor,
-                           noise_floors, subset_sum)
+from mcmimo.bounds import (check_omega, coherent_power, coherent_powers, mac_bound,
+                           noise_floor, noise_floors, subset_sum)
 
 from oracles import direct_bound, mask_of, random_state
 
@@ -154,6 +154,23 @@ def test_analytic_terms_reject_out_of_range_indices(terms):
             terms(state, j, i)
 
 
+@pytest.mark.parametrize("omega, message", [
+    ([True], r"omega entries must be integers, got \[True\]"),
+    ([np.bool_(False)], r"omega entries must be integers, got \[np.False_\]"),
+    ([0, 0.0], r"omega entries must be integers, got \[0, 0.0\]"),
+    ([1.5], r"omega entries must be integers, got \[1.5\]"),
+    ([0, -1], r"omega \[-1, 0\] has entries out of range for L=3"),
+    ([3], r"omega \[3\] has entries out of range for L=3"),
+])
+def test_check_omega_refuses_non_indices(omega, message):
+    # numpy would read True as a mask, -1 from the end, and refuse 0.0
+    state = random_state(np.random.default_rng(27), L=3, K=2)
+    for check in (check_omega, lambda s, o: power_terms(s, 0, 0, o)):
+        with pytest.raises(ValueError, match=message):
+            check(state, omega)
+    assert check_omega(state, (2, np.int64(0), 2)) == [0, 2]
+
+
 class TestTinRates:
     def test_single_cell_tin_equals_full_bound(self):
         state = unit_state()
@@ -222,6 +239,17 @@ class TestOverflow:
             coherent_powers(np.array([1e3, 1e308]), p, beta, alpha, 0)
         with pytest.raises(ValueError, match="overflows"):
             coherent_power(state.with_m(1e308), 0, 0)
+
+    def test_overflowing_power_terms_rejected(self):
+        # with K = 1 the other-user sum is 0, and 0 times an overflowed
+        # scale was nan
+        params = SystemParams(L=2, K=1, M=100.0, rho_u=1e308, rho_p=120.0)
+        state = ChannelState.from_beta(np.full((2, 1, 2), 0.5), params)
+        with pytest.raises(ValueError, match="power terms overflow: M, rho_p or rho_u"):
+            power_terms(state, 0, 0, [0, 1])
+        with pytest.raises(ValueError, match="power terms overflow"):
+            power_terms(preset_scenario("two-cell-scenario-a").state().with_m(1e308),
+                        0, 0, [0])
 
     def test_overflowing_noise_floor_rejected(self):
         beta = np.ones((2, 1, 2))

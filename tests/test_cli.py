@@ -1,11 +1,15 @@
+import argparse
 import json
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import mcmimo.cli as cli
 import mcmimo.montecarlo as mc
 import mcmimo.regions as regions
 from mcmimo import PRESET_NAMES, SCHEMES
@@ -136,6 +140,27 @@ class TestParseConfig:
         assert isinstance(cfg, RunConfig)
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
+
+    @pytest.mark.parametrize("key, message", [
+        # these five once read null as unset
+        ("scheme", f"scheme must be one of {SCHEMES}, got None"),
+        ("axis", "axis must be one of ('M', 'radius_x', 'theta'), got None"),
+        ("omega", "omega must be a list of nonnegative cell indices"),
+        ("m", "m must be a number, got None"),
+        ("out", "out must be a path string"),
+        ("unit", "unit must be one of ('bits', 'nats'), got None"),
+        ("seed", "seed must be an integer, got None"),
+        ("trials", "trials must be a positive integer, got None"),
+        ("bs", "bs must be a nonnegative integer, got None"),
+        ("pilot", "pilot must be a nonnegative integer, got None"),
+        ("workers", "workers must be a positive integer, got None"),
+        ("grid", "grid must be a list of values or a start/stop/num object"),
+        ("preset", f"preset must be one of {PRESET_NAMES}, got None"),
+    ])
+    def test_null_is_refused_for_every_key(self, key, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"preset": "two-cell-scenario-a", key: None})
+        assert str(exc.value) == message
 
 
 class TestEmitCsv:
@@ -328,6 +353,8 @@ class TestCliCommands:
         ("symrate", {"params": {"rho_u": True}},
          "params key 'rho_u' must be a number, got True"),
         ("symrate", {"layout": {"x": True}}, "layout key 'x' must be a number, got True"),
+        ("symrate", {"layout": {"kind": []}},
+         "layout kind [] must be one of ['explicit', 'three_cell', 'two_cell']"),
         ("sweep", {"axis": "M", "grid": {"start": 1e3, "stop": 1e4, "num": 2.5}},
          "grid num must be an integer, got 2.5"),
         ("sweep", {"axis": "M", "grid": [1e3, True]}, "grid entry must be a number, got True"),
@@ -406,6 +433,24 @@ class TestCliCommands:
         assert out.err.splitlines() == [
             f"error: Monte Carlo at L=2, K=2 samples at most M=349524 antennas (one trial "
             f"within {mc._BATCH_BYTES} bytes), got M={float(m):g}"]
+
+    def test_overflowing_monte_carlo_terms_are_one_error_line(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # refused before any batch is drawn; it used to print inf and nan
+        # terms and six numpy warnings, and exit 0
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled an overflowing state")
+
+        monkeypatch.setattr(mc, "complex_normal", fail)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "params": {"L": 2, "K": 1, "M": 100, "rho_u": 1e308, "rho_p": 120.0},
+            "layout": {"kind": "two_cell", "x": 400.0}}))
+        assert run_cli("montecarlo", "--config", str(cfg), "--trials", "1000") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: power terms overflow: M, rho_p or rho_u is too large"]
 
     @pytest.mark.parametrize("argv", [
         ["symrate", "--workers", "0"],
@@ -520,6 +565,18 @@ class TestOneInputPath:
         ("symrate", "m", "-5", -5, "m must be positive, got -5.0"),
         ("sweep", "grid", "1e3,inf", [1e3, math.inf], "grid entry must be finite, got inf"),
         ("montecarlo", "omega", "-1", [-1], "omega entry must be a nonnegative integer, got -1"),
+        ("montecarlo", "omega", "0,x", [0, "x"],
+         "omega entry must be a nonnegative integer, got 'x'"),
+        ("symrate", "scheme", "foo", "foo", f"scheme must be one of {SCHEMES}, got 'foo'"),
+        ("symrate", "unit", "dB", "dB", "unit must be one of ('bits', 'nats'), got 'dB'"),
+        ("sweep", "axis", "foo", "foo",
+         "axis must be one of ('M', 'radius_x', 'theta'), got 'foo'"),
+        ("symrate", "preset", "nope", "nope", f"preset must be one of {PRESET_NAMES}, got 'nope'"),
+        ("montecarlo", "trials", "2.5", 2.5, "trials must be a positive integer, got 2.5"),
+        ("symrate", "seed", "1.5", 1.5, "seed must be an integer, got 1.5"),
+        ("symrate", "pilot", "x", "x", "pilot must be a nonnegative integer, got 'x'"),
+        ("region", "bs", "x", "x", "bs must be a nonnegative integer, got 'x'"),
+        ("sweep", "grid", "1e3,x", [1e3, "x"], "grid entry must be a number, got 'x'"),
     ]
 
     @pytest.mark.parametrize("command, key, flag, value, message", PARITY,
@@ -568,6 +625,61 @@ class TestOneInputPath:
         unchanged = sweep(scenario, "radius_x", [150.0, 200.0, 240.0])
         assert [r.rates for r in unchanged.rows] != [r.rates for r in result.rows]
 
+    # each subcommand's flags: every config key in _OPTIONS that it reads,
+    # plus --config, and --cells and --users, which have no config key
+    FLAGS = {
+        "region": {"config", "preset", "out", "seed", "unit", "workers", "pilot",
+                   "scheme", "bs"},
+        "symrate": {"config", "preset", "out", "seed", "unit", "workers", "pilot",
+                    "scheme", "m"},
+        "classify": {"config", "preset", "out", "seed", "unit", "workers", "pilot", "m"},
+        "sweep": {"config", "preset", "out", "seed", "unit", "workers", "pilot",
+                  "axis", "grid"},
+        "montecarlo": {"config", "preset", "out", "seed", "unit", "workers", "pilot",
+                       "m", "trials", "bs", "omega", "cells", "users"},
+    }
+
+    def test_flag_sets_are_pinned_and_config_flags_are_plain_strings(self):
+        parser = cli._build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {a.dest for a in sub._actions if a.dest != "help"}
+                 for name, sub in subs.choices.items()}
+        assert flags == self.FLAGS
+        for sub in subs.choices.values():
+            for action in sub._actions:
+                if action.dest in cli._OPTIONS:
+                    # the key's check is the only one a flag passes
+                    assert action.type is None and action.choices is None
+                    assert action.option_strings == [f"--{action.dest}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--cells", "3", "--users", "2", "--m", "64"],
+        ["montecarlo", "--preset", "two-cell-scenario-b", "--users", "1", "--trials", "2000",
+         "--omega", "1", "--workers", "2"],
+        ["symrate", "--preset", "two-cell-scenario-b", "--m", "2e4", "--scheme", "sd"],
+        ["region", "--preset", "three-cell-theta", "--scheme", "snd", "--unit", "nats"],
+        ["sweep", "--preset", "three-cell-theta", "--axis", "theta", "--grid", "0:90:4"],
+        ["montecarlo", "--config", "three-cell-mc.json", "--m", "128", "--bs", "2",
+         "--omega", "0,2"],
+        ["symrate", "--config", "ring6.json", "--pilot", "3"],
+    ])
+    def test_to_dict_describes_the_run(self, argv, monkeypatch):
+        # the scenario a run uses has m, --cells and --users applied, and its
+        # config's dict reproduces it
+        monkeypatch.chdir(GOLDEN)
+        cfg = cli._load_run(cli._build_parser().parse_args(argv))
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        p = cfg.scenario.params
+        if "--m" in opts:
+            assert p.M == float(opts["--m"])
+        if "--users" in opts:
+            assert p.K == int(opts["--users"])
+        if "--cells" in opts:
+            assert p.L == int(opts["--cells"])
+        again = parse_config(cfg.to_dict())
+        assert replace(again.scenario, name=None) == replace(cfg.scenario, name=None)
+        assert replace(again, scenario=cfg.scenario) == cfg
+
     @pytest.mark.parametrize("argv", [
         ["symrate", "--pilot", "x"],
         ["symrate", "--scheme", "foo"],
@@ -580,6 +692,18 @@ class TestOneInputPath:
         assert out.out == ""
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_every_option_is_documented():
+    # the module docstring's key list names every config key, and README's
+    # config example sets every key that has a flag
+    block = cli.__doc__.split("Config schema")[1].split("\n\n")[1]
+    listed = {key for line in block.splitlines() if re.match(r"    \w", line)
+              for key in line.strip().split("  ")[0].split(", ")}
+    assert listed == cli._CONFIG_KEYS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Config file schema")[1].split("```json")[1].split("```")[0]
+    assert set(json.loads(example)) == set(cli._OPTIONS)
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"

@@ -236,10 +236,24 @@ class TestEmpiricalDecomposition:
             assert mc._bytes_per_trial(K, L, top + 1) > mc._BATCH_BYTES
         assert mc._max_antennas(2, 2) == 349524
 
-    def test_bad_omega_rejected(self):
+    @pytest.mark.parametrize("omega", [{0, 5}, [True], [0.0], [1.5]])
+    def test_bad_omega_rejected_before_sampling(self, omega, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled with a bad decoded set")
+
+        monkeypatch.setattr(mc, "complex_normal", fail)
         state = small_state(M=8)
         with pytest.raises(ValueError, match="omega"):
-            empirical_power_decomposition(state, 0, 0, {0, 5}, trials=1000, seed=1)
+            empirical_power_decomposition(state, 0, 0, omega, trials=1000, seed=1)
+
+    def test_overflowing_terms_rejected_before_sampling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled an overflowing state")
+
+        monkeypatch.setattr(mc, "complex_normal", fail)
+        state = small_state(rho_u=1e308, K=1, M=100)
+        with pytest.raises(ValueError, match="power terms overflow"):
+            empirical_power_decomposition(state, 0, 0, [0, 1], trials=1000, seed=1)
 
     def test_out_of_range_indices_rejected(self):
         state = small_state(L=3, K=2, M=8)

@@ -457,11 +457,11 @@ class TestLayoutStack:
 
     @pytest.mark.parametrize("scenario, axis, grid, message", [
         (preset_scenario("two-cell-scenario-b"), "radius_x", [-5.0, 100.0],
-         "cell radius x must be positive, got -5.0"),
+         "cell radius 'x' must be positive, got -5.0"),
         (preset_scenario("three-cell-theta"), "radius_x", [0.0, 100.0],
-         "cell radius x must be positive, got 0.0"),
+         "cell radius 'x' must be positive, got 0.0"),
         (preset_scenario("three-cell-theta"), "theta", [90.0, 361.0],
-         "theta_deg must be in [0, 360], got 361.0"),
+         "'theta_deg' must be in [0, 360], got 361.0"),
         (preset_scenario("two-cell-scenario-a"), "theta", [10.0, 20.0],
          "axis 'theta' requires the three-cell layout"),
         (Scenario.from_layout(preset_scenario("two-cell-scenario-a").layout(),
