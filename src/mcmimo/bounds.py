@@ -39,6 +39,7 @@ __all__ = [
     "coherent_powers",
     "noise_floor",
     "noise_floors",
+    "state_powers",
     "subset_sum",
     "mac_bound",
     "power_terms",
@@ -135,16 +136,44 @@ def noise_floors(beta: np.ndarray, rho_u: float) -> np.ndarray:
                          "rho_u is too large") from None
 
 
-def coherent_power(state: ChannelState, j: int, i: int) -> np.ndarray:
-    """Per-cell coherent power N({l}) = M sqrt(rho_p) rho_u beta_jil alpha_jil."""
-    check_indices(state, j, i)
+def _memo(state: ChannelState, key, form) -> np.ndarray:
+    """The state's memo entry ``key``, formed by ``form()`` on first use
+    and read-only.  A ``form`` that raises leaves no entry."""
+    value = state._powers.get(key)
+    if value is None:
+        value = form()
+        value.flags.writeable = False
+        value = state._powers.setdefault(key, value)
+    return value
+
+
+def _floors(state: ChannelState) -> np.ndarray:
+    return _memo(state, "floor", lambda: noise_floors(state.beta, state.params.rho_u))
+
+
+def state_powers(state: ChannelState, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coherent powers ``coh[j, l]`` of every BS j in pilot slot i and
+    the noise floors ``floor[j]`` of a state: its :func:`coherent_powers`
+    and :func:`noise_floors`, formed once per state (the powers once per
+    pilot) and kept on the state as read-only arrays.  The caller checks
+    ``i``.  A state whose powers overflow keeps nothing and raises on every
+    call."""
     p = state.params
-    return coherent_powers(p.M, p, state.beta, state.stats.alpha, i)[j]
+    coh = _memo(state, i, lambda: coherent_powers(p.M, p, state.beta, state.stats.alpha, i))
+    return coh, _floors(state)
+
+
+def coherent_power(state: ChannelState, j: int, i: int) -> np.ndarray:
+    """Per-cell coherent power N({l}) = M sqrt(rho_p) rho_u beta_jil alpha_jil,
+    a read-only row of :func:`state_powers`."""
+    check_indices(state, j, i)
+    return state_powers(state, i)[0][j]
 
 
 def noise_floor(state: ChannelState, j: int) -> float:
-    """Non-coherent interference plus noise floor sum_{l,k} rho_u beta_jkl + 1."""
-    return float(noise_floors(state.beta[j], state.params.rho_u))
+    """Non-coherent interference plus noise floor sum_{l,k} rho_u beta_jkl + 1,
+    read off :func:`state_powers`."""
+    return float(_floors(state)[j])
 
 
 def subset_sum(coh, mask: int) -> float:

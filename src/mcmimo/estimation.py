@@ -70,7 +70,11 @@ class ChannelState:
     """Deterministic channel statistics bundle: params, fading and MMSE stats.
 
     This is the common input to the rate-bound, region and simulation layers.
-    Instances are immutable and safe to share across workers.
+    Its fields are immutable, and it is safe to share across workers.  Each
+    state also keeps a memo of the read-only coherent powers of each pilot
+    and noise floors formed from it (see
+    :func:`~mcmimo.bounds.state_powers`), so the solvers and region builders
+    of one state form them once; :meth:`with_m` starts an empty memo.
     """
 
     params: SystemParams
@@ -84,6 +88,7 @@ class ChannelState:
             raise ValueError(f"beta must have shape {expected}, got {beta.shape}")
         check_fading(beta)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_powers", {})
 
     @classmethod
     def from_beta(cls, beta: np.ndarray, params: SystemParams) -> "ChannelState":

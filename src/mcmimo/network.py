@@ -158,12 +158,22 @@ def fading_stack(bs: np.ndarray, users: np.ndarray, params: SystemParams) -> np.
     if users.shape[2] != params.K:
         raise ValueError(f"layout has {users.shape[2]} users per cell but "
                          f"params.K = {params.K}")
-    # diff[g, j, l, k] = user k of cell l relative to BS j
-    diff = users[:, None, :, :, :] - bs[:, :, None, None, :]
-    dist = np.linalg.norm(diff, axis=-1)  # (G, L, L, K), indexed [g, j, l, k]
-    if np.any(dist <= 0.0):
-        raise ValueError("a user is co-located with a BS; distances must be positive")
-    beta = pathloss(dist, params.d0, params.alpha_pl)
+    # numpy's status check on each operation catches an overflow, at no
+    # extra pass over the data
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            # diff[g, j, l, k] = user k of cell l relative to BS j
+            diff = users[:, None, :, :, :] - bs[:, :, None, None, :]
+            dist = np.linalg.norm(diff, axis=-1)  # (G, L, L, K), indexed [g, j, l, k]
+        except FloatingPointError:
+            raise ValueError("a BS-to-user distance overflows: "
+                             "positions are too large") from None
+        if np.any(dist <= 0.0):
+            raise ValueError("a user is co-located with a BS; distances must be positive")
+        try:
+            beta = pathloss(dist, params.d0, params.alpha_pl)
+        except FloatingPointError:
+            raise ValueError("a pathloss gain overflows: a user is too close to a BS") from None
     return np.ascontiguousarray(beta.transpose(0, 1, 3, 2))  # -> [g, j, k, l]
 
 

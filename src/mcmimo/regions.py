@@ -10,14 +10,22 @@ rate coordinates are unconstrained within that part.
 A :class:`RegionFamily` holds its parts as flat columns, and ``parts`` is
 their view as validated polytopes.  Cell sets are int bitmasks (bit l
 stands for cell l), as in the CSV output.  The SD, S-SND and SND builders
-read every bound off one table of the subset sums of all 2^L masks with one
-vectorized :func:`~mcmimo.bounds.mac_bound` call, and refuse a region of
-more than ``MAX_CONSTRAINTS`` constraints before allocating it.  Regions are
-immutable after construction and membership queries are read-only.
+refuse a region of more than ``MAX_CONSTRAINTS`` constraints before
+allocating it.  Which (theta, omega) pairs a region holds depends only on
+its scheme, L and BS (SD: on L alone), so its ``omega``, ``offsets`` and
+``theta`` columns are built once and kept, read-only and shared by every
+region of that key, in a least-recently-used cache that holds at most
+``MAX_CONSTRAINTS`` constraints in total; ``_columns.cache_info()`` counts
+its hits and misses.  Each build then reads every bound off one table of
+the subset sums of all 2^L masks with one vectorized
+:func:`~mcmimo.bounds.mac_bound` call.  Regions are immutable after
+construction and membership queries are read-only.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -40,7 +48,8 @@ __all__ = [
     "snd_region",
 ]
 
-MAX_CONSTRAINTS = 1 << 20  # constraints of one SD, S-SND or SND region, at most
+# constraints of one SD, S-SND or SND region, and of all cached columns, at most
+MAX_CONSTRAINTS = 1 << 20
 
 
 def _rate_point(point: Sequence[float], dim: int) -> np.ndarray:
@@ -162,27 +171,98 @@ def _subset_sums(coh: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _region(kind: str, state: ChannelState, j: int, i: int, omega: np.ndarray,
-            masks: np.ndarray) -> RegionFamily:
-    """The region with one part per decoded set ``omega[p]`` that constrains
-    the subsets of it among ``masks`` (in (cardinality, mask) order)."""
-    L = state.L
-    narrow = np.min_scalar_type((1 << L) - 1)
-    inside = (masks.astype(narrow) & ~omega.astype(narrow)[:, None]) == 0
-    part, col = np.divmod(np.flatnonzero(inside), len(masks))  # row-major order
-    del inside
-    theta = masks[col]
-    sums = _subset_sums(coherent_power(state, j, i))
-    noise = sums[((1 << L) - 1) ^ omega]
-    bound = mac_bound(sums[theta], noise[part], noise_floor(state, j))
-    offsets = np.searchsorted(part, np.arange(len(omega) + 1))
-    return RegionFamily(kind, L, omega, offsets, theta, bound)
-
-
 def _ordered_masks(L: int) -> np.ndarray:
     """The nonzero masks of L cells in (cardinality, mask) order."""
     masks = np.arange(1, 1 << L)
     return masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+
+
+def _index(kind: str, L: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``omega``, ``offsets`` and ``theta`` columns of a ``kind`` region
+    at BS j of L cells, as read-only views: part p decodes ``omega[p]`` and
+    constrains its subsets among the masks the scheme keeps, in
+    (cardinality, mask) order."""
+    masks = _ordered_masks(L)
+    if kind == "snd":
+        omega = np.arange(1 << L)
+        omega = omega[omega >> j & 1 == 1]
+    else:
+        omega = np.array([(1 << L) - 1])
+        if kind == "ssnd":
+            masks = masks[masks >> j & 1 == 1]
+    narrow = np.min_scalar_type((1 << L) - 1)
+    inside = (masks.astype(narrow) & ~omega.astype(narrow)[:, None]) == 0
+    part, col = np.divmod(np.flatnonzero(inside), len(masks))  # row-major order
+    del inside
+    offsets = np.searchsorted(part, np.arange(len(omega) + 1))
+    columns = (omega, offsets, masks[col])
+    for column in columns:
+        column.flags.writeable = False
+    # views of read-only arrays cannot be made writeable again
+    return tuple(column.view() for column in columns)
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses entries constraints")
+
+
+class _ColumnCache:
+    """The index columns of each (kind, L, BS), built once: which (theta,
+    omega) pairs a region holds depends on them alone, not on the channel.
+    SD's columns do not depend on the BS, so it has one entry per L.
+
+    Entries hold at most ``MAX_CONSTRAINTS`` constraints in total, read when
+    an entry is added; the least recently used go first.  A lock guards the
+    entries; a miss builds outside it, so two threads may build one entry
+    at once, and both get the one that is kept.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.held = 0
+
+    def __call__(self, kind: str, L: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        key = (kind, L) if kind == "sd" else (kind, L, j)
+        with self._lock:
+            columns = self._entries.get(key)
+            if columns is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return columns
+            self.misses += 1
+        columns = _index(kind, L, j)
+        with self._lock:
+            if key in self._entries:
+                return self._entries[key]
+            self._entries[key] = columns
+            self.held += len(columns[2])
+            while self.held > MAX_CONSTRAINTS:
+                _, old = self._entries.popitem(last=False)
+                self.held -= len(old[2])
+        return columns
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self.hits, self.misses, len(self._entries), self.held)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = self.held = 0
+
+
+_columns = _ColumnCache()
+
+
+def _region(kind: str, state: ChannelState, j: int, i: int) -> RegionFamily:
+    """The ``kind`` region at BS j, pilot i: its cached index columns with
+    the bounds of this state, one :func:`~mcmimo.bounds.mac_bound` call
+    over a table of all 2^L subset sums."""
+    omega, offsets, theta = _columns(kind, state.L, j)
+    sums = _subset_sums(coherent_power(state, j, i))
+    noise = np.repeat(sums[((1 << state.L) - 1) ^ omega], np.diff(offsets))
+    bound = mac_bound(sums[theta], noise, noise_floor(state, j))
+    return RegionFamily(kind, state.L, omega, offsets, theta, bound)
 
 
 def tin_region(state: ChannelState, j: int, i: int) -> RegionFamily:
@@ -195,16 +275,13 @@ def tin_region(state: ChannelState, j: int, i: int) -> RegionFamily:
 def sd_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     """Full MAC polytope: all L co-pilot users jointly and uniquely decoded."""
     _check("sd", state, j, i, (1 << state.L) - 1)
-    return _region("sd", state, j, i, np.array([(1 << state.L) - 1]),
-                   _ordered_masks(state.L))
+    return _region("sd", state, j, i)
 
 
 def ssnd_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     """SD polytope with every constraint not involving the own rate removed."""
     _check("ssnd", state, j, i, 1 << (state.L - 1))
-    masks = _ordered_masks(state.L)
-    return _region("ssnd", state, j, i, np.array([(1 << state.L) - 1]),
-                   masks[masks >> j & 1 == 1])
+    return _region("ssnd", state, j, i)
 
 
 def snd_region(state: ChannelState, j: int, i: int) -> RegionFamily:
@@ -215,7 +292,5 @@ def snd_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     are unconstrained.  Exponential in L: the 2^(L-1) parts hold
     2 * 3^(L-1) - 2^(L-1) constraints, which allows L <= 12.
     """
-    L = state.L
-    _check("snd", state, j, i, 2 * 3 ** (L - 1) - (1 << (L - 1)))
-    omega = np.arange(1 << L)
-    return _region("snd", state, j, i, omega[omega >> j & 1 == 1], _ordered_masks(L))
+    _check("snd", state, j, i, 2 * 3 ** (state.L - 1) - (1 << (state.L - 1)))
+    return _region("snd", state, j, i)

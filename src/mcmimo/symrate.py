@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bounds import check_indices, coherent_powers, mac_bound, noise_floors
+from .bounds import check_indices, mac_bound, state_powers
 from .estimation import ChannelState
 
 if TYPE_CHECKING:
@@ -250,11 +250,8 @@ def _state_rates(state: ChannelState, scheme: str, i: int, bs: list[int]):
     increasing, so checking its ends checks every index."""
     check_indices(state, bs[0], i)
     check_indices(state, bs[-1], i)
-    p = state.params
-    beta, alpha = state.beta[bs], state.stats.alpha[bs]
-    coh = coherent_powers(p.M, p, beta, alpha, i)
-    rate, theta, omega = stacked_rates(coh[None], noise_floors(beta, p.rho_u)[None],
-                                       (scheme,), bs)[scheme]
+    coh, floor = state_powers(state, i)
+    rate, theta, omega = stacked_rates(coh[None, bs], floor[None, bs], (scheme,), bs)[scheme]
     return rate[0].tolist(), theta[0].tolist(), omega[0].tolist()
 
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mcmimo import (ChannelState, SystemParams, capacity, mu_coefficient, power_terms,
-                    preset_scenario, tin_rate, tin_rate_asymptotic)
+from mcmimo import (SCHEMES, ChannelState, SystemParams, bounds, capacity, mu_coefficient,
+                    network_symmetric_rate, power_terms, preset_scenario, sd_region,
+                    snd_region, ssnd_region, tin_rate, tin_rate_asymptotic)
 from mcmimo.bounds import (check_omega, coherent_power, coherent_powers, mac_bound,
-                           noise_floor, noise_floors, subset_sum)
+                           noise_floor, noise_floors, state_powers, subset_sum)
 
 from oracles import direct_bound, mask_of, random_state
 
@@ -256,3 +257,62 @@ class TestOverflow:
         assert noise_floors(beta, 1e307).tolist() == [2e307 + 1.0] * 2
         with pytest.raises(ValueError, match=r"noise floor .* overflows: rho_u is too large"):
             noise_floors(beta, 1e308)
+
+
+class TestPowerMemo:
+    """A state forms its coherent powers (per pilot) and noise floors once;
+    the memo reads equal the unmemoized kernels to the bit."""
+
+    def test_memo_equals_unmemoized_kernels(self):
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            state = random_state(rng)
+            p = state.params
+            for i in range(state.K):
+                coh = coherent_powers(p.M, p, state.beta, state.stats.alpha, i)
+                for j in range(state.L):
+                    assert repr(coherent_power(state, j, i)) == repr(coh[j])
+                    assert repr(noise_floor(state, j)) == repr(
+                        float(noise_floors(state.beta[j], p.rho_u)))
+
+    def test_arrays_are_read_only(self):
+        state = random_state(np.random.default_rng(72), L=3, K=2)
+        coh, floor = state_powers(state, 1)
+        for array in (coh, floor, coherent_power(state, 2, 1)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_one_state_forms_its_powers_once(self, monkeypatch):
+        calls = {"coherent_powers": 0, "noise_floors": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(bounds, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(bounds, name, counted)
+        state = random_state(np.random.default_rng(73), L=4, K=2)
+        for scheme in SCHEMES:
+            network_symmetric_rate(state, scheme, 1)
+        for builder in (sd_region, ssnd_region, snd_region):
+            builder(state, 2, 1)
+        assert calls == {"coherent_powers": 1, "noise_floors": 1}
+        coherent_power(state, 0, 0)
+        assert calls == {"coherent_powers": 2, "noise_floors": 1}
+
+    def test_with_m_has_its_own_memo(self):
+        state = random_state(np.random.default_rng(74), L=3, K=2)
+        parent = coherent_power(state, 0, 0)
+        child = state.with_m(2.0 * state.params.M)
+        p = child.params
+        want = coherent_powers(p.M, p, child.beta, child.stats.alpha, 0)[0]
+        assert repr(coherent_power(child, 0, 0)) == repr(want)
+        assert not np.shares_memory(coherent_power(child, 0, 0), parent)
+        assert (coherent_power(child, 0, 0) != parent).all()
+        assert repr(coherent_power(state, 0, 0)) == repr(parent)
+
+    def test_overflow_raises_on_every_call(self):
+        state = preset_scenario("two-cell-scenario-a").state().with_m(1e308)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overflows"):
+                coherent_power(state, 0, 0)
+        assert state._powers == {}

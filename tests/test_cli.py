@@ -434,6 +434,28 @@ class TestCliCommands:
             f"error: Monte Carlo at L=2, K=2 samples at most M=349524 antennas (one trial "
             f"within {mc._BATCH_BYTES} bytes), got M={float(m):g}"]
 
+    @pytest.mark.parametrize("layout, message", [
+        ({"kind": "two_cell", "x": 1e300},
+         "a BS-to-user distance overflows: positions are too large"),
+        ({"kind": "explicit", "bs_positions": [[-1e308, 0.0], [1e308, 0.0]],
+          "user_positions": [[[-1e308, 1.0]], [[1e308, 1.0]]]},
+         "a BS-to-user distance overflows: positions are too large"),
+        ({"kind": "explicit", "bs_positions": [[0.0, 0.0], [800.0, 0.0]],
+          "user_positions": [[[1e-156, 0.0]], [[800.5, 0.0]]]},
+         "a pathloss gain overflows: a user is too close to a BS"),
+    ])
+    def test_overflowing_layout_is_one_error_line(self, layout, message, tmp_path, capsys):
+        # the distances used to overflow with a numpy warning before the
+        # error line
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "params": {"L": 2, "K": 1, "M": 1e4, "rho_u": 30.0, "rho_p": 120.0},
+            "layout": layout}))
+        assert run_cli("symrate", "--config", str(cfg)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: layout: {message}"]
+
     def test_overflowing_monte_carlo_terms_are_one_error_line(self, tmp_path, monkeypatch,
                                                                capsys):
         # refused before any batch is drawn; it used to print inf and nan

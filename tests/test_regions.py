@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -385,3 +387,112 @@ class TestColumns:
             for point in points:
                 assert region.contains(point) == \
                     any(part.contains(point) for part in region.parts)
+
+
+def column_digest(region):
+    """Each column's dtype, shape, bytes and repr."""
+    return [(c.dtype.str, c.shape, c.tobytes(), repr(c))
+            for c in (region.omega, region.offsets, region.theta, region.bound)]
+
+
+@pytest.fixture
+def cold_cache():
+    regions._columns.cache_clear()
+    yield regions._columns
+    regions._columns.cache_clear()
+
+
+class TestColumnCache:
+    """The index columns of each (scheme, L, BS) are built once and shared;
+    a region built from the cache equals one built cold."""
+
+    @settings(max_examples=25)
+    @given(st.integers(1, 8), st.integers(1, 3), st.floats(1.0, 6.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_warm_equals_cold(self, L, K, log_m, seed):
+        state = ring_state(np.random.default_rng(seed), L, K=K, M=10.0 ** log_m)
+        for builder in (sd_region, ssnd_region, snd_region):
+            for j in range(L):
+                for i in range(K):
+                    regions._columns.cache_clear()
+                    cold = builder(state, j, i)
+                    assert regions._columns.cache_info().misses == 1
+                    warm = builder(state, j, i)
+                    assert regions._columns.cache_info().hits == 1
+                    assert column_digest(warm) == column_digest(cold)
+
+    def test_lru_eviction_within_budget(self, cold_cache, monkeypatch):
+        budget = 100
+        monkeypatch.setattr(regions, "MAX_CONSTRAINTS", budget)
+        rng = np.random.default_rng(61)
+        states = {L: random_state(rng, L=L, K=1) for L in range(1, 5)}
+        sizes = {"sd": lambda L: 2 ** L - 1, "ssnd": lambda L: 2 ** (L - 1),
+                 "snd": lambda L: 2 * 3 ** (L - 1) - 2 ** (L - 1)}
+        builders = {"sd": sd_region, "ssnd": ssnd_region, "snd": snd_region}
+        model, hits, misses = {}, 0, 0  # key -> size, least recently used first
+        for _ in range(400):
+            kind = ("sd", "ssnd", "snd")[rng.integers(3)]
+            L = int(rng.integers(1, 5))
+            j = int(rng.integers(L))
+            key = (kind, L) if kind == "sd" else (kind, L, j)
+            if key in model:
+                hits += 1
+                model[key] = model.pop(key)
+            else:
+                misses += 1
+                model[key] = sizes[kind](L)
+                while sum(model.values()) > budget:
+                    del model[next(iter(model))]
+            region = builders[kind](states[L], j, 0)
+            assert len(region.theta) == sizes[kind](L)
+            assert list(cold_cache._entries) == list(model)
+            info = cold_cache.cache_info()
+            assert info == (hits, misses, len(model), sum(model.values()))
+            assert info.constraints <= budget
+        assert hits > 100 and misses > 100  # the sequence both hits and evicts
+
+    def test_columns_are_shared_and_read_only(self, cold_cache):
+        rng = np.random.default_rng(62)
+        a, b = random_state(rng, L=4), random_state(rng, L=4)
+        for builder in (sd_region, ssnd_region, snd_region):
+            ra, rb = builder(a, 1, 0), builder(b, 1, 0)
+            for name in ("omega", "offsets", "theta"):
+                column = getattr(ra, name)
+                assert column is getattr(rb, name)
+                assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    column.flags.writeable = True
+            assert not np.shares_memory(ra.bound, rb.bound)
+        assert cold_cache.cache_info().misses == 3
+
+    def test_sd_keeps_one_entry_per_l(self, cold_cache):
+        rng = np.random.default_rng(63)
+        for L in (3, 5):
+            state = random_state(rng, L=L, K=2)
+            for j in range(L):
+                for i in range(2):
+                    sd_region(state, j, i)
+        assert cold_cache.cache_info() == (2 * 3 - 1 + 2 * 5 - 1, 2, 2, 7 + 31)
+        assert list(cold_cache._entries) == [("sd", 3), ("sd", 5)]
+
+    def test_threads_share_one_cache(self, cold_cache):
+        state = random_state(np.random.default_rng(64), L=6, K=1)
+        keys = [(builder, j) for builder in (sd_region, ssnd_region, snd_region)
+                for j in range(6)] * 4
+        serial = [column_digest(builder(state, j, 0)) for builder, j in keys]
+        cold_cache.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(
+                    lambda key: column_digest(key[0](state, key[1], 0)), keys, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        info = cold_cache.cache_info()
+        assert info.hits + info.misses == len(keys)  # no lost counter update
+        assert info.entries == 1 + 6 + 6
+        assert info.constraints == 63 + 6 * 32 + 6 * (2 * 3 ** 5 - 2 ** 5)
