@@ -14,7 +14,7 @@ from .scenarios import (PRESET_NAMES, Scenario, SweepResult, classify_two_cell,
                         preset_scenario, sweep, two_cell_ordering_check)
 from .symrate import (SCHEMES, BsSymRate, SymRateReport, bs_symmetric_rate,
                       low_sinr_decode_set, max_symmetric_rate, network_symmetric_rate,
-                      tin_rate)
+                      symmetric_rates, tin_rate)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,7 @@ __all__ = [
     "snd_region",
     "SCHEMES", "BsSymRate", "SymRateReport", "max_symmetric_rate",
     "bs_symmetric_rate", "low_sinr_decode_set", "network_symmetric_rate",
+    "symmetric_rates",
     "empirical_power_decomposition",
     "Scenario", "PRESET_NAMES", "preset_scenario", "classify_two_cell",
     "two_cell_ordering_check", "sweep", "SweepResult",

@@ -73,18 +73,30 @@ class PowerDecomposition:
         return self.est_error + self.other_users + self.noise
 
 
+def _check_index(name: str, index, size: int, axis: str) -> None:
+    if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
+        raise ValueError(f"{name} index must be an integer, got {index!r}")
+    if not 0 <= index < size:
+        raise ValueError(f"{name} index {index} out of range for {axis}={size}")
+
+
+def check_bs(state, j: int) -> None:
+    """Reject a BS index outside [0, L) of a channel state (or of its
+    ``SystemParams``); numpy would read a negative one from the end.  It
+    must be a Python or NumPy integer: numpy reads ``True`` as a mask and
+    refuses ``1.0``."""
+    _check_index("BS", j, state.L, "L")
+
+
+def check_pilot(state, i: int) -> None:
+    """Reject a pilot index outside [0, K), as :func:`check_bs` does."""
+    _check_index("pilot", i, state.K, "K")
+
+
 def check_indices(state, j: int, i: int) -> None:
-    """Reject a BS index outside [0, L) or a pilot index outside [0, K) of a
-    channel state (or of its ``SystemParams``); numpy would read a negative
-    one from the end.  Either must be a Python or NumPy integer: numpy reads
-    ``True`` as a mask and refuses ``1.0``."""
-    for name, index in (("BS", j), ("pilot", i)):
-        if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
-            raise ValueError(f"{name} index must be an integer, got {index!r}")
-    if not 0 <= j < state.L:
-        raise ValueError(f"BS index {j} out of range for L={state.L}")
-    if not 0 <= i < state.K:
-        raise ValueError(f"pilot index {i} out of range for K={state.K}")
+    """:func:`check_bs` of ``j`` and :func:`check_pilot` of ``i``."""
+    check_bs(state, j)
+    check_pilot(state, i)
 
 
 def check_omega(state, omega) -> list:
@@ -136,19 +148,25 @@ def noise_floors(beta: np.ndarray, rho_u: float) -> np.ndarray:
                          "rho_u is too large") from None
 
 
-def _memo(state: ChannelState, key, form) -> np.ndarray:
-    """The state's memo entry ``key``, formed by ``form()`` on first use
-    and read-only.  A ``form`` that raises leaves no entry."""
+def memo(state: ChannelState, key, form):
+    """The state's memo entry ``key``, formed by ``form()`` on first use.
+    Entries are immutable, so threads that race on a key each form an
+    equal value and all read the first one stored.  A ``form`` that raises
+    leaves no entry."""
     value = state._powers.get(key)
     if value is None:
-        value = form()
-        value.flags.writeable = False
-        value = state._powers.setdefault(key, value)
+        value = state._powers.setdefault(key, form())
     return value
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _floors(state: ChannelState) -> np.ndarray:
-    return _memo(state, "floor", lambda: noise_floors(state.beta, state.params.rho_u))
+    return memo(state, "floor",
+                lambda: _read_only(noise_floors(state.beta, state.params.rho_u)))
 
 
 def state_powers(state: ChannelState, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +177,8 @@ def state_powers(state: ChannelState, i: int) -> tuple[np.ndarray, np.ndarray]:
     ``i``.  A state whose powers overflow keeps nothing and raises on every
     call."""
     p = state.params
-    coh = _memo(state, i, lambda: coherent_powers(p.M, p, state.beta, state.stats.alpha, i))
+    coh = memo(state, i, lambda: _read_only(
+        coherent_powers(p.M, p, state.beta, state.stats.alpha, i)))
     return coh, _floors(state)
 
 
@@ -173,6 +192,7 @@ def coherent_power(state: ChannelState, j: int, i: int) -> np.ndarray:
 def noise_floor(state: ChannelState, j: int) -> float:
     """Non-coherent interference plus noise floor sum_{l,k} rho_u beta_jkl + 1,
     read off :func:`state_powers`."""
+    check_bs(state, j)
     return float(_floors(state)[j])
 
 

@@ -71,10 +71,12 @@ class ChannelState:
 
     This is the common input to the rate-bound, region and simulation layers.
     Its fields are immutable, and it is safe to share across workers.  Each
-    state also keeps a memo of the read-only coherent powers of each pilot
-    and noise floors formed from it (see
-    :func:`~mcmimo.bounds.state_powers`), so the solvers and region builders
-    of one state form them once; :meth:`with_m` starts an empty memo.
+    state also keeps a memo of what is formed from it: the read-only
+    coherent powers of each pilot and noise floors (see
+    :func:`~mcmimo.bounds.state_powers`), and the symmetric-rate reports of
+    all four schemes per pilot (see :func:`~mcmimo.symrate.symmetric_rates`),
+    so the solvers and region builders of one state form each once;
+    :meth:`with_m` starts an empty memo.
     """
 
     params: SystemParams

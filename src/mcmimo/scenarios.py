@@ -36,7 +36,7 @@ from .bounds import (check_indices, coherent_power, coherent_powers, mac_bound, 
                      noise_floors)
 from .estimation import ChannelState, check_fading, mmse_coeffs
 from .network import CellLayout, SystemParams, fading_stack, layout_stack
-from .symrate import SCHEMES, STACK_BYTES, stacked_rates
+from .symrate import SCHEMES, STACK_BYTES, stacked_rates, symmetric_rates
 
 __all__ = [
     "Scenario",
@@ -215,9 +215,7 @@ def two_cell_ordering_check(state: ChannelState, j: int = 0, i: int = 0) -> Orde
     tin <= sd = snd = ssnd.  Equalities are checked to relative ``EQ_RTOL``.
     """
     case = classify_two_cell(state, j, i)
-    solved = stacked_rates(coherent_power(state, j, i)[None, None], [[noise_floor(state, j)]],
-                           SCHEMES, [j])
-    rates = {s: float(solved[s][0][0, 0]) for s in SCHEMES}
+    rates = {s: report.per_bs[j].rate for s, report in symmetric_rates(state, i).items()}
 
     def close(u, v):
         return math.isclose(u, v, rel_tol=EQ_RTOL, abs_tol=0.0)

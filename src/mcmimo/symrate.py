@@ -3,7 +3,7 @@
 Over a subset-sum polytope the largest R with (R, ..., R) inside is
 min over constraints of bound / |subset|; absent constraints are infinite.
 The four schemes are (omega, theta) filters over one kernel,
-:func:`stacked_rates`.  It takes a (G, L_bs, L) stack of coherent-power
+:func:`stacked_rates`.  It takes a (G, L, L) stack of coherent-power
 rows, one row per (grid point, BS), with their noise floors, and solves
 every row of the requested schemes at once:
 
@@ -15,9 +15,12 @@ every row of the requested schemes at once:
   interferers", each with its weakest-member prefixes as thetas, which is
   L(L+1)/2 bounds instead of O(3^L) (see :func:`_solve_rows`).
 
-The per-state functions (:func:`network_symmetric_rate`,
-:func:`bs_symmetric_rate` and :func:`tin_rate`) are the kernel on a stack
-of one state.  Every sum of coherent powers adds the cells from the
+:func:`symmetric_rates` is the kernel on every BS of one state under all
+four schemes; the state keeps its reports in its memo, so each (state,
+pilot) is solved once.  The per-scheme and per-BS functions
+(:func:`network_symmetric_rate`, :func:`bs_symmetric_rate` and
+:func:`tin_rate`) read those reports, so a one-BS request pays for the
+whole state once.  Every sum of coherent powers adds the cells from the
 highest index down, as :func:`~mcmimo.bounds.subset_sum` does, and every
 bound is one :func:`~mcmimo.bounds.mac_bound`, so a solver's rate equals
 the value of the matching region to the bit, and a stacked row equals the
@@ -36,11 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bounds import check_indices, mac_bound, state_powers
+from .bounds import check_bs, check_indices, check_pilot, mac_bound, memo, state_powers
 from .estimation import ChannelState
 
 if TYPE_CHECKING:
@@ -54,6 +58,7 @@ __all__ = [
     "stacked_rates",
     "STACK_BYTES",
     "low_sinr_decode_set",
+    "symmetric_rates",
     "bs_symmetric_rate",
     "tin_rate",
     "network_symmetric_rate",
@@ -113,30 +118,29 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
     return keys.argsort(axis=-1, kind="stable").argsort(axis=-1)
 
 
-def stacked_rates(coh, floor, schemes=SCHEMES, bs=None) -> dict:
-    """Max symmetric rates and witness masks of a stack of BS rows.
+def stacked_rates(coh, floor, schemes=SCHEMES) -> dict:
+    """Max symmetric rates and witness masks of a stack of networks.
 
-    ``coh[g, b, l]`` is the coherent power N({l}) of cell l at BS ``bs[b]``
-    (default ``range(L)``) in stack entry g, and ``floor[g, b]`` the noise
-    floor there.  Returns ``{scheme: (rate, theta, omega)}`` for each
-    requested scheme, three (G, B) arrays; only those schemes are computed.
-    The G * B rows are solved in chunks of at most ``STACK_BYTES`` of
-    arrays, about 64 bytes per (row, decoded set, cell): SND has L decoded
-    sets per row, the other schemes one.
+    ``coh[g, j, l]`` is the coherent power N({l}) of cell l at BS j in
+    stack entry g, and ``floor[g, j]`` the noise floor there.  Returns
+    ``{scheme: (rate, theta, omega)}`` for each requested scheme, three
+    (G, L) arrays; only those schemes are computed.  The G * L rows are
+    solved in chunks of at most ``STACK_BYTES`` of arrays, about 64 bytes
+    per (row, decoded set, cell): SND has L decoded sets per row, the other
+    schemes one.
     """
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        _check_scheme(scheme)
     coh = np.asarray(coh, dtype=float)
-    G, B, L = coh.shape
-    rows = coh.reshape(G * B, L)
-    floors = np.asarray(floor, dtype=float).reshape(G * B)
-    owns = np.tile(np.arange(L) if bs is None else np.asarray(bs), G)
+    G, _, L = coh.shape
+    rows = coh.reshape(G * L, L)
+    floors = np.asarray(floor, dtype=float).reshape(G * L)
+    owns = np.tile(np.arange(L), G)
     sets = sum(L if scheme == "snd" else 1 for scheme in schemes)
     step = max(1, STACK_BYTES // (64 * sets * L))
     parts = [_solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step], schemes)
-             for k in range(0, G * B, step)]
-    return {scheme: tuple(np.concatenate([part[scheme][t] for part in parts]).reshape(G, B)
+             for k in range(0, G * L, step)]
+    return {scheme: tuple(np.concatenate([part[scheme][t] for part in parts]).reshape(G, L)
                           for t in range(3))
             for scheme in schemes}
 
@@ -244,17 +248,6 @@ def _solve_rows(coh, floor, own, schemes) -> dict:
             for k, ((scheme, _, _), rate) in enumerate(zip(spans, rates))}
 
 
-def _state_rates(state: ChannelState, scheme: str, i: int, bs: list[int]):
-    """:func:`stacked_rates` of one scheme on one state's rows for the BSs
-    ``bs``, as lists of rates, theta masks and omega masks.  ``bs`` is
-    increasing, so checking its ends checks every index."""
-    check_indices(state, bs[0], i)
-    check_indices(state, bs[-1], i)
-    coh, floor = state_powers(state, i)
-    rate, theta, omega = stacked_rates(coh[None, bs], floor[None, bs], (scheme,), bs)[scheme]
-    return rate[0].tolist(), theta[0].tolist(), omega[0].tolist()
-
-
 def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:
     """Greedy decoded set (a bitmask) minimizing the average squared gain
     over sets that contain the own cell.
@@ -279,10 +272,44 @@ def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:
     return mask
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
+def _solve_state(state: ChannelState, i: int) -> MappingProxyType:
+    coh, floor = state_powers(state, i)
+    solved = stacked_rates(coh[None], floor[None])
+    reports = {}
+    for scheme in SCHEMES:
+        rates, thetas, omegas = (part[0].tolist() for part in solved[scheme])
+        per_bs = tuple(map(BsSymRate, range(state.L), rates, thetas, omegas))
+        argmin = rates.index(min(rates))
+        reports[scheme] = SymRateReport(scheme=scheme, per_bs=per_bs,
+                                        network_rate=rates[argmin], network_argmin=argmin)
+    return MappingProxyType(reports)
+
+
+def symmetric_rates(state: ChannelState, i: int = 0) -> MappingProxyType:
+    """The :class:`SymRateReport` of every scheme in pilot slot i, as a
+    read-only ``{scheme: report}`` mapping.
+
+    One :func:`stacked_rates` call solves every BS of the state under all
+    four schemes; the state keeps the result in its memo, next to its
+    powers (see :func:`~mcmimo.bounds.state_powers`), so each (state,
+    pilot) is solved once and later calls read it.  A state whose powers
+    overflow keeps nothing and raises on every call.
+    """
+    check_pilot(state, i)
+    return memo(state, ("rates", i), lambda: _solve_state(state, i))
+
+
 def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0) -> BsSymRate:
-    """Max symmetric rate at one BS for a decoding scheme."""
-    (rate,), (theta,), (omega,) = _state_rates(state, scheme, i, [j])
-    return BsSymRate(j, rate, theta, omega)
+    """Max symmetric rate at one BS for a decoding scheme, read off
+    :func:`symmetric_rates`."""
+    _check_scheme(scheme)
+    check_bs(state, j)
+    return symmetric_rates(state, i)[scheme].per_bs[j]
 
 
 def tin_rate(state: ChannelState, j: int, i: int) -> float:
@@ -293,9 +320,6 @@ def tin_rate(state: ChannelState, j: int, i: int) -> float:
 
 def network_symmetric_rate(state: ChannelState, scheme: str, i: int = 0) -> SymRateReport:
     """Per-BS max symmetric rates and the binding network-wide minimum (the
-    lowest BS index on ties)."""
-    rates, thetas, omegas = _state_rates(state, scheme, i, list(range(state.L)))
-    per_bs = tuple(map(BsSymRate, range(state.L), rates, thetas, omegas))
-    argmin = rates.index(min(rates))
-    return SymRateReport(scheme=scheme, per_bs=per_bs,
-                         network_rate=rates[argmin], network_argmin=argmin)
+    lowest BS index on ties), read off :func:`symmetric_rates`."""
+    _check_scheme(scheme)
+    return symmetric_rates(state, i)[scheme]

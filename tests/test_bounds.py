@@ -155,6 +155,21 @@ def test_analytic_terms_reject_out_of_range_indices(terms):
             terms(state, j, i)
 
 
+@pytest.mark.parametrize("j, message", [
+    (-1, "BS index -1 out of range for L=3"),
+    (3, "BS index 3 out of range for L=3"),
+    (True, "BS index must be an integer, got True"),
+    (1.0, "BS index must be an integer, got 1.0"),
+])
+def test_noise_floor_rejects_non_indices(j, message):
+    # numpy reads -1 from the end, True as a mask, and refuses 3 and 1.0
+    # with errors of its own
+    state = random_state(np.random.default_rng(27), L=3, K=2)
+    with pytest.raises(ValueError) as exc:
+        noise_floor(state, j)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("omega, message", [
     ([True], r"omega entries must be integers, got \[True\]"),
     ([np.bool_(False)], r"omega entries must be integers, got \[np.False_\]"),

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +12,15 @@ from hypothesis import strategies as st
 from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, Polytope, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
                     network_symmetric_rate, preset_scenario, sd_region, snd_region,
-                    ssnd_region, tin_rate, two_cell_layout)
+                    ssnd_region, symmetric_rates, tin_rate, tin_region, two_cell_layout,
+                    two_cell_ordering_check)
 from mcmimo.bounds import coherent_powers, noise_floors
 from mcmimo import symrate
 from mcmimo.symrate import bs_symmetric_rate, stacked_rates
 
 from oracles import (brute_force_sd, brute_force_snd, brute_force_ssnd, cells,
                      diagonal_rate_bisection, direct_bound, exhaustive_snd, fading_states,
-                     random_state, restricted_average_argmin, ring_state)
+                     mask_of, random_state, restricted_average_argmin, ring_state)
 
 
 def low_sinr_state(rng, L, K=1):
@@ -407,6 +411,198 @@ class TestNetworkReport:
         state = random_state(rng, L=2)
         with pytest.raises(ValueError, match="scheme"):
             network_symmetric_rate(state, "mrc")
+
+
+def fresh(state):
+    """The same channel state with an empty memo."""
+    return ChannelState(params=state.params, beta=state.beta, stats=state.stats)
+
+
+class TestRatesMemo:
+    """A state solves its four schemes once per pilot; every per-scheme,
+    per-BS and two-cell reader is a view of that solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _f=symrate.stacked_rates):
+            calls.append(args)
+            return _f(*args)
+
+        monkeypatch.setattr(symrate, "stacked_rates", counted)
+        return calls
+
+    def test_one_solve_per_state_and_pilot(self, solves):
+        state = preset_scenario("two-cell-scenario-a").state()
+        for pilot in (1, 2):
+            for scheme in SCHEMES:
+                network_symmetric_rate(state, scheme, pilot)
+            for j in range(state.L):
+                for scheme in SCHEMES:
+                    bs_symmetric_rate(state, scheme, j, pilot)
+                tin_rate(state, j, pilot)
+                tin_region(state, j, pilot)
+                two_cell_ordering_check(state, j, pilot)
+            assert len(solves) == pilot
+        assert symmetric_rates(state, 1) is symmetric_rates(state, 1)
+        assert len(solves) == 2
+
+    def test_views_read_the_reports(self):
+        state = ring_state(np.random.default_rng(80), L=5, K=2)
+        reports = symmetric_rates(state, 1)
+        assert tuple(reports) == SCHEMES
+        for scheme in SCHEMES:
+            assert network_symmetric_rate(state, scheme, 1) is reports[scheme]
+            for j in range(state.L):
+                assert bs_symmetric_rate(state, scheme, j, 1) is reports[scheme].per_bs[j]
+        with pytest.raises(TypeError):
+            reports["tin"] = reports["sd"]
+
+    def test_with_m_starts_empty(self, solves):
+        state = ring_state(np.random.default_rng(81), L=4)
+        parent = symmetric_rates(state)
+        child = state.with_m(2.0 * state.params.M)
+        assert child._powers == {}
+        reports = symmetric_rates(child)
+        assert len(solves) == 2
+        assert repr(reports) == repr(symmetric_rates(fresh(child)))
+        assert all(reports[s].network_rate > parent[s].network_rate for s in SCHEMES)
+
+    def test_overflow_stores_nothing_and_raises_on_every_call(self, solves):
+        state = preset_scenario("two-cell-scenario-a").state().with_m(1e308)
+        calls = [lambda: symmetric_rates(state, 0),
+                 lambda: network_symmetric_rate(state, "snd", 0),
+                 lambda: bs_symmetric_rate(state, "sd", 1, 0),
+                 lambda: tin_rate(state, 0, 0)]
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(ValueError, match="overflows"):
+                    call()
+        assert state._powers == {}
+        assert solves == []
+
+    def test_unknown_scheme_rejected_before_solving(self, solves):
+        state = ring_state(np.random.default_rng(82), L=3)
+        for call in (lambda: network_symmetric_rate(state, "mrc"),
+                     lambda: bs_symmetric_rate(state, "mrc", 0, 0)):
+            with pytest.raises(ValueError, match="unknown scheme 'mrc'"):
+                call()
+        assert state._powers == {}
+        assert solves == []
+
+    def test_threads_on_one_state_read_the_serial_reports(self):
+        state = ring_state(np.random.default_rng(83), L=12, K=3)
+
+        def reads(state):
+            return [repr(network_symmetric_rate(state, scheme, i))
+                    for i in range(state.K) for scheme in SCHEMES]
+
+        want = reads(fresh(state))
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def work(t):
+            start.wait(timeout=30)
+            got[t] = reads(state)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 4
+        assert reads(state) == want
+
+
+@st.composite
+def rings(draw, max_cells=40):
+    """A ring state with 2..max_cells cells, 1..3 users per cell and M in
+    1e2..1e6, and a pilot slot."""
+    L = draw(st.integers(2, max_cells))
+    K = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    state = ring_state(rng, L, K, M=10.0 ** draw(st.floats(2.0, 6.0)))
+    return state, draw(st.integers(0, K - 1))
+
+
+def reordered_rate_tol(K, L):
+    """Relative distance that rounding alone allows between two states' rates
+    when the model is equal but the sums run in another order: the floor's
+    K L terms, the MMSE denominator's L terms and each subset sum's at most
+    L.  A sum of n positive terms is within (n - 1) u of exact, u = eps / 2,
+    and a rate keeps at most the relative error of its SINR x, since
+    x / ((1 + x) log1p(x)) <= 1; the few divisions and products add 10 u.
+    Both states err, so the bound counts eps per term."""
+    return ((K + 2) * L + 10) * np.finfo(float).eps
+
+
+def per_bs(state, i):
+    return {s: report.per_bs for s, report in symmetric_rates(state, i).items()}
+
+
+class TestOracleFreeProperties:
+    """Properties of the model that hold at any L, where the exhaustive
+    oracles stop at L <= 8."""
+
+    @settings(max_examples=40)
+    @given(rings(), st.data())
+    def test_relabelling_moves_rates_with_their_bs(self, case, data):
+        state, i = case
+        L = state.L
+        perm = data.draw(st.permutations(range(L)))  # new cell a is old cell perm[a]
+        moved = ChannelState.from_beta(state.beta[perm][:, :, perm], state.params)
+        old, new = per_bs(state, i), per_bs(moved, i)
+        coh = moved.params.M * moved.beta[:, i, :] * moved.stats.alpha[:, i, :]
+        tol = reordered_rate_tol(state.K, L)
+        for scheme in SCHEMES:
+            for a in range(L):
+                before, after = old[scheme][perm[a]], new[scheme][a]
+                assert math.isclose(after.rate, before.rate, rel_tol=tol, abs_tol=0.0)
+                if len(set(coh[a].tolist())) == L:
+                    for mask in ("theta", "omega"):
+                        mapped = mask_of(perm[b] for b in cells(getattr(after, mask)))
+                        assert mapped == getattr(before, mask)
+
+    @settings(max_examples=30)
+    @given(rings())
+    def test_rates_do_not_fall_as_m_or_rho_u_grows(self, case):
+        state, i = case
+        p = state.params
+        old = per_bs(state, i)
+        for grown in (state.with_m(1.5 * p.M),
+                      ChannelState.from_beta(state.beta, replace(p, rho_u=1.5 * p.rho_u))):
+            new = per_bs(grown, i)
+            for scheme in SCHEMES:
+                for before, after in zip(old[scheme], new[scheme]):
+                    assert after.rate >= before.rate
+
+    @settings(max_examples=30)
+    @given(rings(max_cells=39))
+    def test_negligible_extra_cell_leaves_tin_and_snd(self, case):
+        state, i = case
+        L, K = state.L, state.K
+        beta = np.full((L + 1, K, L + 1), 1e-30)
+        beta[:L, :, :L] = state.beta
+        beta[L, :, L] = state.beta[0, :, 0]
+        p = state.params
+        grown = ChannelState.from_beta(beta, replace(p, L=L + 1))
+        old, new = per_bs(state, i), per_bs(grown, i)
+        # the tiny gains move no sum beyond rounding, but they shift where
+        # the floor's and MMSE denominator's terms fall, so the sums reorder
+        tol = reordered_rate_tol(K, L + 1)
+        for scheme in ("tin", "snd"):
+            for before, after in zip(old[scheme], new[scheme]):
+                assert math.isclose(after.rate, before.rate, rel_tol=tol, abs_tol=0.0)
+        # SD must decode the new user, which the old BSs barely receive
+        for before, after in zip(old["sd"], new["sd"]):
+            assert after.rate < 1e-9 * before.rate
 
 
 def test_snd_rejects_negative_bs_index():
