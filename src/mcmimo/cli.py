@@ -374,14 +374,21 @@ def _unit_factor(unit: str) -> float:
 def _load_run(args) -> RunConfig:
     """The validated config of a run, holding the scenario it runs on.
 
-    The config is the ``--config`` file, or else ``{"preset": ...}``.  Each
-    given flag replaces its config key before the one ``parse_config`` call,
-    so a flag passes the checks of its key.  The ``--cells`` and ``--users``
-    flags and then the ``m`` key adjust the scenario.
+    The config is the ``--config`` file, or else ``{"preset": ...}``, whose
+    preset ``--cells`` picks; ``--cells`` is refused beside ``--config`` or
+    ``--preset``.  Each given flag replaces its config key before the one
+    ``parse_config`` call, so a flag passes the checks of its key.  The
+    ``--users`` flag and then the ``m`` key adjust the scenario.
     """
     flags = {key: opt.read(getattr(args, key)) for key, opt in _OPTIONS.items()
              if getattr(args, key, None) is not None}
     raw = {"preset": "two-cell-scenario-a"}
+    cells, users = getattr(args, "cells", None), getattr(args, "users", None)
+    if cells is not None:
+        _require(not args.config and "preset" not in flags,
+                 "--cells picks a canonical scenario; give it without --config or --preset")
+        _require(cells in (2, 3), f"--cells must be 2 or 3, got {cells}")
+        raw = {"preset": "two-cell-scenario-a" if cells == 2 else "three-cell-theta"}
     if args.config:
         _require("preset" not in flags, "give either --config or --preset, not both")
         try:
@@ -392,10 +399,6 @@ def _load_run(args) -> RunConfig:
     cfg = parse_config({**raw, **flags})
 
     scenario = cfg.scenario
-    cells, users = getattr(args, "cells", None), getattr(args, "users", None)
-    if cells is not None and scenario.params.L != cells:
-        _require(cells in (2, 3), f"--cells must be 2 or 3, got {cells}")
-        scenario = preset_scenario("two-cell-scenario-a" if cells == 2 else "three-cell-theta")
     if users is not None:
         _require(scenario.layout_kind != "explicit",
                  "--users requires a canonical layout (user count fixes its shape)")

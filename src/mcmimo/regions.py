@@ -56,7 +56,7 @@ def _rate_point(point: Sequence[float], dim: int) -> np.ndarray:
     point = np.asarray(point, dtype=float)
     if point.shape != (dim,):
         raise ValueError(f"point must have length {dim}, got shape {point.shape}")
-    if np.any(point < 0):
+    if not np.all(point >= 0):  # also refuses NaN
         raise ValueError("rate points must be componentwise nonnegative")
     return point
 

@@ -297,12 +297,12 @@ def _evaluate(scenario: Scenario, axis: str, values: list[float], pilot: int,
     value.
 
     Values are evaluated in chunks of at most ``STACK_BYTES`` of arrays.
-    Per value the kernel holds about 64 bytes for each of its L^2 (L + 3)
+    Per value the kernel holds about 64 bytes for each of its L^2 (L + 1)
     (BS, decoded set, cell) entries, and a fading stack about 64 bytes for
     each of its K L^2 links.
     """
     L, K = scenario.params.L, scenario.params.K
-    step = max(1, STACK_BYTES // (64 * L * L * (L + 3 + K)))
+    step = max(1, STACK_BYTES // (64 * L * L * (L + 1 + K)))
     rates, cases = [], []
     for start in range(0, len(values), step):
         coh, floor = _stack_powers(scenario, axis, values[start:start + step], pilot, base)

@@ -5,15 +5,17 @@ min over constraints of bound / |subset|; absent constraints are infinite.
 The four schemes are (omega, theta) filters over one kernel,
 :func:`stacked_rates`.  It takes a (G, L, L) stack of coherent-power
 rows, one row per (grid point, BS), with their noise floors, and solves
-every row of the requested schemes at once:
+every row under all four schemes at once.  Each row has one family of
+L + 1 decoded sets, and each scheme reads its rate off that family:
 
-* TIN decodes the own cell only (one bound),
-* SD and S-SND decode every cell; their binding subset of each size is the
-  weakest cells (S-SND: the own cell plus the weakest others), so L
-  prefixes are compared,
 * SND compares the L nested decoded sets "own cell plus its q strongest
   interferers", each with its weakest-member prefixes as thetas, which is
-  L(L+1)/2 bounds instead of O(3^L) (see :func:`_solve_rows`).
+  L(L+1)/2 bounds instead of O(3^L) (see :func:`_solve_rows`),
+* TIN decodes the own cell only, which is SND's set 0,
+* SD decodes every cell, ranked weakest first, which is SND's set L - 1:
+  its binding subset of each size is the weakest cells,
+* S-SND decodes every cell with the own cell ranked first and the others
+  from the weakest, the one set of the family outside SND.
 
 :func:`symmetric_rates` is the kernel on every BS of one state under all
 four schemes; the state keeps its reports in its memo, so each (state,
@@ -118,43 +120,44 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
     return keys.argsort(axis=-1, kind="stable").argsort(axis=-1)
 
 
-def stacked_rates(coh, floor, schemes=SCHEMES) -> dict:
+def stacked_rates(coh, floor) -> dict:
     """Max symmetric rates and witness masks of a stack of networks.
 
     ``coh[g, j, l]`` is the coherent power N({l}) of cell l at BS j in
     stack entry g, and ``floor[g, j]`` the noise floor there.  Returns
-    ``{scheme: (rate, theta, omega)}`` for each requested scheme, three
-    (G, L) arrays; only those schemes are computed.  The G * L rows are
-    solved in chunks of at most ``STACK_BYTES`` of arrays, about 64 bytes
-    per (row, decoded set, cell): SND has L decoded sets per row, the other
-    schemes one.
+    ``{scheme: (rate, theta, omega)}`` for every scheme, three (G, L)
+    arrays.  The G * L rows are solved in chunks of at most ``STACK_BYTES``
+    of arrays, about 64 bytes per (row, decoded set, cell), with L + 1
+    decoded sets per row.
     """
-    for scheme in schemes:
-        _check_scheme(scheme)
     coh = np.asarray(coh, dtype=float)
     G, _, L = coh.shape
     rows = coh.reshape(G * L, L)
     floors = np.asarray(floor, dtype=float).reshape(G * L)
     owns = np.tile(np.arange(L), G)
-    sets = sum(L if scheme == "snd" else 1 for scheme in schemes)
-    step = max(1, STACK_BYTES // (64 * sets * L))
-    parts = [_solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step], schemes)
+    step = max(1, STACK_BYTES // (64 * (L + 1) * L))
+    parts = [_solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step])
              for k in range(0, G * L, step)]
-    return {scheme: tuple(np.concatenate([part[scheme][t] for part in parts]).reshape(G, L)
-                          for t in range(3))
-            for scheme in schemes}
+    solved = [np.concatenate(arrays, axis=-1).reshape(len(SCHEMES), G, L)
+              for arrays in zip(*parts)]
+    return {scheme: tuple(a[k] for a in solved) for k, scheme in enumerate(SCHEMES)}
 
 
-def _solve_rows(coh, floor, own, schemes) -> dict:
+def _solve_rows(coh, floor, own) -> tuple:
     """:func:`stacked_rates` of N rows: coherent powers (N, L), noise floors
-    (N,) and own cells (N,); returns (N,) arrays.
+    (N,) and own cells (N,); returns the rates, theta masks and omega masks,
+    three (4, N) arrays in ``SCHEMES`` order.
 
-    Each scheme contributes decoded sets q (one, or L for SND) and a rank
-    of the cells per set; the thetas of set q are, for r < L, its members
-    of rank at most r, and r counts only where the cell of rank r is a
-    member, so each theta appears once and in cardinality order.  The rate
-    is the max over sets of the min over thetas of bound / |theta|; the
-    first minimizing theta and then the first maximizing set win ties.
+    Every row has L + 1 decoded sets q, each with a rank of the cells: for
+    q < L the own cell and its q strongest interferers, ranked weakest
+    first, and for q = L every cell, the own cell ranked first and then the
+    others from the weakest.  The thetas of set q are, for r < L, its
+    members of rank at most r, and r counts only where the cell of rank r
+    is a member, so each theta appears once and in cardinality order.  The
+    value of a set is the min over its thetas of bound / |theta|, the first
+    minimizing theta winning ties.  TIN (the own cell alone) reads set 0,
+    SD (every cell by weakest rank) set L - 1, S-SND set L, and SND the
+    first maximizing set among 0..L-1.
 
     SND's rate is that of the union of MAC polytopes at the BS.  Every part
     and the union are downward closed along the diagonal, so the union's
@@ -189,31 +192,15 @@ def _solve_rows(coh, floor, own, schemes) -> dict:
     best part value of :func:`~mcmimo.regions.snd_region`.
     """
     N, L = coh.shape
+    Q = L + 1
     is_own = own[:, None] == np.arange(L)
-    weak = _ranks(coh)
-    spans, Q = [], 0
-    for scheme in schemes:
-        spans.append((scheme, Q, Q + (L if scheme == "snd" else 1)))
-        Q = spans[-1][2]
-    omega_in = np.empty((N, Q, L), dtype=bool)
-    rank = np.empty((N, Q, L), dtype=weak.dtype)
-    for scheme, lo, hi in spans:
-        if scheme == "tin":
-            # the own cell alone, ranked ahead of every other
-            omega_in[:, lo] = is_own
-            rank[:, lo] = ~is_own
-        elif scheme == "sd":
-            omega_in[:, lo] = True
-            rank[:, lo] = weak
-        elif scheme == "ssnd":
-            # the own cell first, then the others from the weakest
-            omega_in[:, lo] = True
-            rank[:, lo] = _ranks(np.where(is_own, -np.inf, coh))
-        else:
-            # decoded set q: the own cell and its q strongest interferers
-            strong = _ranks(np.where(is_own, -np.inf, -coh))
-            omega_in[:, lo:hi] = strong[:, None, :] <= np.arange(L)[:, None]
-            rank[:, lo:hi] = weak[:, None, :]
+    # set q holds the cells of strong rank at most q (the own cell ranks
+    # first), so set L holds every cell
+    strong = _ranks(np.where(is_own, -np.inf, -coh))
+    omega_in = strong[:, None, :] <= np.arange(Q)[:, None]
+    rank = np.empty((N, Q, L), dtype=strong.dtype)
+    rank[:, :L] = _ranks(coh)[:, None]
+    rank[:, L] = _ranks(np.where(is_own, -np.inf, coh))
 
     # member_rank: the rank of each member, L for the cells outside the set;
     # fresh[n, q, r]: whether the cell of rank r is in set q
@@ -237,15 +224,12 @@ def _solve_rows(coh, floor, own, schemes) -> dict:
     inner = vals.min(axis=-1)
     r_best = vals.argmin(axis=-1)
 
-    rates, members = [], []
-    for scheme, lo, hi in spans:
-        part = inner[:, lo:hi]
-        pick = np.arange(Q) == lo + part.argmax(axis=-1)[:, None]
-        members += [member_rank[pick] <= r_best[pick][:, None], omega_in[pick]]
-        rates.append(part.max(axis=-1))
-    masks = _masks(np.array(members))
-    return {scheme: (rate, masks[2 * k], masks[2 * k + 1])
-            for k, ((scheme, _, _), rate) in enumerate(zip(spans, rates))}
+    # the set each scheme reads, (4, N) in SCHEMES order
+    n = np.arange(N)
+    q = np.stack(np.broadcast_arrays(0, L - 1, L, inner[:, :L].argmax(axis=-1)))
+    thetas, omegas = _masks(np.array([member_rank[n, q] <= r_best[n, q][..., None],
+                                      omega_in[n, q]]))
+    return inner[n, q], thetas, omegas
 
 
 def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:

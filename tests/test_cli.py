@@ -715,6 +715,23 @@ class TestOneInputPath:
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["montecarlo", "--config", "three-cell-mc.json", "--preset", "three-cell-theta"],
+         "give either --config or --preset, not both"),
+        (["montecarlo", "--config", "three-cell-mc.json", "--cells", "2"],
+         "--cells picks a canonical scenario; give it without --config or --preset"),
+        (["montecarlo", "--preset", "three-cell-theta", "--cells", "2"],
+         "--cells picks a canonical scenario; give it without --config or --preset"),
+    ])
+    def test_scenario_given_twice_is_one_error_line(self, argv, message, monkeypatch,
+                                                    capsys):
+        # --cells, --preset and --config each name the scenario; only one may
+        monkeypatch.chdir(GOLDEN)
+        assert run_cli(*argv, "--trials", "1000") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {message}"]
+
 
 def test_every_option_is_documented():
     # the module docstring's key list names every config key, and README's

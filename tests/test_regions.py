@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -151,6 +152,7 @@ class TestSubsetSumTable:
             snd = snd_region(state, j, 0)
             full = snd.omega.tolist().index((1 << state.L) - 1)
             assert snd.parts[full] == sd_region(state, j, 0).parts[0]
+            assert tin_region(state, j, 0).parts[0] == snd.parts[0]  # omega = {j}
 
     def test_polytope_rates_equal_the_fast_solvers(self):
         rng = np.random.default_rng(40)
@@ -254,8 +256,14 @@ class TestMembership:
     def test_negative_point_rejected(self):
         rng = np.random.default_rng(41)
         state = random_state(rng, L=2)
-        with pytest.raises(ValueError, match="nonnegative"):
-            sd_region(state, 0, 0).contains(np.array([-0.1, 0.0]))
+        for builder in (tin_region, sd_region, ssnd_region, snd_region):
+            region = builder(state, 0, 0)
+            for point in ([-0.1, 0.0], [math.nan, 0.0], [math.nan, math.nan]):
+                for contains in (region.contains, region.parts[0].contains):
+                    with pytest.raises(ValueError, match="nonnegative"):
+                        contains(np.array(point))
+            assert not region.contains([math.inf, 0.0])
+            assert not region.parts[0].contains([math.inf, 0.0])
 
     def test_tin_point_inside_snd(self):
         rng = np.random.default_rng(42)
