@@ -13,20 +13,23 @@ The bundled presets use the reference parameter set K=4, path-loss exponent
 Sweeps evaluate the four network symmetric rates on a grid and locate
 scheme-ordering changes and two-cell case transitions by bisection.  Every
 evaluation is one stacked call of :func:`~mcmimo.symrate.stacked_rates`
-over many axis values: the grid at once, then calls that each resolve
-several bisection levels of every open bracket, as many as the grid
-length allows.  An M sweep builds one channel state and scales its
-coherent powers by each M; a radius or theta sweep builds its positions
-as arrays straight from the layout recipe and computes their fading and
-MMSE statistics in one pass.  Stacks are split into chunks of bounded
-memory, which changes no output bit.  All thresholds of a sweep share one
-memo of evaluated values, so a bracket where several orderings flip is
-refined once and no axis value is evaluated twice.
+over many axis values: the grid at once, then calls that each hold, for
+every open bracket, as many levels of its bisection tree as the grid
+length allows and the bisection path its margins predict, so a bracket
+whose prediction holds closes in one call.  An M sweep builds one
+channel state and scales its coherent powers by each M; a radius or
+theta sweep builds its positions as arrays straight from the layout
+recipe and computes their fading and MMSE statistics in one pass.
+Stacks are split into chunks of bounded memory, which changes no output
+bit.  All thresholds of a sweep share one memo of evaluated values, so a
+bracket where several orderings flip is refined once and no axis value
+is evaluated twice.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
 
@@ -269,7 +272,8 @@ def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int
     An M sweep scales the coherent powers of ``base``, the scenario's one
     channel state (fading and MMSE statistics do not depend on M); the other
     axes stack the G layouts and compute their fading and MMSE statistics in
-    one pass.  Every input check of a per-value state build still runs.
+    one pass.  Every input check of a per-value state build still runs, but
+    for finiteness, which :func:`sweep` checks before any evaluation.
     """
     p = scenario.params
     if axis == "M":
@@ -277,9 +281,6 @@ def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int
         bad = m[~(m > 0)]
         if bad.size:
             raise ValueError(f"M must be positive, got {float(bad[0])!r}")
-        bad = m[~np.isfinite(m)]
-        if bad.size:
-            raise ValueError(f"M must be finite, got {float(bad[0])!r}")
         beta, alpha = base.beta, base.stats.alpha
     else:
         m = p.M
@@ -313,13 +314,22 @@ def _evaluate(scenario: Scenario, axis: str, values: list[float], pilot: int,
     return np.concatenate(rates), np.concatenate(cases, axis=1) if cases else None
 
 
-def _order_signs(rates: np.ndarray) -> np.ndarray:
-    """-1, 0 or +1 for every scheme pair (p, q) of ``_PAIRS``: rate p vs
-    rate q in each row of the (G, 4) ``rates``, with a relative equality
-    band of EQ_RTOL.  Returns a (G, 6) array."""
+def _signs_and_margins(rates: np.ndarray,
+                       cases: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The sign and the margin of every indicator at each of G axis values,
+    two (G, n) arrays: for each scheme pair (p, q) of ``_PAIRS``, -1, 0 or +1
+    as rate p is below, within a relative band of EQ_RTOL of, or above rate
+    q, and the margin rate p - rate q; then, for two cells, +1 (case (i)) or
+    -1 (case (ii)) and the margin TIN rate - cross user's bound, from the
+    (4, G) ``cases``."""
     ra, rb = rates[:, [p for p, _ in _PAIRS]], rates[:, [q for _, q in _PAIRS]]
+    margins = ra - rb
     band = EQ_RTOL * np.maximum(np.maximum(np.abs(ra), np.abs(rb)), 1.0)
-    return np.where(np.abs(ra - rb) <= band, 0, np.where(ra > rb, 1, -1))
+    signs = np.where(np.abs(margins) <= band, 0, np.where(ra > rb, 1, -1))
+    if cases is not None:
+        signs = np.column_stack([signs, np.where(cases[1] < cases[3], 1, -1)])
+        margins = np.column_stack([margins, cases[3] - cases[1]])
+    return signs, margins
 
 
 _SIGN_LABEL = {-1: "<", 0: "=", 1: ">"}
@@ -344,17 +354,59 @@ class _Bracket:
     lo: float
     hi: float
 
-    def bisect(self, memo: dict, steps: int) -> None:
-        """Take up to ``steps`` bisection steps, reading the signs at the
-        midpoints from ``memo``."""
-        for _ in range(steps):
-            if not _is_open(self.lo, self.hi):
-                return
+    def bisect(self, memo: dict) -> None:
+        """Take bisection steps for as long as ``memo`` holds the sign at
+        the next midpoint."""
+        while _is_open(self.lo, self.hi):
             mid = 0.5 * (self.lo + self.hi)
-            if memo[mid][self.key] == self.s_lo:
+            if mid not in memo:
+                return
+            if memo[mid][0][self.key] == self.s_lo:
                 self.lo = mid
             else:
                 self.hi = mid
+
+    def path(self, memo: dict, evaluated: list[float]) -> list[float]:
+        """The midpoints that bisection visits if the indicator flips at
+        the predicted zero of its margin (see :meth:`_zero`)."""
+        lo, hi = self.lo, self.hi
+        x, path = self._zero(memo, evaluated), []
+        while _is_open(lo, hi):
+            mid = 0.5 * (lo + hi)
+            path.append(mid)
+            lo, hi = (mid, hi) if mid < x else (lo, mid)
+        return path
+
+    def _zero(self, memo: dict, evaluated: list[float]) -> float:
+        """Where the line through two margins of the indicator crosses
+        zero, in log(value) when the bracket and both values are positive,
+        kept within the bracket.  A flip between two strict signs interpolates between the
+        bracket ends; a flip into or out of ``=``, where the margin is
+        about zero, extrapolates from the strict end and the nearest
+        evaluated value beyond it (``evaluated`` is sorted).  Without such
+        a pair of distinct margins, the bracket's midpoint."""
+        lo, hi = self.lo, self.hi
+        mid = 0.5 * (lo + hi)
+        if self.s_lo and self.s_hi:
+            a, b = lo, hi
+        elif self.s_lo:
+            k = bisect_left(evaluated, lo)
+            if not k:
+                return mid
+            a, b = evaluated[k - 1], lo
+        else:
+            k = bisect_right(evaluated, hi)
+            if k == len(evaluated):
+                return mid
+            a, b = hi, evaluated[k]
+        ma, mb = memo[a][1][self.key], memo[b][1][self.key]
+        if ma == mb:
+            return mid
+        to, back = (math.log, math.exp) if min(a, lo) > 0 else (float, float)
+        t = to(a) + ma / (ma - mb) * (to(b) - to(a))
+        if not math.isfinite(t):
+            return mid
+        return back(min(max(t, to(lo)), to(hi)))
 
 
 def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
@@ -374,21 +426,26 @@ def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
 def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
     """Evaluate all scheme rates over a grid and locate transitions.
 
-    ``grid`` must be nonempty, strictly increasing and at most
+    ``grid`` must be nonempty, finite, strictly increasing and at most
     ``MAX_GRID_POINTS`` long.  The indicators are the ordering (<, =, >) of
     every scheme pair and, for two-cell scenarios, the sign of the case
     margin.  Each change of an indicator between grid neighbours is refined
     by bisection until the bracket shrinks below ``REL_TOL`` relative width.
-    Each refinement call resolves d levels at once, the most for which the
-    n distinct open brackets need at most n (2^d - 1) <= ``len(grid)``
-    values (at least one level): it evaluates, in one stacked call, every
-    midpoint of each bracket's depth-d bisection tree whose interval is
-    still open and that is not yet in the memo, then moves every bracket
-    up to d steps by the usual rule, reading only the memo.  So each
-    bracket visits the midpoints that bisecting it alone would, and the
-    thresholds equal those of bisecting one bracket at a time.  The memo
-    is seeded by the grid rows, so a midpoint that several indicators
-    visit is evaluated once.
+
+    Each refinement call evaluates, in one stacked call, the values not yet
+    in the memo among two kinds of midpoints.  With n distinct open
+    brackets, the first kind is every midpoint of each bracket's depth-d
+    bisection tree whose interval is still open, for the most levels d
+    with n (2^d - 1) <= ``len(grid)`` (at least one).  The second is each
+    open bracket's predicted path: the midpoints that bisection visits if
+    the indicator flips where its margin is predicted to reach zero (see
+    ``_Bracket._zero``).  Then every bracket steps by the usual rule for as
+    long as the memo holds its next midpoint.  So each bracket visits the
+    midpoints that bisecting it alone would, and the thresholds equal
+    those of bisecting one bracket at a time; the prediction only chooses
+    which values share a call, and the tree moves each bracket at least d
+    levels per call.  The memo is seeded by the grid rows, so a midpoint
+    that several indicators visit is evaluated once.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -397,21 +454,22 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
         raise ValueError("sweep grid must be nonempty")
     if len(grid) > MAX_GRID_POINTS:
         raise ValueError(f"sweep grid has more than {MAX_GRID_POINTS} points")
+    bad = next((v for v in grid if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"grid entry must be finite, got {bad!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
     check_indices(scenario.params, 0, pilot)
     base = scenario.state() if axis == "M" else None
 
-    # value -> the signs of every indicator: the scheme pairs, then for two
-    # cells the case margin
+    # value -> the signs and the margins of every indicator: the scheme
+    # pairs, then for two cells the case
     memo = {}
 
     def fill(values: list[float]):
         rates, cases = _evaluate(scenario, axis, values, pilot, base)
-        signs = _order_signs(rates)
-        if cases is not None:
-            signs = np.column_stack([signs, np.where(cases[1] < cases[3], 1, -1)])
-        memo.update(zip(values, signs.tolist()))
+        signs, margins = _signs_and_margins(rates, cases)
+        memo.update(zip(values, zip(signs.tolist(), margins.tolist())))
         return rates, cases
 
     rates, cases = fill(grid)
@@ -423,9 +481,10 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
     indicators = [(f"{SCHEMES[p]}-{SCHEMES[q]}", _SIGN_LABEL) for p, q in _PAIRS]
     if cases is not None:
         indicators.append(("case", _CASE_LABEL))
-    brackets = [_Bracket(name, key, labels, memo[lo][key], memo[hi][key], lo, hi)
+    sign = [memo[v][0] for v in grid]
+    brackets = [_Bracket(name, key, labels, a[key], b[key], lo, hi)
                 for key, (name, labels) in enumerate(indicators)
-                for lo, hi in zip(grid, grid[1:]) if memo[lo][key] != memo[hi][key]]
+                for lo, hi, a, b in zip(grid, grid[1:], sign, sign[1:]) if a[key] != b[key]]
 
     active = [b for b in brackets if _is_open(b.lo, b.hi)]
     while active:
@@ -433,11 +492,12 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
         # the most levels whose trees, 2^d - 1 nodes per span, fit in a
         # stack as long as the grid
         levels = max(1, (len(grid) // len(spans) + 1).bit_length() - 1)
-        new = {v for lo, hi in spans for v in _midpoints(lo, hi, levels) if v not in memo}
-        if new:
-            fill(sorted(new))
+        new = {v for lo, hi in spans for v in _midpoints(lo, hi, levels)}
+        evaluated = sorted(memo)
+        new.update(v for b in active for v in b.path(memo, evaluated))
+        fill(sorted(new.difference(memo)))
         for b in active:
-            b.bisect(memo, levels)
+            b.bisect(memo)
         active = [b for b in active if _is_open(b.lo, b.hi)]
 
     thresholds = sorted((Crossing(name=b.name, before=b.labels[b.s_lo],

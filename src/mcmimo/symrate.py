@@ -39,6 +39,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -107,11 +108,18 @@ def max_symmetric_rate(poly: Polytope) -> tuple[float, int]:
     return best, best_theta
 
 
+@functools.cache
+def _bits(L: int) -> np.ndarray:
+    """1 << l for each cell l of L: int64 below L = 64, Python ints from
+    there on."""
+    bits = np.array([1 << l for l in range(L)], dtype=np.int64 if L < 64 else object)
+    bits.flags.writeable = False
+    return bits
+
+
 def _masks(member: np.ndarray) -> np.ndarray:
     """The bitmasks of the cell sets ``member[..., l]``."""
-    L = member.shape[-1]
-    weights = np.array([1 << l for l in range(L)], dtype=np.int64 if L < 64 else object)
-    return (member * weights).sum(axis=-1)
+    return member @ _bits(member.shape[-1])
 
 
 def _ranks(keys: np.ndarray) -> np.ndarray:
@@ -226,7 +234,9 @@ def _solve_rows(coh, floor, own) -> tuple:
 
     # the set each scheme reads, (4, N) in SCHEMES order
     n = np.arange(N)
-    q = np.stack(np.broadcast_arrays(0, L - 1, L, inner[:, :L].argmax(axis=-1)))
+    q = np.empty((4, N), dtype=np.intp)
+    q[:3] = [[0], [L - 1], [L]]
+    q[3] = inner[:, :L].argmax(axis=-1)
     thetas, omegas = _masks(np.array([member_rank[n, q] <= r_best[n, q][..., None],
                                       omega_in[n, q]]))
     return inner[n, q], thetas, omegas

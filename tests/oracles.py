@@ -47,18 +47,13 @@ def case_threshold_m(state: ChannelState, j: int, i: int) -> float:
     return float(noise_floor(state, j) * (c_own - c_cross) / c_cross ** 2)
 
 
-def sequential_sweep(scenario, axis: str, grid, pilot: int = 0):
-    """The rows and thresholds of ``sweep``, from one channel state per axis
-    value and one bracket bisected at a time.
-
-    Every value gets its own ``scenario.with_axis(axis, value).state()``,
-    its network rates from ``network_symmetric_rate`` per scheme and, for
-    two cells, its case from ``classify_two_cell`` at BS 0.  The indicators
-    are the order of every scheme pair, with rates within relative EQ_RTOL
-    of each other (or of 1) counting as equal, and the case label.  Each
-    change of an indicator between grid neighbours is bisected on its own
-    until the bracket is narrower than REL_TOL relative.
-    """
+def _sequential_labels(scenario, axis: str, pilot: int):
+    """``point(value)``: the network rates of every scheme and the two-cell
+    case at BS 0 (None for other L), from
+    ``scenario.with_axis(axis, value).state()``, each value built once; and
+    the indicators of a sweep, ``{name: label(value)}``: the order of every
+    scheme pair, with rates within relative EQ_RTOL of each other (or of 1)
+    counting as equal, and for two cells the case label."""
     points = {}
 
     def point(value):
@@ -79,6 +74,24 @@ def sequential_sweep(scenario, axis: str, grid, pilot: int = 0):
                   for p, q in combinations(SCHEMES, 2)}
     if scenario.params.L == 2:
         indicators["case"] = lambda v: point(v)[1]
+    return point, indicators
+
+
+def _is_open(lo: float, hi: float) -> bool:
+    return hi - lo > REL_TOL * max(abs(lo), abs(hi))
+
+
+def sequential_sweep(scenario, axis: str, grid, pilot: int = 0):
+    """The rows and thresholds of ``sweep``, from one channel state per axis
+    value and one bracket bisected at a time.
+
+    Every value gets its own channel state, network rates from
+    ``network_symmetric_rate`` per scheme and, for two cells, its case from
+    ``classify_two_cell`` at BS 0.  Each change of an indicator between
+    grid neighbours is bisected on its own until the bracket is narrower
+    than REL_TOL relative.
+    """
+    point, indicators = _sequential_labels(scenario, axis, pilot)
     rows = tuple(SweepRow(value=v, rates=point(v)[0], case=point(v)[1]) for v in grid)
 
     thresholds = []
@@ -87,7 +100,7 @@ def sequential_sweep(scenario, axis: str, grid, pilot: int = 0):
             before, after = label(lo), label(hi)
             if before == after:
                 continue
-            while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
+            while _is_open(lo, hi):
                 mid = 0.5 * (lo + hi)
                 if label(mid) == before:
                     lo = mid
@@ -96,6 +109,47 @@ def sequential_sweep(scenario, axis: str, grid, pilot: int = 0):
             thresholds.append(Crossing(name=name, before=before, after=after,
                                        value=0.5 * (lo + hi), rel_tol=REL_TOL))
     return rows, tuple(sorted(thresholds, key=lambda c: (c.value, c.name)))
+
+
+def tree_schedule_calls(scenario, axis: str, grid, pilot: int = 0) -> int:
+    """The number of stacked evaluations a sweep makes when each refinement
+    call holds only bisection trees: the grid, then one call per round.  A
+    round takes the n distinct open brackets and the most levels d with
+    n (2^d - 1) <= len(grid), at least one; it evaluates every open node of
+    each bracket's depth-d tree not evaluated before (no call if there is
+    none), and moves every bracket d bisection steps.  Signs come from
+    per-value states, as in :func:`sequential_sweep`."""
+    grid = [float(v) for v in grid]
+    _, indicators = _sequential_labels(scenario, axis, pilot)
+    # (label, sign at lo, lo, hi) of every open bracket
+    active = [(label, label(lo), lo, hi) for label in indicators.values()
+              for lo, hi in zip(grid, grid[1:])
+              if label(lo) != label(hi) and _is_open(lo, hi)]
+    evaluated, calls = set(grid), 1
+    while active:
+        spans = {(lo, hi) for _, _, lo, hi in active}
+        levels = max(1, (len(grid) // len(spans) + 1).bit_length() - 1)
+        new, todo = set(), [(lo, hi, levels) for lo, hi in spans]
+        while todo:
+            lo, hi, d = todo.pop()
+            if d and _is_open(lo, hi):
+                mid = 0.5 * (lo + hi)
+                new.add(mid)
+                todo += [(lo, mid, d - 1), (mid, hi, d - 1)]
+        if new - evaluated:
+            calls += 1
+            evaluated |= new
+        moved = []
+        for label, before, lo, hi in active:
+            for _ in range(levels):
+                if not _is_open(lo, hi):
+                    break
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if label(mid) == before else (lo, mid)
+            if _is_open(lo, hi):
+                moved.append((label, before, lo, hi))
+        active = moved
+    return calls
 
 
 def canonical_layout(kind: str, users_per_cell: int, x: float, spacing: float | None = None,

@@ -14,7 +14,7 @@ from mcmimo import ChannelState, SystemParams, build_fading, three_cell_layout, 
 from mcmimo.network import fading_stack
 
 from oracles import (canonical_layout, case_threshold_m, direct_bound, ring_layout, ring_params,
-                     sequential_sweep)
+                     sequential_sweep, tree_schedule_calls)
 
 
 class TestPresets:
@@ -204,10 +204,27 @@ class TestSweep:
     def test_non_finite_antenna_count_rejected(self):
         # an infinite M gave nan rates and thresholds at inf
         sc = preset_scenario("two-cell-scenario-a")
-        with pytest.raises(ValueError, match="M must be finite, got inf"):
+        with pytest.raises(ValueError, match="grid entry must be finite, got inf"):
             sweep(sc, "M", [1e3, np.inf])
         with pytest.raises(ValueError, match="M must be finite, got inf"):
             sc.with_axis("M", np.inf)
+
+    @pytest.mark.parametrize("preset, axis", [
+        ("two-cell-scenario-a", "M"), ("two-cell-scenario-b", "radius_x"),
+        ("three-cell-theta", "theta")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_entry_rejected_before_evaluation(self, monkeypatch, preset,
+                                                              axis, value):
+        # a NaN passed the increasing check and each axis then refused it
+        # with its own message ("M must be positive, got nan", ...)
+        def fail(*args):
+            raise AssertionError("evaluated a grid with a non-finite entry")
+
+        monkeypatch.setattr(scenarios, "_stack_powers", fail)
+        grid = [1.0, 2.0, value] if value > 0 else [value, 1.0, 2.0]
+        with pytest.raises(ValueError) as exc:
+            sweep(preset_scenario(preset), axis, grid)
+        assert str(exc.value) == f"grid entry must be finite, got {float(value)!r}"
 
 
 M_GRID = np.geomspace(1e3, 1e7, 25)  # the CLI grid 1e3:1e7:25:log
@@ -284,14 +301,15 @@ class TestSweepEvaluations:
     def test_antenna_sweep_refines_the_shared_bracket_once(self, evaluated, stacks,
                                                             states):
         # 25 grid points, then the one bracket where all seven indicators
-        # flip, bisected 4 levels per call (15 <= 25 values) over 9 levels:
-        # its full 4-level tree twice, then the last midpoint.  Refining each
-        # indicator on its own built 88 values, and every value shares the
-        # one channel state of the scenario.
+        # flip: one call holds its 4-level tree (15 <= 25 values) and the
+        # predicted bisection path of each indicator, and resolves all seven
+        # over their 9 levels.  The tree alone took [25, 15, 15, 1] and 56
+        # values; refining each indicator on its own built 88 values.  Every
+        # value shares the one channel state of the scenario.
         result = sweep(preset_scenario("two-cell-scenario-a"), "M", M_GRID)
         assert len(result.thresholds) == 7
-        assert stacks == [25, 15, 15, 1]
-        assert len(evaluated) == 56
+        assert stacks == [25, 28]
+        assert len(evaluated) == 53
         assert len(states) == 1
 
     @pytest.mark.parametrize("preset, axis, grid", [
@@ -301,18 +319,25 @@ class TestSweepEvaluations:
         ("two-cell-scenario-b", "radius_x", [150.0, 231.0, 236.0, 249.0]),
         ("three-cell-theta", "theta", np.linspace(0.0, 180.0, 19)),
         ("three-cell-theta", "theta", [0.0, 20.0, 30.0, 100.0, 170.0])])
-    def test_refinement_calls_stack_at_most_the_grid(self, stacks, preset, axis, grid):
+    def test_refinement_calls_stack_the_tree_and_one_path_per_bracket(self, stacks, preset,
+                                                                      axis, grid):
+        # a call holds trees of at most len(grid) nodes together and one
+        # predicted path per open bracket, of at most `depth` midpoints
         result = sweep(preset_scenario(preset), axis, grid)
         assert result.thresholds
         assert stacks[0] == len(grid)
         assert len(stacks) > 1
-        assert max(stacks[1:]) <= len(grid)
+        depth = max(_bisection_depth(lo, hi) for lo, hi in zip(grid, grid[1:]))
+        assert max(stacks[1:]) <= len(grid) + len(result.thresholds) * depth
 
-    @pytest.mark.parametrize("preset, axis, grid", [
-        ("two-cell-scenario-a", "M", [1e4, 1e5]),
-        ("two-cell-scenario-b", "radius_x", [200.0, 250.0])])
-    def test_two_point_grid_bisects_one_level_per_call(self, stacks, preset, axis, grid):
-        # 1 * (2^d - 1) <= 2 only for d = 1: every call takes one midpoint
+    @pytest.mark.parametrize("preset, axis, grid, want", [
+        ("two-cell-scenario-a", "M", [1e4, 1e5], [2, 30, 11]),
+        ("two-cell-scenario-b", "radius_x", [200.0, 250.0], [2, 21, 1])])
+    def test_two_point_grid_follows_the_predicted_paths(self, stacks, preset, axis, grid,
+                                                        want):
+        # 1 * (2^d - 1) <= 2 only for d = 1, so the tree alone takes one
+        # midpoint per call, `levels` calls for the case bracket; the
+        # predicted paths of the seven brackets resolve them in two calls
         result = sweep(preset_scenario(preset), axis, grid)
         (case,) = [c for c in result.thresholds if c.name == "case"]
         lo, hi = grid
@@ -321,8 +346,19 @@ class TestSweepEvaluations:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if case.value > mid else (lo, mid)
             levels += 1
-        assert levels > 1
-        assert stacks == [2] + [1] * levels
+        assert levels > 2
+        assert stacks == want
+
+
+def _bisection_depth(lo: float, hi: float) -> int:
+    """The most bisection steps from [lo, hi], 0 <= lo, to REL_TOL relative
+    width: those of the path that keeps the lower half, where the upper end
+    is least."""
+    depth = 0
+    while hi - lo > REL_TOL * max(abs(lo), abs(hi)):
+        hi = 0.5 * (lo + hi)
+        depth += 1
+    return depth
 
 
 class TestStackBudget:
@@ -388,6 +424,35 @@ class TestSweepOracle:
         scenario, axis, grid = case
         result = sweep(scenario, axis, grid)
         rows, thresholds = sequential_sweep(scenario, axis, grid)
+        assert repr(result.rows) == repr(rows)
+        assert repr(result.thresholds) == repr(thresholds)
+
+    @settings(max_examples=25)
+    @given(perturbed_sweeps())
+    def test_no_more_calls_than_the_tree_schedule(self, case):
+        # a bracket advances at least as far per call as with its tree alone
+        scenario, axis, grid = case
+        calls = []
+        evaluate = scenarios._evaluate
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return evaluate(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "_evaluate", counted)
+            sweep(scenario, axis, grid)
+        assert len(calls) <= tree_schedule_calls(scenario, axis, grid)
+
+    def test_flip_out_of_equality_in_a_bracket_from_zero(self):
+        # ssnd-snd is "=" at theta 0 and "<" at 270, so its zero is
+        # extrapolated from the strict end and the value beyond it, which
+        # are positive while the bracket's end 0 has no logarithm
+        scenario = preset_scenario("three-cell-theta").with_axis("radius_x", 200.0)
+        scenario = scenario.with_axis("M", 1e7)
+        result = sweep(scenario, "theta", [0.0, 270.0])
+        rows, thresholds = sequential_sweep(scenario, "theta", [0.0, 270.0])
+        assert ("ssnd-snd", "=", "<") in [(c.name, c.before, c.after) for c in thresholds]
         assert repr(result.rows) == repr(rows)
         assert repr(result.thresholds) == repr(thresholds)
 

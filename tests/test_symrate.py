@@ -569,6 +569,36 @@ class TestOracleFreeProperties:
                         mapped = mask_of(perm[b] for b in cells(getattr(after, mask)))
                         assert mapped == getattr(before, mask)
 
+    @settings(max_examples=25)
+    @given(networks(max_cells=8), st.data())
+    def test_relabelling_maps_region_columns(self, case, data):
+        # every region holds all its (omega, theta) pairs, ties or not, so
+        # the columns map exactly; only the bounds' sums reorder
+        state, i = case
+        L = state.L
+        perm = data.draw(st.permutations(range(L)))  # new cell a is old cell perm[a]
+        moved = ChannelState.from_beta(state.beta[perm][:, :, perm], state.params)
+        tol = reordered_rate_tol(state.K, L)
+
+        def constraints(region, relabel=False):
+            """(omega, theta) of every constraint as one key, and its
+            bound, both sorted by key."""
+            omega = np.repeat(region.omega, np.diff(region.offsets))
+            theta = region.theta
+            if relabel:
+                omega, theta = (sum((m >> b & 1) << perm[b] for b in range(L))
+                                for m in (omega, theta))
+            key = omega << L | theta
+            order = np.argsort(key)
+            return key[order], region.bound[order]
+
+        for build in (tin_region, sd_region, ssnd_region, snd_region):
+            for a in range(L):
+                want_key, want = constraints(build(state, perm[a], i))
+                got_key, got = constraints(build(moved, a, i), relabel=True)
+                assert np.array_equal(got_key, want_key)
+                assert np.all(np.abs(got - want) <= tol * np.maximum(got, want))
+
     @settings(max_examples=30)
     @given(networks())
     @example((ring_state(np.random.default_rng(90), 64, K=1), 0))  # masks past int64
