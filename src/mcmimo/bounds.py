@@ -102,7 +102,10 @@ def check_indices(state, j: int, i: int) -> None:
 def check_omega(state, omega) -> list:
     """The decoded set ``omega`` as sorted distinct cell indices in [0, L),
     each a Python or NumPy integer, as in :func:`check_indices`."""
-    omega = list(omega)
+    try:
+        omega = list(omega)
+    except TypeError:
+        raise ValueError(f"omega must be an iterable of cell indices, got {omega!r}") from None
     if not all(isinstance(l, (int, np.integer)) and not isinstance(l, bool) for l in omega):
         raise ValueError(f"omega entries must be integers, got {omega}")
     omega = sorted(set(omega))

@@ -37,10 +37,13 @@ class EstimationStats:
 
     @property
     def alpha_own(self) -> np.ndarray:
-        """alpha[j, k, j] as an (L, K) array."""
-        L = self.alpha.shape[0]
-        idx = np.arange(L)
-        return self.alpha[idx[:, None], np.arange(self.alpha.shape[1])[None, :], idx[:, None]]
+        """alpha[j, k, j] as a read-only (L, K) view."""
+        return _own(self.alpha)
+
+
+def _own(x: np.ndarray) -> np.ndarray:
+    """x[..., j, k, j] of (..., L, K, L) links as a read-only (..., L, K) view."""
+    return x.diagonal(0, -3, -1).swapaxes(-1, -2)
 
 
 def mmse_coeffs(beta: np.ndarray, params: SystemParams) -> EstimationStats:
@@ -50,10 +53,7 @@ def mmse_coeffs(beta: np.ndarray, params: SystemParams) -> EstimationStats:
     sp = math.sqrt(params.rho_p)
     denom = 1.0 + params.rho_p * beta.sum(axis=-1)  # (..., L, K)
     alpha = sp * beta / denom[..., None]
-    idx = np.arange(params.L)
-    own = (idx[:, None], np.arange(params.K)[None, :], idx[:, None])
-    beta_own = beta[(..., *own)]
-    alpha_own = alpha[(..., *own)]
+    beta_own, alpha_own = _own(beta), _own(alpha)
     est_var = sp * beta_own * alpha_own
     err_var = beta_own * (1.0 - sp * alpha_own)
     return EstimationStats(alpha=alpha, est_var=est_var, err_var=err_var)
@@ -61,7 +61,7 @@ def mmse_coeffs(beta: np.ndarray, params: SystemParams) -> EstimationStats:
 
 def check_fading(beta: np.ndarray) -> None:
     """Reject fading gains that are not finite and strictly positive."""
-    if not np.all(np.isfinite(beta)) or np.any(beta <= 0):
+    if not (np.isfinite(beta).all() and (beta > 0).all()):
         raise ValueError("beta entries must be finite and strictly positive")
 
 
@@ -73,10 +73,12 @@ class ChannelState:
     Its fields are immutable, and it is safe to share across workers.  Each
     state also keeps a memo of what is formed from it: the read-only
     coherent powers of each pilot and noise floors (see
-    :func:`~mcmimo.bounds.state_powers`), and the symmetric-rate reports of
+    :func:`~mcmimo.bounds.state_powers`), the symmetric-rate reports of
     all four schemes per pilot (see :func:`~mcmimo.symrate.symmetric_rates`),
-    so the solvers and region builders of one state form each once;
-    :meth:`with_m` starts an empty memo.
+    and the subset-sum table of the last (BS, pilot) a region was built at,
+    one 2^L table at most (see :mod:`~mcmimo.regions`); so the solvers and
+    region builders of one state form each once; :meth:`with_m` starts an
+    empty memo.
     """
 
     params: SystemParams

@@ -15,6 +15,7 @@ per-user positions are supported through :class:`CellLayout`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class SystemParams:
             raise ValueError(f"L must be a positive integer, got {self.L!r}")
         if not isinstance(self.K, int) or isinstance(self.K, bool) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        for name in ("M", "rho_u", "rho_p", "alpha_pl", "d0"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not self.M > 0:
             raise ValueError(f"M must be positive, got {self.M!r}")
         if not self.rho_u > 0:
@@ -135,8 +140,14 @@ def pathloss(d, d0: float, alpha_pl: float):
         raise ValueError("pathloss requires strictly positive distances")
     if d0 <= 0:
         raise ValueError("pathloss requires a strictly positive reference distance d0")
-    out = (d0 / d) ** alpha_pl
+    out = _gain(d, d0, alpha_pl)
     return float(out) if out.ndim == 0 else out
+
+
+def _gain(d: np.ndarray, d0: float, alpha_pl: float) -> np.ndarray:
+    """:func:`pathloss` of distances and a reference distance already known
+    to be positive."""
+    return (d0 / d) ** alpha_pl
 
 
 def build_fading(layout: CellLayout, params: SystemParams) -> np.ndarray:
@@ -164,14 +175,15 @@ def fading_stack(bs: np.ndarray, users: np.ndarray, params: SystemParams) -> np.
         try:
             # diff[g, j, l, k] = user k of cell l relative to BS j
             diff = users[:, None, :, :, :] - bs[:, :, None, None, :]
-            dist = np.linalg.norm(diff, axis=-1)  # (G, L, L, K), indexed [g, j, l, k]
+            # np.linalg.norm of real input, without its wrapper and conj copy
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))  # [g, j, l, k]
         except FloatingPointError:
             raise ValueError("a BS-to-user distance overflows: "
                              "positions are too large") from None
-        if np.any(dist <= 0.0):
+        if (dist <= 0.0).any():
             raise ValueError("a user is co-located with a BS; distances must be positive")
         try:
-            beta = pathloss(dist, params.d0, params.alpha_pl)
+            beta = _gain(dist, params.d0, params.alpha_pl)
         except FloatingPointError:
             raise ValueError("a pathloss gain overflows: a user is too close to a BS") from None
     return np.ascontiguousarray(beta.transpose(0, 1, 3, 2))  # -> [g, j, k, l]

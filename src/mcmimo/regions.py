@@ -18,8 +18,10 @@ region of that key, in a least-recently-used cache that holds at most
 ``MAX_CONSTRAINTS`` constraints in total; ``_columns.cache_info()`` counts
 its hits and misses.  Each build then reads every bound off one table of
 the subset sums of all 2^L masks with one vectorized
-:func:`~mcmimo.bounds.mac_bound` call.  Regions are immutable after
-construction and membership queries are read-only.
+:func:`~mcmimo.bounds.mac_bound` call; the state's memo keeps the last
+table in one slot, so the regions at one (BS, pilot) form it once and a
+state holds one table at most (8 MiB at the SD limit L = 20).  Regions
+are immutable after construction and membership queries are read-only.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import check_indices, coherent_power, mac_bound, noise_floor, subset_sum
+from .bounds import check_indices, mac_bound, noise_floor, state_powers, subset_sum
 from .estimation import ChannelState
 from .symrate import tin_rate
 
@@ -254,13 +256,24 @@ class _ColumnCache:
 _columns = _ColumnCache()
 
 
+def _sums(state: ChannelState, j: int, i: int) -> np.ndarray:
+    """The read-only :func:`_subset_sums` table of BS j, pilot i, read from
+    or put in the state's one table slot, the immutable ``((j, i), table)``."""
+    slot = state._powers.get("sums")
+    if slot is None or slot[0] != (j, i):
+        table = _subset_sums(state_powers(state, i)[0][j])
+        table.flags.writeable = False
+        slot = state._powers["sums"] = ((j, i), table)
+    return slot[1]
+
+
 def _region(kind: str, state: ChannelState, j: int, i: int) -> RegionFamily:
     """The ``kind`` region at BS j, pilot i: its cached index columns with
     the bounds of this state, one :func:`~mcmimo.bounds.mac_bound` call
-    over a table of all 2^L subset sums."""
+    over the state's table of all 2^L subset sums."""
     omega, offsets, theta = _columns(kind, state.L, j)
-    sums = _subset_sums(coherent_power(state, j, i))
-    noise = np.repeat(sums[((1 << state.L) - 1) ^ omega], np.diff(offsets))
+    sums = _sums(state, j, i)
+    noise = np.repeat(sums[((1 << state.L) - 1) ^ omega], offsets[1:] - offsets[:-1])
     bound = mac_bound(sums[theta], noise, noise_floor(state, j))
     return RegionFamily(kind, state.L, omega, offsets, theta, bound)
 

@@ -307,8 +307,7 @@ def _evaluate(scenario: Scenario, axis: str, values: list[float], pilot: int,
     rates, cases = [], []
     for start in range(0, len(values), step):
         coh, floor = _stack_powers(scenario, axis, values[start:start + step], pilot, base)
-        solved = stacked_rates(coh, floor)
-        rates.append(np.stack([solved[s][0].min(axis=1) for s in SCHEMES], axis=1))
+        rates.append(stacked_rates(coh, floor)[0].min(axis=-1).T)
         if L == 2:
             cases.append(_two_cell_values(coh[:, 0], floor[:, 0], 0))
     return np.concatenate(rates), np.concatenate(cases, axis=1) if cases else None

@@ -5,8 +5,9 @@ min over constraints of bound / |subset|; absent constraints are infinite.
 The four schemes are (omega, theta) filters over one kernel,
 :func:`stacked_rates`.  It takes a (G, L, L) stack of coherent-power
 rows, one row per (grid point, BS), with their noise floors, and solves
-every row under all four schemes at once.  Each row has one family of
-L + 1 decoded sets, and each scheme reads its rate off that family:
+every row under all four schemes at once, into (4, G, L) arrays.  Each
+row has one family of L + 1 decoded sets, and each scheme reads its rate
+off that family:
 
 * SND compares the L nested decoded sets "own cell plus its q strongest
   interferers", each with its weakest-member prefixes as thetas, which is
@@ -128,27 +129,27 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
     return keys.argsort(axis=-1, kind="stable").argsort(axis=-1)
 
 
-def stacked_rates(coh, floor) -> dict:
+def stacked_rates(coh, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max symmetric rates and witness masks of a stack of networks.
 
     ``coh[g, j, l]`` is the coherent power N({l}) of cell l at BS j in
     stack entry g, and ``floor[g, j]`` the noise floor there.  Returns
-    ``{scheme: (rate, theta, omega)}`` for every scheme, three (G, L)
-    arrays.  The G * L rows are solved in chunks of at most ``STACK_BYTES``
-    of arrays, about 64 bytes per (row, decoded set, cell), with L + 1
-    decoded sets per row.
+    (rate, theta, omega), three (4, G, L) arrays with ``[s, g, j]`` for
+    scheme ``SCHEMES[s]``.  The G * L rows are solved in chunks of at most
+    ``STACK_BYTES`` of arrays, about 64 bytes per (row, decoded set,
+    cell), with L + 1 decoded sets per row.
     """
     coh = np.asarray(coh, dtype=float)
     G, _, L = coh.shape
     rows = coh.reshape(G * L, L)
     floors = np.asarray(floor, dtype=float).reshape(G * L)
-    owns = np.tile(np.arange(L), G)
+    owns = np.arange(G * L) % L
     step = max(1, STACK_BYTES // (64 * (L + 1) * L))
     parts = [_solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step])
              for k in range(0, G * L, step)]
-    solved = [np.concatenate(arrays, axis=-1).reshape(len(SCHEMES), G, L)
-              for arrays in zip(*parts)]
-    return {scheme: tuple(a[k] for a in solved) for k, scheme in enumerate(SCHEMES)}
+    solved = parts[0] if len(parts) == 1 else [np.concatenate(arrays, axis=-1)
+                                               for arrays in zip(*parts)]
+    return tuple(a.reshape(len(SCHEMES), G, L) for a in solved)
 
 
 def _solve_rows(coh, floor, own) -> tuple:
@@ -273,10 +274,9 @@ def _check_scheme(scheme: str) -> None:
 
 def _solve_state(state: ChannelState, i: int) -> MappingProxyType:
     coh, floor = state_powers(state, i)
-    solved = stacked_rates(coh[None], floor[None])
+    solved = (a[:, 0].tolist() for a in stacked_rates(coh[None], floor[None]))
     reports = {}
-    for scheme in SCHEMES:
-        rates, thetas, omegas = (part[0].tolist() for part in solved[scheme])
+    for scheme, rates, thetas, omegas in zip(SCHEMES, *solved):
         per_bs = tuple(map(BsSymRate, range(state.L), rates, thetas, omegas))
         argmin = rates.index(min(rates))
         reports[scheme] = SymRateReport(scheme=scheme, per_bs=per_bs,

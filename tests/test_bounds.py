@@ -1,11 +1,14 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from mcmimo import (SCHEMES, ChannelState, SystemParams, bounds, capacity, mu_coefficient,
-                    network_symmetric_rate, power_terms, preset_scenario, sd_region,
-                    snd_region, ssnd_region, tin_rate, tin_rate_asymptotic)
+from mcmimo import (SCHEMES, ChannelState, SystemParams, bounds, capacity,
+                    empirical_power_decomposition, mu_coefficient, network_symmetric_rate,
+                    power_terms, preset_scenario, regions, sd_region, snd_region, ssnd_region,
+                    tin_rate, tin_rate_asymptotic)
 from mcmimo.bounds import (check_omega, coherent_power, coherent_powers, mac_bound,
                            noise_floor, noise_floors, state_powers, subset_sum)
 
@@ -177,11 +180,14 @@ def test_noise_floor_rejects_non_indices(j, message):
     ([1.5], r"omega entries must be integers, got \[1.5\]"),
     ([0, -1], r"omega \[-1, 0\] has entries out of range for L=3"),
     ([3], r"omega \[3\] has entries out of range for L=3"),
+    (5, r"omega must be an iterable of cell indices, got 5"),
+    (None, r"omega must be an iterable of cell indices, got None"),
 ])
 def test_check_omega_refuses_non_indices(omega, message):
     # numpy would read True as a mask, -1 from the end, and refuse 0.0
     state = random_state(np.random.default_rng(27), L=3, K=2)
-    for check in (check_omega, lambda s, o: power_terms(s, 0, 0, o)):
+    for check in (check_omega, lambda s, o: power_terms(s, 0, 0, o),
+                  lambda s, o: empirical_power_decomposition(s, 0, 0, o, 1000, 0)):
         with pytest.raises(ValueError, match=message):
             check(state, omega)
     assert check_omega(state, (2, np.int64(0), 2)) == [0, 2]
@@ -331,3 +337,92 @@ class TestPowerMemo:
             with pytest.raises(ValueError, match="overflows"):
                 coherent_power(state, 0, 0)
         assert state._powers == {}
+
+
+def memo_tables(state):
+    """The subset-sum tables held in a state's memo."""
+    values = [a for v in state._powers.values() for a in (v if isinstance(v, tuple) else (v,))]
+    return [a for a in values if isinstance(a, np.ndarray) and a.shape == (1 << state.L,)]
+
+
+def unmemoized(state):
+    """The same channel state with an empty memo."""
+    return ChannelState(params=state.params, beta=state.beta, stats=state.stats)
+
+
+def region_columns(region):
+    return [(c.dtype.str, c.tobytes()) for c in
+            (region.omega, region.offsets, region.theta, region.bound)]
+
+
+class TestTableMemo:
+    """The SD, S-SND and SND builds at one (BS, pilot) read one subset-sum
+    table, kept in the state's memo; the memo holds the last table only."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        calls = []
+
+        def counted(coh, _f=regions._subset_sums):
+            calls.append(coh)
+            return _f(coh)
+
+        monkeypatch.setattr(regions, "_subset_sums", counted)
+        return calls
+
+    def test_one_table_per_bs_and_pilot(self, tables):
+        state = random_state(np.random.default_rng(75), L=4, K=2)
+        for builder in (snd_region, ssnd_region, sd_region):
+            builder(state, 2, 1)
+        assert len(tables) == 1
+        assert repr(tables[0]) == repr(coherent_power(state, 2, 1))
+        for builder in (snd_region, ssnd_region, sd_region):
+            builder(state, 2, 1)
+        assert len(tables) == 1
+
+    def test_new_bs_or_pilot_forms_a_new_table_and_keeps_one(self, tables):
+        state = random_state(np.random.default_rng(76), L=4, K=2)
+        keys = [(2, 1), (0, 1), (0, 0), (2, 1)]
+        want = [region_columns(snd_region(unmemoized(state), j, i)) for j, i in keys]
+        tables.clear()
+        for n, (j, i) in enumerate(keys, start=1):
+            assert region_columns(snd_region(state, j, i)) == want[n - 1]
+            assert len(tables) == n
+            assert state._powers["sums"][0] == (j, i)
+            assert len(memo_tables(state)) == 1
+
+    def test_table_is_read_only(self):
+        state = random_state(np.random.default_rng(77), L=3, K=2)
+        table = regions._sums(state, 1, 0)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        assert regions._sums(state, 1, 0) is table
+
+    def test_with_m_starts_empty(self, tables):
+        state = random_state(np.random.default_rng(78), L=3, K=2)
+        parent = sd_region(state, 1, 0)
+        child = state.with_m(2.0 * state.params.M)
+        assert "sums" not in child._powers
+        got = sd_region(child, 1, 0)
+        assert len(tables) == 2
+        assert (got.bound > parent.bound).all()
+        assert region_columns(sd_region(state, 1, 0)) == region_columns(parent)
+
+    def test_threads_read_the_serial_columns(self):
+        rng = np.random.default_rng(79)
+        state = random_state(rng, L=5, K=3)
+        keys = [(builder, j, i) for builder in (sd_region, ssnd_region, snd_region)
+                for j in range(5) for i in range(3)] * 3
+        rng.shuffle(keys)
+        serial = [region_columns(b(unmemoized(state), j, i)) for b, j, i in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(lambda key: region_columns(key[0](state, *key[1:])),
+                                         keys, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert len(memo_tables(state)) == 1

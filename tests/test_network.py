@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcmimo import (CellLayout, SystemParams, build_fading, pathloss,
                     three_cell_layout, two_cell_layout)
+from mcmimo.network import fading_stack
 
 
 def params_for(layout, **kw):
@@ -71,6 +75,64 @@ class TestBuildFading:
             build_fading(layout, params_for(layout, K=3))
         with pytest.raises(ValueError, match="params.L"):
             build_fading(layout, params_for(layout, L=3, K=2))
+
+
+def norm_fading(bs, users, params):
+    """The fading stack as ``pathloss(np.linalg.norm(diff))``, transposed to
+    [g, j, k, l]."""
+    diff = users[:, None, :, :, :] - bs[:, :, None, None, :]
+    with np.errstate(over="raise", invalid="raise"):
+        gain = pathloss(np.linalg.norm(diff, axis=-1), params.d0, params.alpha_pl)
+    return np.ascontiguousarray(gain.transpose(0, 1, 3, 2))
+
+
+@st.composite
+def position_stacks(draw):
+    """(G, L, 2) BS and (G, L, K, 2) user positions at a scale from meters
+    to positions whose squared distances overflow."""
+    G, L, K = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6, 1e150, 1e160]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    bs = draw(arrays(float, (G, L, 2), elements=unit)) * scale
+    users = draw(arrays(float, (G, L, K, 2), elements=unit)) * scale
+    return bs, users
+
+
+class TestFadingStack:
+    @settings(max_examples=150)
+    @given(position_stacks(), st.floats(0.0, 6.0), st.floats(1.0, 500.0))
+    def test_equals_pathloss_of_norm_to_the_byte(self, positions, alpha_pl, d0):
+        bs, users = positions
+        G, L, K, _ = users.shape
+        params = SystemParams(L=L, K=K, M=100.0, rho_u=30.0, rho_p=120.0,
+                              alpha_pl=alpha_pl, d0=d0)
+        try:
+            want = norm_fading(bs, users, params)
+        except FloatingPointError:
+            with pytest.raises(ValueError) as exc:
+                fading_stack(bs, users, params)
+            assert str(exc.value) in ("a BS-to-user distance overflows: positions are too large",
+                                      "a pathloss gain overflows: a user is too close to a BS")
+            return
+        except ValueError:  # a user on a BS
+            with pytest.raises(ValueError, match="co-located"):
+                fading_stack(bs, users, params)
+            return
+        got = fading_stack(bs, users, params)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bs, user, message", [
+        ([0.0, 0.0], [1e200, 0.0], "a BS-to-user distance overflows: positions are too large"),
+        ([1e308, 0.0], [-1e308, 0.0],
+         "a BS-to-user distance overflows: positions are too large"),
+        ([0.0, 0.0], [1e-156, 0.0], "a pathloss gain overflows: a user is too close to a BS"),
+    ])
+    def test_overflow_is_one_value_error(self, bs, user, message):
+        params = SystemParams(L=1, K=1, M=100.0, rho_u=30.0, rho_p=120.0)
+        with pytest.raises(ValueError) as exc:
+            fading_stack(np.array([[bs]]), np.array([[[user]]]), params)
+        assert str(exc.value) == message
 
 
 class TestTwoCellLayout:
@@ -190,6 +252,20 @@ class TestBooleanCounts:
         kw[key] = True
         with pytest.raises(ValueError, match=f"{key} must be a positive integer, got True"):
             SystemParams(**kw)
+
+    @pytest.mark.parametrize("field", ["M", "rho_u", "rho_p", "alpha_pl", "d0"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1e4", None, 1j, [100.0]])
+    def test_system_params_reject_booleans_and_non_numbers(self, field, value):
+        kw = dict(L=2, K=2, M=100.0, rho_u=30.0, rho_p=120.0)
+        kw[field] = value
+        with pytest.raises(ValueError) as exc:
+            SystemParams(**kw)
+        assert str(exc.value) == f"{field} must be a real number, got {value!r}"
+
+    def test_system_params_accept_numpy_and_int_reals(self):
+        p = SystemParams(L=2, K=2, M=np.int64(64), rho_u=np.float32(30.0), rho_p=120,
+                         alpha_pl=np.float64(2.0), d0=100)
+        assert (p.M, p.rho_u, p.rho_p, p.alpha_pl, p.d0) == (64, 30.0, 120, 2.0, 100)
 
     @pytest.mark.parametrize("build", [two_cell_layout, three_cell_layout])
     def test_layouts_reject_boolean_users_per_cell(self, build):

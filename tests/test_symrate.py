@@ -290,9 +290,11 @@ def assert_rows_match_oracles(stacked, cases):
     """Row g of a stacked solve equals the single-state solvers on case g, to
     the bit, and the exhaustive SND enumeration; every witness pair
     reproduces its rate."""
+    for a in stacked:
+        assert a.shape == (len(SCHEMES), len(cases), cases[0][0].L)
     for g, (state, i) in enumerate(cases):
-        for scheme in SCHEMES:
-            rates, thetas, omegas = (a[g].tolist() for a in stacked[scheme])
+        for k, scheme in enumerate(SCHEMES):
+            rates, thetas, omegas = (a[k, g].tolist() for a in stacked)
             report = network_symmetric_rate(state, scheme, i)
             assert [(e.rate, e.theta, e.omega) for e in report.per_bs] == \
                 list(zip(rates, thetas, omegas))
@@ -334,10 +336,10 @@ class TestStackedKernel:
         whole = stacked_rates(coh, floor)
         monkeypatch.setattr(symrate, "STACK_BYTES", 1)  # one row per chunk
         rowwise = stacked_rates(coh, floor)
-        for scheme in SCHEMES:
-            for a, b in zip(whole[scheme], rowwise[scheme]):
-                assert a.shape == b.shape == (3, 5)
-                assert a.tolist() == b.tolist()
+        assert len(whole) == len(rowwise) == 3
+        for a, b in zip(whole, rowwise):
+            assert a.shape == b.shape == (len(SCHEMES), 3, 5)
+            assert a.tolist() == b.tolist()
 
     def test_one_large_network_stays_under_budget(self, monkeypatch):
         # unchunked, the SND arrays of a 40-cell network hold about 4 MB
