@@ -40,6 +40,7 @@ __all__ = [
     "noise_floor",
     "noise_floors",
     "state_powers",
+    "state_floors",
     "subset_sum",
     "mac_bound",
     "power_terms",
@@ -167,7 +168,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _floors(state: ChannelState) -> np.ndarray:
+def state_floors(state: ChannelState) -> np.ndarray:
+    """The noise floors ``floor[j]`` of every BS j of a state: its
+    :func:`noise_floors`, formed once per state and kept on it as a
+    read-only array (the second half of :func:`state_powers`, which an M
+    sweep reads without the coherent powers at the state's own M)."""
     return memo(state, "floor",
                 lambda: _read_only(noise_floors(state.beta, state.params.rho_u)))
 
@@ -182,7 +187,7 @@ def state_powers(state: ChannelState, i: int) -> tuple[np.ndarray, np.ndarray]:
     p = state.params
     coh = memo(state, i, lambda: _read_only(
         coherent_powers(p.M, p, state.beta, state.stats.alpha, i)))
-    return coh, _floors(state)
+    return coh, state_floors(state)
 
 
 def coherent_power(state: ChannelState, j: int, i: int) -> np.ndarray:
@@ -196,7 +201,7 @@ def noise_floor(state: ChannelState, j: int) -> float:
     """Non-coherent interference plus noise floor sum_{l,k} rho_u beta_jkl + 1,
     read off :func:`state_powers`."""
     check_bs(state, j)
-    return float(_floors(state)[j])
+    return float(state_floors(state)[j])
 
 
 def subset_sum(coh, mask: int) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_LINKS",
     "SystemParams",
     "CellLayout",
     "pathloss",
@@ -30,6 +31,17 @@ __all__ = [
     "two_cell_layout",
     "three_cell_layout",
 ]
+
+MAX_LINKS = 1 << 18  # BS-user links of one network, L * L * K, at most
+
+
+def _check_links(L: int, K: int) -> None:
+    """Refuse a network of more than ``MAX_LINKS`` BS-user links (L BSs
+    each hearing L cells of K users), before its fading or anything sized
+    by it is allocated."""
+    if L * L * K > MAX_LINKS:
+        raise ValueError(f"a network of L={L} cells with K={K} users each has "
+                         f"{L * L * K} BS-user links; at most {MAX_LINKS} are allowed")
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,7 @@ class SystemParams:
         for name in ("M", "rho_u", "rho_p", "alpha_pl", "d0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_links(self.L, self.K)
 
     def with_m(self, m: float) -> "SystemParams":
         """Copy of the parameters with a different antenna count."""
@@ -189,6 +202,46 @@ def fading_stack(bs: np.ndarray, users: np.ndarray, params: SystemParams) -> np.
     return np.ascontiguousarray(beta.transpose(0, 1, 3, 2))  # -> [g, j, k, l]
 
 
+def _trig(angle_deg):
+    """cos and sin of an angle in degrees, from ``math`` trig on each value,
+    as numpy's trig can differ in the last bit: of a number, or of each
+    entry of an array."""
+    if not isinstance(angle_deg, np.ndarray):
+        phi = math.radians(angle_deg)
+        return math.cos(phi), math.sin(phi)
+    phi = [math.radians(a) for a in angle_deg.tolist()]
+    return np.array([math.cos(a) for a in phi]), np.array([math.sin(a) for a in phi])
+
+
+def _check_recipes(*checks) -> None:
+    """Raise the error of the first failing recipe, as checking one recipe
+    after the other would.  ``checks`` are (bad, value, message) in the
+    order one recipe is checked; ``bad`` and ``value`` are a truth value
+    and a number that hold for every recipe, or (G,) arrays with one entry
+    per recipe; ``message`` formats the failing value."""
+    first = None
+    for bad, value, message in checks:
+        if bad is False:
+            continue
+        if not isinstance(bad, np.ndarray):
+            if bad:  # fails every recipe, the first one included
+                if first is None or first[0] > 0:
+                    first = (0, message.format(value))
+                break
+        elif bad.any():
+            g = int(bad.argmax())
+            if first is None or g < first[0]:
+                first = (g, message.format(float(value[g])))
+    if first is not None:
+        raise ValueError(first[1])
+
+
+_BAD_X = "cell radius 'x' must be positive, got {!r}"
+_BAD_SPACING = "BS spacing 'spacing' must be positive, got {!r}"
+_BAD_THETA = "'theta_deg' must be in [0, 360], got {!r}"
+_BAD_ANGLE = "math domain error"  # what math.cos raises for an infinite angle
+
+
 def _mirrored_pair(center_a, center_b, radius, angle_deg):
     """User points for two cells that mirror each other across their bisector.
 
@@ -197,65 +250,89 @@ def _mirrored_pair(center_a, center_b, radius, angle_deg):
     edge.  Both cells use the same angle, mirrored, which keeps the layout
     symmetric.
     """
-    phi = math.radians(angle_deg)
-    ux = radius * math.cos(phi)
-    uy = radius * math.sin(phi)
+    cos, sin = _trig(angle_deg)
+    ux = radius * cos
+    uy = radius * sin
     pa = (center_a[0] + ux, center_a[1] + uy)
     pb = (center_b[0] - ux, center_b[1] + uy)
     return pa, pb
 
 
-def _two_cell_points(x: float, spacing: float, user_angle_deg: float = 180.0):
-    """BS points and one user point per cell of one :func:`two_cell_layout`."""
-    if x <= 0:
-        raise ValueError(f"cell radius 'x' must be positive, got {x!r}")
-    if spacing <= 0:
-        raise ValueError(f"BS spacing 'spacing' must be positive, got {spacing!r}")
+def _two_cell_points(x, spacing, user_angle_deg=180.0):
+    """BS points and one user point per cell of :func:`two_cell_layout`."""
+    _check_recipes((x <= 0, x, _BAD_X), (spacing <= 0, spacing, _BAD_SPACING),
+                   (abs(user_angle_deg) == math.inf, user_angle_deg, _BAD_ANGLE))
     bs = ((0.0, 0.0), (spacing, 0.0))
     return bs, _mirrored_pair(*bs, x, user_angle_deg)
 
 
-def _three_cell_points(x: float, spacing: float | None = None, theta_deg: float = 90.0,
-                       outer_angle_deg: float = 180.0):
-    """BS points and one user point per cell of one :func:`three_cell_layout`."""
-    if x <= 0:
-        raise ValueError(f"cell radius 'x' must be positive, got {x!r}")
+def _three_cell_points(x, spacing=None, theta_deg=90.0, outer_angle_deg=180.0):
+    """BS points and one user point per cell of :func:`three_cell_layout`."""
     if spacing is None:
         spacing = 2.0 * x
-    if spacing <= 0:
-        raise ValueError(f"BS spacing 'spacing' must be positive, got {spacing!r}")
-    if not 0.0 <= theta_deg <= 360.0:
-        raise ValueError(f"'theta_deg' must be in [0, 360], got {theta_deg!r}")
+    _check_recipes((x <= 0, x, _BAD_X), (spacing <= 0, spacing, _BAD_SPACING),
+                   # not 0 <= theta_deg <= 360, nan included
+                   ((theta_deg < 0.0) | (theta_deg > 360.0) | (theta_deg != theta_deg),
+                    theta_deg, _BAD_THETA),
+                   (abs(outer_angle_deg) == math.inf, outer_angle_deg, _BAD_ANGLE))
     bs = ((0.0, 0.0), (spacing, 0.0), (2.0 * spacing, 0.0))
     p_left, p_right = _mirrored_pair(bs[0], bs[2], x, outer_angle_deg)
-    th = math.radians(theta_deg)
-    p_mid = (spacing - x * math.cos(th), x * math.sin(th))
+    cos, sin = _trig(theta_deg)
+    p_mid = (spacing - x * cos, x * sin)
     return bs, (p_left, p_mid, p_right)
 
 
-_RECIPES = {"two_cell": _two_cell_points, "three_cell": _three_cell_points}
+_RECIPES = {"two_cell": (2, _two_cell_points), "three_cell": (3, _three_cell_points)}
 
 
-def layout_stack(kind: str, users_per_cell: int, recipes) -> tuple[np.ndarray, np.ndarray]:
+def _point_array(points, G: int | None) -> np.ndarray:
+    """The (G, n, 2) array of n points: with G None, of one layout whose
+    coordinates are numbers; else of G layouts, each coordinate a number
+    or a (G,) array."""
+    if G is None:
+        return np.array([points], dtype=float)
+    out = np.empty((G, len(points), 2))
+    for l, (px, py) in enumerate(points):
+        out[:, l, 0] = px
+        out[:, l, 1] = py
+    return out
+
+
+def layout_stack(kind: str, users_per_cell: int, **recipe) -> tuple[np.ndarray, np.ndarray]:
     """BS positions (G, L, 2) and user positions (G, L, K, 2) of G canonical
     layouts.
 
-    ``kind`` is ``two_cell`` or ``three_cell``, and each of the G
-    ``recipes`` holds the keyword arguments of :func:`two_cell_layout` or
+    ``kind`` is ``two_cell`` or ``three_cell``, and ``recipe`` holds the
+    keyword arguments of :func:`two_cell_layout` or
     :func:`three_cell_layout` other than ``users_per_cell``, which are
-    this function's G = 1 views.  Every recipe is checked in turn, and its
-    points come from ``math`` trig on scalars, as numpy's trig can differ
-    in the last bit.
+    this function's G = 1 views.  Each argument is a number, or a (G,)
+    array of one value per layout (a sweep's moving axis).  The layouts
+    are formed with numpy's + - * on those arrays, which round as Python's
+    float operations do, and ``math`` trig on each value of a moving angle,
+    as numpy's trig can differ in the last bit; so row g equals the layout
+    built from the numbers of recipe g to the bit.  The recipe's checks
+    run on every layout, and an error names the first failing one.
     """
     if kind not in _RECIPES:
         raise ValueError(f"unknown layout kind {kind!r}")
     if isinstance(users_per_cell, bool) or users_per_cell < 1:
         raise ValueError("users_per_cell must be >= 1")
-    points = _RECIPES[kind]
-    bs, users = zip(*(points(**recipe) for recipe in recipes))
-    users = np.array(users, dtype=float)[:, :, None, :]
-    return (np.array(bs, dtype=float),
-            np.repeat(users, users_per_cell, axis=2))
+    L, points = _RECIPES[kind]
+    _check_links(L, users_per_cell)
+    G = None
+    for value in recipe.values():
+        if isinstance(value, np.ndarray):
+            G = len(value)
+    if G is None:
+        bs, users = points(**recipe)
+    else:
+        # numpy warns where Python's float operations overflow silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            bs, users = points(**recipe)
+    users = _point_array(users, G)
+    # each user point repeated K times in a row is the (G, L, K, 2) array
+    users = users.repeat(users_per_cell, axis=1).reshape(len(users), L, users_per_cell, 2)
+    return _point_array(bs, G), users
 
 
 def two_cell_layout(x: float, spacing: float, user_angle_deg: float = 180.0,
@@ -268,8 +345,8 @@ def two_cell_layout(x: float, spacing: float, user_angle_deg: float = 180.0,
     so the cross-cell distance is ``spacing + x``; 0 deg ("facing") gives a
     cross distance of ``spacing - x``.
     """
-    bs, users = layout_stack("two_cell", users_per_cell, [dict(
-        x=x, spacing=spacing, user_angle_deg=user_angle_deg)])
+    bs, users = layout_stack("two_cell", users_per_cell, x=x, spacing=spacing,
+                             user_angle_deg=user_angle_deg)
     return CellLayout(bs[0], users[0])
 
 
@@ -285,6 +362,6 @@ def three_cell_layout(x: float, spacing: float | None = None, theta_deg: float =
     from the ray toward BS 0, so theta = 0 is nearest cell 0 and theta = 180
     nearest cell 2.  The layout for theta and 360 - theta is mirror-identical.
     """
-    bs, users = layout_stack("three_cell", users_per_cell, [dict(
-        x=x, spacing=spacing, theta_deg=theta_deg, outer_angle_deg=outer_angle_deg)])
+    bs, users = layout_stack("three_cell", users_per_cell, x=x, spacing=spacing,
+                             theta_deg=theta_deg, outer_angle_deg=outer_angle_deg)
     return CellLayout(bs[0], users[0])

@@ -12,18 +12,19 @@ The bundled presets use the reference parameter set K=4, path-loss exponent
 
 Sweeps evaluate the four network symmetric rates on a grid and locate
 scheme-ordering changes and two-cell case transitions by bisection.  Every
-evaluation is one stacked call of :func:`~mcmimo.symrate.stacked_rates`
-over many axis values: the grid at once, then calls that each hold, for
-every open bracket, as many levels of its bisection tree as the grid
-length allows and the bisection path its margins predict, so a bracket
-whose prediction holds closes in one call.  An M sweep builds one
-channel state and scales its coherent powers by each M; a radius or
-theta sweep builds its positions as arrays straight from the layout
-recipe and computes their fading and MMSE statistics in one pass.
-Stacks are split into chunks of bounded memory, which changes no output
-bit.  All thresholds of a sweep share one memo of evaluated values, so a
-bracket where several orderings flip is refined once and no axis value
-is evaluated twice.
+evaluation is one stacked call of :func:`~mcmimo.symrate.stacked_rates_only`
+(a sweep reads rates, not witness sets) over many axis values: the grid
+at once, then calls that each hold, for every open bracket, as many
+levels of its bisection tree as the grid length allows and the bisection
+path its margins predict, so a bracket whose prediction holds closes in
+one call.  An M sweep builds one channel state, scales its coherent
+powers by each M and reads its noise floors from the state's memo; a
+radius or theta sweep builds its positions as arrays straight from the
+layout recipe, with the moving argument as a numpy array, and computes
+their fading and MMSE statistics in one pass.  Stacks are split into
+chunks of bounded memory, which changes no output bit.  All thresholds
+of a sweep share one memo of evaluated values, so a bracket where several
+orderings flip is refined once and no axis value is evaluated twice.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from itertools import islice, repeat
 import numpy as np
 
 from .bounds import (check_indices, coherent_power, coherent_powers, mac_bound, noise_floor,
-                     noise_floors)
+                     noise_floors, state_floors)
 from .estimation import ChannelState, check_fading, mmse_coeffs
 from .network import CellLayout, SystemParams, fading_stack, layout_stack
-from .symrate import SCHEMES, STACK_BYTES, stacked_rates, symmetric_rates
+from .symrate import SCHEMES, STACK_BYTES, stacked_rates_only, symmetric_rates
 
 __all__ = [
     "Scenario",
@@ -84,7 +85,7 @@ class Scenario:
     def layout(self) -> CellLayout:
         if self.layout_kind == "explicit":
             return CellLayout.from_dict(dict(self.layout_args)["layout_dict"])
-        bs, users = layout_stack(self.layout_kind, self.params.K, [dict(self.layout_args)])
+        bs, users = layout_stack(self.layout_kind, self.params.K, **dict(self.layout_args))
         return CellLayout(bs[0], users[0])
 
     def state(self) -> ChannelState:
@@ -108,9 +109,9 @@ class Scenario:
         """BS positions (G, L, 2) and user positions (G, L, K, 2) of the
         layouts at G values of the geometry axis ``axis``; row g is the
         layout of ``with_axis(axis, values[g])``."""
-        args, key = self._recipe(axis), _RECIPE_KEYS[axis]
-        return layout_stack(self.layout_kind, self.params.K,
-                            [{**args, key: float(v)} for v in values])
+        args = self._recipe(axis)
+        args[_RECIPE_KEYS[axis]] = np.array(values, dtype=float)
+        return layout_stack(self.layout_kind, self.params.K, **args)
 
     def _recipe(self, axis: str) -> dict:
         """The layout recipe arguments, once ``axis`` is known to move one."""
@@ -176,15 +177,20 @@ def _two_cell_values(coh, floor, j: int) -> np.ndarray:
     return mac_bound(nums, np.stack([zero, zero, zero, other]), floor)
 
 
-def _case(a: float, b: float, f: float, t: float) -> TwoCellCase:
-    """The case label of the :func:`_two_cell_values` ``a, b, f, t``."""
-    if b < t:
-        return TwoCellCase(label="case_i", lhs=b, rhs=t)
-    if 0.5 * f <= min(a, b):
-        return TwoCellCase(label="case_ii", lhs=0.5 * f, rhs=min(a, b))
-    raise ValueError(
-        "unclassifiable two-cell instance: the cross user is received more "
-        "strongly than the own user (violates nearest-BS association)")
+_CASES = ("case_i", "case_ii")
+
+
+def _case_ii(values: np.ndarray) -> np.ndarray:
+    """Whether each column of (4, G) :func:`_two_cell_values` ``a, b, f,
+    t`` is in case (ii) rather than case (i): case (i) when b < t, else
+    case (ii) when 0.5 f <= min(a, b); a column in neither is an error."""
+    a, b, f, t = values
+    case_ii = ~(b < t)
+    if not (0.5 * f <= np.minimum(a, b))[case_ii].all():
+        raise ValueError(
+            "unclassifiable two-cell instance: the cross user is received more "
+            "strongly than the own user (violates nearest-BS association)")
+    return case_ii
 
 
 def classify_two_cell(state: ChannelState, j: int = 0, i: int = 0) -> TwoCellCase:
@@ -197,7 +203,10 @@ def classify_two_cell(state: ChannelState, j: int = 0, i: int = 0) -> TwoCellCas
     if state.L != 2:
         raise ValueError(f"two-cell classification requires L=2, got L={state.L}")
     values = _two_cell_values(coherent_power(state, j, i), noise_floor(state, j), j)
-    return _case(*values.tolist())
+    a, b, f, t = values.tolist()
+    if _case_ii(values[:, None])[0]:
+        return TwoCellCase(label="case_ii", lhs=0.5 * f, rhs=min(a, b))
+    return TwoCellCase(label="case_i", lhs=b, rhs=t)
 
 
 @dataclass(frozen=True)
@@ -262,6 +271,8 @@ class SweepResult:
 
 
 _PAIRS = tuple((p, q) for p in range(len(SCHEMES)) for q in range(p + 1, len(SCHEMES)))
+# the first and the second scheme of each pair, as index arrays
+_PAIR_P, _PAIR_Q = np.array(_PAIRS).T
 
 
 def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int,
@@ -270,7 +281,8 @@ def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int
     scenario at each axis value.
 
     An M sweep scales the coherent powers of ``base``, the scenario's one
-    channel state (fading and MMSE statistics do not depend on M); the other
+    channel state (fading and MMSE statistics do not depend on M), and
+    reads its noise floors from the state's memo; the other
     axes stack the G layouts and compute their fading and MMSE statistics in
     one pass.  Every input check of a per-value state build still runs, but
     for finiteness, which :func:`sweep` checks before any evaluation.
@@ -281,14 +293,12 @@ def _stack_powers(scenario: Scenario, axis: str, values: list[float], pilot: int
         bad = m[~(m > 0)]
         if bad.size:
             raise ValueError(f"M must be positive, got {float(bad[0])!r}")
-        beta, alpha = base.beta, base.stats.alpha
-    else:
-        m = p.M
-        beta = fading_stack(*scenario.positions(axis, values), p)
-        check_fading(beta)
-        alpha = mmse_coeffs(beta, p).alpha
-    coh = coherent_powers(m, p, beta, alpha, pilot)
-    return coh, np.broadcast_to(noise_floors(beta, p.rho_u), coh.shape[:-1])
+        coh = coherent_powers(m, p, base.beta, base.stats.alpha, pilot)
+        return coh, np.broadcast_to(state_floors(base), coh.shape[:-1])
+    beta = fading_stack(*scenario.positions(axis, values), p)
+    check_fading(beta)
+    coh = coherent_powers(p.M, p, beta, mmse_coeffs(beta, p).alpha, pilot)
+    return coh, noise_floors(beta, p.rho_u)
 
 
 def _evaluate(scenario: Scenario, axis: str, values: list[float], pilot: int,
@@ -304,13 +314,19 @@ def _evaluate(scenario: Scenario, axis: str, values: list[float], pilot: int,
     """
     L, K = scenario.params.L, scenario.params.K
     step = max(1, STACK_BYTES // (64 * L * L * (L + 1 + K)))
-    rates, cases = [], []
-    for start in range(0, len(values), step):
-        coh, floor = _stack_powers(scenario, axis, values[start:start + step], pilot, base)
-        rates.append(stacked_rates(coh, floor)[0].min(axis=-1).T)
-        if L == 2:
-            cases.append(_two_cell_values(coh[:, 0], floor[:, 0], 0))
-    return np.concatenate(rates), np.concatenate(cases, axis=1) if cases else None
+    parts = [_evaluate_chunk(scenario, axis, values[start:start + step], pilot, base)
+             for start in range(0, len(values), step)]
+    if len(parts) == 1:
+        return parts[0]
+    rates, cases = zip(*parts)
+    return np.concatenate(rates), None if L != 2 else np.concatenate(cases, axis=1)
+
+
+def _evaluate_chunk(scenario: Scenario, axis: str, values: list[float], pilot: int,
+                    base: ChannelState | None):
+    coh, floor = _stack_powers(scenario, axis, values, pilot, base)
+    rates = stacked_rates_only(coh, floor).min(axis=-1).T
+    return rates, _two_cell_values(coh[:, 0], floor[:, 0], 0) if coh.shape[1] == 2 else None
 
 
 def _signs_and_margins(rates: np.ndarray,
@@ -321,7 +337,7 @@ def _signs_and_margins(rates: np.ndarray,
     q, and the margin rate p - rate q; then, for two cells, +1 (case (i)) or
     -1 (case (ii)) and the margin TIN rate - cross user's bound, from the
     (4, G) ``cases``."""
-    ra, rb = rates[:, [p for p, _ in _PAIRS]], rates[:, [q for _, q in _PAIRS]]
+    ra, rb = rates[:, _PAIR_P], rates[:, _PAIR_Q]
     margins = ra - rb
     band = EQ_RTOL * np.maximum(np.maximum(np.abs(ra), np.abs(rb)), 1.0)
     signs = np.where(np.abs(margins) <= band, 0, np.where(ra > rb, 1, -1))
@@ -335,9 +351,10 @@ _SIGN_LABEL = {-1: "<", 0: "=", 1: ">"}
 _CASE_LABEL = {1: "case_i", -1: "case_ii"}
 
 
-def _is_open(lo: float, hi: float) -> bool:
-    """Whether bisection still narrows the bracket [lo, hi]."""
-    return hi - lo > REL_TOL * max(abs(lo), abs(hi))
+# Bisection narrows a bracket [lo, hi] while it is open:
+# hi - lo > REL_TOL * max(|lo|, |hi|).  With lo <= hi, max(|lo|, |hi|) is
+# max(-lo, hi), so the stepping loops below test
+# ``hi - lo > REL_TOL * (hi if hi > -lo else -lo)``, with no call per step.
 
 
 @dataclass
@@ -353,27 +370,34 @@ class _Bracket:
     lo: float
     hi: float
 
-    def bisect(self, memo: dict) -> None:
+    def bisect(self, memo: dict) -> bool:
         """Take bisection steps for as long as ``memo`` holds the sign at
-        the next midpoint."""
-        while _is_open(self.lo, self.hi):
-            mid = 0.5 * (self.lo + self.hi)
-            if mid not in memo:
-                return
-            if memo[mid][0][self.key] == self.s_lo:
-                self.lo = mid
+        the next midpoint; whether the bracket is still open."""
+        lo, hi, key, s_lo = self.lo, self.hi, self.key, self.s_lo
+        while still_open := hi - lo > REL_TOL * (hi if hi > -lo else -lo):
+            mid = 0.5 * (lo + hi)
+            known = memo.get(mid)
+            if known is None:
+                break
+            if known[0][key] == s_lo:
+                lo = mid
             else:
-                self.hi = mid
+                hi = mid
+        self.lo, self.hi = lo, hi
+        return still_open
 
     def path(self, memo: dict, evaluated: list[float]) -> list[float]:
         """The midpoints that bisection visits if the indicator flips at
         the predicted zero of its margin (see :meth:`_zero`)."""
         lo, hi = self.lo, self.hi
         x, path = self._zero(memo, evaluated), []
-        while _is_open(lo, hi):
+        while hi - lo > REL_TOL * (hi if hi > -lo else -lo):
             mid = 0.5 * (lo + hi)
             path.append(mid)
-            lo, hi = (mid, hi) if mid < x else (lo, mid)
+            if mid < x:
+                lo = mid
+            else:
+                hi = mid
         return path
 
     def _zero(self, memo: dict, evaluated: list[float]) -> float:
@@ -415,7 +439,7 @@ def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
     mids, todo = [], [(lo, hi, levels)]
     while todo:
         lo, hi, levels = todo.pop()
-        if levels and _is_open(lo, hi):
+        if levels and hi - lo > REL_TOL * (hi if hi > -lo else -lo):
             mid = 0.5 * (lo + hi)
             mids.append(mid)
             todo += [(lo, mid, levels - 1), (mid, hi, levels - 1)]
@@ -472,10 +496,9 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
         return rates, cases
 
     rates, cases = fill(grid)
-    rows = tuple(SweepRow(value=v, rates=dict(zip(SCHEMES, r)),
-                          case=None if cases is None else _case(*c).label)
-                 for v, r, c in zip(grid, rates.tolist(),
-                                    repeat(None) if cases is None else cases.T.tolist()))
+    labels = repeat(None) if cases is None else [_CASES[k] for k in _case_ii(cases).tolist()]
+    rows = tuple(SweepRow(value=v, rates=dict(zip(SCHEMES, r)), case=c)
+                 for v, r, c in zip(grid, rates.tolist(), labels))
 
     indicators = [(f"{SCHEMES[p]}-{SCHEMES[q]}", _SIGN_LABEL) for p, q in _PAIRS]
     if cases is not None:
@@ -485,7 +508,8 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
                 for key, (name, labels) in enumerate(indicators)
                 for lo, hi, a, b in zip(grid, grid[1:], sign, sign[1:]) if a[key] != b[key]]
 
-    active = [b for b in brackets if _is_open(b.lo, b.hi)]
+    # no grid value lies inside a bracket, so this only drops closed ones
+    active = [b for b in brackets if b.bisect(memo)]
     while active:
         spans = {(b.lo, b.hi) for b in active}
         # the most levels whose trees, 2^d - 1 nodes per span, fit in a
@@ -495,9 +519,7 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
         evaluated = sorted(memo)
         new.update(v for b in active for v in b.path(memo, evaluated))
         fill(sorted(new.difference(memo)))
-        for b in active:
-            b.bisect(memo)
-        active = [b for b in active if _is_open(b.lo, b.hi)]
+        active = [b for b in active if b.bisect(memo)]
 
     thresholds = sorted((Crossing(name=b.name, before=b.labels[b.s_lo],
                                   after=b.labels[b.s_hi], value=0.5 * (b.lo + b.hi),

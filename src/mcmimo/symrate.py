@@ -5,9 +5,11 @@ min over constraints of bound / |subset|; absent constraints are infinite.
 The four schemes are (omega, theta) filters over one kernel,
 :func:`stacked_rates`.  It takes a (G, L, L) stack of coherent-power
 rows, one row per (grid point, BS), with their noise floors, and solves
-every row under all four schemes at once, into (4, G, L) arrays.  Each
-row has one family of L + 1 decoded sets, and each scheme reads its rate
-off that family:
+every row under all four schemes at once, into (4, G, L) arrays of rates
+and witness masks.  :func:`stacked_rates_only` is the same solve, chunk
+for chunk, returning the rates alone: a caller that reads no witness set,
+such as a sweep, never pays for the masks.  Each row has one family of
+L + 1 decoded sets, and each scheme reads its rate off that family:
 
 * SND compares the L nested decoded sets "own cell plus its q strongest
   interferers", each with its weakest-member prefixes as thetas, which is
@@ -43,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -60,6 +63,7 @@ __all__ = [
     "SymRateReport",
     "max_symmetric_rate",
     "stacked_rates",
+    "stacked_rates_only",
     "STACK_BYTES",
     "low_sinr_decode_set",
     "symmetric_rates",
@@ -137,25 +141,52 @@ def stacked_rates(coh, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (rate, theta, omega), three (4, G, L) arrays with ``[s, g, j]`` for
     scheme ``SCHEMES[s]``.  The G * L rows are solved in chunks of at most
     ``STACK_BYTES`` of arrays, about 64 bytes per (row, decoded set,
-    cell), with L + 1 decoded sets per row.
+    cell), with L + 1 decoded sets per row.  :func:`stacked_rates_only`
+    is the rate array alone, without forming the masks.
     """
+    G, L = np.shape(coh)[:2]
+    parts = list(map(_with_masks, _solve_stack(coh, floor)))
+    solved = parts[0] if len(parts) == 1 else [np.concatenate(arrays, axis=-1)
+                                               for arrays in zip(*parts)]
+    return tuple(a.reshape(len(SCHEMES), G, L) for a in solved)
+
+
+def stacked_rates_only(coh, floor) -> np.ndarray:
+    """The rate array of :func:`stacked_rates`, (4, G, L) and equal to it
+    bit for bit, for callers that read no witness set: the same chunks are
+    solved, and the theta and omega masks are never formed."""
+    G, L = np.shape(coh)[:2]
+    parts = list(map(itemgetter(0), _solve_stack(coh, floor)))
+    rates = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return rates.reshape(len(SCHEMES), G, L)
+
+
+def _with_masks(solved: tuple) -> tuple:
+    """A :func:`_solve_rows` result as its rates, theta and omega masks."""
+    rates, masks = solved
+    return (rates, *masks())
+
+
+def _solve_stack(coh, floor):
+    """:func:`_solve_rows` of each chunk of the stack's G * L rows, in order.
+    Read it through ``map``, which lets go of a chunk's arrays before the
+    next chunk is solved."""
     coh = np.asarray(coh, dtype=float)
     G, _, L = coh.shape
     rows = coh.reshape(G * L, L)
     floors = np.asarray(floor, dtype=float).reshape(G * L)
     owns = np.arange(G * L) % L
     step = max(1, STACK_BYTES // (64 * (L + 1) * L))
-    parts = [_solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step])
-             for k in range(0, G * L, step)]
-    solved = parts[0] if len(parts) == 1 else [np.concatenate(arrays, axis=-1)
-                                               for arrays in zip(*parts)]
-    return tuple(a.reshape(len(SCHEMES), G, L) for a in solved)
+    for k in range(0, G * L, step):
+        yield _solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step])
 
 
 def _solve_rows(coh, floor, own) -> tuple:
-    """:func:`stacked_rates` of N rows: coherent powers (N, L), noise floors
-    (N,) and own cells (N,); returns the rates, theta masks and omega masks,
-    three (4, N) arrays in ``SCHEMES`` order.
+    """The rates of N rows: coherent powers (N, L), noise floors (N,) and
+    own cells (N,); returns the rates, a (4, N) array in ``SCHEMES`` order,
+    and a function of no arguments that returns their theta and omega
+    masks, two more (4, N) arrays.  The masks cost a gather and a mask
+    product per scheme, so a caller that reads only rates never forms them.
 
     Every row has L + 1 decoded sets q, each with a rank of the cells: for
     q < L the own cell and its q strongest interferers, ranked weakest
@@ -231,16 +262,19 @@ def _solve_rows(coh, floor, own) -> tuple:
     vals = np.divide(bound, fresh.cumsum(axis=-1), out=np.full((N, Q, L), np.inf),
                      where=fresh)
     inner = vals.min(axis=-1)
-    r_best = vals.argmin(axis=-1)
 
     # the set each scheme reads, (4, N) in SCHEMES order
     n = np.arange(N)
     q = np.empty((4, N), dtype=np.intp)
     q[:3] = [[0], [L - 1], [L]]
     q[3] = inner[:, :L].argmax(axis=-1)
-    thetas, omegas = _masks(np.array([member_rank[n, q] <= r_best[n, q][..., None],
-                                      omega_in[n, q]]))
-    return inner[n, q], thetas, omegas
+
+    def masks() -> tuple[np.ndarray, np.ndarray]:
+        # theta: the members up to the rank of the first minimizing prefix
+        r_best = vals[n, q].argmin(axis=-1)
+        return _masks(np.array([member_rank[n, q] <= r_best[..., None], omega_in[n, q]]))
+
+    return inner[n, q], masks
 
 
 def low_sinr_decode_set(state: ChannelState, j: int, i: int) -> int:

@@ -152,29 +152,56 @@ def tree_schedule_calls(scenario, axis: str, grid, pilot: int = 0) -> int:
     return calls
 
 
-def canonical_layout(kind: str, users_per_cell: int, x: float, spacing: float | None = None,
-                     user_angle_deg: float = 180.0, theta_deg: float = 90.0,
-                     outer_angle_deg: float = 180.0) -> CellLayout:
-    """A two- or three-cell recipe built one layout at a time, point by
-    point from its BS array, with scalar trig: the construction the stacked
-    layout builder must reproduce to the bit."""
+def _mirrored_pair(center_a, center_b, radius, angle_deg):
+    """User points of two cells mirrored across their bisector, at
+    ``angle_deg`` from the ray toward the other BS."""
+    phi = math.radians(angle_deg)
+    ux = radius * math.cos(phi)
+    uy = radius * math.sin(phi)
+    pa = (center_a[0] + ux, center_a[1] + uy)
+    pb = (center_b[0] - ux, center_b[1] + uy)
+    return pa, pb
+
+
+def two_cell_points(x: float, spacing: float, user_angle_deg: float = 180.0):
+    """BS points and one user point per cell of one two-cell recipe, from
+    Python floats and ``math`` trig."""
+    if x <= 0:
+        raise ValueError(f"cell radius 'x' must be positive, got {x!r}")
+    if spacing <= 0:
+        raise ValueError(f"BS spacing 'spacing' must be positive, got {spacing!r}")
+    bs = ((0.0, 0.0), (spacing, 0.0))
+    return bs, _mirrored_pair(*bs, x, user_angle_deg)
+
+
+def three_cell_points(x: float, spacing: float | None = None, theta_deg: float = 90.0,
+                      outer_angle_deg: float = 180.0):
+    """BS points and one user point per cell of one three-cell recipe, from
+    Python floats and ``math`` trig."""
+    if x <= 0:
+        raise ValueError(f"cell radius 'x' must be positive, got {x!r}")
     if spacing is None:
         spacing = 2.0 * x
-    L = 2 if kind == "two_cell" else 3
-    bs = np.array([[l * spacing, 0.0] for l in range(L)])
+    if spacing <= 0:
+        raise ValueError(f"BS spacing 'spacing' must be positive, got {spacing!r}")
+    if not 0.0 <= theta_deg <= 360.0:
+        raise ValueError(f"'theta_deg' must be in [0, 360], got {theta_deg!r}")
+    bs = ((0.0, 0.0), (spacing, 0.0), (2.0 * spacing, 0.0))
+    p_left, p_right = _mirrored_pair(bs[0], bs[2], x, outer_angle_deg)
+    th = math.radians(theta_deg)
+    p_mid = (spacing - x * math.cos(th), x * math.sin(th))
+    return bs, (p_left, p_mid, p_right)
 
-    def mirrored(a, b, angle_deg):
-        phi = math.radians(angle_deg)
-        ux, uy = x * math.cos(phi), x * math.sin(phi)
-        return (a[0] + ux, a[1] + uy), (b[0] - ux, b[1] + uy)
 
-    if kind == "two_cell":
-        points = mirrored(bs[0], bs[1], user_angle_deg)
-    else:
-        left, right = mirrored(bs[0], bs[2], outer_angle_deg)
-        th = math.radians(theta_deg)
-        points = (left, (spacing - x * math.cos(th), x * math.sin(th)), right)
-    return CellLayout(bs, np.array([[p] * users_per_cell for p in points]))
+def scalar_layouts(kind: str, users_per_cell: int, recipes):
+    """BS positions (G, L, 2) and user positions (G, L, K, 2) of G two- or
+    three-cell recipes, each built on its own with Python floats, checked
+    before the next one: the construction the array-built layouts must
+    reproduce to the bit, first error included."""
+    points = {"two_cell": two_cell_points, "three_cell": three_cell_points}[kind]
+    bs, users = zip(*(points(**recipe) for recipe in recipes))
+    users = np.array(users, dtype=float)[:, :, None, :]
+    return np.array(bs, dtype=float), np.repeat(users, users_per_cell, axis=2)
 
 
 def cells(mask: int) -> frozenset:

@@ -11,7 +11,9 @@ import numpy as np
 
 import mcmimo.cli as cli
 import mcmimo.montecarlo as mc
+import mcmimo.network as network
 import mcmimo.regions as regions
+import mcmimo.scenarios as scenarios
 from mcmimo import PRESET_NAMES, SCHEMES
 from mcmimo.cli import ConfigError, RunConfig, emit_csv, main, parse_config
 from mcmimo.montecarlo import MAX_TRIALS
@@ -573,6 +575,53 @@ class TestCliCommands:
         assert out.err.splitlines() == [
             f"error: {scheme} region at L={L} has {count} constraints, above the "
             f"limit of {regions.MAX_CONSTRAINTS}"]
+
+
+class TestNetworkSizeLimit:
+    """Too many cells or users per cell are refused with one error line
+    before any layout or fading array is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated a network past the link limit")
+
+        monkeypatch.setattr(network, "_point_array", fail)
+        monkeypatch.setattr(network, "fading_stack", fail)
+        monkeypatch.setattr(scenarios, "fading_stack", fail)
+        monkeypatch.setattr(np, "repeat", fail)
+
+    @staticmethod
+    def links(L, K):
+        return (f"a network of L={L} cells with K={K} users each has {L * L * K} "
+                f"BS-user links; at most {network.MAX_LINKS} are allowed")
+
+    def assert_one_error(self, capsys, argv, message):
+        assert run_cli(*argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {message}"]
+
+    def test_users_flag(self, capsys):
+        self.assert_one_error(capsys, ["montecarlo", "--cells", "2", "--users", "1000000000"],
+                              self.links(2, 10 ** 9))
+
+    def test_users_key(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(GOOD_EXPLICIT))
+        raw["params"]["K"] = 10 ** 9
+        cfg = tmp_path / "users.json"
+        cfg.write_text(json.dumps(raw))
+        self.assert_one_error(capsys, ["symrate", "--config", str(cfg)],
+                              f"params: {self.links(2, 10 ** 9)}")
+
+    def test_explicit_layout_of_5000_cells(self, tmp_path, capsys):
+        raw = ring_config(5000)
+        raw["params"]["K"] = 4
+        raw["layout"]["user_positions"] = [cell * 4 for cell in raw["layout"]["user_positions"]]
+        cfg = tmp_path / "ring5000.json"
+        cfg.write_text(json.dumps(raw))
+        self.assert_one_error(capsys, ["symrate", "--config", str(cfg)],
+                              f"params: {self.links(5000, 4)}")
 
 
 class TestOneInputPath:

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from mcmimo import (CellLayout, SystemParams, build_fading, pathloss,
                     three_cell_layout, two_cell_layout)
-from mcmimo.network import fading_stack
+from mcmimo import network
+from mcmimo.network import MAX_LINKS, fading_stack
 
 
 def params_for(layout, **kw):
@@ -230,6 +231,38 @@ class TestSystemParams:
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             SystemParams(**kwargs)
+
+
+class TestLinkLimit:
+    """A network's L * L * K BS-user links are bounded before its fading,
+    layouts or anything else sized by them is allocated."""
+
+    @staticmethod
+    def message(L, K):
+        return (f"a network of L={L} cells with K={K} users each has {L * L * K} "
+                f"BS-user links; at most {MAX_LINKS} are allowed")
+
+    def test_rings_of_160_cells_and_4_users_pass(self):
+        assert SystemParams(L=160, K=4, M=3e4, rho_u=30.0, rho_p=120.0).K == 4
+        assert SystemParams(L=2, K=MAX_LINKS // 4, M=64, rho_u=30.0, rho_p=120.0)
+
+    @pytest.mark.parametrize("L, K", [(2, 10 ** 9), (5000, 4), (5000, 1),
+                                      (2, MAX_LINKS // 4 + 1)])
+    def test_params_refused(self, L, K):
+        with pytest.raises(ValueError) as exc:
+            SystemParams(L=L, K=K, M=64, rho_u=30.0, rho_p=120.0)
+        assert str(exc.value) == self.message(L, K)
+
+    @pytest.mark.parametrize("build, L", [(two_cell_layout, 2), (three_cell_layout, 3)])
+    def test_layouts_refused_before_allocation(self, build, L, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated a layout past the link limit")
+
+        monkeypatch.setattr(network, "_point_array", fail)
+        monkeypatch.setattr(np, "repeat", fail)
+        with pytest.raises(ValueError) as exc:
+            build(400.0, 800.0, users_per_cell=10 ** 9)
+        assert str(exc.value) == self.message(L, 10 ** 9)
 
 
 class TestLayoutSerialization:

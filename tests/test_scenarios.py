@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from mcmimo import (SCHEMES, classify_two_cell, network_symmetric_rate, preset_scenario,
                     scenarios, sweep, two_cell_ordering_check)
 from mcmimo.scenarios import MAX_GRID_POINTS, REL_TOL, Scenario
-from mcmimo import ChannelState, SystemParams, build_fading, three_cell_layout, two_cell_layout
-from mcmimo.network import fading_stack
+from mcmimo import (CellLayout, ChannelState, SystemParams, build_fading, three_cell_layout,
+                    two_cell_layout)
+from mcmimo.network import fading_stack, layout_stack
 
-from oracles import (canonical_layout, case_threshold_m, direct_bound, ring_layout, ring_params,
+from oracles import (case_threshold_m, direct_bound, ring_layout, ring_params, scalar_layouts,
                      sequential_sweep, tree_schedule_calls)
 
 
@@ -478,14 +480,25 @@ _LENGTHS = st.floats(1.0, 1e4)
 _ANGLES = st.floats(0.0, 360.0)
 
 
+# the recipe arguments of each layout kind
+_RECIPE_ARGS = {"two_cell": ("x", "spacing", "user_angle_deg"),
+                "three_cell": ("x", "spacing", "theta_deg", "outer_angle_deg")}
+# numbers that fail a recipe check somewhere, or reach a corner of one
+_EDGES = st.sampled_from([0.0, -0.0, -1.0, 360.0, 361.0, -1e-300, math.nan, math.inf,
+                          -math.inf, 1e308])
+
+
 class TestLayoutStack:
+    """Array-built layouts equal the scalar recipes of ``oracles``, built
+    one layout at a time with Python floats, byte for byte; and an
+    invalid stack fails with the error of its first failing recipe."""
+
     @settings(max_examples=60)
     @given(kind=st.sampled_from(["two_cell", "three_cell", "three_cell_default_spacing"]),
            axis=st.sampled_from(["radius_x", "theta"]), K=st.integers(1, 3),
            spacing=_LENGTHS, angle=_ANGLES, x=_LENGTHS, theta=_ANGLES,
            data=st.data())
-    def test_rows_equal_single_layouts(self, kind, axis, K, spacing, angle, x, theta,
-                                       data):
+    def test_rows_equal_single_layouts(self, kind, axis, K, spacing, angle, x, theta, data):
         if kind == "two_cell":
             axis = "radius_x"
             recipe = dict(x=x, spacing=spacing, user_angle_deg=angle)
@@ -503,15 +516,18 @@ class TestLayoutStack:
         scenario = Scenario(params=params, layout_kind=kind.replace("_default_spacing", ""),
                             layout_args=tuple(sorted(recipe.items())))
         bs, users = scenario.positions(axis, grid)
-        layouts = [single(**{**recipe, key: v}, users_per_cell=K) for v in grid]
-        reference = [canonical_layout(scenario.layout_kind, K, **{**recipe, key: v})
-                     for v in grid]
-        for want in (layouts, reference):
-            assert _hex(bs) == _hex([layout.bs for layout in want])
-            assert _hex(users) == _hex([layout.users for layout in want])
+        want_bs, want_users = scalar_layouts(scenario.layout_kind, K,
+                                             [{**recipe, key: v} for v in grid])
+        assert _hex(bs) == _hex(want_bs)
+        assert _hex(users) == _hex(want_users)
+        # the G = 1 views build the same points from numbers
+        for v, b, u in zip(grid, want_bs, want_users):
+            layout = single(**{**recipe, key: v}, users_per_cell=K)
+            assert (_hex(layout.bs), _hex(layout.users)) == (_hex(b), _hex(u))
         if kind == "three_cell_default_spacing" and axis == "radius_x":
             # the spacing moves with the radius
             assert _hex(bs[:, 1, 0]) == _hex([2.0 * v for v in grid])
+        layouts = [CellLayout(b, u) for b, u in zip(want_bs, want_users)]
         try:
             per_value = [build_fading(layout, params) for layout in layouts]
         except ValueError as exc:  # a user drawn onto a BS
@@ -519,6 +535,73 @@ class TestLayoutStack:
                 fading_stack(bs, users, params)
         else:
             assert _hex(fading_stack(bs, users, params)) == _hex(per_value)
+
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(sorted(_RECIPE_ARGS)), K=st.integers(1, 3),
+           default_spacing=st.booleans(), data=st.data())
+    def test_first_failure_equals_scalar_recipes(self, kind, K, default_spacing, data):
+        # any recipe argument may move, and any value may be invalid
+        values = st.one_of(st.floats(-50.0, 1e4), _EDGES)
+        names = _RECIPE_ARGS[kind]
+        recipe = {name: data.draw(values, label=name) for name in names}
+        if kind == "three_cell" and default_spacing:
+            del recipe["spacing"]
+        key = data.draw(st.sampled_from(sorted(recipe)), label="moving")
+        grid = data.draw(st.lists(values, min_size=1, max_size=6), label="grid")
+        recipes = [{**recipe, key: v} for v in grid]
+        try:
+            want_bs, want_users = scalar_layouts(kind, K, recipes)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as stacked:
+                layout_stack(kind, K, **{**recipe, key: np.array(grid)})
+            assert str(stacked.value) == str(exc)
+        else:
+            bs, users = layout_stack(kind, K, **{**recipe, key: np.array(grid)})
+            assert _hex(bs) == _hex(want_bs)
+            assert _hex(users) == _hex(want_users)
+        # one recipe of numbers takes the same checks and points
+        try:
+            want_bs, want_users = scalar_layouts(kind, K, recipes[:1])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as single:
+                layout_stack(kind, K, **recipes[0])
+            assert str(single.value) == str(exc)
+        else:
+            bs, users = layout_stack(kind, K, **recipes[0])
+            assert (_hex(bs), _hex(users)) == (_hex(want_bs), _hex(want_users))
+
+    @pytest.mark.parametrize("kind, recipe, moving, message", [
+        # the second recipe fails its first check, the first its last one
+        ("three_cell", dict(x=100.0, spacing=300.0, outer_angle_deg=180.0),
+         dict(theta_deg=[400.0, 90.0]), "'theta_deg' must be in [0, 360], got 400.0"),
+        ("two_cell", dict(spacing=300.0, user_angle_deg=math.inf), dict(x=[100.0, -1.0]),
+         "math domain error"),
+        ("two_cell", dict(x=100.0, user_angle_deg=0.0), dict(spacing=[5.0, 0.0, -1.0]),
+         "BS spacing 'spacing' must be positive, got 0.0"),
+        ("three_cell", dict(theta_deg=90.0), dict(x=[5.0, -1.0, math.nan]),
+         "cell radius 'x' must be positive, got -1.0"),
+        # two moving arguments: the later check fails the earlier recipe
+        ("two_cell", dict(user_angle_deg=0.0), dict(x=[5.0, 5.0, -1.0], spacing=[5.0, -1.0, 5.0]),
+         "BS spacing 'spacing' must be positive, got -1.0"),
+    ])
+    def test_first_failing_recipe_is_named(self, kind, recipe, moving, message):
+        recipes = [{**recipe, **dict(zip(moving, values))} for values in zip(*moving.values())]
+        with pytest.raises(ValueError) as scalar:
+            scalar_layouts(kind, 1, recipes)
+        with pytest.raises(ValueError) as stacked:
+            layout_stack(kind, 1, **recipe, **{k: np.array(v) for k, v in moving.items()})
+        assert str(stacked.value) == str(scalar.value) == message
+
+    def test_overflowing_points_are_silent_as_python_floats_are(self):
+        # the default spacing 2 x and the third BS at 2 spacing overflow to
+        # inf, silently, as with Python floats
+        recipe = dict(theta_deg=30.0)
+        grid = [1e300, 1e308]
+        bs, users = layout_stack("three_cell", 2, **recipe, x=np.array(grid))
+        want_bs, want_users = scalar_layouts("three_cell", 2,
+                                             [{**recipe, "x": v} for v in grid])
+        assert math.isinf(bs[1, 2, 0])
+        assert (_hex(bs), _hex(users)) == (_hex(want_bs), _hex(want_users))
 
     @pytest.mark.parametrize("scenario, axis, grid, message", [
         (preset_scenario("two-cell-scenario-b"), "radius_x", [-5.0, 100.0],

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, Polytope, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
                     network_symmetric_rate, preset_scenario, sd_region, snd_region,
-                    ssnd_region, symmetric_rates, tin_rate, tin_region, two_cell_layout,
-                    two_cell_ordering_check)
+                    ssnd_region, sweep, symmetric_rates, tin_rate, tin_region,
+                    two_cell_layout, two_cell_ordering_check)
 from mcmimo.bounds import coherent_powers, noise_floors
 from mcmimo import symrate
 from mcmimo.symrate import bs_symmetric_rate, stacked_rates
@@ -355,6 +355,79 @@ class TestStackedKernel:
         assert peak < 1.25 * budget
         monkeypatch.undo()
         assert network_symmetric_rate(state, "snd") == report
+
+
+# the ring sizes of the rates-only checks: the small Ls, one past the
+# int64 masks' last L (63), and two larger ones
+_SPLIT_CELLS = [*range(2, 14), 24, 64, 65]
+
+
+@st.composite
+def ring_stacks(draw):
+    """Coherent powers and floors of one to three rings with a common L."""
+    L = draw(st.sampled_from(_SPLIT_CELLS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = draw(st.integers(1, 3 if L <= 24 else 1))
+    return stack_of([(ring_state(rng, L=L, M=float(10 ** rng.uniform(2, 6))),
+                      int(rng.integers(2))) for _ in range(G)])
+
+
+@st.composite
+def tie_stacks(draw):
+    """Networks whose cells tie exactly: every BS hears each other cell at
+    one of three common gains, at one to four antenna counts."""
+    L = draw(st.integers(1, 13))
+    levels = draw(st.lists(st.sampled_from([1e-3, 1e-2, 0.1]), min_size=L, max_size=L))
+    beta = np.array([[levels]] * L)
+    np.fill_diagonal(beta[:, 0, :], 1.0)
+    antennas = draw(st.lists(st.sampled_from(np.geomspace(1e2, 1e7, 13).tolist()),
+                             min_size=1, max_size=4))
+    state = ChannelState.from_beta(beta, SystemParams(L=L, K=1, M=antennas[0],
+                                                      rho_u=30.0, rho_p=120.0))
+    return stack_of([(state.with_m(m), 0) for m in antennas])
+
+
+class TestRatesOnly:
+    """``stacked_rates_only`` is ``stacked_rates``' rate array, solved by the
+    same kernel without forming the witness masks."""
+
+    @settings(max_examples=60)
+    @given(stack=st.one_of(ring_stacks(), tie_stacks()),
+           rows_per_chunk=st.sampled_from([None, 1, 2, 5]))
+    def test_equals_stacked_rates_bit_for_bit(self, stack, rows_per_chunk):
+        coh, floor = stack
+        G, L = coh.shape[:2]
+        with pytest.MonkeyPatch.context() as patch:
+            if rows_per_chunk is not None:  # split the stack into chunks
+                patch.setattr(symrate, "STACK_BYTES", 64 * (L + 1) * L * rows_per_chunk)
+            rates = symrate.stacked_rates_only(coh, floor)
+            full = stacked_rates(coh, floor)
+        assert rates.shape == full[0].shape == (len(SCHEMES), G, L)
+        assert rates.tobytes() == full[0].tobytes()
+
+    def test_forms_no_masks(self, monkeypatch):
+        def fail(member):
+            raise AssertionError("formed witness masks")
+
+        monkeypatch.setattr(symrate, "_masks", fail)
+        coh, floor = stack_of([(ring_state(np.random.default_rng(75), L=4), 0)])
+        assert symrate.stacked_rates_only(coh, floor).shape == (len(SCHEMES), 1, 4)
+        with pytest.raises(AssertionError, match="witness masks"):
+            stacked_rates(coh, floor)
+
+    @pytest.mark.parametrize("preset, axis, grid", [
+        ("two-cell-scenario-a", "M", np.geomspace(1e3, 1e7, 25)),
+        ("two-cell-scenario-b", "radius_x", np.linspace(130.0, 238.0, 25)),
+        ("three-cell-theta", "theta", np.linspace(0.0, 172.0, 25))])
+    def test_sweeps_form_no_masks(self, monkeypatch, preset, axis, grid):
+        # a sweep reads rates only, so the mask step never runs
+        def fail(member):
+            raise AssertionError("formed witness masks")
+
+        monkeypatch.setattr(symrate, "_masks", fail)
+        result = sweep(preset_scenario(preset), axis, grid)
+        assert len(result.rows) == len(grid)
+        assert result.thresholds
 
 
 class TestNetworkReport:
