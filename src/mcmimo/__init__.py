@@ -3,18 +3,18 @@ MIMO under four decoding schemes: treating interference as noise (TIN),
 simultaneous unique decoding (SD), simultaneous non-unique decoding (SND)
 and its simplified polytope subset (S-SND)."""
 
-from .bounds import (PowerDecomposition, capacity, mu_coefficient, power_terms,
+from .bounds import (SCHEMES, PowerDecomposition, capacity, mu_coefficient, power_terms,
                      tin_rate_asymptotic)
 from .estimation import ChannelState, EstimationStats, mmse_coeffs
 from .montecarlo import empirical_power_decomposition
 from .network import (CellLayout, SystemParams, build_fading, pathloss,
                       three_cell_layout, two_cell_layout)
-from .regions import Polytope, RegionFamily, sd_region, snd_region, ssnd_region, tin_region
+from .regions import (Polytope, RegionFamily, max_symmetric_rate, sd_region, snd_region,
+                      ssnd_region, tin_region)
 from .scenarios import (PRESET_NAMES, Scenario, SweepResult, classify_two_cell,
                         preset_scenario, sweep, two_cell_ordering_check)
-from .symrate import (SCHEMES, BsSymRate, SymRateReport, bs_symmetric_rate,
-                      low_sinr_decode_set, max_symmetric_rate, network_symmetric_rate,
-                      symmetric_rates, tin_rate)
+from .symrate import (BsSymRate, SymRateReport, bs_symmetric_rate, low_sinr_decode_set,
+                      network_symmetric_rate, symmetric_rates, tin_rate)
 
 __version__ = "0.1.0"
 

@@ -16,10 +16,13 @@ noise floor.  Rates are in bits per channel use (base-2 logs).
 This one bound gives every rate of every scheme; the schemes differ only in
 the (omega, theta) pairs they keep: TIN has omega = theta = {j}, SD has
 omega = all cells, S-SND has omega = all cells and theta containing j, and
-SND takes any omega containing j.  Cell sets are int bitmasks (bit l stands
-for cell l).  :func:`subset_sum` gives N of a mask and :func:`mac_bound`
-turns N values into bounds; the region builders and the solvers all sum in
-its order and call :func:`mac_bound`, so their rates agree to the bit.
+SND takes any omega containing j; ``SCHEMES`` lists them in array order.
+Cell sets are int bitmasks (bit l stands for cell l).  N of a mask is
+always summed from 0.0, adding the cells from the highest index down, and
+:func:`mac_bound` turns N values into bounds, so a solver's rate equals
+the value read off the matching region to the bit.  The order has three
+implementations: ``regions._mask_sums`` (given masks),
+``regions._subset_sums`` (all 2^L) and ``symrate._solve_rows``' loop.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .estimation import ChannelState
 from .network import SystemParams
 
 __all__ = [
+    "SCHEMES",
     "PowerDecomposition",
     "capacity",
     "coherent_power",
@@ -41,13 +45,13 @@ __all__ = [
     "noise_floors",
     "state_powers",
     "state_floors",
-    "subset_sum",
     "mac_bound",
     "power_terms",
     "tin_rate_asymptotic",
     "mu_coefficient",
 ]
 
+SCHEMES = ("tin", "sd", "ssnd", "snd")
 _LN2 = math.log(2.0)
 
 
@@ -204,25 +208,9 @@ def noise_floor(state: ChannelState, j: int) -> float:
     return float(state_floors(state)[j])
 
 
-def subset_sum(coh, mask: int) -> float:
-    """N(mask): the sum of ``coh[l]`` over the set bits l of ``mask``.
-
-    The terms are added from the highest index down.  Every bound sums in
-    this one order, which is what makes a solver's rate equal, to the bit,
-    the value read off the matching region.
-    """
-    total = 0.0
-    while mask:
-        top = mask.bit_length() - 1
-        total += coh[top]
-        mask ^= 1 << top
-    return total
-
-
 def mac_bound(n_theta, n_noise, floor: float):
     """The multiple-access sum-rate bound C(N(theta) / (N(omega^c) + F)) in
-    bits, from the :func:`subset_sum` values of theta and of the cells
-    outside omega.
+    bits, from the N values of theta and of the cells outside omega.
 
     Scalars give a scalar; sequences are evaluated elementwise with one
     vectorized log.

@@ -65,6 +65,16 @@ def check_fading(beta: np.ndarray) -> None:
         raise ValueError("beta entries must be finite and strictly positive")
 
 
+def _checked_beta(beta, params: SystemParams) -> np.ndarray:
+    """``beta`` as floats, checked for the shape of ``params`` and by :func:`check_fading`."""
+    beta = np.asarray(beta, dtype=float)
+    expected = (params.L, params.K, params.L)
+    if beta.shape != expected:
+        raise ValueError(f"beta must have shape {expected}, got {beta.shape}")
+    check_fading(beta)
+    return beta
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelState:
     """Deterministic channel statistics bundle: params, fading and MMSE stats.
@@ -86,18 +96,14 @@ class ChannelState:
     stats: EstimationStats
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        expected = (self.params.L, self.params.K, self.params.L)
-        if beta.shape != expected:
-            raise ValueError(f"beta must have shape {expected}, got {beta.shape}")
-        check_fading(beta)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _checked_beta(self.beta, self.params))
         object.__setattr__(self, "_powers", {})
 
     @classmethod
     def from_beta(cls, beta: np.ndarray, params: SystemParams) -> "ChannelState":
-        return cls(params=params, beta=np.asarray(beta, dtype=float),
-                   stats=mmse_coeffs(beta, params))
+        """The state of ``beta``, checked before its MMSE statistics are formed."""
+        beta = _checked_beta(beta, params)
+        return cls(params=params, beta=beta, stats=mmse_coeffs(beta, params))
 
     @classmethod
     def from_layout(cls, layout: CellLayout, params: SystemParams) -> "ChannelState":

@@ -8,13 +8,15 @@ the own cell; users outside ``omega`` enter the bounds as noise and their
 rate coordinates are unconstrained within that part.
 
 A :class:`RegionFamily` holds its parts as flat columns, and ``parts`` is
-their view as validated polytopes.  Cell sets are int bitmasks (bit l
-stands for cell l), as in the CSV output.  The SD, S-SND and SND builders
-refuse a region of more than ``MAX_CONSTRAINTS`` constraints before
-allocating it.  Which (theta, omega) pairs a region holds depends only on
-its scheme, L and BS (SD: on L alone), so its ``omega``, ``offsets`` and
-``theta`` columns are built once and kept, read-only and shared by every
-region of that key, in a least-recently-used cache that holds at most
+their view as validated polytopes, which :func:`max_symmetric_rate`
+reads.  Cell sets are int bitmasks (bit l stands for cell l), as in the
+CSV output, and N of a mask is summed as :mod:`~mcmimo.bounds` states.
+The TIN region is one bound; the SD, S-SND and SND builders refuse a
+region of more than ``MAX_CONSTRAINTS`` constraints before allocating it.
+Which (theta, omega) pairs a region holds depends only on its scheme, L
+and BS (SD: on L alone), so its ``omega``, ``offsets`` and ``theta``
+columns are built once and kept, read-only and shared by every region of
+that key, in a least-recently-used cache that holds at most
 ``MAX_CONSTRAINTS`` constraints in total; ``_columns.cache_info()`` counts
 its hits and misses.  Each build then reads every bound off one table of
 the subset sums of all 2^L masks with one vectorized
@@ -26,6 +28,7 @@ are immutable after construction and membership queries are read-only.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -36,14 +39,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import check_indices, mac_bound, noise_floor, state_powers, subset_sum
+from .bounds import SCHEMES, check_indices, mac_bound, noise_floor, state_powers
 from .estimation import ChannelState
-from .symrate import tin_rate
 
 __all__ = [
     "MAX_CONSTRAINTS",
     "Polytope",
     "RegionFamily",
+    "max_symmetric_rate",
     "tin_region",
     "sd_region",
     "ssnd_region",
@@ -61,6 +64,15 @@ def _rate_point(point: Sequence[float], dim: int) -> np.ndarray:
     if not np.all(point >= 0):  # also refuses NaN
         raise ValueError("rate points must be componentwise nonnegative")
     return point
+
+
+def _mask_sums(values, masks) -> np.ndarray:
+    """N of each bitmask in the array ``masks``: the sum of ``values[l]``
+    over its set bits l, added from 0.0 and from the highest index down."""
+    total = np.zeros(np.shape(masks))
+    for l in range(len(values) - 1, -1, -1):
+        np.add(total, values[l], out=total, where=masks & 1 << l != 0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -102,8 +114,24 @@ class Polytope:
         object.__setattr__(self, "constraints", cons)
 
     def contains(self, point: Sequence[float]) -> bool:
-        rates = _rate_point(point, self.dim).tolist()
-        return not any(subset_sum(rates, mask) > bound for mask, bound in self.constraints)
+        rates = _rate_point(point, self.dim)
+        masks = np.array([mask for mask, _ in self.constraints], dtype=object)
+        return not (_mask_sums(rates, masks) > [bound for _, bound in self.constraints]).any()
+
+
+def max_symmetric_rate(poly: Polytope) -> tuple[float, int]:
+    """Largest R with (R, ..., R) in the polytope, and the binding mask: the
+    first constraint attaining the least bound / |mask|, which is the
+    smaller set on ties since constraints are kept in (cardinality, mask)
+    order."""
+    if not poly.constraints:
+        raise ValueError("polytope has no constraints; the symmetric rate is unbounded")
+    best, best_theta = math.inf, 0
+    for theta, bound in poly.constraints:
+        val = bound / theta.bit_count()
+        if val < best:
+            best, best_theta = val, theta
+    return best, best_theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +152,7 @@ class RegionFamily:
     bound: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("tin", "sd", "ssnd", "snd"):
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown region kind {self.kind!r}")
         if len(self.offsets) != len(self.omega) + 1:
             raise ValueError("offsets must hold one entry per part plus one")
@@ -141,14 +169,10 @@ class RegionFamily:
         return tuple(Polytope(self.dim, tuple(pairs[a:b])) for a, b in zip(ends, ends[1:]))
 
     def contains(self, point: Sequence[float]) -> bool:
-        """Whether some part holds the point.  Each theta sum adds its rates
-        from the highest cell down, as :func:`~mcmimo.bounds.subset_sum`
-        does; the sums are taken per constraint, not from a 2^L table, as a
-        TIN region has one constraint at any L."""
-        rates = _rate_point(point, self.dim)
-        total = np.zeros(len(self.theta))
-        for l in range(self.dim - 1, -1, -1):
-            np.add(total, rates[l], out=total, where=self.theta >> l & 1 == 1)
+        """Whether some part holds the point.  The theta sums are
+        :func:`_mask_sums`, taken per constraint, not from a 2^L table, as
+        a TIN region has one constraint at any L."""
+        total = _mask_sums(_rate_point(point, self.dim), self.theta)
         broken = np.logical_or.reduceat(total > self.bound, self.offsets[:-1])
         return not broken.all()
 
@@ -165,8 +189,8 @@ def _check(kind: str, state: ChannelState, j: int, i: int, count: int) -> None:
 
 def _subset_sums(coh: np.ndarray) -> np.ndarray:
     """N(mask) of every mask below 2^L, equal to the bit to
-    :func:`~mcmimo.bounds.subset_sum`: each mask adds its lowest cell to the
-    sum of its higher cells, so the highest cell comes first."""
+    :func:`_mask_sums`: each mask adds its lowest cell to the sum of its
+    higher cells, so the highest cell comes first."""
     sums = np.zeros(1 << len(coh))
     for b in range(len(coh) - 1, -1, -1):
         sums[1 << b::2 << b] = sums[0::2 << b] + coh[b]
@@ -279,9 +303,13 @@ def _region(kind: str, state: ChannelState, j: int, i: int) -> RegionFamily:
 
 
 def tin_region(state: ChannelState, j: int, i: int) -> RegionFamily:
-    """Own-rate box: only the own user is decoded, others are noise."""
-    rate = np.array([tin_rate(state, j, i)])
+    """Own-rate box: only the own user is decoded, others are noise.  Its one
+    bound is :func:`~mcmimo.symrate.tin_rate` to the bit, with no solve."""
+    check_indices(state, j, i)
+    coh = state_powers(state, i)[0][j]
     own = np.array([1 << j], dtype=np.int64 if state.L < 64 else object)
+    rate = mac_bound(coh[[j]], _mask_sums(coh, ((1 << state.L) - 1) ^ own),
+                     noise_floor(state, j))
     return RegionFamily("tin", state.L, own, np.array([0, 1]), own, rate)
 
 

@@ -1,7 +1,5 @@
 """Maximum symmetric (max-min) rates per BS and network-wide.
 
-Over a subset-sum polytope the largest R with (R, ..., R) inside is
-min over constraints of bound / |subset|; absent constraints are infinite.
 The four schemes are (omega, theta) filters over one kernel,
 :func:`stacked_rates`.  It takes a (G, L, L) stack of coherent-power
 rows, one row per (grid point, BS), with their noise floors, and solves
@@ -25,11 +23,11 @@ four schemes; the state keeps its reports in its memo, so each (state,
 pilot) is solved once.  The per-scheme and per-BS functions
 (:func:`network_symmetric_rate`, :func:`bs_symmetric_rate` and
 :func:`tin_rate`) read those reports, so a one-BS request pays for the
-whole state once.  Every sum of coherent powers adds the cells from the
-highest index down, as :func:`~mcmimo.bounds.subset_sum` does, and every
-bound is one :func:`~mcmimo.bounds.mac_bound`, so a solver's rate equals
-the value of the matching region to the bit, and a stacked row equals the
-same row solved alone.
+whole state once.  Every sum of coherent powers adds the cells in the one
+order that :mod:`~mcmimo.bounds` states, and every bound is one
+:func:`~mcmimo.bounds.mac_bound`, so a solver's rate equals the value of
+the matching region to the bit, and a stacked row equals the same row
+solved alone.
 
 Cell sets are int bitmasks (bit l stands for cell l).  The weakest and
 strongest orders are stable sorts of each row, so exactly tied cells rank
@@ -43,25 +41,20 @@ reproducible.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bounds import check_bs, check_indices, check_pilot, mac_bound, memo, state_powers
+from .bounds import (SCHEMES, check_bs, check_indices, check_pilot, mac_bound, memo,
+                     state_powers)
 from .estimation import ChannelState
-
-if TYPE_CHECKING:
-    from .regions import Polytope
 
 __all__ = [
     "SCHEMES",
     "BsSymRate",
     "SymRateReport",
-    "max_symmetric_rate",
     "stacked_rates",
     "stacked_rates_only",
     "STACK_BYTES",
@@ -72,7 +65,6 @@ __all__ = [
     "network_symmetric_rate",
 ]
 
-SCHEMES = ("tin", "sd", "ssnd", "snd")
 STACK_BYTES = 32 << 20  # bytes of arrays one chunk of stacked rows holds, at most
 
 
@@ -96,21 +88,6 @@ class SymRateReport:
     per_bs: tuple[BsSymRate, ...]
     network_rate: float
     network_argmin: int
-
-
-def max_symmetric_rate(poly: Polytope) -> tuple[float, int]:
-    """Largest R with (R, ..., R) in the polytope, and the binding mask: the
-    first constraint attaining the least bound / |mask|, which is the
-    smaller set on ties since constraints are kept in (cardinality, mask)
-    order."""
-    if not poly.constraints:
-        raise ValueError("polytope has no constraints; the symmetric rate is unbounded")
-    best, best_theta = math.inf, 0
-    for theta, bound in poly.constraints:
-        val = bound / theta.bit_count()
-        if val < best:
-            best, best_theta = val, theta
-    return best, best_theta
 
 
 @functools.cache
@@ -227,9 +204,9 @@ def _solve_rows(coh, floor, own) -> tuple:
     |theta|, bitmask) and omega maximizes value, then minimizes (|omega|,
     bitmask).  Exactly tied cells are ranked lowest index first in both the
     weakest and the strongest order, which gives the smallest bitmask among
-    equal-valued sets.  Every bound adds its cells in the order of
-    :func:`~mcmimo.bounds.subset_sum`, so the rate is bit-identical to the
-    best part value of :func:`~mcmimo.regions.snd_region`.
+    equal-valued sets.  Every bound adds its cells in the order that
+    :mod:`~mcmimo.bounds` states (the loop below), so the rate is
+    bit-identical to the best part value of :func:`~mcmimo.regions.snd_region`.
     """
     N, L = coh.shape
     Q = L + 1
@@ -248,8 +225,8 @@ def _solve_rows(coh, floor, own) -> tuple:
     fresh = np.zeros((N * Q, L), dtype=bool)
     fresh[np.arange(N * Q)[:, None], rank.reshape(N * Q, L)] = omega_in.reshape(N * Q, L)
     fresh = fresh.reshape(N, Q, L)
-    # every theta sum adds its cells from the highest index down, as
-    # bounds.subset_sum does, and so does the sum outside each decoded set
+    # every theta sum adds its cells from the highest index down, and so
+    # does the sum outside each decoded set
     r = np.arange(L)
     outside = ~omega_in
     noise = np.zeros((N, Q))

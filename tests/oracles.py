@@ -319,6 +319,21 @@ def brute_force_snd(state: ChannelState, j: int, i: int):
     return best
 
 
+def subset_sum(coh, mask: int) -> float:
+    """N(mask): the sum of ``coh[l]`` over the set bits l of ``mask``.
+
+    The terms are added from the highest index down.  Every bound sums in
+    this one order, which is what makes a solver's rate equal, to the bit,
+    the value read off the matching region.
+    """
+    total = 0.0
+    while mask:
+        top = mask.bit_length() - 1
+        total += coh[top]
+        mask ^= 1 << top
+    return total
+
+
 def _subset_sums(values: np.ndarray) -> np.ndarray:
     """sums[mask] = sum of values over the set bits, accumulated from the
     highest index down (the lowest bit is added last)."""

@@ -10,9 +10,9 @@ from mcmimo import (SCHEMES, ChannelState, SystemParams, bounds, capacity,
                     power_terms, preset_scenario, regions, sd_region, snd_region, ssnd_region,
                     tin_rate, tin_rate_asymptotic)
 from mcmimo.bounds import (check_omega, coherent_power, coherent_powers, mac_bound,
-                           noise_floor, noise_floors, state_powers, subset_sum)
+                           noise_floor, noise_floors, state_powers)
 
-from oracles import direct_bound, mask_of, random_state
+from oracles import direct_bound, mask_of, random_state, subset_sum
 
 
 def kernel_bound(state, j, i, theta, omega):
@@ -83,6 +83,18 @@ class TestRateBound:
         assert subset_sum(coh, 0b111) == 1e16 + 2.0
         assert subset_sum(coh, 0b110) == 2.0
         assert subset_sum(coh, 0) == 0.0
+        # the same cases through the array helper, with int64 and object masks
+        for dtype in (np.int64, object):
+            masks = np.array([0b111, 0b110, 0], dtype=dtype)
+            assert regions._mask_sums(np.array(coh), masks).tolist() == [1e16 + 2.0, 2.0, 0.0]
+
+    def test_mask_sums_equal_subset_sum_to_the_bit(self):
+        rng = np.random.default_rng(31)
+        for L in (1, 5, 13, 63, 64, 96):
+            coh = rng.lognormal(0.0, 8.0, L)
+            masks = [int.from_bytes(rng.bytes(12), "little") >> 96 - L for _ in range(50)]
+            got = regions._mask_sums(coh, np.array(masks, dtype=np.int64 if L < 64 else object))
+            assert got.tolist() == [subset_sum(coh, mask) for mask in masks]
 
     def test_kernel_matches_direct_bound(self):
         rng = np.random.default_rng(29)

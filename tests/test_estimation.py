@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcmimo import ChannelState, SystemParams, mmse_coeffs
+from mcmimo import ChannelState, SystemParams, estimation, mmse_coeffs
 
 from oracles import random_state
 
@@ -77,6 +77,29 @@ class TestChannelState:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             ChannelState.from_beta(np.ones((2, 1, 3)), make_params(2, 1, rho_p=1.0))
+
+    def test_from_beta_checks_before_forming_statistics(self, monkeypatch):
+        # a mis-shaped or non-finite tensor is refused before mmse_coeffs
+        # runs, with the message the constructor gives
+        params = make_params(2, 1, rho_p=1.0)
+        stats = mmse_coeffs(np.ones((2, 1, 2)), params)
+
+        def fail(*args):
+            raise AssertionError("formed MMSE statistics of an unchecked beta")
+
+        monkeypatch.setattr(estimation, "mmse_coeffs", fail)
+        nan = np.ones((2, 1, 2))
+        nan[1, 0, 0] = np.nan
+        for beta in (np.ones((300, 1, 300)), np.ones(3), nan):
+            with pytest.raises(ValueError) as want:
+                ChannelState(params=params, beta=beta, stats=stats)
+            with pytest.raises(ValueError) as got:
+                ChannelState.from_beta(beta, params)
+            assert str(got.value) == str(want.value)
+        assert str(got.value) == "beta entries must be finite and strictly positive"
+        with pytest.raises(ValueError, match=r"^beta must have shape \(2, 1, 2\), "
+                                             r"got \(300, 1, 300\)$"):
+            ChannelState.from_beta(np.ones((300, 1, 300)), params)
 
     def test_positivity_validation(self):
         beta = np.ones((2, 1, 2))

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import (Polytope, bs_symmetric_rate, max_symmetric_rate, regions, sd_region,
-                    snd_region, ssnd_region, tin_rate, tin_region)
-from mcmimo.bounds import subset_sum
+from mcmimo import (ChannelState, Polytope, SystemParams, bs_symmetric_rate, capacity,
+                    max_symmetric_rate, preset_scenario, regions, sd_region, snd_region,
+                    ssnd_region, symrate, tin_rate, tin_region)
+from mcmimo.bounds import noise_floor, state_powers
 
 from oracles import (cells, direct_bound, fading_states, random_state, ring_state,
-                     snd_member_three_cell, snd_member_two_cell)
+                     snd_member_three_cell, snd_member_two_cell, subset_sum)
 
 
 def rate_and_theta(state, scheme, j, i):
@@ -183,6 +184,64 @@ class TestSubsetSumTable:
             assert tin == (tin_rate(state, j, i), 1 << j)
             assert sd == rate_and_theta(state, "sd", j, i)
             assert ssnd == rate_and_theta(state, "ssnd", j, i)
+
+
+class TestTinRegion:
+    """The TIN region is one bound, C(N({j}) / (N(others) + F)), formed from
+    the state's powers: the kernel's TIN row to the bit, with the kernel's
+    errors, and no solve of the other BSs."""
+
+    @pytest.mark.parametrize("L", [*range(2, 14), 24, 64, 65, 96])
+    def test_bound_is_the_tin_rate_to_the_bit(self, L):
+        state = ring_state(np.random.default_rng(L), L, M=3e4)
+        for j in range(L):
+            for i in range(state.K):
+                region = tin_region(state, j, i)
+                assert region.theta.dtype == (np.int64 if L < 64 else object)
+                assert region.theta.tolist() == region.omega.tolist() == [1 << j]
+                assert float(region.bound[0]) == tin_rate(state, j, i)
+
+    @settings(max_examples=60)
+    @given(fading_states(max_cells=10))
+    def test_bound_is_the_tin_rate_on_tie_stacks(self, case):
+        state, i = case
+        for j in range(state.L):
+            assert float(tin_region(state, j, i).bound[0]) == tin_rate(state, j, i)
+
+    def test_large_ring_never_runs_the_kernel(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("tin_region solved the network")
+
+        monkeypatch.setattr(symrate, "_solve_rows", fail)
+        L = 512
+        state = ring_state(np.random.default_rng(5), L, K=1, M=3e4)
+        coh = state_powers(state, 0)[0]
+        for j in (0, 7, 300, L - 1):
+            others = ((1 << L) - 1) ^ 1 << j
+            want = capacity(coh[j, j] / (subset_sum(coh[j], others) + noise_floor(state, j)))
+            region = tin_region(state, j, 0)
+            assert region.theta.tolist() == [1 << j]
+            assert region.bound.tolist() == [want]
+
+    def test_errors_are_the_tin_rate_errors(self):
+        state = random_state(np.random.default_rng(6), L=3, K=2)
+        big_coh = preset_scenario("two-cell-scenario-a").state().with_m(1e308)
+        # rho_u overflows the noise floor but not the coherent powers
+        big_floor = ChannelState.from_beta(
+            np.ones((2, 1, 2)), SystemParams(L=2, K=1, M=1.0, rho_u=1e308, rho_p=0.01))
+        cases = [(state, j, i) for j, i in ((3, 0), (-1, 0), (0, 2), (0, -1), (3, 2),
+                                            (True, 0), (0, 1.0))]
+        messages = []
+        for case in cases + [(big_coh, 0, 0), (big_floor, 1, 0)]:
+            with pytest.raises(ValueError) as want:
+                tin_rate(*case)
+            with pytest.raises(ValueError) as got:
+                tin_region(*case)
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value))
+        assert messages[4] == "BS index 3 out of range for L=3"
+        assert messages[-2].startswith("coherent power")
+        assert messages[-1].startswith("noise floor")
 
 
 class TestPolytopeChecks:
