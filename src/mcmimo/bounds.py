@@ -46,6 +46,7 @@ __all__ = [
     "state_powers",
     "state_floors",
     "mac_bound",
+    "mac_bound_into",
     "power_terms",
     "tin_rate_asymptotic",
     "mu_coefficient",
@@ -55,9 +56,10 @@ SCHEMES = ("tin", "sd", "ssnd", "snd")
 _LN2 = math.log(2.0)
 
 
-def capacity(snr) -> float:
-    """Shannon rate log2(1 + snr) in bits."""
-    return np.log1p(snr) / _LN2
+def capacity(snr, *, out=None) -> float:
+    """Shannon rate log2(1 + snr) in bits; with ``out``, formed in that
+    array, as a ufunc's ``out`` (it may be ``snr`` itself)."""
+    return np.divide(np.log1p(snr, out=out), _LN2, out=out)
 
 
 @dataclass(frozen=True)
@@ -212,10 +214,30 @@ def mac_bound(n_theta, n_noise, floor: float):
     """The multiple-access sum-rate bound C(N(theta) / (N(omega^c) + F)) in
     bits, from the N values of theta and of the cells outside omega.
 
-    Scalars give a scalar; sequences are evaluated elementwise with one
-    vectorized log.
+    Scalars give a scalar.  Sequences are evaluated elementwise into one
+    result array, and the inputs are never written: this is
+    :func:`mac_bound_into` of the fresh ``N(omega^c) + F``, which the
+    divide writes when it has the broadcast shape (else one fresh array),
+    so a call holds one array beyond its inputs.  A region build adds the
+    floor per part and hands its own spread denominators to
+    :func:`mac_bound_into`, so it holds two arrays of one float per
+    constraint, the theta sums and ``bound``.
     """
-    return capacity(np.divide(n_theta, np.add(n_noise, floor)))
+    return mac_bound_into(n_theta, np.add(n_noise, floor))
+
+
+def mac_bound_into(n_theta, denom):
+    """:func:`mac_bound` from its whole denominators ``N(omega^c) + F``.
+
+    A float64 array ``denom`` of the shape of the array ``n_theta`` becomes
+    the result, so the call overwrites it; any other ``denom`` is left
+    alone and the divide writes one fresh array.  The log and the 1/ln 2
+    scaling then run in place, so a call holds one array beyond its inputs.
+    """
+    own = (isinstance(denom, np.ndarray) and denom.shape == getattr(n_theta, "shape", None)
+           and denom.dtype == np.float64)
+    snr = np.divide(n_theta, denom, out=denom if own else None)
+    return capacity(snr, out=snr if isinstance(snr, np.ndarray) else None)
 
 
 def power_terms(state: ChannelState, j: int, i: int, omega) -> PowerDecomposition:

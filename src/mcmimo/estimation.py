@@ -101,9 +101,11 @@ class ChannelState:
 
     @classmethod
     def from_beta(cls, beta: np.ndarray, params: SystemParams) -> "ChannelState":
-        """The state of ``beta``, checked before its MMSE statistics are formed."""
-        beta = _checked_beta(beta, params)
-        return cls(params=params, beta=beta, stats=mmse_coeffs(beta, params))
+        """The state of ``beta``, checked once, by the constructor, before its
+        MMSE statistics are formed."""
+        state = cls(params=params, beta=beta, stats=None)
+        object.__setattr__(state, "stats", mmse_coeffs(state.beta, params))
+        return state
 
     @classmethod
     def from_layout(cls, layout: CellLayout, params: SystemParams) -> "ChannelState":

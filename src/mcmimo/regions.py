@@ -20,7 +20,7 @@ that key, in a least-recently-used cache that holds at most
 ``MAX_CONSTRAINTS`` constraints in total; ``_columns.cache_info()`` counts
 its hits and misses.  Each build then reads every bound off one table of
 the subset sums of all 2^L masks with one vectorized
-:func:`~mcmimo.bounds.mac_bound` call; the state's memo keeps the last
+:func:`~mcmimo.bounds.mac_bound_into` call; the state's memo keeps the last
 table in one slot, so the regions at one (BS, pilot) form it once and a
 state holds one table at most (8 MiB at the SD limit L = 20).  Regions
 are immutable after construction and membership queries are read-only.
@@ -39,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import SCHEMES, check_indices, mac_bound, noise_floor, state_powers
+from .bounds import (SCHEMES, check_indices, mac_bound, mac_bound_into, noise_floor,
+                     state_powers)
 from .estimation import ChannelState
 
 __all__ = [
@@ -293,12 +294,15 @@ def _sums(state: ChannelState, j: int, i: int) -> np.ndarray:
 
 def _region(kind: str, state: ChannelState, j: int, i: int) -> RegionFamily:
     """The ``kind`` region at BS j, pilot i: its cached index columns with
-    the bounds of this state, one :func:`~mcmimo.bounds.mac_bound` call
-    over the state's table of all 2^L subset sums."""
+    the bounds of this state, one :func:`~mcmimo.bounds.mac_bound_into`
+    call over the state's table of all 2^L subset sums.  The floor is
+    added to each part's N(omega^c) before the spread to one denominator
+    per constraint, which the call turns into ``bound``: a build holds two
+    arrays of one float per constraint, that and the theta sums."""
     omega, offsets, theta = _columns(kind, state.L, j)
     sums = _sums(state, j, i)
-    noise = np.repeat(sums[((1 << state.L) - 1) ^ omega], offsets[1:] - offsets[:-1])
-    bound = mac_bound(sums[theta], noise, noise_floor(state, j))
+    denom = sums[((1 << state.L) - 1) ^ omega] + noise_floor(state, j)
+    bound = mac_bound_into(sums[theta], np.repeat(denom, offsets[1:] - offsets[:-1]))
     return RegionFamily(kind, state.L, omega, offsets, theta, bound)
 
 

@@ -334,7 +334,7 @@ def subset_sum(coh, mask: int) -> float:
     return total
 
 
-def _subset_sums(values: np.ndarray) -> np.ndarray:
+def subset_sum_table(values: np.ndarray) -> np.ndarray:
     """sums[mask] = sum of values over the set bits, accumulated from the
     highest index down (the lowest bit is added last)."""
     sums = np.zeros(1 << len(values))
@@ -354,7 +354,7 @@ def exhaustive_snd(state: ChannelState, j: int, i: int):
     L = state.L
     coh = coherent_power(state, j, i)
     floor = noise_floor(state, j)
-    sums = _subset_sums(coh)
+    sums = subset_sum_table(coh)
     full_mask = (1 << L) - 1
     jbit = 1 << j
     best = -math.inf

@@ -158,6 +158,91 @@ class TestRateBound:
         assert gaps[2] < 1e-3
 
 
+def two_pass_bound(n_theta, n_noise, floor):
+    """The bound with a fresh array per step: add, divide, log1p, scale."""
+    return np.log1p(np.divide(n_theta, np.add(n_noise, floor))) / math.log(2.0)
+
+
+def read_only(array):
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+class TestMacBoundArrays:
+    """mac_bound forms its result in one array and writes no input, with the
+    bits and types of the two-pass formula."""
+
+    @staticmethod
+    def shapes(rng):
+        """(n_theta, n_noise, floor) of every calling shape."""
+        N, L, G = 5, 4, 7
+        num = rng.uniform(0.0, 1e3, (N, L + 1, L))
+        noise = rng.uniform(0.0, 1e3, N * (L + 1))
+        floor = rng.uniform(1.0, 10.0, N)
+        return [
+            (2.5, 0.75, 1.5),
+            (np.float64(2.5), np.float64(0.0), 1.0),
+            (list(num[0, 0]), list(noise[:L]), float(floor[0])),
+            (num[0, 0], noise[:L], float(floor[0])),
+            (num[0, 0, :1], noise[:3], float(floor[0])),  # (1,) over (3,)
+            (num, noise.reshape(N, L + 1)[..., None], floor[:, None, None]),  # the kernel
+            (rng.uniform(0.0, 1e3, (4, G)), rng.uniform(0.0, 1e3, (4, G)),
+             rng.uniform(1.0, 10.0, G)),  # _two_cell_values
+        ]
+
+    def test_equals_the_two_pass_formula(self):
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            for n_theta, n_noise, floor in self.shapes(rng):
+                want = two_pass_bound(n_theta, n_noise, floor)
+                got = mac_bound(n_theta, n_noise, floor)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_read_only_inputs_are_left_alone(self):
+        rng = np.random.default_rng(61)
+        for args in self.shapes(rng):
+            args = [read_only(a) if np.ndim(a) else a for a in args]
+            before = [np.asarray(a).tobytes() for a in args]
+            got = mac_bound(*args)
+            assert [np.asarray(a).tobytes() for a in args] == before
+            assert np.asarray(got).tobytes() == np.asarray(two_pass_bound(*args)).tobytes()
+
+    def test_state_memo_arrays_go_in_as_they_are(self):
+        state = random_state(np.random.default_rng(62), L=4, K=2)
+        coh, floor = state_powers(state, 1)
+        assert not coh.flags.writeable and not floor.flags.writeable
+        saved = coh.tobytes(), floor.tobytes()
+        got = mac_bound(coh, coh[:, ::-1], floor[:, None])
+        assert got.tobytes() == two_pass_bound(coh, coh[:, ::-1], floor[:, None]).tobytes()
+        assert (coh.tobytes(), floor.tobytes()) == saved
+
+    def test_into_takes_over_a_float64_denominator_of_the_shape(self):
+        rng = np.random.default_rng(63)
+        n_theta, denom = rng.uniform(0.0, 1e3, 9), rng.uniform(1.0, 1e3, 9)
+        want = two_pass_bound(n_theta, denom, 0.0)
+        got = bounds.mac_bound_into(n_theta, denom)
+        assert got is denom and got.tobytes() == want.tobytes()
+        # a denominator of another shape or type is read, not written
+        for n_theta, denom in ((n_theta, rng.uniform(1.0, 1e3, 1)),
+                               (n_theta[:3], np.array([2, 3, 4])),
+                               (n_theta[:3], [2.0, 3.0, 4.0])):
+            saved = np.asarray(denom).tobytes()
+            got = bounds.mac_bound_into(n_theta, denom)
+            assert got is not denom and np.asarray(denom).tobytes() == saved
+            assert got.tobytes() == two_pass_bound(n_theta, denom, 0.0).tobytes()
+
+    def test_capacity_out(self):
+        snr = np.random.default_rng(64).uniform(0.0, 1e6, 50)
+        want = capacity(snr)
+        out = snr.copy()
+        assert capacity(out, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert type(capacity(3.0)) is np.float64
+
+
 @pytest.mark.parametrize("terms", [
     pytest.param(lambda state, j, i: power_terms(state, j, i, [0]), id="power_terms"),
     pytest.param(mu_coefficient, id="mu_coefficient"),

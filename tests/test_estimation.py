@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcmimo import ChannelState, SystemParams, estimation, mmse_coeffs
+from mcmimo import ChannelState, SystemParams, estimation, mmse_coeffs, preset_scenario
 
 from oracles import random_state
 
@@ -100,6 +100,26 @@ class TestChannelState:
         with pytest.raises(ValueError, match=r"^beta must have shape \(2, 1, 2\), "
                                              r"got \(300, 1, 300\)$"):
             ChannelState.from_beta(np.ones((300, 1, 300)), params)
+
+    def test_each_state_checks_its_fading_once(self, monkeypatch):
+        # from_beta and from_layout check beta in one pass; so does a direct
+        # construction
+        check, calls = estimation.check_fading, []
+
+        def spy(beta):
+            calls.append(beta.shape)
+            return check(beta)
+
+        monkeypatch.setattr(estimation, "check_fading", spy)
+        params = make_params(2, 1, rho_p=1.0)
+        state = ChannelState.from_beta(np.ones((2, 1, 2)), params)
+        assert calls == [(2, 1, 2)]
+        ChannelState(params=params, beta=state.beta, stats=state.stats)
+        assert calls == [(2, 1, 2)] * 2
+        scenario = preset_scenario("three-cell-theta")
+        calls.clear()
+        ChannelState.from_layout(scenario.layout(), scenario.params)
+        assert calls == [(3, scenario.params.K, 3)]
 
     def test_positivity_validation(self):
         beta = np.ones((2, 1, 2))

@@ -14,7 +14,8 @@ from mcmimo import (ChannelState, Polytope, SystemParams, bs_symmetric_rate, cap
 from mcmimo.bounds import noise_floor, state_powers
 
 from oracles import (cells, direct_bound, fading_states, random_state, ring_state,
-                     snd_member_three_cell, snd_member_two_cell, subset_sum)
+                     snd_member_three_cell, snd_member_two_cell, subset_sum,
+                     subset_sum_table)
 
 
 def rate_and_theta(state, scheme, j, i):
@@ -184,6 +185,54 @@ class TestSubsetSumTable:
             assert tin == (tin_rate(state, j, i), 1 << j)
             assert sd == rate_and_theta(state, "sd", j, i)
             assert ssnd == rate_and_theta(state, "ssnd", j, i)
+
+
+def two_pass_bounds(region, state, j, i):
+    """The bounds of a region's columns with a fresh array per step: the
+    spread N(omega^c), plus the floor, the divide, log1p and the scaling."""
+    sums = subset_sum_table(state_powers(state, i)[0][j])
+    noise = np.repeat(sums[((1 << state.L) - 1) ^ region.omega], np.diff(region.offsets))
+    return np.log1p(sums[region.theta] / (noise + noise_floor(state, j))) / math.log(2.0)
+
+
+class TestBoundArrays:
+    """An SD, S-SND or SND build holds two arrays of one float per
+    constraint, the theta sums and the denominators that become ``bound``,
+    with the bits of the two-pass formula."""
+
+    def test_snd_build_holds_two_arrays(self):
+        state = ring_state(np.random.default_rng(13), 10)
+        count = 2 * 3 ** 9 - 2 ** 9
+        snd_region(state, 0, 0)  # the cached columns and the state's sums table
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            region = snd_region(state, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(region.bound) == count
+        # the two arrays, plus per-part sums and counts (2^9 parts) and headers
+        assert peak <= 2 * 8 * count + 32 * 2 ** 10
+
+    @pytest.mark.parametrize("L", range(2, 13))
+    def test_ring_bounds_are_the_two_pass_bounds(self, L):
+        state = ring_state(np.random.default_rng(100 + L), L, K=2, M=3e4)
+        for j in range(L):
+            for i in range(state.K):
+                for build in (sd_region, ssnd_region, snd_region):
+                    region = build(state, j, i)
+                    want = two_pass_bounds(region, state, j, i)
+                    assert region.bound.tobytes() == want.tobytes()
+
+    @settings(max_examples=60)
+    @given(fading_states())
+    def test_tie_stack_bounds_are_the_two_pass_bounds(self, case):
+        state, i = case
+        for j in range(state.L):
+            for build in (sd_region, ssnd_region, snd_region):
+                region = build(state, j, i)
+                assert region.bound.tobytes() == two_pass_bounds(region, state, j, i).tobytes()
 
 
 class TestTinRegion:
