@@ -234,9 +234,11 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     are empirical variances of the estimation-error interference, other-user
     interference and noise contributions to the combiner output.
 
-    Requires at least 1000 trials for meaningful confidence, at most
-    ``MAX_TRIALS``, and an integer antenna count M >= 1 whose single trial
-    samples at most ``_BATCH_BYTES``; a state whose analytic terms overflow
+    Requires an integer ``trials`` of at least 1000 for meaningful
+    confidence and at most ``MAX_TRIALS``, a nonnegative integer ``seed``
+    (a fresh draw of OS entropy would break reproducibility), and an
+    integer antenna count M >= 1 whose single trial samples at most
+    ``_BATCH_BYTES``; a state whose analytic terms overflow
     is refused before any draw, as its sampled terms would.  Work is split into
     batches whose sizes depend only on (trials, K, L, M), each with an
     independently derived RNG stream, so the result depends only on ``seed``
@@ -248,6 +250,10 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     ``_BATCH_BYTES``, so a shape whose lane fills more than half of it runs
     on one lane, inline.
     """
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if trials < 1000:
         raise ValueError(
             f"need at least 1000 trials for statistical confidence, got {trials}")

@@ -146,12 +146,13 @@ class CellLayout:
 def pathloss(d, d0: float, alpha_pl: float):
     """Distance-based gain ``(d0 / d) ** alpha_pl``.
 
-    Accepts scalars or arrays.  Distances must be strictly positive.
+    Accepts scalars or arrays.  Distances must be strictly positive (not
+    NaN).
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise ValueError("pathloss requires strictly positive distances")
-    if d0 <= 0:
+    if not d0 > 0:
         raise ValueError("pathloss requires a strictly positive reference distance d0")
     out = _gain(d, d0, alpha_pl)
     return float(out) if out.ndim == 0 else out

@@ -14,11 +14,10 @@ Sweeps evaluate the four network symmetric rates on a grid and locate
 scheme-ordering changes and two-cell case transitions by bisection.  Every
 evaluation is one stacked call of :func:`~mcmimo.symrate.stacked_rates_only`
 (a sweep reads rates, not witness sets) over many axis values: the grid
-at once, then calls that each hold, for every open bracket, as many
-levels of its bisection tree as the grid length allows and the bisection
-path its margins predict, so a bracket whose prediction holds closes in
-one call.  An M sweep builds one channel state, scales its coherent
-powers by each M and reads its noise floors from the state's memo; a
+at once, then calls that each hold, for every open bracket, the
+bisection path its margins predict, so a bracket whose prediction holds
+closes in one call.  An M sweep builds one channel state, scales its
+coherent powers by each M and reads its noise floors from the state's memo; a
 radius or theta sweep builds its positions as arrays straight from the
 layout recipe, with the moving argument as a numpy array, and computes
 their fading and MMSE statistics in one pass.  Stacks are split into
@@ -432,20 +431,6 @@ class _Bracket:
         return back(min(max(t, to(lo)), to(hi)))
 
 
-def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    """Every midpoint that up to ``levels`` bisection steps from [lo, hi]
-    can visit: the nodes of its bisection tree of that depth whose
-    interval is still open."""
-    mids, todo = [], [(lo, hi, levels)]
-    while todo:
-        lo, hi, levels = todo.pop()
-        if levels and hi - lo > REL_TOL * (hi if hi > -lo else -lo):
-            mid = 0.5 * (lo + hi)
-            mids.append(mid)
-            todo += [(lo, mid, levels - 1), (mid, hi, levels - 1)]
-    return mids
-
-
 def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
     """Evaluate all scheme rates over a grid and locate transitions.
 
@@ -456,19 +441,17 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
     by bisection until the bracket shrinks below ``REL_TOL`` relative width.
 
     Each refinement call evaluates, in one stacked call, the values not yet
-    in the memo among two kinds of midpoints.  With n distinct open
-    brackets, the first kind is every midpoint of each bracket's depth-d
-    bisection tree whose interval is still open, for the most levels d
-    with n (2^d - 1) <= ``len(grid)`` (at least one).  The second is each
-    open bracket's predicted path: the midpoints that bisection visits if
-    the indicator flips where its margin is predicted to reach zero (see
-    ``_Bracket._zero``).  Then every bracket steps by the usual rule for as
-    long as the memo holds its next midpoint.  So each bracket visits the
-    midpoints that bisecting it alone would, and the thresholds equal
-    those of bisecting one bracket at a time; the prediction only chooses
-    which values share a call, and the tree moves each bracket at least d
-    levels per call.  The memo is seeded by the grid rows, so a midpoint
-    that several indicators visit is evaluated once.
+    in the memo on each open bracket's predicted path: the midpoints that
+    bisection visits if the indicator flips where its margin is predicted
+    to reach zero (see ``_Bracket._zero``).  Then every bracket steps by the
+    usual rule for as long as the memo holds its next midpoint.  So each
+    bracket visits the midpoints that bisecting it alone would, and the
+    thresholds equal those of bisecting one bracket at a time; the
+    prediction only chooses which values share a call.  A path starts at
+    its bracket's own midpoint, which an open bracket has not found in the
+    memo, so each call moves every open bracket at least one level.  The
+    memo is seeded by the grid rows, so a midpoint that several indicators
+    visit is evaluated once.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -511,14 +494,8 @@ def sweep(scenario: Scenario, axis: str, grid, pilot: int = 0) -> SweepResult:
     # no grid value lies inside a bracket, so this only drops closed ones
     active = [b for b in brackets if b.bisect(memo)]
     while active:
-        spans = {(b.lo, b.hi) for b in active}
-        # the most levels whose trees, 2^d - 1 nodes per span, fit in a
-        # stack as long as the grid
-        levels = max(1, (len(grid) // len(spans) + 1).bit_length() - 1)
-        new = {v for lo, hi in spans for v in _midpoints(lo, hi, levels)}
         evaluated = sorted(memo)
-        new.update(v for b in active for v in b.path(memo, evaluated))
-        fill(sorted(new.difference(memo)))
+        fill(sorted({v for b in active for v in b.path(memo, evaluated)}.difference(memo)))
         active = [b for b in active if b.bisect(memo)]
 
     thresholds = sorted((Crossing(name=b.name, before=b.labels[b.s_lo],

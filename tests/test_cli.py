@@ -799,9 +799,13 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 # order of the subset sums shows in the last bits.  TIN is left out there,
 # its interference sum once ran in numpy index order.
 RING = "ring6"
+# The "sweep" goldens move M; these move a geometry axis, whose layouts are
+# built as one stack: (axis, grid) per preset.
+GEOMETRY_SWEEPS = {"two-cell-scenario-b": ("radius_x", "130:240:25"),
+                   "three-cell-theta": ("theta", "0:180:25")}
 GOLDEN_CASES = [(p, k) for p in PRESET_NAMES for k in ("region", "sweep", "symrate")] + [
     (RING, "region"), (RING, "symrate"), ("three-cell-theta", "region-nats"),
-    (RING, "region-nats")]
+    (RING, "region-nats")] + [(p, f"sweep-{axis}") for p, (axis, _) in GEOMETRY_SWEEPS.items()]
 
 
 def golden_commands(preset: str, kind: str):
@@ -819,6 +823,9 @@ def golden_commands(preset: str, kind: str):
     if kind == "region":
         return [["region", *source, "--scheme", s, "--bs", str(bs)]
                 for bs in bss for s in schemes]
+    if kind.startswith("sweep-"):
+        axis, grid = GEOMETRY_SWEEPS[preset]
+        return [["sweep", *source, "--axis", axis, "--grid", grid]]
     return [["sweep", *source, "--axis", "M", "--grid", "1e3:1e7:25:log"]]
 
 

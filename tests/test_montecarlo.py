@@ -25,6 +25,10 @@ def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
     return ChannelState.from_beta(beta, params)
 
 
+def _never_drawn(*args, **kwargs):
+    raise AssertionError("sampled a run that should have been refused")
+
+
 class TestSampling:
     def test_complex_normal_shape_and_variance(self):
         z = complex_normal(np.random.default_rng(30), (4000, 3), var=2.0)
@@ -194,6 +198,27 @@ class TestEmpiricalDecomposition:
         state = small_state(M=8)
         with pytest.raises(ValueError, match="trials"):
             empirical_power_decomposition(state, 0, 0, {0}, trials=200, seed=1)
+
+    @pytest.mark.parametrize("trials", [2000.0, "2000", True, None])
+    def test_non_integer_trials_rejected(self, trials, monkeypatch):
+        monkeypatch.setattr(mc, "complex_normal", _never_drawn)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            empirical_power_decomposition(small_state(M=8), 0, 0, {0}, trials=trials,
+                                          seed=1)
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.0, "1", True, [1, 2]])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, monkeypatch):
+        # None would draw fresh OS entropy, so repeated calls would differ
+        monkeypatch.setattr(mc, "complex_normal", _never_drawn)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            empirical_power_decomposition(small_state(M=8), 0, 0, {0}, trials=2000,
+                                          seed=seed)
+
+    def test_numpy_integer_trials_and_seed_accepted(self):
+        state = small_state(M=8)
+        a = empirical_power_decomposition(state, 0, 0, {0}, trials=np.int64(1500),
+                                          seed=np.uint32(5))
+        assert a == empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
 
     def test_too_many_trials_rejected(self, monkeypatch):
         # rejected before the batch plan, whose list and seed streams would

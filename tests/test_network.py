@@ -32,14 +32,15 @@ class TestPathloss:
     def test_flat_for_zero_exponent(self):
         assert pathloss(123.0, 100.0, 0.0) == 1.0
 
-    @pytest.mark.parametrize("bad_d", [0.0, -5.0])
+    @pytest.mark.parametrize("bad_d", [0.0, -5.0, math.nan, [50.0, math.nan]])
     def test_nonpositive_distance_rejected(self, bad_d):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distances"):
             pathloss(bad_d, 100.0, 2.0)
 
-    def test_nonpositive_reference_rejected(self):
-        with pytest.raises(ValueError):
-            pathloss(100.0, 0.0, 2.0)
+    @pytest.mark.parametrize("bad_d0", [0.0, math.nan])
+    def test_nonpositive_reference_rejected(self, bad_d0):
+        with pytest.raises(ValueError, match="reference distance"):
+            pathloss(50.0, bad_d0, 2.0)
 
 
 class TestBuildFading:

@@ -303,15 +303,16 @@ class TestSweepEvaluations:
     def test_antenna_sweep_refines_the_shared_bracket_once(self, evaluated, stacks,
                                                             states):
         # 25 grid points, then the one bracket where all seven indicators
-        # flip: one call holds its 4-level tree (15 <= 25 values) and the
-        # predicted bisection path of each indicator, and resolves all seven
-        # over their 9 levels.  The tree alone took [25, 15, 15, 1] and 56
-        # values; refining each indicator on its own built 88 values.  Every
-        # value shares the one channel state of the scenario.
+        # flip: one call holds the predicted bisection path of each
+        # indicator, 18 distinct midpoints, and resolves all seven over
+        # their 9 levels.  A depth-4 bisection tree per call alone took
+        # [25, 15, 15, 1] and 56 values; refining each indicator on its own
+        # built 88 values.  Every value shares the one channel state of the
+        # scenario.
         result = sweep(preset_scenario("two-cell-scenario-a"), "M", M_GRID)
         assert len(result.thresholds) == 7
-        assert stacks == [25, 28]
-        assert len(evaluated) == 53
+        assert stacks == [25, 18]
+        assert len(evaluated) == 43
         assert len(states) == 1
 
     @pytest.mark.parametrize("preset, axis, grid", [
@@ -321,25 +322,25 @@ class TestSweepEvaluations:
         ("two-cell-scenario-b", "radius_x", [150.0, 231.0, 236.0, 249.0]),
         ("three-cell-theta", "theta", np.linspace(0.0, 180.0, 19)),
         ("three-cell-theta", "theta", [0.0, 20.0, 30.0, 100.0, 170.0])])
-    def test_refinement_calls_stack_the_tree_and_one_path_per_bracket(self, stacks, preset,
-                                                                      axis, grid):
-        # a call holds trees of at most len(grid) nodes together and one
-        # predicted path per open bracket, of at most `depth` midpoints
+    def test_refinement_calls_stack_one_path_per_bracket(self, stacks, preset, axis, grid):
+        # a call holds one predicted path per open bracket, of at most
+        # `depth` midpoints, and moves every open bracket at least one level
         result = sweep(preset_scenario(preset), axis, grid)
         assert result.thresholds
         assert stacks[0] == len(grid)
         assert len(stacks) > 1
         depth = max(_bisection_depth(lo, hi) for lo, hi in zip(grid, grid[1:]))
-        assert max(stacks[1:]) <= len(grid) + len(result.thresholds) * depth
+        assert max(stacks[1:]) <= len(result.thresholds) * depth
+        assert len(stacks) - 1 <= depth
 
     @pytest.mark.parametrize("preset, axis, grid, want", [
         ("two-cell-scenario-a", "M", [1e4, 1e5], [2, 30, 11]),
         ("two-cell-scenario-b", "radius_x", [200.0, 250.0], [2, 21, 1])])
     def test_two_point_grid_follows_the_predicted_paths(self, stacks, preset, axis, grid,
                                                         want):
-        # 1 * (2^d - 1) <= 2 only for d = 1, so the tree alone takes one
-        # midpoint per call, `levels` calls for the case bracket; the
-        # predicted paths of the seven brackets resolve them in two calls
+        # bisecting the case bracket takes `levels` midpoints, one call each
+        # if a call held only the next midpoint; the predicted paths of the
+        # seven brackets resolve them in two calls
         result = sweep(preset_scenario(preset), axis, grid)
         (case,) = [c for c in result.thresholds if c.name == "case"]
         lo, hi = grid
