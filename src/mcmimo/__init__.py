@@ -9,12 +9,12 @@ from .estimation import ChannelState, EstimationStats, mmse_coeffs
 from .montecarlo import empirical_power_decomposition
 from .network import (CellLayout, SystemParams, build_fading, pathloss,
                       three_cell_layout, two_cell_layout)
-from .regions import (Polytope, RegionFamily, max_symmetric_rate, sd_region, snd_region,
-                      ssnd_region, tin_region)
+from .regions import (RegionFamily, max_symmetric_rate, sd_region, snd_region, ssnd_region,
+                      tin_rate, tin_region)
 from .scenarios import (PRESET_NAMES, Scenario, SweepResult, classify_two_cell,
                         preset_scenario, sweep, two_cell_ordering_check)
 from .symrate import (BsSymRate, SymRateReport, bs_symmetric_rate, low_sinr_decode_set,
-                      network_symmetric_rate, symmetric_rates, tin_rate)
+                      network_symmetric_rate, symmetric_rates)
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "EstimationStats", "ChannelState", "mmse_coeffs",
     "PowerDecomposition", "capacity", "power_terms", "tin_rate",
     "tin_rate_asymptotic", "mu_coefficient",
-    "Polytope", "RegionFamily", "tin_region", "sd_region", "ssnd_region",
+    "RegionFamily", "tin_region", "sd_region", "ssnd_region",
     "snd_region",
     "SCHEMES", "BsSymRate", "SymRateReport", "max_symmetric_rate",
     "bs_symmetric_rate", "low_sinr_decode_set", "network_symmetric_rate",

@@ -1,40 +1,39 @@
 """Achievable rate regions at one BS: TIN, SD, S-SND polytopes and the SND
 union of MAC polytopes.
 
-A :class:`Polytope` is a set of subset-sum constraints over the L co-pilot
-user rates; coordinates that appear in no constraint are unbounded.  The SND
-region is a union of one MAC polytope per decoded set ``omega`` containing
-the own cell; users outside ``omega`` enter the bounds as noise and their
-rate coordinates are unconstrained within that part.
+A :class:`RegionFamily` is the one region type.  Each part is a set of
+subset-sum constraints over the L co-pilot user rates; coordinates that
+appear in no constraint of a part are unbounded in it.  The SND region is
+a union of one MAC polytope per decoded set ``omega`` containing the own
+cell; users outside ``omega`` enter the bounds as noise and their rate
+coordinates are unconstrained within that part.  The parts are held as
+flat columns, ``parts`` views each as a one-part region, and
+:func:`max_symmetric_rate` reads the columns with array operations.
+Cell sets are int bitmasks (bit l stands for cell l), as in the CSV
+output, and N of a mask is summed as :mod:`~mcmimo.bounds` states.
 
-A :class:`RegionFamily` holds its parts as flat columns, and ``parts`` is
-their view as validated polytopes, which :func:`max_symmetric_rate`
-reads.  Cell sets are int bitmasks (bit l stands for cell l), as in the
-CSV output, and N of a mask is summed as :mod:`~mcmimo.bounds` states.
-The TIN region is one bound; the SD, S-SND and SND builders refuse a
-region of more than ``MAX_CONSTRAINTS`` constraints before allocating it.
-Which (theta, omega) pairs a region holds depends only on its scheme, L
-and BS (SD: on L alone), so its ``omega``, ``offsets`` and ``theta``
-columns are built once and kept, read-only and shared by every region of
-that key, in a least-recently-used cache that holds at most
-``MAX_CONSTRAINTS`` constraints in total; ``_columns.cache_info()`` counts
-its hits and misses.  Each build then reads every bound off one table of
-the subset sums of all 2^L masks with one vectorized
-:func:`~mcmimo.bounds.mac_bound_into` call; the state's memo keeps the last
-table in one slot, so the regions at one (BS, pilot) form it once and a
-state holds one table at most (8 MiB at the SD limit L = 20).  Regions
-are immutable after construction and membership queries are read-only.
+The TIN region is one bound, :func:`tin_rate`; the SD, S-SND and SND
+builders refuse a region of more than ``MAX_CONSTRAINTS`` constraints
+before allocating it.  Which (theta, omega) pairs a region holds depends
+only on its scheme, L and BS (SD: on L alone), so its ``omega``,
+``offsets`` and ``theta`` columns are built once and kept, read-only and
+shared by every region of that key, in a least-recently-used cache that
+holds at most ``MAX_CONSTRAINTS`` constraints in total;
+``_columns.cache_info()`` counts its hits and misses.  Each build then
+reads every bound off one table of the subset sums of all 2^L masks with
+one vectorized :func:`~mcmimo.bounds.mac_bound_into` call; the state's
+memo keeps the last table in one slot, so the regions at one (BS, pilot)
+form it once and a state holds one table at most (8 MiB at the SD limit
+L = 20).  Regions are immutable after construction and membership
+queries are read-only.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import lt
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +44,9 @@ from .estimation import ChannelState
 
 __all__ = [
     "MAX_CONSTRAINTS",
-    "Polytope",
     "RegionFamily",
     "max_symmetric_rate",
+    "tin_rate",
     "tin_region",
     "sd_region",
     "ssnd_region",
@@ -76,73 +75,16 @@ def _mask_sums(values, masks) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class Polytope:
-    """Rates R >= 0 with sum_{l in mask} R_l <= bound for each constraint.
-
-    ``constraints`` holds ``(mask, bound)`` pairs: a nonzero int bitmask of
-    cells below ``2**dim`` and a nonnegative rate bound.  Masks must be
-    distinct; they are stored sorted by (cardinality, mask).  Missing subsets
-    are unbounded.
-    """
-
-    dim: int
-    constraints: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        # C-level passes over the whole sequence: a part of an SND region can
-        # hold thousands of constraints.
-        cons = tuple(self.constraints)
-        try:
-            table = dict(cons)
-        except (TypeError, ValueError):
-            raise ValueError("each constraint must be a (mask, bound) pair") from None
-        if len(table) != len(cons):
-            raise ValueError("duplicate constraint mask")
-        try:
-            by_mask = sorted(table)
-            order = sorted(by_mask, key=int.bit_count)  # (cardinality, mask) order
-        except TypeError:
-            raise TypeError("constraint masks must be int bitmasks") from None
-        if by_mask and by_mask[0] == 0:
-            raise ValueError("constraint masks must be nonempty")
-        if by_mask and (by_mask[0] < 0 or by_mask[-1] >> self.dim):
-            raise ValueError(f"constraint mask out of range for dim {self.dim}")
-        if any(map(lt, table.values(), repeat(0))):
-            raise ValueError("constraint bounds must be nonnegative")
-        if order != list(table):
-            cons = tuple(zip(order, map(table.__getitem__, order)))
-        object.__setattr__(self, "constraints", cons)
-
-    def contains(self, point: Sequence[float]) -> bool:
-        rates = _rate_point(point, self.dim)
-        masks = np.array([mask for mask, _ in self.constraints], dtype=object)
-        return not (_mask_sums(rates, masks) > [bound for _, bound in self.constraints]).any()
-
-
-def max_symmetric_rate(poly: Polytope) -> tuple[float, int]:
-    """Largest R with (R, ..., R) in the polytope, and the binding mask: the
-    first constraint attaining the least bound / |mask|, which is the
-    smaller set on ties since constraints are kept in (cardinality, mask)
-    order."""
-    if not poly.constraints:
-        raise ValueError("polytope has no constraints; the symmetric rate is unbounded")
-    best, best_theta = math.inf, 0
-    for theta, bound in poly.constraints:
-        val = bound / theta.bit_count()
-        if val < best:
-            best, best_theta = val, theta
-    return best, best_theta
-
-
 @dataclass(frozen=True, eq=False)
 class RegionFamily:
     """A per-BS achievable region: one polytope, or a union of them for SND.
 
-    Part p decodes the cell set ``omega[p]`` and has the constraints
+    Part p decodes the cell set ``omega[p]`` and holds the rates R >= 0
+    with sum_{l in theta} R_l <= bound for each of its rows
     ``offsets[p]:offsets[p + 1]`` of the read-only ``theta`` and ``bound``
-    columns, in (cardinality, mask) order.  For SND the union runs over
-    every decoded set containing the own cell.
+    columns, which are in (cardinality, mask) order.  Every part holds at
+    least one row.  For SND the union runs over every decoded set
+    containing the own cell.
     """
 
     kind: str
@@ -159,15 +101,27 @@ class RegionFamily:
             raise ValueError("offsets must hold one entry per part plus one")
         if self.kind != "snd" and len(self.omega) != 1:
             raise ValueError(f"{self.kind} region must have exactly one part")
+        if len(self.bound) != len(self.theta):
+            raise ValueError("bound must hold one entry per theta")
+        if self.offsets[0] != 0 or self.offsets[-1] != len(self.theta):
+            raise ValueError("offsets must run from 0 to the number of constraints")
+        if (np.diff(self.offsets) <= 0).any():
+            raise ValueError("offsets must increase strictly: every part holds a constraint")
         for column in (self.omega, self.offsets, self.theta, self.bound):
             column.flags.writeable = False
 
     @cached_property
-    def parts(self) -> tuple[Polytope, ...]:
-        """The parts as :class:`Polytope` objects, built on first access."""
-        pairs = list(zip(self.theta.tolist(), self.bound.tolist()))
+    def parts(self) -> tuple[RegionFamily, ...]:
+        """Each part as a one-part region over views of these columns."""
         ends = self.offsets.tolist()
-        return tuple(Polytope(self.dim, tuple(pairs[a:b])) for a, b in zip(ends, ends[1:]))
+        return tuple(RegionFamily(self.kind, self.dim, self.omega[p:p + 1],
+                                  np.array([0, b - a]), self.theta[a:b], self.bound[a:b])
+                     for p, (a, b) in enumerate(zip(ends, ends[1:])))
+
+    @property
+    def constraints(self) -> tuple[tuple[int, float], ...]:
+        """The ``(theta, bound)`` rows of every part, as Python ints and floats."""
+        return tuple(zip(self.theta.tolist(), self.bound.tolist()))
 
     def contains(self, point: Sequence[float]) -> bool:
         """Whether some part holds the point.  The theta sums are
@@ -176,6 +130,20 @@ class RegionFamily:
         total = _mask_sums(_rate_point(point, self.dim), self.theta)
         broken = np.logical_or.reduceat(total > self.bound, self.offsets[:-1])
         return not broken.all()
+
+
+def max_symmetric_rate(region: RegionFamily) -> tuple[float, int]:
+    """Largest R with (R, ..., R) in the region, and its binding theta.
+
+    Each part's rate is its least bound / |theta|, and its binding theta the
+    first attaining it in (cardinality, mask) order; the region's rate is
+    the largest part rate, with the theta of the first part attaining it.
+    """
+    per = region.bound / _mask_sums(np.ones(region.dim), region.theta)
+    least = np.minimum.reduceat(per, region.offsets[:-1])
+    p = int(np.argmax(least))
+    a, b = region.offsets[p:p + 2]
+    return float(least[p]), int(region.theta[a + np.argmin(per[a:b])])
 
 
 def _check(kind: str, state: ChannelState, j: int, i: int, count: int) -> None:
@@ -308,13 +276,20 @@ def _region(kind: str, state: ChannelState, j: int, i: int) -> RegionFamily:
 
 def tin_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     """Own-rate box: only the own user is decoded, others are noise.  Its one
-    bound is :func:`~mcmimo.symrate.tin_rate` to the bit, with no solve."""
+    bound is the symmetric-rate kernel's TIN rate to the bit, with no solve."""
     check_indices(state, j, i)
     coh = state_powers(state, i)[0][j]
     own = np.array([1 << j], dtype=np.int64 if state.L < 64 else object)
     rate = mac_bound(coh[[j]], _mask_sums(coh, ((1 << state.L) - 1) ^ own),
                      noise_floor(state, j))
     return RegionFamily("tin", state.L, own, np.array([0, 1]), own, rate)
+
+
+def tin_rate(state: ChannelState, j: int, i: int) -> float:
+    """Rate when BS j decodes only its own user and treats the co-pilot
+    interference (whose combined power also grows with M) as noise: the one
+    bound of :func:`tin_region`."""
+    return float(tin_region(state, j, i).bound[0])
 
 
 def sd_region(state: ChannelState, j: int, i: int) -> RegionFamily:

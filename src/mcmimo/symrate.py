@@ -21,10 +21,10 @@ L + 1 decoded sets, and each scheme reads its rate off that family:
 :func:`symmetric_rates` is the kernel on every BS of one state under all
 four schemes; the state keeps its reports in its memo, so each (state,
 pilot) is solved once.  The per-scheme and per-BS functions
-(:func:`network_symmetric_rate`, :func:`bs_symmetric_rate` and
-:func:`tin_rate`) read those reports, so a one-BS request pays for the
-whole state once.  Every sum of coherent powers adds the cells in the one
-order that :mod:`~mcmimo.bounds` states, and every bound is one
+(:func:`network_symmetric_rate` and :func:`bs_symmetric_rate`) read those
+reports, so a one-BS request pays for the whole state once.  Every sum
+of coherent powers adds the cells in the one order that
+:mod:`~mcmimo.bounds` states, and every bound is one
 :func:`~mcmimo.bounds.mac_bound`, so a solver's rate equals the value of
 the matching region to the bit, and a stacked row equals the same row
 solved alone.
@@ -61,7 +61,6 @@ __all__ = [
     "low_sinr_decode_set",
     "symmetric_rates",
     "bs_symmetric_rate",
-    "tin_rate",
     "network_symmetric_rate",
 ]
 
@@ -315,12 +314,6 @@ def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0) -> B
     _check_scheme(scheme)
     check_bs(state, j)
     return symmetric_rates(state, i)[scheme].per_bs[j]
-
-
-def tin_rate(state: ChannelState, j: int, i: int) -> float:
-    """Rate when BS j decodes only its own user and treats the co-pilot
-    interference (whose combined power also grows with M) as noise."""
-    return bs_symmetric_rate(state, "tin", j, i).rate
 
 
 def network_symmetric_rate(state: ChannelState, scheme: str, i: int = 0) -> SymRateReport:

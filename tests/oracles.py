@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check fast paths.
 
 Everything here deliberately avoids the production shortcuts: symmetric
-rates come from exhaustive subset enumeration or bisection on membership,
+rates come from exhaustive subset enumeration, bisection on membership or
+a scalar loop over the constraints of a validated :class:`Polytope`,
 union-region membership comes from the explicit two- and three-cell
 inequality systems rather than the part-by-part union construction, and the
 Monte Carlo references sample every BS's links rather than only BS j's, or
@@ -9,17 +10,22 @@ draw a whole batch's noise at once rather than through a small scratch.
 """
 
 import math
-from itertools import combinations
+from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, repeat
+from operator import lt, or_
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from mcmimo import (SCHEMES, CellLayout, ChannelState, SystemParams, classify_two_cell,
-                    network_symmetric_rate)
+from mcmimo import (SCHEMES, CellLayout, ChannelState, RegionFamily, SystemParams,
+                    classify_two_cell, network_symmetric_rate)
 from mcmimo.bounds import capacity, coherent_power, noise_floor
 from mcmimo.scenarios import EQ_RTOL, REL_TOL, Crossing, SweepRow
 from mcmimo.estimation import EstimationStats
 from mcmimo.montecarlo import _TrialStats, complex_normal
+from mcmimo.regions import _mask_sums, _rate_point
 
 
 def direct_bound(state: ChannelState, j: int, i: int, theta, omega) -> float:
@@ -342,6 +348,76 @@ def subset_sum_table(values: np.ndarray) -> np.ndarray:
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
     return sums
+
+
+@dataclass(frozen=True)
+class Polytope:
+    """Rates R >= 0 with sum_{l in mask} R_l <= bound for each constraint.
+
+    ``constraints`` holds ``(mask, bound)`` pairs: a nonzero int bitmask of
+    cells below ``2**dim`` and a nonnegative rate bound.  Masks must be
+    distinct; they are stored sorted by (cardinality, mask).  Missing subsets
+    are unbounded.
+    """
+
+    dim: int
+    constraints: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        # C-level passes over the whole sequence: a part of an SND region can
+        # hold thousands of constraints.
+        cons = tuple(self.constraints)
+        try:
+            table = dict(cons)
+        except (TypeError, ValueError):
+            raise ValueError("each constraint must be a (mask, bound) pair") from None
+        if len(table) != len(cons):
+            raise ValueError("duplicate constraint mask")
+        try:
+            by_mask = sorted(table)
+            order = sorted(by_mask, key=int.bit_count)  # (cardinality, mask) order
+        except TypeError:
+            raise TypeError("constraint masks must be int bitmasks") from None
+        if by_mask and by_mask[0] == 0:
+            raise ValueError("constraint masks must be nonempty")
+        if by_mask and (by_mask[0] < 0 or by_mask[-1] >> self.dim):
+            raise ValueError(f"constraint mask out of range for dim {self.dim}")
+        if any(map(lt, table.values(), repeat(0))):
+            raise ValueError("constraint bounds must be nonnegative")
+        if order != list(table):
+            cons = tuple(zip(order, map(table.__getitem__, order)))
+        object.__setattr__(self, "constraints", cons)
+
+    def contains(self, point: Sequence[float]) -> bool:
+        rates = _rate_point(point, self.dim)
+        masks = np.array([mask for mask, _ in self.constraints], dtype=object)
+        return not (_mask_sums(rates, masks) > [bound for _, bound in self.constraints]).any()
+
+
+def polytope_symmetric_rate(poly: Polytope) -> tuple[float, int]:
+    """Largest R with (R, ..., R) in the polytope, and the binding mask: the
+    first constraint attaining the least bound / |mask|, which is the
+    smaller set on ties since constraints are kept in (cardinality, mask)
+    order."""
+    if not poly.constraints:
+        raise ValueError("polytope has no constraints; the symmetric rate is unbounded")
+    best, best_theta = math.inf, 0
+    for theta, bound in poly.constraints:
+        val = bound / theta.bit_count()
+        if val < best:
+            best, best_theta = val, theta
+    return best, best_theta
+
+
+def region_of(dim: int, parts) -> RegionFamily:
+    """A region whose part p holds the ``(mask, bound)`` pairs ``parts[p]``
+    in the given order, decoding the union of its masks."""
+    pairs = [pair for part in parts for pair in part]
+    return RegionFamily(
+        "snd", dim, np.array([reduce(or_, (mask for mask, _ in part), 0) for part in parts]),
+        np.cumsum([0] + [len(part) for part in parts]),
+        np.array([mask for mask, _ in pairs], dtype=np.int64 if dim < 64 else object),
+        np.array([bound for _, bound in pairs], dtype=float))
 
 
 def exhaustive_snd(state: ChannelState, j: int, i: int):

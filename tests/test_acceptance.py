@@ -9,15 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from mcmimo import (ChannelState, Polytope, SystemParams, max_symmetric_rate,
+from mcmimo import (ChannelState, SystemParams, max_symmetric_rate,
                     mu_coefficient, network_symmetric_rate, power_terms,
                     preset_scenario, sweep, tin_rate,
                     tin_rate_asymptotic, two_cell_layout)
 from mcmimo.montecarlo import empirical_power_decomposition
 from mcmimo.symrate import bs_symmetric_rate, low_sinr_decode_set
 
-from oracles import (brute_force_sd, brute_force_ssnd, diagonal_rate_bisection,
-                     direct_bound, random_state, restricted_average_argmin)
+from oracles import (Polytope, brute_force_sd, brute_force_ssnd, diagonal_rate_bisection,
+                     direct_bound, random_state, region_of, restricted_average_argmin)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -164,7 +164,7 @@ def test_criterion_09_polytope_rate_matches_diagonal_bisection():
         masks = rng.choice(np.arange(1, 2 ** L), size=n_cons, replace=False)
         cons = tuple((int(m), float(rng.uniform(0.05, 8.0))) for m in masks)
         poly = Polytope(L, cons)
-        rate, _ = max_symmetric_rate(poly)
+        rate, _ = max_symmetric_rate(region_of(L, [poly.constraints]))
         oracle = diagonal_rate_bisection(poly, L, hi=16.0)
         worst = max(worst, abs(rate - oracle) / max(oracle, 1e-30))
     ok = worst < 1e-6

@@ -2,20 +2,23 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import (ChannelState, Polytope, SystemParams, bs_symmetric_rate, capacity,
-                    max_symmetric_rate, preset_scenario, regions, sd_region, snd_region,
-                    ssnd_region, symrate, tin_rate, tin_region)
+from mcmimo import (SCHEMES, ChannelState, RegionFamily, SystemParams, bs_symmetric_rate,
+                    capacity, max_symmetric_rate, preset_scenario, regions, sd_region,
+                    snd_region, ssnd_region, symrate, tin_rate, tin_region)
 from mcmimo.bounds import noise_floor, state_powers
 
-from oracles import (cells, direct_bound, fading_states, random_state, ring_state,
-                     snd_member_three_cell, snd_member_two_cell, subset_sum,
-                     subset_sum_table)
+from oracles import (Polytope, cells, direct_bound, fading_states, polytope_symmetric_rate,
+                     random_state, region_of, ring_state, snd_member_three_cell,
+                     snd_member_two_cell, subset_sum, subset_sum_table)
+
+BUILDERS = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region, "snd": snd_region}
 
 
 def rate_and_theta(state, scheme, j, i):
@@ -153,17 +156,17 @@ class TestSubsetSumTable:
             j = int(rng.integers(state.L))
             snd = snd_region(state, j, 0)
             full = snd.omega.tolist().index((1 << state.L) - 1)
-            assert snd.parts[full] == sd_region(state, j, 0).parts[0]
-            assert tin_region(state, j, 0).parts[0] == snd.parts[0]  # omega = {j}
+            assert snd.parts[full].constraints == sd_region(state, j, 0).constraints
+            assert tin_region(state, j, 0).constraints == snd.parts[0].constraints  # {j}
 
     def test_polytope_rates_equal_the_fast_solvers(self):
         rng = np.random.default_rng(40)
         for _ in range(100):
             state = random_state(rng, L=int(rng.integers(1, 8)))
             j = int(rng.integers(state.L))
-            assert max_symmetric_rate(sd_region(state, j, 0).parts[0]) == \
+            assert max_symmetric_rate(sd_region(state, j, 0)) == \
                 rate_and_theta(state, "sd", j, 0)
-            assert max_symmetric_rate(ssnd_region(state, j, 0).parts[0]) == \
+            assert max_symmetric_rate(ssnd_region(state, j, 0)) == \
                 rate_and_theta(state, "ssnd", j, 0)
 
     @settings(max_examples=60)
@@ -181,10 +184,13 @@ class TestSubsetSumTable:
                     for theta, bound in part.constraints:
                         want = direct_bound(state, j, i, cells(theta), cells(omega))
                         assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
-            tin, sd, ssnd = (max_symmetric_rate(r.parts[0]) for r in regions[:3])
-            assert tin == (tin_rate(state, j, i), 1 << j)
-            assert sd == rate_and_theta(state, "sd", j, i)
-            assert ssnd == rate_and_theta(state, "ssnd", j, i)
+            assert max_symmetric_rate(regions[0]) == (tin_rate(state, j, i), 1 << j)
+            for region in regions:
+                rate, theta = max_symmetric_rate(region)
+                want_rate, want_theta = rate_and_theta(state, region.kind, j, i)
+                assert rate == want_rate
+                if region.kind != "snd":  # SND's omega ties may bind another theta
+                    assert theta == want_theta
 
 
 def two_pass_bounds(region, state, j, i):
@@ -248,14 +254,18 @@ class TestTinRegion:
                 region = tin_region(state, j, i)
                 assert region.theta.dtype == (np.int64 if L < 64 else object)
                 assert region.theta.tolist() == region.omega.tolist() == [1 << j]
-                assert float(region.bound[0]) == tin_rate(state, j, i)
+                want = bs_symmetric_rate(state, "tin", j, i).rate
+                assert float(region.bound[0]) == want
+                assert tin_rate(state, j, i) == want
 
     @settings(max_examples=60)
     @given(fading_states(max_cells=10))
     def test_bound_is_the_tin_rate_on_tie_stacks(self, case):
         state, i = case
         for j in range(state.L):
-            assert float(tin_region(state, j, i).bound[0]) == tin_rate(state, j, i)
+            want = bs_symmetric_rate(state, "tin", j, i).rate
+            assert float(tin_region(state, j, i).bound[0]) == want
+            assert tin_rate(state, j, i) == want
 
     def test_large_ring_never_runs_the_kernel(self, monkeypatch):
         def fail(*args):
@@ -271,6 +281,7 @@ class TestTinRegion:
             region = tin_region(state, j, 0)
             assert region.theta.tolist() == [1 << j]
             assert region.bound.tolist() == [want]
+            assert tin_rate(state, j, 0) == want
 
     def test_errors_are_the_tin_rate_errors(self):
         state = random_state(np.random.default_rng(6), L=3, K=2)
@@ -283,10 +294,12 @@ class TestTinRegion:
         messages = []
         for case in cases + [(big_coh, 0, 0), (big_floor, 1, 0)]:
             with pytest.raises(ValueError) as want:
-                tin_rate(*case)
+                bs_symmetric_rate(case[0], "tin", *case[1:])
             with pytest.raises(ValueError) as got:
                 tin_region(*case)
-            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError) as wrapped:
+                tin_rate(*case)
+            assert str(got.value) == str(wrapped.value) == str(want.value)
             messages.append(str(got.value))
         assert messages[4] == "BS index 3 out of range for L=3"
         assert messages[-2].startswith("coherent power")
@@ -467,8 +480,9 @@ class TestSndUnionAgainstExplicitConditions:
 
 
 class TestColumns:
-    """The columns against direct evaluation, the ``parts`` view against the
-    validating constructor, and column membership against the parts."""
+    """The columns against direct evaluation, the ``parts`` views and the
+    symmetric rate against the oracle's validated polytopes, and column
+    membership against the parts."""
 
     @settings(max_examples=40)
     @given(fading_states(), st.data())
@@ -488,9 +502,13 @@ class TestColumns:
                     assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
                 rebuilt.append(Polytope(state.L, tuple(pairs)))
                 assert rebuilt[-1].constraints == tuple(pairs)  # already in order
-            assert region.parts == tuple(rebuilt)
+            assert [part.constraints for part in region.parts] == \
+                [poly.constraints for poly in rebuilt]
+            assert region.constraints == sum((poly.constraints for poly in rebuilt), ())
 
-            rate = max(max_symmetric_rate(part)[0] for part in region.parts)
+            rate, theta = max_symmetric_rate(region)
+            assert (rate, theta) == max(map(polytope_symmetric_rate, rebuilt),
+                                        key=itemgetter(0))
             points = list(rng.uniform(0.0, 1.5 * region.bound.max(), (20, state.L)))
             points += [np.full(state.L, r) for r in
                        (rate, np.nextafter(rate, 0.0), np.nextafter(rate, np.inf))]
@@ -503,6 +521,74 @@ class TestColumns:
             for point in points:
                 assert region.contains(point) == \
                     any(part.contains(point) for part in region.parts)
+
+
+@st.composite
+def tied_parts(draw):
+    """A dimension and parts of distinct (mask, bound) rows in (cardinality,
+    mask) order.  Most bounds are a few levels times |mask|, so bound /
+    |mask| ties exactly within and across parts; dimensions of 60 and up
+    reach object-dtype masks."""
+    dim = draw(st.one_of(st.integers(1, 6), st.integers(60, 70)))
+    level = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 10.0))
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        masks = draw(st.sets(st.integers(1, (1 << dim) - 1), min_size=1, max_size=12))
+        masks = sorted(masks, key=lambda mask: (mask.bit_count(), mask))
+        parts.append(tuple((mask, draw(level) * mask.bit_count()) for mask in masks))
+    return dim, parts
+
+
+class TestMaxSymmetricRate:
+    """The array rate of a region is the solver's rate to the bit, and the
+    oracle's loop over validated polytopes in both rate and theta."""
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_ring_rates_are_the_solver_rates(self, L):
+        for M in (1e2, 3e4, 1e7):
+            state = ring_state(np.random.default_rng(200 + L), L, K=2, M=M)
+            for j in range(L):
+                for i in range(state.K):
+                    for scheme in SCHEMES:
+                        rate, theta = max_symmetric_rate(BUILDERS[scheme](state, j, i))
+                        want_rate, want_theta = rate_and_theta(state, scheme, j, i)
+                        assert rate == want_rate
+                        if scheme != "snd":
+                            assert theta == want_theta
+
+    @settings(max_examples=200)
+    @given(tied_parts())
+    def test_equals_the_polytope_loop_on_tied_columns(self, case):
+        dim, parts = case
+        region = region_of(dim, parts)
+        polys = [Polytope(dim, part) for part in parts]
+        per_part = [polytope_symmetric_rate(poly) for poly in polys]
+        assert [max_symmetric_rate(part) for part in region.parts] == per_part
+        assert max_symmetric_rate(region) == max(per_part, key=itemgetter(0))
+        assert [part.constraints for part in region.parts] == [p.constraints for p in polys]
+
+
+def malformed(omega, offsets, theta, bound):
+    return RegionFamily("snd", 2, np.array(omega), np.array(offsets), np.array(theta),
+                        np.array(bound, dtype=float))
+
+
+@pytest.mark.parametrize("omega, offsets, theta, bound, match", [
+    ([1, 3], [1, 2, 3], [1, 1, 3], [0.5, 0.5, 0.5], "run from 0"),
+    ([1, 3], [0, 1, 2], [1, 1, 3], [0.5, 0.5, 0.5], "run from 0"),
+    ([1, 3], [0, 1, 4], [1, 1, 3], [0.5, 0.5, 0.5], "run from 0"),
+    ([1, 3, 3], [0, 1, 1, 2], [1, 1], [0.5, 0.5], "increase strictly"),  # an empty part
+    ([1, 3, 3], [0, 2, 1, 3], [1, 1, 3], [0.5, 0.5, 0.5], "increase strictly"),
+    ([1, 3], [0, 1, 3], [1, 1, 3], [0.5, 0.5], "one entry per theta"),
+    ([1, 3], [0, 1, 3], [1, 1, 3], [0.5, 0.5, 0.5, 0.5], "one entry per theta"),
+])
+def test_malformed_columns_rejected(omega, offsets, theta, bound, match):
+    with pytest.raises(ValueError, match=match):
+        malformed(omega, offsets, theta, bound)
+    # the same columns once well formed
+    n = len(theta)
+    region = malformed(omega[:2], [0, 1, n], theta, [0.5] * n)
+    assert len(region.parts) == 2 and region.contains([0.25, 0.25])
 
 
 def column_digest(region):

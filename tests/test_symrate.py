@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, Polytope, SystemParams, capacity,
+from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
                     network_symmetric_rate, preset_scenario, sd_region, snd_region,
                     ssnd_region, sweep, symmetric_rates, tin_rate, tin_region,
@@ -18,9 +18,10 @@ from mcmimo.bounds import coherent_powers, noise_floors
 from mcmimo import symrate
 from mcmimo.symrate import bs_symmetric_rate, stacked_rates
 
-from oracles import (brute_force_sd, brute_force_snd, brute_force_ssnd, cells,
+from oracles import (Polytope, brute_force_sd, brute_force_snd, brute_force_ssnd, cells,
                      diagonal_rate_bisection, direct_bound, exhaustive_snd, fading_states,
-                     mask_of, random_state, restricted_average_argmin, ring_state)
+                     mask_of, polytope_symmetric_rate, random_state, region_of,
+                     restricted_average_argmin, ring_state)
 
 
 def low_sinr_state(rng, L, K=1):
@@ -34,21 +35,28 @@ def low_sinr_state(rng, L, K=1):
 
 
 class TestMaxSymmetricPolytope:
+    """The array rate of a one-part region against the oracle's loop over
+    the same constraints."""
+
     def test_pair_bound_binds(self):
-        poly = Polytope(2, ((0b01, 1.0), (0b10, 1.0), (0b11, 1.5)))
-        rate, subset = max_symmetric_rate(poly)
+        cons = ((0b01, 1.0), (0b10, 1.0), (0b11, 1.5))
+        rate, subset = max_symmetric_rate(region_of(2, [cons]))
         assert rate == pytest.approx(0.75, rel=1e-15)
         assert subset == 0b11
+        assert polytope_symmetric_rate(Polytope(2, cons)) == (rate, subset)
 
     def test_singleton_binds(self):
         poly = Polytope(2, ((0b10, 1.0), (0b11, 3.0), (0b01, 1.0)))
-        rate, subset = max_symmetric_rate(poly)
+        rate, subset = max_symmetric_rate(region_of(2, [poly.constraints]))
         assert rate == pytest.approx(1.0, rel=1e-15)
         assert subset == 0b01  # cardinality then bitmask tie-break
+        assert polytope_symmetric_rate(poly) == (rate, subset)
 
     def test_empty_polytope_rejected(self):
         with pytest.raises(ValueError, match="constraint"):
-            max_symmetric_rate(Polytope(2, ()))
+            region_of(2, [()])
+        with pytest.raises(ValueError, match="constraint"):
+            polytope_symmetric_rate(Polytope(2, ()))
 
     def test_matches_diagonal_bisection_on_random_polytopes(self):
         rng = np.random.default_rng(51)
@@ -58,7 +66,7 @@ class TestMaxSymmetricPolytope:
             masks = rng.choice(np.arange(1, 2 ** L), size=n_cons, replace=False)
             cons = tuple((int(m), float(rng.uniform(0.1, 5.0))) for m in masks)
             poly = Polytope(L, cons)
-            rate, _ = max_symmetric_rate(poly)
+            rate, _ = max_symmetric_rate(region_of(L, [poly.constraints]))
             oracle = diagonal_rate_bisection(poly, L, hi=10.0)
             assert rate == pytest.approx(oracle, rel=1e-6)
 
