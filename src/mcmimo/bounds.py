@@ -19,10 +19,12 @@ omega = all cells, S-SND has omega = all cells and theta containing j, and
 SND takes any omega containing j; ``SCHEMES`` lists them in array order.
 Cell sets are int bitmasks (bit l stands for cell l).  N of a mask is
 always summed from 0.0, adding the cells from the highest index down, and
-:func:`mac_bound` turns N values into bounds, so a solver's rate equals
-the value read off the matching region to the bit.  The order has three
-implementations: ``regions._mask_sums`` (given masks),
-``regions._subset_sums`` (all 2^L) and ``symrate._solve_rows``' loop.
+every bound is :func:`capacity` of one division N(theta) / (N(omega^c) + F);
+:func:`mac_bound` is that division for callers that hold N(omega^c) and F
+apart.  So a solver's rate equals the value read off the matching region
+to the bit.  The order has three implementations: ``regions._mask_sums``
+(given masks), ``regions._subset_sums`` (all 2^L) and
+``symrate._solve_rows``' loop.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "state_powers",
     "state_floors",
     "mac_bound",
-    "mac_bound_into",
     "power_terms",
     "tin_rate_asymptotic",
     "mu_coefficient",
@@ -215,25 +216,13 @@ def mac_bound(n_theta, n_noise, floor: float):
     bits, from the N values of theta and of the cells outside omega.
 
     Scalars give a scalar.  Sequences are evaluated elementwise into one
-    result array, and the inputs are never written: this is
-    :func:`mac_bound_into` of the fresh ``N(omega^c) + F``, which the
-    divide writes when it has the broadcast shape (else one fresh array),
-    so a call holds one array beyond its inputs.  A region build adds the
-    floor per part and hands its own spread denominators to
-    :func:`mac_bound_into`, so it holds two arrays of one float per
-    constraint, the theta sums and ``bound``.
+    result array, and the inputs are never written: the divide writes the
+    fresh ``N(omega^c) + F`` when that is a float64 array of the shape of
+    the array ``n_theta`` (else one fresh array), and the log and the
+    1/ln 2 scaling run in place, so a call holds one array beyond its
+    inputs.
     """
-    return mac_bound_into(n_theta, np.add(n_noise, floor))
-
-
-def mac_bound_into(n_theta, denom):
-    """:func:`mac_bound` from its whole denominators ``N(omega^c) + F``.
-
-    A float64 array ``denom`` of the shape of the array ``n_theta`` becomes
-    the result, so the call overwrites it; any other ``denom`` is left
-    alone and the divide writes one fresh array.  The log and the 1/ln 2
-    scaling then run in place, so a call holds one array beyond its inputs.
-    """
+    denom = np.add(n_noise, floor)
     own = (isinstance(denom, np.ndarray) and denom.shape == getattr(n_theta, "shape", None)
            and denom.dtype == np.float64)
     snr = np.divide(n_theta, denom, out=denom if own else None)

@@ -245,8 +245,8 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     and ``trials``, not on ``workers``.
 
     Batches run on lanes, lane t taking batches t, t + n, ... of n lanes;
-    lane 0 runs on the calling thread.  ``workers`` caps the lanes (default
-    ``None``: all usable CPUs), and the lanes' buffers together hold at most
+    lane 0 runs on the calling thread.  ``workers``, a positive integer,
+    caps the lanes (default ``None``: all usable CPUs), and the lanes' buffers together hold at most
     ``_BATCH_BYTES``, so a shape whose lane fills more than half of it runs
     on one lane, inline.
     """
@@ -254,6 +254,9 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    if workers is not None and (not isinstance(workers, (int, np.integer))
+                                or isinstance(workers, bool) or workers < 1):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if trials < 1000:
         raise ValueError(
             f"need at least 1000 trials for statistical confidence, got {trials}")

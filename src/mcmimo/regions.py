@@ -21,7 +21,7 @@ shared by every region of that key, in a least-recently-used cache that
 holds at most ``MAX_CONSTRAINTS`` constraints in total;
 ``_columns.cache_info()`` counts its hits and misses.  Each build then
 reads every bound off one table of the subset sums of all 2^L masks with
-one vectorized :func:`~mcmimo.bounds.mac_bound_into` call; the state's
+one vectorized division and :func:`~mcmimo.bounds.capacity`; the state's
 memo keeps the last table in one slot, so the regions at one (BS, pilot)
 form it once and a state holds one table at most (8 MiB at the SD limit
 L = 20).  Regions are immutable after construction and membership
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (SCHEMES, check_indices, mac_bound, mac_bound_into, noise_floor,
+from .bounds import (SCHEMES, capacity, check_indices, mac_bound, noise_floor,
                      state_powers)
 from .estimation import ChannelState
 
@@ -97,6 +97,10 @@ class RegionFamily:
     def __post_init__(self):
         if self.kind not in SCHEMES:
             raise ValueError(f"unknown region kind {self.kind!r}")
+        columns = (self.omega, self.offsets, self.theta, self.bound)
+        for name, column in zip(("omega", "offsets", "theta", "bound"), columns):
+            if not isinstance(column, np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, got {type(column).__name__}")
         if len(self.offsets) != len(self.omega) + 1:
             raise ValueError("offsets must hold one entry per part plus one")
         if self.kind != "snd" and len(self.omega) != 1:
@@ -107,7 +111,7 @@ class RegionFamily:
             raise ValueError("offsets must run from 0 to the number of constraints")
         if (np.diff(self.offsets) <= 0).any():
             raise ValueError("offsets must increase strictly: every part holds a constraint")
-        for column in (self.omega, self.offsets, self.theta, self.bound):
+        for column in columns:
             column.flags.writeable = False
 
     @cached_property
@@ -262,15 +266,16 @@ def _sums(state: ChannelState, j: int, i: int) -> np.ndarray:
 
 def _region(kind: str, state: ChannelState, j: int, i: int) -> RegionFamily:
     """The ``kind`` region at BS j, pilot i: its cached index columns with
-    the bounds of this state, one :func:`~mcmimo.bounds.mac_bound_into`
-    call over the state's table of all 2^L subset sums.  The floor is
-    added to each part's N(omega^c) before the spread to one denominator
-    per constraint, which the call turns into ``bound``: a build holds two
-    arrays of one float per constraint, that and the theta sums."""
+    the bounds of this state, read off the state's table of all 2^L subset
+    sums.  The floor is added to each part's N(omega^c) before the spread
+    to one denominator per constraint, which the division and the
+    :func:`~mcmimo.bounds.capacity` write in place into ``bound``: a build
+    holds two arrays of one float per constraint, that and the theta sums."""
     omega, offsets, theta = _columns(kind, state.L, j)
     sums = _sums(state, j, i)
     denom = sums[((1 << state.L) - 1) ^ omega] + noise_floor(state, j)
-    bound = mac_bound_into(sums[theta], np.repeat(denom, offsets[1:] - offsets[:-1]))
+    denom = np.repeat(denom, offsets[1:] - offsets[:-1])
+    bound = capacity(np.divide(sums[theta], denom, out=denom), out=denom)
     return RegionFamily(kind, state.L, omega, offsets, theta, bound)
 
 

@@ -219,20 +219,14 @@ class TestMacBoundArrays:
         assert got.tobytes() == two_pass_bound(coh, coh[:, ::-1], floor[:, None]).tobytes()
         assert (coh.tobytes(), floor.tobytes()) == saved
 
-    def test_into_takes_over_a_float64_denominator_of_the_shape(self):
+    def test_a_float64_noise_of_the_shape_is_left_alone(self):
         rng = np.random.default_rng(63)
-        n_theta, denom = rng.uniform(0.0, 1e3, 9), rng.uniform(1.0, 1e3, 9)
-        want = two_pass_bound(n_theta, denom, 0.0)
-        got = bounds.mac_bound_into(n_theta, denom)
-        assert got is denom and got.tobytes() == want.tobytes()
-        # a denominator of another shape or type is read, not written
-        for n_theta, denom in ((n_theta, rng.uniform(1.0, 1e3, 1)),
-                               (n_theta[:3], np.array([2, 3, 4])),
-                               (n_theta[:3], [2.0, 3.0, 4.0])):
-            saved = np.asarray(denom).tobytes()
-            got = bounds.mac_bound_into(n_theta, denom)
-            assert got is not denom and np.asarray(denom).tobytes() == saved
-            assert got.tobytes() == two_pass_bound(n_theta, denom, 0.0).tobytes()
+        n_theta, n_noise = rng.uniform(0.0, 1e3, 9), rng.uniform(0.0, 1e3, 9)
+        assert n_noise.flags.writeable
+        saved = n_noise.tobytes()
+        got = mac_bound(n_theta, n_noise, 1.5)
+        assert got is not n_noise and n_noise.tobytes() == saved
+        assert got.tobytes() == two_pass_bound(n_theta, n_noise, 1.5).tobytes()
 
     def test_capacity_out(self):
         snr = np.random.default_rng(64).uniform(0.0, 1e6, 50)

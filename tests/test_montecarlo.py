@@ -199,6 +199,13 @@ class TestEmpiricalDecomposition:
         with pytest.raises(ValueError, match="trials"):
             empirical_power_decomposition(state, 0, 0, {0}, trials=200, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", np.int64(0)])
+    def test_workers_must_be_a_positive_integer(self, workers, monkeypatch):
+        monkeypatch.setattr(mc, "complex_normal", _never_drawn)
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            empirical_power_decomposition(small_state(M=64), 0, 0, {0}, trials=1000,
+                                          seed=1, workers=workers)
+
     @pytest.mark.parametrize("trials", [2000.0, "2000", True, None])
     def test_non_integer_trials_rejected(self, trials, monkeypatch):
         monkeypatch.setattr(mc, "complex_normal", _never_drawn)
@@ -217,7 +224,7 @@ class TestEmpiricalDecomposition:
     def test_numpy_integer_trials_and_seed_accepted(self):
         state = small_state(M=8)
         a = empirical_power_decomposition(state, 0, 0, {0}, trials=np.int64(1500),
-                                          seed=np.uint32(5))
+                                          seed=np.uint32(5), workers=np.int64(1))
         assert a == empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
 
     def test_too_many_trials_rejected(self, monkeypatch):

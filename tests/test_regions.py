@@ -569,8 +569,11 @@ class TestMaxSymmetricRate:
 
 
 def malformed(omega, offsets, theta, bound):
-    return RegionFamily("snd", 2, np.array(omega), np.array(offsets), np.array(theta),
-                        np.array(bound, dtype=float))
+    """A two-cell SND region of these columns; a tuple goes in as a Python
+    list, not as an array."""
+    columns = [list(c) if isinstance(c, tuple) else np.array(c, dtype=dtype)
+               for c, dtype in zip((omega, offsets, theta, bound), (None, None, None, float))]
+    return RegionFamily("snd", 2, *columns)
 
 
 @pytest.mark.parametrize("omega, offsets, theta, bound, match", [
@@ -581,13 +584,15 @@ def malformed(omega, offsets, theta, bound):
     ([1, 3, 3], [0, 2, 1, 3], [1, 1, 3], [0.5, 0.5, 0.5], "increase strictly"),
     ([1, 3], [0, 1, 3], [1, 1, 3], [0.5, 0.5], "one entry per theta"),
     ([1, 3], [0, 1, 3], [1, 1, 3], [0.5, 0.5, 0.5, 0.5], "one entry per theta"),
+    ((1, 3), (0, 1, 2), (1, 1), (0.5, 0.5), "omega must be a numpy array, got list"),
+    ([1, 3], [0, 1, 2], [1, 1], (0.5, 0.5), "bound must be a numpy array, got list"),
 ])
 def test_malformed_columns_rejected(omega, offsets, theta, bound, match):
     with pytest.raises(ValueError, match=match):
         malformed(omega, offsets, theta, bound)
     # the same columns once well formed
     n = len(theta)
-    region = malformed(omega[:2], [0, 1, n], theta, [0.5] * n)
+    region = malformed(list(omega[:2]), [0, 1, n], list(theta), [0.5] * n)
     assert len(region.parts) == 2 and region.contains([0.25, 0.25])
 
 
