@@ -18,7 +18,7 @@ Config schema (JSON object; unknown keys are rejected):
            | {"kind": "three_cell", "x", "spacing", "theta_deg", "outer_angle_deg"}
            | {"kind": "explicit",   "bs_positions", "user_positions"}
     unit     "bits" (default) or "nats"
-    scheme, axis, grid, seed, trials, out, bs, pilot, omega, m, workers
+    scheme, axis, grid, seed, trials, out, bs, pilot, omega, m
              optional subcommand parameters; grid is a list of values or
              {"scale": "log"|"lin", "start", "stop", "num"}; m replaces the
              antenna count in every subcommand, sweep included
@@ -81,7 +81,6 @@ class RunConfig:
     pilot: int = 0
     omega: tuple[int, ...] | None = None
     m: float | None = None
-    workers: int | None = None
 
     def to_dict(self) -> dict:
         """Effective configuration; ``parse_config`` reproduces this object,
@@ -280,8 +279,6 @@ _OPTIONS = {
     "out": _Option(_path, "output CSV path (default: stdout)", read=str),
     "seed": _Option(_count(), "RNG seed (default 0)"),
     "unit": _Option(_choice("bits", "nats"), "bits|nats: rate unit (default bits)"),
-    "workers": _Option(_count(1), "cap on Monte Carlo threads, which hold at most 32 MiB "
-                                  "of batches in flight (default: all usable CPUs)"),
     "pilot": _Option(_count(0), "pilot slot index (default 0)"),
     "scheme": _Option(_choice(*SCHEMES), f"{'|'.join(SCHEMES)} (default sd for region, "
                                          "snd for symrate)", ("region", "symrate")),
@@ -475,8 +472,7 @@ def _cmd_montecarlo(cfg: RunConfig) -> int:
     state = cfg.scenario.state()
     omega = cfg.omega if cfg.omega is not None else tuple(range(state.L))
     empirical = empirical_power_decomposition(
-        state, cfg.bs, cfg.pilot, omega, trials=cfg.trials, seed=cfg.seed,
-        workers=cfg.workers)
+        state, cfg.bs, cfg.pilot, omega, trials=cfg.trials, seed=cfg.seed)
     analytic = power_terms(state, cfg.bs, cfg.pilot, omega)
     rows = []
     names = ("desired", "est_error", "other_users", "noise")

@@ -5,8 +5,8 @@ rates come from exhaustive subset enumeration, bisection on membership or
 a scalar loop over the constraints of a validated :class:`Polytope`,
 union-region membership comes from the explicit two- and three-cell
 inequality systems rather than the part-by-part union construction, and the
-Monte Carlo references sample every BS's links rather than only BS j's, or
-draw a whole batch's noise at once rather than through a small scratch.
+Monte Carlo reference samples every BS's M-vectors rather than drawing the
+combiner's scalars from the R factor of BS j's own-slot channels.
 """
 
 import math
@@ -522,47 +522,6 @@ def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _
         sym.append(x)
     return _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
                        symbols=np.concatenate(sym))
-
-
-def unchunked_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _TrialStats:
-    """Per-trial scalars at BS j, slot i as the sampler drew them before its
-    noise went through a scratch: each batch draws its pilot noise and its
-    receiver noise as one (count, M) array each."""
-    total = sum(counts)
-    stats = _TrialStats(inner=np.empty((total, state.K, state.L), np.complex128),
-                        noise=np.empty(total, np.complex128),
-                        symbols=np.empty((total, state.L, state.K), np.complex128))
-    lo = 0
-    for seed, count in zip(seeds, counts):
-        hi = lo + count
-        _unchunked_batch(state, j, i, seed, stats.inner[lo:hi], stats.noise[lo:hi],
-                         stats.symbols[lo:hi])
-        lo = hi
-    return stats
-
-
-def _unchunked_batch(state: ChannelState, j: int, i: int, seed,
-                     inner: np.ndarray, noise: np.ndarray, symbols: np.ndarray) -> None:
-    count = len(inner)
-    rng = np.random.default_rng(seed)
-    p = state.params
-    K, L, m = p.K, p.L, int(p.M)
-    g = np.empty((count, K, L, m), np.complex128)
-    ref = np.empty((count, m), np.complex128)
-    scratch = np.empty((count, m), np.complex128)
-    complex_normal(rng, g.shape, out=g)
-    g *= np.sqrt(state.beta[j])[None, :, :, None]
-    # despread pilot of slot i at BS j, then ref = conj(g_hat_jij)
-    g[:, i].sum(axis=1, out=ref)
-    ref *= math.sqrt(p.rho_p)
-    ref += complex_normal(rng, ref.shape, out=scratch)
-    np.conj(ref, out=ref)
-    ref *= state.stats.alpha_own[j, i]
-    col = ref[:, :, None]
-    complex_normal(rng, symbols.shape, out=symbols)
-    n = complex_normal(rng, (count, 1, m), out=scratch.reshape(count, 1, m))
-    np.matmul(g.reshape(count, K * L, m), col, out=inner.reshape(count, K * L, 1))
-    np.matmul(n, col, out=noise.reshape(count, 1, 1))
 
 
 def diagonal_rate_bisection(region, dim: int, hi: float, iters: int = 80) -> float:

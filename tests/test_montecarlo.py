@@ -1,21 +1,18 @@
+import functools
 import math
-import os
 import re
-import subprocess
-import sys
-import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mcmimo.montecarlo as mc
 from mcmimo import ChannelState, SystemParams, power_terms
+from mcmimo.network import two_cell_layout
 from mcmimo.montecarlo import complex_normal, empirical_power_decomposition
 
 from oracles import (despread_pilots, estimate_for_cell, full_tensor_batches, mmse_estimate,
-                     mrc_outputs, sample_channels, unchunked_batches)
+                     mrc_outputs, sample_channels)
 
 
 def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
@@ -27,6 +24,17 @@ def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
 
 def _never_drawn(*args, **kwargs):
     raise AssertionError("sampled a run that should have been refused")
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestSampling:
@@ -185,12 +193,10 @@ class TestEmpiricalDecomposition:
         assert emp.desired == 0.0
         assert emp.noise > 0.0
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_under_fixed_seed(self):
         state = small_state(M=8)
         a = empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
-        b = empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5,
-                                          workers=2)
-        assert a == b
+        assert a == empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
         c = empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=6)
         assert a != c
 
@@ -198,13 +204,6 @@ class TestEmpiricalDecomposition:
         state = small_state(M=8)
         with pytest.raises(ValueError, match="trials"):
             empirical_power_decomposition(state, 0, 0, {0}, trials=200, seed=1)
-
-    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", np.int64(0)])
-    def test_workers_must_be_a_positive_integer(self, workers, monkeypatch):
-        monkeypatch.setattr(mc, "complex_normal", _never_drawn)
-        with pytest.raises(ValueError, match="workers must be a positive integer"):
-            empirical_power_decomposition(small_state(M=64), 0, 0, {0}, trials=1000,
-                                          seed=1, workers=workers)
 
     @pytest.mark.parametrize("trials", [2000.0, "2000", True, None])
     def test_non_integer_trials_rejected(self, trials, monkeypatch):
@@ -224,17 +223,16 @@ class TestEmpiricalDecomposition:
     def test_numpy_integer_trials_and_seed_accepted(self):
         state = small_state(M=8)
         a = empirical_power_decomposition(state, 0, 0, {0}, trials=np.int64(1500),
-                                          seed=np.uint32(5), workers=np.int64(1))
+                                          seed=np.uint32(5))
         assert a == empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
 
     def test_too_many_trials_rejected(self, monkeypatch):
-        # rejected before the batch plan, whose list and seed streams would
-        # grow with the trial count
+        # rejected before the per-trial record is allocated
         def fail(*args, **kwargs):
-            raise AssertionError("planned or sampled an over-long run")
+            raise AssertionError("allocated or sampled an over-long run")
 
         monkeypatch.setattr(mc, "complex_normal", fail)
-        monkeypatch.setattr(mc, "_batch_counts", fail)
+        monkeypatch.setattr(mc, "_sample", fail)
         state = small_state(M=8)
         with pytest.raises(ValueError, match=f"at most {mc.MAX_TRIALS} trials"):
             empirical_power_decomposition(state, 0, 0, {0}, trials=10 ** 12, seed=1)
@@ -242,31 +240,50 @@ class TestEmpiricalDecomposition:
             empirical_power_decomposition(state, 0, 0, {0}, trials=mc.MAX_TRIALS + 1,
                                           seed=1)
 
-    @pytest.mark.parametrize("m", [400000.0, 1e308])
-    def test_trial_over_budget_rejected_before_allocation(self, monkeypatch, m):
-        # one trial at (L, K) = (2, 2) and M > 349,524 samples more than the
-        # budget; refused before the batch plan or any buffer exists
+    def test_record_over_budget_rejected_before_allocation(self, monkeypatch):
+        # a 1e6-trial record at (L, K) = (2, 2048) would hold 131 GB of
+        # inner products and symbols; refused before it or any draw exists
         def fail(*args, **kwargs):
-            raise AssertionError("planned or sampled an over-budget trial")
+            raise AssertionError("allocated or sampled an over-budget record")
 
         monkeypatch.setattr(mc, "complex_normal", fail)
-        monkeypatch.setattr(mc, "_batch_counts", fail)
-        state = small_state(M=m)
-        message = re.escape(f"at most M=349524 antennas (one trial within "
-                            f"{mc._BATCH_BYTES} bytes), got M={m:g}")
+        monkeypatch.setattr(mc, "_sample", fail)
+        state = small_state(L=2, K=2048, M=8)
+        most = mc._RECORD_BYTES // (16 * (2 * 2048 * 2 + 1))
+        message = re.escape(f"Monte Carlo at L=2, K=2048 records at most {most} trials "
+                            f"({mc._RECORD_BYTES} bytes), got 1000000")
 
         def refused():
             with pytest.raises(ValueError, match=message):
+                empirical_power_decomposition(state, 0, 0, {0}, trials=10 ** 6, seed=1)
+
+        assert traced_peak(refused) < 1 << 20
+
+    @pytest.mark.parametrize("m", [1e308])
+    def test_trial_over_budget_rejected_before_allocation(self, monkeypatch, m):
+        # an antenna count whose analytic terms overflow is refused before
+        # the record or any draw exists
+        monkeypatch.setattr(mc, "complex_normal", _never_drawn)
+        monkeypatch.setattr(mc, "_sample", _never_drawn)
+        state = small_state(M=m)
+
+        def refused():
+            with pytest.raises(ValueError, match="power terms overflow"):
                 empirical_power_decomposition(state, 0, 0, {0}, trials=1000, seed=1)
 
         assert traced_peak(refused) < 1 << 20
 
-    def test_antenna_limit_is_the_last_m_within_budget(self):
-        for K, L in ((1, 1), (2, 2), (4, 3)):
-            top = mc._max_antennas(K, L)
-            assert mc._bytes_per_trial(K, L, top) <= mc._BATCH_BYTES
-            assert mc._bytes_per_trial(K, L, top + 1) > mc._BATCH_BYTES
-        assert mc._max_antennas(2, 2) == 349524
+    def test_record_limit_is_the_last_trial_count_within_budget(self, monkeypatch):
+        # a trial records 2 K L + 1 complex numbers: 8,193 at (L, K) = (2, 2048)
+        state = small_state(L=2, K=2048, M=8)
+        most = mc._RECORD_BYTES // (16 * 8193)
+        sampled = []
+        monkeypatch.setattr(mc, "_sample", lambda *args: sampled.append(args[3]))
+        monkeypatch.setattr(mc, "_decompose", lambda *args: None)
+        empirical_power_decomposition(state, 0, 0, {0}, trials=most, seed=1)
+        with pytest.raises(ValueError, match=f"records at most {most} trials"):
+            empirical_power_decomposition(state, 0, 0, {0}, trials=most + 1, seed=1)
+        assert sampled == [most]
 
     @pytest.mark.parametrize("omega", [{0, 5}, [True], [0.0], [1.5]])
     def test_bad_omega_rejected_before_sampling(self, omega, monkeypatch):
@@ -307,279 +324,116 @@ class TestEmpiricalDecomposition:
         trials, seed = 6000, 23
         ana = power_terms(state, j, i, omega)
         emp = empirical_power_decomposition(state, j, i, omega, trials=trials, seed=seed)
-        counts = mc._batch_counts(trials, state.K, state.L, 32)
+        counts = [256] * 23 + [112]
         seeds = np.random.SeedSequence(seed).spawn(len(counts))
         ref = mc._decompose(full_tensor_batches(state, j, i, seeds, counts), state, i, omega)
         for e, r, a in zip(emp.as_tuple(), ref.as_tuple(), ana.as_tuple()):
             assert e == pytest.approx(a, rel=0.12)
             assert r == pytest.approx(a, rel=0.12)
 
-    def test_samples_only_bs_j_links(self, monkeypatch):
-        drawn = []
+    @pytest.mark.parametrize("M", [4, 8, 1024, 10 ** 7])
+    def test_samples_only_bs_j_links(self, monkeypatch, M):
+        # at M >= L + 1 a trial draws R's L (L + 1) / 2 upper entries, the
+        # (K - 1) L cross products, one noise projection and the L K symbols,
+        # whatever M is, plus L + 1 gamma variates for R's diagonal
+        drawn, gammas = [], []
 
         def counting(rng, shape, var=1.0, **kwargs):
             drawn.append(math.prod(shape))
             return complex_normal(rng, shape, var, **kwargs)
 
+        class CountingGamma:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def gamma(self, shape, size):
+                gammas.append(math.prod(size))
+                return self.rng.gamma(shape, size=size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        real_rng = np.random.default_rng
         monkeypatch.setattr(mc, "complex_normal", counting)
-        L, K, M, trials = 3, 2, 8, 1000
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGamma(real_rng(seed)))
+        L, K, trials = 3, 2, 1000
         empirical_power_decomposition(small_state(L=L, K=K, M=M), 1, 1, {1},
                                       trials=trials, seed=4)
-        assert sum(drawn) == trials * (K * L * M + 2 * M + L * K)
+        assert sum(drawn) == trials * (L * (L + 1) // 2 + (K - 1) * L + 1 + L * K)
+        assert sum(gammas) == trials * (L + 1)
+
+    @pytest.mark.parametrize("M, seed", [(4e4, 81), (1e7, 82)])
+    def test_paper_scale_antenna_counts(self, M, seed):
+        # far beyond what M-vectors could reach: the criterion-08 network at
+        # and above the paper's thresholds, at criterion 08's tolerance
+        params = SystemParams(L=2, K=2, M=M, rho_u=30.0, rho_p=120.0)
+        state = ChannelState.from_layout(two_cell_layout(400.0, 800.0, users_per_cell=2),
+                                         params)
+        emp = empirical_power_decomposition(state, 0, 0, (0, 1), trials=10000, seed=seed)
+        for e, a in zip(emp.as_tuple(), power_terms(state, 0, 0, (0, 1)).as_tuple()):
+            assert e == pytest.approx(a, rel=0.05)
+
+    def test_memory_is_the_record_and_one_batch(self):
+        # at L = 24 a trial's R factor is 25 x 25 entries, so 2000 trials run
+        # in 20 batches; the draw holds the record and one batch's arrays
+        state = small_state(L=24, K=1, M=64)
+        assert mc._batch_size(24, 64) == 104
+        record = 16 * 2000 * (2 * 24 + 1)
+        peak = traced_peak(lambda: empirical_power_decomposition(state, 0, 0, {0},
+                                                                 trials=2000, seed=34))
+        assert peak < 2 * record + 4 * mc._BATCH_BYTES
 
 
-class TestBatchBudget:
-    # 256 trials at this shape would sample about 3x the budget
-    L, K, M = 2, 2, 4096
-
-    def test_benchmark_shapes_keep_full_batches(self):
-        # the largest K * L * M the tests and the benchmark use
-        assert mc._batch_counts(2000, 2, 2, 1024) == [256] * 7 + [208]
-        assert mc._batch_counts(1000, 1, 1, 8) == [256] * 3 + [232]
-
-    def test_large_m_batches_stay_under_budget(self):
-        per_trial = 16 * (self.K * self.L * self.M + 2 * self.M + self.L * self.K)
-        assert 256 * per_trial > 2 * mc._BATCH_BYTES
-        counts = mc._batch_counts(1000, self.K, self.L, self.M)
-        assert max(counts) * per_trial <= mc._BATCH_BYTES
-        state = small_state(L=self.L, K=self.K, M=self.M)
-        peak = traced_peak(lambda: empirical_power_decomposition(state, 0, 0, {0, 1},
-                                                                 trials=1000, seed=31))
-        assert peak < 1.25 * mc._BATCH_BYTES
-
-    def test_large_m_worker_invariant(self):
-        state = small_state(L=self.L, K=self.K, M=self.M)
-        a = empirical_power_decomposition(state, 1, 0, {1}, trials=1000, seed=32)
-        b = empirical_power_decomposition(state, 1, 0, {1}, trials=1000, seed=32,
-                                          workers=2)
-        assert a == b
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic sqrt(nm / (n + m)) D."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gap = np.abs(np.searchsorted(a, both, side="right") / len(a)
+                 - np.searchsorted(b, both, side="right") / len(b)).max()
+    return math.sqrt(len(a) * len(b) / (len(a) + len(b))) * gap
 
 
-def lanes_at(workers, trials, L, K, M):
-    counts = mc._batch_counts(trials, K, L, M)
-    return mc._lanes(workers, counts, mc._lane_bytes(counts[0], K, L, M))
+LAWS = ("own real", "own magnitude", "cross real", "cross magnitude", "own x own",
+        "noise real", "noise magnitude")
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes that ``fn()`` allocates, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
+@functools.lru_cache(maxsize=None)
+def law_samples(M: int, seed: int):
+    """Each law's samples from the sampler and from the M-vector oracle at
+    the last BS and pilot of a three-cell, two-user state."""
+    state = small_state(L=3, K=2, M=M, seed=3)
+    j, i, trials = 2, 1, 20000
+    drawn = mc._sample(state, j, i, trials, seed)
+    counts = [2000] * (trials // 2000)
+    ref = full_tensor_batches(state, j, i, np.random.SeedSequence(seed + 100).spawn(len(counts)),
+                              counts)
+
+    def laws(stats):
+        own, cross = stats.inner[:, i], stats.inner[:, 0]
+        return {
+            "own real": own[:, 2].real,
+            "own magnitude": np.abs(own[:, 0]),
+            "cross real": cross[:, 1].real,
+            "cross magnitude": np.abs(cross[:, 2]),
+            "own x own": (own[:, 0] * own[:, 2].conj()).real,
+            "noise real": stats.noise.real,
+            "noise magnitude": np.abs(stats.noise),
+        }
+
+    return laws(drawn), laws(ref)
 
 
-def within(seconds, fn):
-    """``fn()`` on a thread joined with a timeout: its result, or its
-    exception re-raised here."""
-    box = {}
+class TestAgainstVectorSampler:
+    """The drawn scalars follow the law of the M-vector simulation.
 
-    def target():
-        try:
-            box["result"] = fn()
-        except BaseException as exc:  # handed to the test thread below
-            box["error"] = exc
+    Two-sample KS tests against ``oracles.full_tensor_batches`` at the last
+    BS and pilot, one per law and antenna count: M = 1 (a rank-one R), M < L + 1,
+    M = L + 1 and M > L + 1.  Each rejects when sqrt(nm / (n + m)) D exceeds
+    1.95 (a 0.1 % level for one test).
+    """
 
-    thread = threading.Thread(target=target)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"still running after {seconds} s"
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
-
-
-class TestLanes:
-    def test_lane_holds_channels_reference_and_scratch(self):
-        # 256 x (2 x 1024 channel + 1024 reference) entries and a 16-trial
-        # noise scratch; the symbols live in the caller's result arrays
-        assert mc._lane_shapes(256, 1, 2, 1024) == ((256, 1, 2, 1024), (256, 1024),
-                                                    (16, 1024))
-        assert mc._lane_bytes(256, 1, 2, 1024) == 12_845_056
-        # small M draws a whole batch's noise at once; huge M one trial at a time
-        assert mc._lane_shapes(256, 2, 2, 64)[2] == (256, 64)
-        assert mc._lane_shapes(34, 1, 1, 20000)[2] == (1, 20000)
-
-    def test_budget_forces_one_lane(self, monkeypatch):
-        # one 256-trial lane at (L, K, M) = (2, 2, 1024) holds 21.2 MB, over
-        # half the budget
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert lanes_at(None, 2000, 2, 2, 1024) == 1
-        # a (2, 1, 1024) lane holds 12.85 MB: two fit, three do not
-        assert lanes_at(None, 2000, 2, 1, 1024) == 2
-
-    def test_lanes_capped_by_cpus_workers_and_budget(self, monkeypatch):
-        # a (2, 4, 256) lane is 9.7 MB: three fit in the budget
-        assert lanes_at(None, 2000, 2, 4, 256) == min(os.cpu_count() or 1, 3)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert lanes_at(None, 2000, 2, 4, 256) == 3
-        assert lanes_at(2, 2000, 2, 4, 256) == 2
-        assert lanes_at(None, 1000, 1, 1, 8) == 4  # one lane per batch
-
-    def test_never_below_one_lane(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        # one trial alone exceeds the budget; only the batch plan is built
-        assert mc._bytes_per_trial(2, 2, 10 ** 6) > mc._BATCH_BYTES
-        assert lanes_at(None, 1000, 2, 2, 10 ** 6) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert lanes_at(None, 2000, 2, 4, 256) == 1
-
-    @pytest.mark.parametrize("L, K, M, trials", [
-        (2, 2, 8, 1001),     # 256-trial batches and a 233-trial last batch
-        (3, 2, 64, 2000),    # a 208-trial last batch, up to four lanes
-        (2, 2, 1024, 1100),  # the budget forces one lane
-        (2, 1, 1024, 1100),  # two lanes on two or more CPUs, 16-trial noise chunks
-    ])
-    def test_results_do_not_depend_on_lanes(self, monkeypatch, L, K, M, trials):
-        state = small_state(L=L, K=K, M=M, seed=7)
-        runs = set()
-        for cpus in (1, 2, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            for workers in (None, 1, 2, 3):
-                runs.add(repr(empirical_power_decomposition(state, L - 1, K - 1, {0},
-                                                            trials=trials, seed=41,
-                                                            workers=workers)))
-        assert len(runs) == 1
-
-    def test_more_lanes_than_cores_with_fast_switching(self, monkeypatch):
-        # 16 batches on 8 lanes, switching threads every microsecond: a batch
-        # written to the wrong rows, or lost, changes the result
-        state = small_state(M=8, seed=9)
-        ref = repr(empirical_power_decomposition(state, 1, 0, {0, 1}, trials=4000, seed=12,
-                                                 workers=1))
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert lanes_at(None, 4000, 2, 2, 8) == 8
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = within(120, lambda: empirical_power_decomposition(
-                state, 1, 0, {0, 1}, trials=4000, seed=12))
-        finally:
-            sys.setswitchinterval(interval)
-        assert repr(got) == ref
-
-    @pytest.mark.parametrize("L, K, M, cpus, lanes", [
-        (2, 2, 512, 4, 3),   # a 10.7 MB lane: three fit and four do not
-        (2, 1, 1024, 2, 2),  # a 12.85 MB lane: two fit
-    ])
-    def test_lanes_stay_under_budget(self, monkeypatch, L, K, M, cpus, lanes):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert lanes_at(None, 2000, L, K, M) == lanes
-        state = small_state(L=L, K=K, M=M)
-        peak = traced_peak(lambda: empirical_power_decomposition(state, 0, 0, {0, 1},
-                                                                 trials=2000, seed=33))
-        assert peak < 1.25 * mc._BATCH_BYTES
-
-    @pytest.mark.parametrize("L, K, M, trials", [
-        (1, 1, 1024, 1001),   # 256-trial batches and a 233-trial last batch, 16-trial chunks
-        (2, 2, 4096, 1000),   # 85-trial batches and a 65-trial last batch, 4-trial chunks
-        (1, 1, 20000, 1000),  # one trial per chunk
-    ])
-    def test_chunked_noise_matches_unchunked_batches(self, monkeypatch, L, K, M, trials):
-        counts = mc._batch_counts(trials, K, L, M)
-        rows = mc._lane_shapes(counts[0], K, L, M)[2][0]
-        assert rows < counts[0] and (rows == 1 or counts[-1] % rows)  # a ragged last chunk
-        state = small_state(L=L, K=K, M=M, seed=8)
-        j, i, omega, seed = L - 1, K - 1, [0], 43
-        seeds = np.random.SeedSequence(seed).spawn(len(counts))
-        ref = repr(mc._decompose(unchunked_batches(state, j, i, seeds, counts), state, i,
-                                 omega))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for workers in (None, 1):
-            assert repr(empirical_power_decomposition(state, j, i, omega, trials=trials,
-                                                      seed=seed, workers=workers)) == ref
-
-    def test_lane_zero_runs_on_the_caller_and_lowest_error_wins(self):
-        seen = {}
-        barrier = threading.Barrier(3, timeout=60)
-
-        def fn(t):
-            seen[t] = threading.current_thread()
-            barrier.wait()  # every lane is running before any fails
-            if t:
-                raise ValueError(f"lane {t}")
-
-        def call():
-            seen["caller"] = threading.current_thread()
-            mc._run_lanes(fn, 3)
-
-        with pytest.raises(ValueError, match="lane 1"):
-            within(120, call)
-        assert seen[0] is seen["caller"]
-        assert len({id(seen[t]) for t in range(3)}) == 3
-        assert not seen[1].is_alive() and not seen[2].is_alive()
-
-    def test_lane_error_reaches_caller(self, monkeypatch):
-        class Boom(Exception):
-            pass
-
-        real = mc._one_batch
-
-        def failing(state, j, i, seed, *args):
-            if seed.spawn_key[-1] == 1:  # batch 1: the second lane's first
-                raise Boom("batch 1")
-            real(state, j, i, seed, *args)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(mc, "_one_batch", failing)
-        state = small_state(M=8)
-        for workers in (None, 2, 1):
-            with pytest.raises(Boom, match="batch 1"):
-                within(120, lambda: empirical_power_decomposition(
-                    state, 0, 0, {0}, trials=2000, seed=5, workers=workers))
-
-
-def lanes_for(workers, tasks):
-    """Lanes for ``tasks`` one-trial batches on lanes of one byte each: the
-    budget never binds, so only ``workers``, the batch count and the CPUs
-    do."""
-    return mc._lanes(workers, [1] * tasks, 1)
-
-
-class TestLaneCap:
-    def test_huge_request_is_capped_by_cpus(self):
-        assert lanes_for(10 ** 6, 10 ** 6) == (os.cpu_count() or 1)
-
-    def test_never_more_workers_than_tasks(self):
-        assert lanes_for(10 ** 6, 1) == 1
-        assert lanes_for(10 ** 6, 2) == min(2, os.cpu_count() or 1)
-
-    def test_serial_request_stays_serial(self):
-        assert lanes_for(1, 10 ** 6) == 1
-
-    def test_no_cap_means_tasks_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert lanes_for(None, 10 ** 6) == 4
-        assert lanes_for(None, 3) == 3
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert lanes_for(10 ** 6, 10 ** 6) == 1
-
-
-class TestLazyPool:
-    @pytest.mark.parametrize("argv", [
-        ["-c", "import mcmimo"],
-        ["-m", "mcmimo.cli", "symrate", "--preset", "two-cell-scenario-a", "--scheme", "tin"],
-        ["-m", "mcmimo.cli", "montecarlo", "--cells", "2", "--users", "1", "--m", "8",
-         "--trials", "1000", "--workers", "1"],
-        # several lanes, on plain threads
-        ["-m", "mcmimo.cli", "montecarlo", "--cells", "2", "--users", "1", "--m", "8",
-         "--trials", "1000", "--workers", "2"],
-    ])
-    def test_runs_without_a_pool_import_no_pool_machinery(self, argv):
-        # -X importtime lists every module the interpreter imports on stderr
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")}
-        assert "mcmimo.montecarlo" in imported
-        assert "concurrent.futures" not in imported
-        assert "multiprocessing" not in imported
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("M, seed", [(1, 54), (2, 51), (3, 55), (4, 52), (8, 53)])
+    def test_scalar_laws_match(self, M, seed, law):
+        got, want = law_samples(M, seed)
+        assert ks_statistic(got[law], want[law]) <= 1.95
