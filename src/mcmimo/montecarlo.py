@@ -20,9 +20,20 @@ the symbols.  Those scalars are drawn exactly, without the M-vectors:
 
 So the check stays independent of the analytic formulas of
 :func:`~mcmimo.bounds.power_terms`, and a trial costs
-O(min(M, L + 1) L + K L) draws at any M.  Every product is an elementwise
-multiply and a ``sum``, never BLAS, so the results do not depend on the
-BLAS kernel.
+O(min(M, L + 1) L + K L) draws at any M.
+
+A batch holds R trials-last, as an (r, L + 1, trials) array, so each sum
+(y = R S w, the inner products y^H (R S)[:, l] and ||y||^2) is a short loop
+of elementwise adds over whole trial vectors, in index order.  No product
+goes through BLAS and no sum through a numpy reduction, so the bytes depend
+neither on the BLAS kernel nor on numpy's reduction blocking or the batch
+length (a final batch may hold a single trial).
+
+The antenna count must be an integer in [1, ``MAX_ANTENNAS``]: above 2^53
+float64 no longer holds every integer, so an integer count cannot be
+checked; and far above it (M near 1e30) the own inner products' fluctuations
+fall below the rounding of their mean, so ``est_error`` would be rounding
+noise.
 
 Randomness is explicit: one ``numpy.random.default_rng(seed)`` stream,
 drawn batch by batch; a batch's size depends only on (L, M) and bounds its
@@ -43,12 +54,14 @@ from .estimation import ChannelState
 __all__ = [
     "complex_normal",
     "empirical_power_decomposition",
+    "MAX_ANTENNAS",
     "MAX_TRIALS",
 ]
 
 _BATCH_BYTES = 1 << 20    # complex128 bytes of one batch's R factors, at most
 _RECORD_BYTES = 1 << 30   # bytes of the per-trial record, at most
 MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
+MAX_ANTENNAS = 2 ** 53    # antennas of one empirical decomposition, at most
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float = 1.0,
@@ -58,9 +71,15 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0,
     Real and imaginary parts are drawn interleaved in one call into ``out``,
     a C-contiguous complex128 array of ``shape`` (allocated when not given)
     viewed as float pairs, so the draw allocates nothing beyond its result.
+    Any other ``out`` is refused before anything is drawn.
     """
+    shape = tuple(shape)
     if out is None:
         out = np.empty(shape, np.complex128)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+              and out.shape == shape and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(
+            f"out must be a writable C-contiguous complex128 array of shape {shape}")
     z = out.view(np.float64).reshape(*shape, 2)
     rng.standard_normal(out=z)
     z *= math.sqrt(var / 2.0)
@@ -78,8 +97,9 @@ class _TrialStats:
 
 def _antennas(M: float) -> int:
     """The antenna count as an integer."""
-    if not (M >= 1 and float(M).is_integer()):
-        raise ValueError(f"Monte Carlo needs an integer antenna count M >= 1, got M={M!r}")
+    if not (1 <= M <= MAX_ANTENNAS and float(M).is_integer()):
+        raise ValueError("Monte Carlo needs an integer antenna count "
+                         f"1 <= M <= 2**53, got M={M!r}")
     return int(M)
 
 
@@ -98,7 +118,11 @@ def _one_batch(rng: np.random.Generator, state: ChannelState, j: int, i: int, m:
     """Draw ``len(inner)`` trials from ``rng`` and write their inner
     products, noise projections and symbols into ``inner``, ``noise`` and
     ``symbols``.  The draws are R's upper entries, its diagonal, the cross
-    products, the noise projections and the symbols, in that order."""
+    products, the noise projections and the symbols, in that order.
+
+    R is held trials-last, so every sum below is a loop of elementwise adds
+    over whole trial vectors, in index order; R's zeros below the diagonal
+    are skipped, as adding them would change no bit."""
     count = len(inner)
     p = state.params
     K, L = p.K, p.L
@@ -107,13 +131,23 @@ def _one_batch(rng: np.random.Generator, state: ChannelState, j: int, i: int, m:
     weight = scale * np.append(np.full(L, math.sqrt(p.rho_p)), 1.0)  # S w
     rows, cols = np.triu_indices(r, 1, L + 1)
     diag = np.arange(r)
-    R = np.zeros((count, r, L + 1), np.complex128)
-    R[:, rows, cols] = complex_normal(rng, (count, len(rows)))
-    R[:, diag, diag] = np.sqrt(rng.gamma(float(m) - diag, size=(count, r)))
-    y = (R * weight).sum(axis=2)
+    R = np.zeros((r, L + 1, count), np.complex128)
+    R[rows, cols] = complex_normal(rng, (count, len(rows))).T
+    R[diag, diag] = np.sqrt(rng.standard_gamma(float(m) - diag, size=(count, r))).T
+    y = R[:, 0] * weight[0]  # (r, count); column c is nonzero in rows 0..c only
+    for c in range(1, L + 1):
+        y[:c + 1] += R[:c + 1, c] * weight[c]
+    y_conj = y.conj()
+    products = y_conj[0] * R[0, :L]  # (L, count); R[k, l] is zero for k > l
+    for k in range(1, r):
+        products[k:] += y_conj[k] * R[k, k:L]
     alpha = state.stats.alpha_own[j, i]
-    inner[:, i] = (alpha * scale[:L]) * (y.conj()[:, :, None] * R[:, :, :L]).sum(axis=1)
-    norm = alpha * np.sqrt((y.real ** 2 + y.imag ** 2).sum(axis=1))  # ||g_hat_jij||
+    inner[:, i] = products.T * (alpha * scale[:L])
+    squares = y.real ** 2 + y.imag ** 2
+    norm_sq = squares[0].copy()
+    for k in range(1, r):
+        norm_sq += squares[k]
+    norm = alpha * np.sqrt(norm_sq)  # ||g_hat_jij||
     others = np.arange(K) != i
     cross = complex_normal(rng, (count, K - 1, L))
     inner[:, others] = cross * norm[:, None, None] * np.sqrt(state.beta[j, others])
@@ -170,9 +204,10 @@ def empirical_power_decomposition(state: ChannelState, j: int, i: int, omega,
     confidence and at most ``MAX_TRIALS``, whose record of
     ``trials x (2 K L + 1)`` complex numbers fits in ``_RECORD_BYTES``; a
     nonnegative integer ``seed`` (a fresh draw of OS entropy would break
-    reproducibility); and an integer antenna count M >= 1.  A state whose
-    analytic terms overflow is refused before any draw, as its sampled terms
-    would.  The result depends only on the state, ``seed`` and ``trials``.
+    reproducibility); and an integer antenna count 1 <= M <= ``MAX_ANTENNAS``.
+    A state whose analytic terms overflow is refused before any draw, as its
+    sampled terms would.  The result depends only on the state, ``seed`` and
+    ``trials``.
     """
     if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
         raise ValueError(f"trials must be an integer, got {trials!r}")

@@ -24,7 +24,7 @@ from mcmimo import (SCHEMES, CellLayout, ChannelState, RegionFamily, SystemParam
 from mcmimo.bounds import capacity, coherent_power, noise_floor
 from mcmimo.scenarios import EQ_RTOL, REL_TOL, Crossing, SweepRow
 from mcmimo.estimation import EstimationStats
-from mcmimo.montecarlo import _TrialStats, complex_normal
+from mcmimo.montecarlo import _TrialStats, _batch_size, complex_normal
 from mcmimo.regions import _mask_sums, _rate_point
 
 
@@ -522,6 +522,70 @@ def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _
         sym.append(x)
     return _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
                        symbols=np.concatenate(sym))
+
+
+def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
+                      seed: int) -> _TrialStats:
+    """Per-trial scalars at BS j, slot i from the sampler's own draws, built
+    one trial at a time: each trial's R, y = R S w, inner products
+    y^H (R S)[:, l] and norm ||y|| come from Python loops that add in index
+    order.
+
+    The draws are the sampler's calls, batch by batch: R's upper entries,
+    its diagonal, the cross products, the noise projections and the symbols.
+    Complex-by-complex products go through numpy's elementwise multiply,
+    which may fuse a multiply and an add where the CPU has FMA; Python's
+    complex product rounds twice, so it could differ in the last bit."""
+    p = state.params
+    K, L, m = p.K, p.L, int(p.M)
+    r = min(m, L + 1)
+    upper = [(k, c) for k in range(r) for c in range(k + 1, L + 1)]
+    pairs = [(k, l) for l in range(L) for k in range(r)]  # the products' order
+    scale = [math.sqrt(b) for b in state.beta[j, i]] + [1.0]
+    weight = [s * math.sqrt(p.rho_p) for s in scale[:L]] + [1.0]
+    alpha = float(state.stats.alpha_own[j, i])
+    others = [k for k in range(K) if k != i]
+    rng = np.random.default_rng(seed)
+    stats = _TrialStats(inner=np.empty((trials, K, L), np.complex128),
+                        noise=np.empty(trials, np.complex128),
+                        symbols=np.empty((trials, L, K), np.complex128))
+    size = _batch_size(L, m)
+    for lo in range(0, trials, size):
+        count = min(size, trials - lo)
+        entries = complex_normal(rng, (count, len(upper)))
+        gammas = rng.standard_gamma([float(m) - k for k in range(r)], size=(count, r))
+        cross = complex_normal(rng, (count, K - 1, L))
+        projections = complex_normal(rng, (count,))
+        complex_normal(rng, (count, L, K), out=stats.symbols[lo:lo + count])
+        for t in range(count):
+            R = [[0j] * (L + 1) for _ in range(r)]
+            for (k, c), z in zip(upper, entries[t].tolist()):
+                R[k][c] = z
+            for k in range(r):
+                R[k][k] = complex(math.sqrt(gammas[t, k]))
+            y = []
+            for k in range(r):
+                acc = 0j
+                for c in range(L + 1):
+                    acc += R[k][c] * weight[c]
+                y.append(acc)
+            products = (np.array([y[k].conjugate() for k, _ in pairs])
+                        * np.array([R[k][l] for k, l in pairs])).tolist()
+            for l in range(L):
+                acc = 0j
+                for k in range(r):
+                    acc += products[l * r + k]
+                stats.inner[lo + t, i, l] = acc * (alpha * scale[l])
+            norm_sq = 0.0
+            for k in range(r):
+                norm_sq += y[k].real * y[k].real + y[k].imag * y[k].imag
+            norm = alpha * math.sqrt(norm_sq)
+            for n, k in enumerate(others):
+                for l in range(L):
+                    stats.inner[lo + t, k, l] = (complex(cross[t, n, l]) * norm
+                                                 * math.sqrt(state.beta[j, k, l]))
+            stats.noise[lo + t] = complex(projections[t]) * norm
+    return stats
 
 
 def diagonal_rate_bisection(region, dim: int, hi: float, iters: int = 80) -> float:

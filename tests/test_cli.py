@@ -400,8 +400,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("m", ["1e308"])
     def test_trial_over_budget_is_one_error_line(self, m, monkeypatch, capsys):
-        # an antenna count whose analytic terms overflow is refused before
-        # anything is sampled
+        # an antenna count above MAX_ANTENNAS (here one whose analytic terms
+        # would also overflow) is refused before anything is sampled
         monkeypatch.setattr(mc, "complex_normal", _never_sampled)
         monkeypatch.setattr(mc, "_sample", _never_sampled)
         assert run_cli("montecarlo", "--cells", "2", "--users", "2", "--m", m,
@@ -409,7 +409,34 @@ class TestCliCommands:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.splitlines() == [
-            "error: power terms overflow: M, rho_p or rho_u is too large"]
+            "error: Monte Carlo needs an integer antenna count 1 <= M <= 2**53, "
+            "got M=1e+308"]
+
+    def test_antenna_limit_itself_is_sampled(self, capsys):
+        assert run_cli("montecarlo", "--preset", "two-cell-scenario-a", "--m",
+                       str(2 ** 53), "--trials", "1000") == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[0] == "term,empirical,analytic,rel_error"
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_antenna_count_above_the_limit_is_one_error_line(self, via, tmp_path,
+                                                             monkeypatch, capsys):
+        # 2^53 + 2, the first float64 count above MAX_ANTENNAS
+        monkeypatch.setattr(mc, "complex_normal", _never_sampled)
+        monkeypatch.setattr(mc, "_sample", _never_sampled)
+        if via == "flag":
+            argv = ["--preset", "two-cell-scenario-a", "--m", str(2 ** 53 + 2)]
+        else:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"preset": "two-cell-scenario-a", "m": 2 ** 53 + 2}))
+            argv = ["--config", str(cfg)]
+        assert run_cli("montecarlo", *argv, "--trials", "1000") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: Monte Carlo needs an integer antenna count 1 <= M <= 2**53, "
+            "got M=9007199254740994.0"]
 
     def test_record_over_budget_is_one_error_line(self, monkeypatch, capsys):
         # 1e6 trials at (L, K) = (2, 2048) would record 2 x 65.5 GB of inner

@@ -12,7 +12,7 @@ from mcmimo.network import two_cell_layout
 from mcmimo.montecarlo import complex_normal, empirical_power_decomposition
 
 from oracles import (despread_pilots, estimate_for_cell, full_tensor_batches, mmse_estimate,
-                     mrc_outputs, sample_channels)
+                     mrc_outputs, per_trial_batches, sample_channels)
 
 
 def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
@@ -37,6 +37,24 @@ def traced_peak(fn) -> int:
     return peak
 
 
+def _read_only(shape) -> np.ndarray:
+    out = np.empty(shape, np.complex128)
+    out.setflags(write=False)
+    return out
+
+
+# ``out`` arrays that complex_normal(rng, (4, 3), out=...) must refuse
+BAD_OUTS = {
+    "transposed shape": lambda: np.empty((3, 4), np.complex128),
+    "complex64": lambda: np.empty((4, 3), np.complex64),
+    "float pairs": lambda: np.empty((4, 3, 2)),
+    "Fortran order": lambda: np.empty((4, 3), np.complex128, order="F"),
+    "strided": lambda: np.empty((4, 6), np.complex128)[:, ::2],
+    "read-only": lambda: _read_only((4, 3)),
+    "nested list": lambda: [[0j] * 3] * 4,
+}
+
+
 class TestSampling:
     def test_complex_normal_shape_and_variance(self):
         z = complex_normal(np.random.default_rng(30), (4000, 3), var=2.0)
@@ -44,6 +62,20 @@ class TestSampling:
         assert z.real.var() == pytest.approx(1.0, rel=0.05)
         assert z.imag.var() == pytest.approx(1.0, rel=0.05)
         assert abs(np.mean(z.real * z.imag)) < 0.05
+
+    @pytest.mark.parametrize("kind", sorted(BAD_OUTS))
+    def test_complex_normal_refuses_a_bad_out_before_drawing(self, kind):
+        rng = np.random.default_rng(31)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(
+                "out must be a writable C-contiguous complex128 array of shape (4, 3)")):
+            complex_normal(rng, (4, 3), out=BAD_OUTS[kind]())
+        assert rng.bit_generator.state == before
+
+    def test_complex_normal_fills_a_good_out(self):
+        out = np.empty((4, 3), np.complex128)
+        assert complex_normal(np.random.default_rng(32), [4, 3], out=out) is out
+        np.testing.assert_array_equal(out, complex_normal(np.random.default_rng(32), (4, 3)))
 
     def test_deterministic_under_fixed_seed(self):
         state = small_state()
@@ -261,14 +293,14 @@ class TestEmpiricalDecomposition:
 
     @pytest.mark.parametrize("m", [1e308])
     def test_trial_over_budget_rejected_before_allocation(self, monkeypatch, m):
-        # an antenna count whose analytic terms overflow is refused before
-        # the record or any draw exists
+        # an antenna count above MAX_ANTENNAS (here one whose analytic terms
+        # would also overflow) is refused before the record or any draw exists
         monkeypatch.setattr(mc, "complex_normal", _never_drawn)
         monkeypatch.setattr(mc, "_sample", _never_drawn)
         state = small_state(M=m)
 
         def refused():
-            with pytest.raises(ValueError, match="power terms overflow"):
+            with pytest.raises(ValueError, match=re.escape(f"1 <= M <= 2**53, got M={m!r}")):
                 empirical_power_decomposition(state, 0, 0, {0}, trials=1000, seed=1)
 
         assert traced_peak(refused) < 1 << 20
@@ -316,6 +348,17 @@ class TestEmpiricalDecomposition:
         with pytest.raises(ValueError, match=f"M={m}"):
             empirical_power_decomposition(state, 0, 0, {0}, trials=1000, seed=1)
 
+    def test_antenna_limit_is_the_last_count_float64_holds_exactly(self, monkeypatch):
+        # 2^53 + 1 is no float64, so 2^53 + 2 is the first count above the limit
+        assert mc.MAX_ANTENNAS == 2 ** 53
+        assert float(2 ** 53 + 1) == 2 ** 53
+        monkeypatch.setattr(mc, "complex_normal", _never_drawn)
+        state = small_state(M=2 ** 53 + 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "Monte Carlo needs an integer antenna count 1 <= M <= 2**53, "
+                "got M=9007199254740994.0")):
+            empirical_power_decomposition(state, 0, 0, {0}, trials=1000, seed=1)
+
     def test_last_bs_and_pilot_match_full_tensor_oracle(self):
         # j = L - 1, i = K - 1 and a strict subset omega: indexing slips that
         # the (0, 0) cases cannot show
@@ -346,9 +389,9 @@ class TestEmpiricalDecomposition:
             def __init__(self, rng):
                 self.rng = rng
 
-            def gamma(self, shape, size):
+            def standard_gamma(self, shape, size):
                 gammas.append(math.prod(size))
-                return self.rng.gamma(shape, size=size)
+                return self.rng.standard_gamma(shape, size=size)
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
@@ -373,6 +416,17 @@ class TestEmpiricalDecomposition:
         for e, a in zip(emp.as_tuple(), power_terms(state, 0, 0, (0, 1)).as_tuple()):
             assert e == pytest.approx(a, rel=0.05)
 
+    def test_antenna_limit_itself_is_sampled(self):
+        # the criterion-08 network at M = MAX_ANTENNAS; over seeds, the
+        # est_error term spreads by 2 % at 10,000 trials, so 10 % is five
+        # standard deviations
+        params = SystemParams(L=2, K=2, M=float(mc.MAX_ANTENNAS), rho_u=30.0, rho_p=120.0)
+        state = ChannelState.from_layout(two_cell_layout(400.0, 800.0, users_per_cell=2),
+                                         params)
+        emp = empirical_power_decomposition(state, 0, 0, (0, 1), trials=10000, seed=83)
+        for e, a in zip(emp.as_tuple(), power_terms(state, 0, 0, (0, 1)).as_tuple()):
+            assert e == pytest.approx(a, rel=0.1)
+
     def test_memory_is_the_record_and_one_batch(self):
         # at L = 24 a trial's R factor is 25 x 25 entries, so 2000 trials run
         # in 20 batches; the draw holds the record and one batch's arrays
@@ -382,6 +436,34 @@ class TestEmpiricalDecomposition:
         peak = traced_peak(lambda: empirical_power_decomposition(state, 0, 0, {0},
                                                                  trials=2000, seed=34))
         assert peak < 2 * record + 4 * mc._BATCH_BYTES
+
+
+class TestBatchArithmetic:
+    """The sampler's batches, pinned bit for bit to ``oracles.per_trial_batches``:
+    the same draws, with every sum taken per trial in index order.  A slip in
+    R's layout or in a sum's order shows here, where the KS tests see only
+    laws."""
+
+    @staticmethod
+    def assert_pinned(state, j, i, trials, seed):
+        got = mc._sample(state, j, i, trials, seed)
+        want = per_trial_batches(state, j, i, trials, seed)
+        assert np.array_equal(got.inner, want.inner)
+        assert np.array_equal(got.noise, want.noise)
+        assert np.array_equal(got.symbols, want.symbols)
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_matches_per_trial_reference(self, L):
+        # from a rank-one R (M = 1) through r = M < L + 1 to r = L + 1
+        for K in (1, 2, 3):
+            for M in (1, 2, 3, 4, 8, 64, 1e7):
+                state = small_state(L=L, K=K, M=M, seed=L)
+                self.assert_pinned(state, L - 1, K - 1, trials=5, seed=10 * L + K)
+
+    def test_one_trial_final_batch(self):
+        # 1,041 trials in batches of 104: the last batch holds one trial
+        assert mc._batch_size(24, 64) == 104
+        self.assert_pinned(small_state(L=24, K=1, M=64), 5, 0, trials=1041, seed=35)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
