@@ -18,13 +18,12 @@ the (omega, theta) pairs they keep: TIN has omega = theta = {j}, SD has
 omega = all cells, S-SND has omega = all cells and theta containing j, and
 SND takes any omega containing j; ``SCHEMES`` lists them in array order.
 Cell sets are int bitmasks (bit l stands for cell l).  N of a mask is
-always summed from 0.0, adding the cells from the highest index down, and
-every bound is :func:`capacity` of one division N(theta) / (N(omega^c) + F);
-:func:`mac_bound` is that division for callers that hold N(omega^c) and F
-apart.  So a solver's rate equals the value read off the matching region
-to the bit.  The order has three implementations: ``regions._mask_sums``
-(given masks), ``regions._subset_sums`` (all 2^L) and
-``symrate._solve_rows``' loop.
+always summed from 0.0, adding the powers in ascending order, exactly tied
+cells lowest index first, and every bound is :func:`capacity` of one
+division N(theta) / (N(omega^c) + F); :func:`mac_bound` is that division
+for callers that hold N(omega^c) and F apart.  So a solver's rate equals
+the value read off the matching region to the bit, whatever the cells'
+numbering, and every theta a solver evaluates is a prefix sum.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ O(min(M, L + 1) L + K L) draws at any M.
 A batch holds R trials-last, as an (r, L + 1, trials) array, so each sum
 (y = R S w, the inner products y^H (R S)[:, l] and ||y||^2) is a short loop
 of elementwise adds over whole trial vectors, in index order.  No product
-goes through BLAS and no sum through a numpy reduction, so the bytes depend
-neither on the BLAS kernel nor on numpy's reduction blocking or the batch
-length (a final batch may hold a single trial).
+goes through BLAS and no sum through a numpy reduction, and the complex
+products y^H (R S) are formed from float multiplies and adds, so the bytes
+depend neither on the BLAS kernel nor on the CPU's fused multiply-add, nor
+on numpy's reduction blocking or the batch length (a final batch may hold a
+single trial).
 
 The antenna count must be an integer in [1, ``MAX_ANTENNAS``]: above 2^53
 float64 no longer holds every integer, so an integer count cannot be
@@ -137,10 +139,14 @@ def _one_batch(rng: np.random.Generator, state: ChannelState, j: int, i: int, m:
     y = R[:, 0] * weight[0]  # (r, count); column c is nonzero in rows 0..c only
     for c in range(1, L + 1):
         y[:c + 1] += R[:c + 1, c] * weight[c]
-    y_conj = y.conj()
-    products = y_conj[0] * R[0, :L]  # (L, count); R[k, l] is zero for k > l
-    for k in range(1, r):
-        products[k:] += y_conj[k] * R[k, k:L]
+    # conj(y) R, (L, count), from float multiplies and adds: each product is
+    # rounded before it is added, so no fused multiply-add changes a bit;
+    # R[k, l] is zero for k > l
+    yr, yi, Rr, Ri = y.real, y.imag, R.real, R.imag
+    products = np.zeros((L, count), np.complex128)
+    for k in range(r):
+        products.real[k:] += yr[k] * Rr[k, k:L] + yi[k] * Ri[k, k:L]
+        products.imag[k:] += yr[k] * Ri[k, k:L] - yi[k] * Rr[k, k:L]
     alpha = state.stats.alpha_own[j, i]
     inner[:, i] = products.T * (alpha * scale[:L])
     squares = y.real ** 2 + y.imag ** 2

@@ -10,7 +10,8 @@ coordinates are unconstrained within that part.  The parts are held as
 flat columns, ``parts`` views each as a one-part region, and
 :func:`max_symmetric_rate` reads the columns with array operations.
 Cell sets are int bitmasks (bit l stands for cell l), as in the CSV
-output, and N of a mask is summed as :mod:`~mcmimo.bounds` states.
+output, and N of a mask is summed weakest first, as :mod:`~mcmimo.bounds`
+states, by :func:`_mask_sums`, which also forms the 2^L table.
 
 The TIN region is one bound, :func:`tin_rate`; the SD, S-SND and SND
 builders refuse a region of more than ``MAX_CONSTRAINTS`` constraints
@@ -68,9 +69,10 @@ def _rate_point(point: Sequence[float], dim: int) -> np.ndarray:
 
 def _mask_sums(values, masks) -> np.ndarray:
     """N of each bitmask in the array ``masks``: the sum of ``values[l]``
-    over its set bits l, added from 0.0 and from the highest index down."""
+    over its set bits l, added from 0.0 weakest first, exactly tied cells
+    lowest index first, as :mod:`~mcmimo.bounds` states."""
     total = np.zeros(np.shape(masks))
-    for l in range(len(values) - 1, -1, -1):
+    for l in np.argsort(values, kind="stable").tolist():
         np.add(total, values[l], out=total, where=masks & 1 << l != 0)
     return total
 
@@ -143,7 +145,7 @@ def max_symmetric_rate(region: RegionFamily) -> tuple[float, int]:
     first attaining it in (cardinality, mask) order; the region's rate is
     the largest part rate, with the theta of the first part attaining it.
     """
-    per = region.bound / _mask_sums(np.ones(region.dim), region.theta)
+    per = region.bound / np.bitwise_count(region.theta).astype(float)
     least = np.minimum.reduceat(per, region.offsets[:-1])
     p = int(np.argmax(least))
     a, b = region.offsets[p:p + 2]
@@ -158,16 +160,6 @@ def _check(kind: str, state: ChannelState, j: int, i: int, count: int) -> None:
         raise ValueError(
             f"{kind} region at L={state.L} has {count} constraints, above the "
             f"limit of {MAX_CONSTRAINTS}")
-
-
-def _subset_sums(coh: np.ndarray) -> np.ndarray:
-    """N(mask) of every mask below 2^L, equal to the bit to
-    :func:`_mask_sums`: each mask adds its lowest cell to the sum of its
-    higher cells, so the highest cell comes first."""
-    sums = np.zeros(1 << len(coh))
-    for b in range(len(coh) - 1, -1, -1):
-        sums[1 << b::2 << b] = sums[0::2 << b] + coh[b]
-    return sums
 
 
 def _ordered_masks(L: int) -> np.ndarray:
@@ -254,11 +246,12 @@ _columns = _ColumnCache()
 
 
 def _sums(state: ChannelState, j: int, i: int) -> np.ndarray:
-    """The read-only :func:`_subset_sums` table of BS j, pilot i, read from
-    or put in the state's one table slot, the immutable ``((j, i), table)``."""
+    """The read-only table of N(mask) for every mask below 2^L at BS j,
+    pilot i, read from or put in the state's one table slot, the immutable
+    ``((j, i), table)``."""
     slot = state._powers.get("sums")
     if slot is None or slot[0] != (j, i):
-        table = _subset_sums(state_powers(state, i)[0][j])
+        table = _mask_sums(state_powers(state, i)[0][j], np.arange(1 << state.L))
         table.flags.writeable = False
         slot = state._powers["sums"] = ((j, i), table)
     return slot[1]

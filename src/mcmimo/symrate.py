@@ -161,19 +161,19 @@ def _solve_rows(coh, floor, own) -> tuple:
     """The rates of N rows: coherent powers (N, L), noise floors (N,) and
     own cells (N,); returns the rates, a (4, N) array in ``SCHEMES`` order,
     and a function of no arguments that returns their theta and omega
-    masks, two more (4, N) arrays.  The masks cost a gather and a mask
-    product per scheme, so a caller that reads only rates never forms them.
+    masks, two more (4, N) arrays.  The masks cost a ranking of the rows and
+    a mask product per scheme, so a caller that reads only rates never
+    forms them.
 
-    Every row has L + 1 decoded sets q, each with a rank of the cells: for
-    q < L the own cell and its q strongest interferers, ranked weakest
-    first, and for q = L every cell, the own cell ranked first and then the
-    others from the weakest.  The thetas of set q are, for r < L, its
-    members of rank at most r, and r counts only where the cell of rank r
-    is a member, so each theta appears once and in cardinality order.  The
-    value of a set is the min over its thetas of bound / |theta|, the first
-    minimizing theta winning ties.  TIN (the own cell alone) reads set 0,
-    SD (every cell by weakest rank) set L - 1, S-SND set L, and SND the
-    first maximizing set among 0..L-1.
+    Every row has L + 1 decoded sets q: for q < L the own cell and its q
+    strongest interferers, and for q = L every cell.  The thetas of set
+    q < L are its weakest-member prefixes, one ending at each member; those
+    of set L are the own cell and its r weakest others, r = 0..L-1 (S-SND
+    keeps only thetas that hold the own cell).  Each theta appears once and
+    in cardinality order.  The value of a set is the min over its thetas of
+    bound / |theta|, the first minimizing theta winning ties.  TIN (the own
+    cell alone) reads set 0, SD (every cell) set L - 1, S-SND set L, and
+    SND the first maximizing set among 0..L-1.
 
     SND's rate is that of the union of MAC polytopes at the BS.  Every part
     and the union are downward closed along the diagonal, so the union's
@@ -203,52 +203,53 @@ def _solve_rows(coh, floor, own) -> tuple:
     |theta|, bitmask) and omega maximizes value, then minimizes (|omega|,
     bitmask).  Exactly tied cells are ranked lowest index first in both the
     weakest and the strongest order, which gives the smallest bitmask among
-    equal-valued sets.  Every bound adds its cells in the order that
-    :mod:`~mcmimo.bounds` states (the loop below), so the rate is
-    bit-identical to the best part value of :func:`~mcmimo.regions.snd_region`.
+    equal-valued sets.  Every sum adds its cells weakest first, as
+    :mod:`~mcmimo.bounds` states, so each row is sorted once and every sum
+    is a ``cumsum`` along the sorted axis, and the rate is bit-identical to
+    the best part value of :func:`~mcmimo.regions.snd_region`.
     """
     N, L = coh.shape
-    Q = L + 1
+    n = np.arange(N)
     is_own = own[:, None] == np.arange(L)
+    order = coh.argsort(axis=-1, kind="stable")  # exact ties lowest index first
+    ascending = coh[n[:, None], order]
+    pos_own = (order == own[:, None]).argmax(axis=-1)
     # set q holds the cells of strong rank at most q (the own cell ranks
-    # first), so set L holds every cell
+    # first), so set L holds every cell; member[n, q, p]: whether the cell
+    # at sorted position p is in set q
     strong = _ranks(np.where(is_own, -np.inf, -coh))
-    omega_in = strong[:, None, :] <= np.arange(Q)[:, None]
-    rank = np.empty((N, Q, L), dtype=strong.dtype)
-    rank[:, :L] = _ranks(coh)[:, None]
-    rank[:, L] = _ranks(np.where(is_own, -np.inf, coh))
-
-    # member_rank: the rank of each member, L for the cells outside the set;
-    # fresh[n, q, r]: whether the cell of rank r is in set q
-    member_rank = np.where(omega_in, rank, L)
-    fresh = np.zeros((N * Q, L), dtype=bool)
-    fresh[np.arange(N * Q)[:, None], rank.reshape(N * Q, L)] = omega_in.reshape(N * Q, L)
-    fresh = fresh.reshape(N, Q, L)
-    # every theta sum adds its cells from the highest index down, and so
-    # does the sum outside each decoded set
-    r = np.arange(L)
-    outside = ~omega_in
-    noise = np.zeros((N, Q))
-    num = np.zeros((N, Q, L))
-    for l in range(L - 1, -1, -1):
-        c = coh[:, l, None]
-        np.add(noise, c, out=noise, where=outside[..., l])
-        np.add(num, c[..., None], out=num, where=member_rank[..., l, None] <= r)
+    member = strong[n[:, None], order][:, None] <= np.arange(L + 1)[:, None]
+    num = np.where(member, ascending[:, None], 0.0)
+    np.cumsum(num, axis=-1, out=num)
+    # S-SND's theta of r + 1 cells: the r weakest others, then the own cell,
+    # while r is at most the own cell's sorted position; beyond, a prefix
+    prefix = num[:, L]
+    with_own = np.concatenate((np.zeros((N, 1)), prefix[:, :-1]), axis=-1) + coh[n, own, None]
+    prefix[:] = np.where(np.arange(L) <= pos_own[:, None], with_own, prefix)
+    # the cells outside set q < L are the L - 1 - q weakest others (tied
+    # cells have equal powers, so which of them is outside changes no sum)
+    noise = np.zeros((N, L + 1))
+    others = ascending[order != own[:, None]].reshape(N, L - 1)
+    noise[:, :L - 1] = others.cumsum(axis=-1)[:, ::-1]
     bound = mac_bound(num, noise[..., None], floor[:, None, None])
-    vals = np.divide(bound, fresh.cumsum(axis=-1), out=np.full((N, Q, L), np.inf),
-                     where=fresh)
+    vals = np.divide(bound, member.cumsum(axis=-1), out=np.full(num.shape, np.inf),
+                     where=member)
     inner = vals.min(axis=-1)
 
     # the set each scheme reads, (4, N) in SCHEMES order
-    n = np.arange(N)
     q = np.empty((4, N), dtype=np.intp)
     q[:3] = [[0], [L - 1], [L]]
     q[3] = inner[:, :L].argmax(axis=-1)
 
     def masks() -> tuple[np.ndarray, np.ndarray]:
-        # theta: the members up to the rank of the first minimizing prefix
-        r_best = vals[n, q].argmin(axis=-1)
-        return _masks(np.array([member_rank[n, q] <= r_best[..., None], omega_in[n, q]]))
+        # theta: the members up to the sorted position r of the first
+        # minimizing prefix; for S-SND the own cell and the r weakest others
+        r = vals[n, q].argmin(axis=-1)[..., None]
+        weak = _ranks(coh)
+        omega = strong <= q[..., None]
+        theta = omega & (weak <= r)
+        theta[2] = is_own | (weak < r[2] + (r[2] > pos_own[:, None]))
+        return _masks(np.array([theta, omega]))
 
     return inner[n, q], masks
 

@@ -328,26 +328,21 @@ def brute_force_snd(state: ChannelState, j: int, i: int):
 def subset_sum(coh, mask: int) -> float:
     """N(mask): the sum of ``coh[l]`` over the set bits l of ``mask``.
 
-    The terms are added from the highest index down.  Every bound sums in
-    this one order, which is what makes a solver's rate equal, to the bit,
-    the value read off the matching region.
+    The terms are added from 0.0 weakest first, exactly tied cells lowest
+    index first.  Every bound sums in this one order, which is what makes a
+    solver's rate equal, to the bit, the value read off the matching region.
     """
     total = 0.0
-    while mask:
-        top = mask.bit_length() - 1
-        total += coh[top]
-        mask ^= 1 << top
+    for l in sorted((l for l in range(mask.bit_length()) if mask >> l & 1),
+                    key=lambda l: coh[l]):  # a stable sort of the cells in index order
+        total += coh[l]
     return total
 
 
 def subset_sum_table(values: np.ndarray) -> np.ndarray:
-    """sums[mask] = sum of values over the set bits, accumulated from the
-    highest index down (the lowest bit is added last)."""
-    sums = np.zeros(1 << len(values))
-    for mask in range(1, 1 << len(values)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
-    return sums
+    """sums[mask] = :func:`subset_sum` of every mask below 2^len(values)."""
+    values = np.asarray(values, dtype=float).tolist()
+    return np.array([subset_sum(values, mask) for mask in range(1 << len(values))])
 
 
 @dataclass(frozen=True)
@@ -533,14 +528,12 @@ def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
 
     The draws are the sampler's calls, batch by batch: R's upper entries,
     its diagonal, the cross products, the noise projections and the symbols.
-    Complex-by-complex products go through numpy's elementwise multiply,
-    which may fuse a multiply and an add where the CPU has FMA; Python's
-    complex product rounds twice, so it could differ in the last bit."""
+    Complex products are Python's, which round each float product before
+    adding, as the sampler's do."""
     p = state.params
     K, L, m = p.K, p.L, int(p.M)
     r = min(m, L + 1)
     upper = [(k, c) for k in range(r) for c in range(k + 1, L + 1)]
-    pairs = [(k, l) for l in range(L) for k in range(r)]  # the products' order
     scale = [math.sqrt(b) for b in state.beta[j, i]] + [1.0]
     weight = [s * math.sqrt(p.rho_p) for s in scale[:L]] + [1.0]
     alpha = float(state.stats.alpha_own[j, i])
@@ -569,12 +562,10 @@ def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
                 for c in range(L + 1):
                     acc += R[k][c] * weight[c]
                 y.append(acc)
-            products = (np.array([y[k].conjugate() for k, _ in pairs])
-                        * np.array([R[k][l] for k, l in pairs])).tolist()
             for l in range(L):
                 acc = 0j
                 for k in range(r):
-                    acc += products[l * r + k]
+                    acc += y[k].conjugate() * R[k][l]
                 stats.inner[lo + t, i, l] = acc * (alpha * scale[l])
             norm_sq = 0.0
             for k in range(r):

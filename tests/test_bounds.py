@@ -76,16 +76,18 @@ class TestRateBound:
             with pytest.raises(ValueError, match="out of range"):
                 coherent_power(state, j, i)
 
-    def test_subset_sum_adds_highest_index_first(self):
-        # 1e16 + 1 + 1 rounds to 1e16 in index order, but the two ones added
-        # first give 2 and then 1e16 + 2 exactly
-        coh = [1e16, 1.0, 1.0]
+    @pytest.mark.parametrize("coh", [[1e16, 1.0, 1.0], [1.0, 1.0, 1e16]])
+    def test_subset_sum_adds_weakest_first(self, coh):
+        # 1e16 + 1 + 1 rounds to 1e16, but the two ones added first give 2
+        # and then 1e16 + 2 exactly, whichever labels the cells carry (an
+        # order by index, highest first, gives 1e16 for the second labelling)
+        big = coh.index(1e16)
         assert subset_sum(coh, 0b111) == 1e16 + 2.0
-        assert subset_sum(coh, 0b110) == 2.0
+        assert subset_sum(coh, 0b111 ^ 1 << big) == 2.0
         assert subset_sum(coh, 0) == 0.0
         # the same cases through the array helper, with int64 and object masks
         for dtype in (np.int64, object):
-            masks = np.array([0b111, 0b110, 0], dtype=dtype)
+            masks = np.array([0b111, 0b111 ^ 1 << big, 0], dtype=dtype)
             assert regions._mask_sums(np.array(coh), masks).tolist() == [1e16 + 2.0, 2.0, 0.0]
 
     def test_mask_sums_equal_subset_sum_to_the_bit(self):
@@ -454,11 +456,11 @@ class TestTableMemo:
     def tables(self, monkeypatch):
         calls = []
 
-        def counted(coh, _f=regions._subset_sums):
+        def counted(coh, masks, _f=regions._mask_sums):
             calls.append(coh)
-            return _f(coh)
+            return _f(coh, masks)
 
-        monkeypatch.setattr(regions, "_subset_sums", counted)
+        monkeypatch.setattr(regions, "_mask_sums", counted)
         return calls
 
     def test_one_table_per_bs_and_pilot(self, tables):

@@ -573,6 +573,20 @@ class TestCliCommands:
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_256_cell_ring_snd_symrate(self, tmp_path, capsys):
+        # the SND solve costs O(L^3) per state, so a 256-cell ring (K = 1,
+        # within the link limit) takes about a second
+        cfg = tmp_path / "ring256.json"
+        cfg.write_text(json.dumps(ring_config(256)))
+        assert run_cli("symrate", "--config", str(cfg), "--scheme", "snd") == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        lines = out.out.splitlines()
+        assert lines[0] == "scope,rate,theta_mask,omega_mask"
+        assert len(lines) == 1 + 256 + 1
+        assert [line.split(",")[0] for line in lines[1:]] == [*map(str, range(256)), "network"]
+        assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
     @pytest.mark.parametrize("scheme, L", [("sd", 21), ("ssnd", 22), ("snd", 13)])
     def test_region_size_limit_is_one_error_line(self, scheme, L, tmp_path, monkeypatch,
                                                   capsys):

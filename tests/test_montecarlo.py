@@ -1,7 +1,12 @@
 import functools
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +469,47 @@ class TestBatchArithmetic:
         # 1,041 trials in batches of 104: the last batch holds one trial
         assert mc._batch_size(24, 64) == 104
         self.assert_pinned(small_state(L=24, K=1, M=64), 5, 0, trials=1041, seed=35)
+
+
+# SHA-256 of the sampler's records at L = 2, 3, 5 and M = 4, 64, 1024
+_RECORD_DIGEST = """
+import hashlib
+import numpy as np
+import mcmimo.montecarlo as mc
+from mcmimo import ChannelState, SystemParams
+digest = hashlib.sha256()
+for L in (2, 3, 5):
+    for M in (4, 64, 1024):
+        beta = np.random.default_rng(L).uniform(0.1, 1.0, size=(L, 2, L))
+        params = SystemParams(L=L, K=2, M=float(M), rho_u=1.5, rho_p=2.0)
+        stats = mc._sample(ChannelState.from_beta(beta, params), L - 1, 1, 2000, 7)
+        for a in (stats.inner, stats.noise, stats.symbols):
+            digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+# numpy's x86-64 baseline with no AVX, so no fused multiply-add
+SSE_FEATURES = "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the feature names are x86 ones")
+def test_record_bytes_do_not_depend_on_fused_multiply_add():
+    # numpy's complex multiply fuses a multiply and an add where it may use
+    # FMA and rounds twice where it may not; the sampler forms its complex
+    # products from float multiplies and adds, so both give the same
+    # bytes.  The variable acts only on the child processes.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    digests = []
+    for extra in ({}, {"NPY_ENABLE_CPU_FEATURES": SSE_FEATURES}):
+        proc = subprocess.run([sys.executable, "-c", _RECORD_DIGEST], capture_output=True,
+                              text=True, env={**env, **extra}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

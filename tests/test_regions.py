@@ -137,17 +137,21 @@ class TestConstruction:
 
 
 class TestSubsetSumTable:
-    """Every builder reads its bounds off one table of bit-order subset
+    """Every builder reads its bounds off one table of weakest-first subset
     sums, as the solvers sum their sets, so the scheme identities hold to
     the exact float."""
 
-    def test_doubling_table_is_subset_sum_to_the_bit(self):
+    def test_table_is_subset_sum_to_the_bit(self):
         rng = np.random.default_rng(48)
         for L in range(0, 13):
             for scale in (1.0, 1e-3, 1e6):
                 coh = scale * rng.uniform(0.0, 1.0, L) ** 3
                 want = [subset_sum(coh.tolist(), mask) for mask in range(1 << L)]
-                assert regions._subset_sums(coh).tolist() == want
+                assert regions._mask_sums(coh, np.arange(1 << L)).tolist() == want
+        for L in range(1, 9):
+            state = random_state(rng, L=L, K=2)
+            want = subset_sum_table(state_powers(state, 1)[0][L - 1]).tolist()
+            assert regions._sums(state, L - 1, 1).tolist() == want
 
     def test_full_snd_part_is_the_sd_polytope(self):
         rng = np.random.default_rng(39)

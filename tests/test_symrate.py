@@ -395,6 +395,21 @@ def tie_stacks(draw):
     return stack_of([(state.with_m(m), 0) for m in antennas])
 
 
+@st.composite
+def random_stacks(draw):
+    """Coherent powers and floors of one to three random networks of L <= 12
+    cells; a third of them draw every power from three levels, so that
+    cells tie exactly."""
+    L = draw(st.integers(1, 12))
+    G = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 2)) == 0:
+        coh = rng.choice([1e2, 3e3, 1e5], size=(G, L, L))
+    else:
+        coh = rng.lognormal(6.0, 3.0, (G, L, L))
+    return coh, rng.uniform(1.0, 1e3, (G, L))
+
+
 class TestRatesOnly:
     """``stacked_rates_only`` is ``stacked_rates``' rate array, solved by the
     same kernel without forming the witness masks."""
@@ -651,6 +666,17 @@ class TestOracleFreeProperties:
                     for mask in ("theta", "omega"):
                         mapped = mask_of(perm[b] for b in cells(getattr(after, mask)))
                         assert mapped == getattr(before, mask)
+
+    @settings(max_examples=300)
+    @given(random_stacks(), st.data())
+    def test_relabelling_cells_permutes_rates_bit_for_bit(self, stack, data):
+        # every sum adds its powers weakest first, so a rate depends on the
+        # powers alone, not on which labels the cells carry, ties included
+        coh, floor = stack
+        L = coh.shape[1]
+        perm = np.array(data.draw(st.permutations(range(L))), dtype=np.intp)
+        moved = symrate.stacked_rates_only(coh[:, perm][:, :, perm], floor[:, perm])
+        assert moved.tobytes() == symrate.stacked_rates_only(coh, floor)[:, :, perm].tobytes()
 
     @settings(max_examples=25)
     @given(networks(max_cells=8), st.data())
