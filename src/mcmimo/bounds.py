@@ -214,17 +214,11 @@ def mac_bound(n_theta, n_noise, floor: float):
     """The multiple-access sum-rate bound C(N(theta) / (N(omega^c) + F)) in
     bits, from the N values of theta and of the cells outside omega.
 
-    Scalars give a scalar.  Sequences are evaluated elementwise into one
-    result array, and the inputs are never written: the divide writes the
-    fresh ``N(omega^c) + F`` when that is a float64 array of the shape of
-    the array ``n_theta`` (else one fresh array), and the log and the
-    1/ln 2 scaling run in place, so a call holds one array beyond its
-    inputs.
+    Scalars give a scalar.  Sequences are evaluated elementwise into a
+    fresh array, the log and the 1/ln 2 scaling in place; the inputs are
+    never written.
     """
-    denom = np.add(n_noise, floor)
-    own = (isinstance(denom, np.ndarray) and denom.shape == getattr(n_theta, "shape", None)
-           and denom.dtype == np.float64)
-    snr = np.divide(n_theta, denom, out=denom if own else None)
+    snr = np.divide(n_theta, np.add(n_noise, floor))
     return capacity(snr, out=snr if isinstance(snr, np.ndarray) else None)
 
 

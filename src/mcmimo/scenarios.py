@@ -39,7 +39,7 @@ from .bounds import (check_indices, coherent_power, coherent_powers, mac_bound, 
                      noise_floors, state_floors)
 from .estimation import ChannelState, check_fading, mmse_coeffs
 from .network import CellLayout, SystemParams, fading_stack, layout_stack
-from .symrate import SCHEMES, STACK_BYTES, stacked_rates_only, symmetric_rates
+from .symrate import ENTRY_BYTES, SCHEMES, STACK_BYTES, stacked_rates_only, symmetric_rates
 
 __all__ = [
     "Scenario",
@@ -307,25 +307,21 @@ def _evaluate(scenario: Scenario, axis: str, values: list[float], pilot: int,
     value.
 
     Values are evaluated in chunks of at most ``STACK_BYTES`` of arrays.
-    Per value the kernel holds about 64 bytes for each of its L^2 (L + 1)
+    Per value the kernel holds ``ENTRY_BYTES`` for each of its L^2 (L + 1)
     (BS, decoded set, cell) entries, and a fading stack about 64 bytes for
     each of its K L^2 links.
     """
     L, K = scenario.params.L, scenario.params.K
-    step = max(1, STACK_BYTES // (64 * L * L * (L + 1 + K)))
-    parts = [_evaluate_chunk(scenario, axis, values[start:start + step], pilot, base)
-             for start in range(0, len(values), step)]
-    if len(parts) == 1:
-        return parts[0]
-    rates, cases = zip(*parts)
-    return np.concatenate(rates), None if L != 2 else np.concatenate(cases, axis=1)
-
-
-def _evaluate_chunk(scenario: Scenario, axis: str, values: list[float], pilot: int,
-                    base: ChannelState | None):
-    coh, floor = _stack_powers(scenario, axis, values, pilot, base)
-    rates = stacked_rates_only(coh, floor).min(axis=-1).T
-    return rates, _two_cell_values(coh[:, 0], floor[:, 0], 0) if coh.shape[1] == 2 else None
+    rates = np.empty((len(values), len(SCHEMES)))
+    cases = np.empty((4, len(values))) if L == 2 else None
+    step = max(1, STACK_BYTES // (L * L * (ENTRY_BYTES * (L + 1) + 64 * K)))
+    for start in range(0, len(values), step):
+        chunk = slice(start, start + step)
+        coh, floor = _stack_powers(scenario, axis, values[chunk], pilot, base)
+        rates[chunk] = stacked_rates_only(coh, floor).min(axis=-1).T
+        if cases is not None:
+            cases[:, chunk] = _two_cell_values(coh[:, 0], floor[:, 0], 0)
+    return rates, cases
 
 
 def _signs_and_margins(rates: np.ndarray,

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -58,6 +57,7 @@ __all__ = [
     "stacked_rates",
     "stacked_rates_only",
     "STACK_BYTES",
+    "ENTRY_BYTES",
     "low_sinr_decode_set",
     "symmetric_rates",
     "bs_symmetric_rate",
@@ -65,6 +65,9 @@ __all__ = [
 ]
 
 STACK_BYTES = 32 << 20  # bytes of arrays one chunk of stacked rows holds, at most
+# bytes a chunk holds per (row, decoded set, cell): the tracemalloc peak of
+# stacked_rates on a ring's rows reads 33-39 B per entry from L = 16 to 256
+ENTRY_BYTES = 42
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,10 @@ def _bits(L: int) -> np.ndarray:
     return bits
 
 
-def _masks(member: np.ndarray) -> np.ndarray:
-    """The bitmasks of the cell sets ``member[..., l]``."""
-    return member @ _bits(member.shape[-1])
+def _masks(member: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The bitmasks of the cell sets ``member[..., p]`` over sorted
+    positions p, where position p of a row holds cell ``order[..., p]``."""
+    return np.where(member, _bits(member.shape[-1])[order], 0).sum(axis=-1)
 
 
 def _ranks(keys: np.ndarray) -> np.ndarray:
@@ -115,16 +119,19 @@ def stacked_rates(coh, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``coh[g, j, l]`` is the coherent power N({l}) of cell l at BS j in
     stack entry g, and ``floor[g, j]`` the noise floor there.  Returns
     (rate, theta, omega), three (4, G, L) arrays with ``[s, g, j]`` for
-    scheme ``SCHEMES[s]``.  The G * L rows are solved in chunks of at most
-    ``STACK_BYTES`` of arrays, about 64 bytes per (row, decoded set,
-    cell), with L + 1 decoded sets per row.  :func:`stacked_rates_only`
-    is the rate array alone, without forming the masks.
+    scheme ``SCHEMES[s]``, the masks in ``_bits(L).dtype``.  The G * L
+    rows are solved in chunks (see :func:`_solve_stack`).
+    :func:`stacked_rates_only` is the rate array alone, without forming
+    the masks.
     """
     G, L = np.shape(coh)[:2]
-    parts = list(map(_with_masks, _solve_stack(coh, floor)))
-    solved = parts[0] if len(parts) == 1 else [np.concatenate(arrays, axis=-1)
-                                               for arrays in zip(*parts)]
-    return tuple(a.reshape(len(SCHEMES), G, L) for a in solved)
+    rate = np.empty((len(SCHEMES), G * L))
+    masks = np.empty((2, len(SCHEMES), G * L), dtype=_bits(L).dtype)
+    for rows, (rates, chunk_masks) in _solve_stack(coh, floor):
+        rate[:, rows] = rates
+        masks[..., rows] = chunk_masks()
+        del chunk_masks  # the chunk's arrays go before the next is solved
+    return rate.reshape(len(SCHEMES), G, L), *masks.reshape(2, len(SCHEMES), G, L)
 
 
 def stacked_rates_only(coh, floor) -> np.ndarray:
@@ -132,38 +139,37 @@ def stacked_rates_only(coh, floor) -> np.ndarray:
     bit for bit, for callers that read no witness set: the same chunks are
     solved, and the theta and omega masks are never formed."""
     G, L = np.shape(coh)[:2]
-    parts = list(map(itemgetter(0), _solve_stack(coh, floor)))
-    rates = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    return rates.reshape(len(SCHEMES), G, L)
-
-
-def _with_masks(solved: tuple) -> tuple:
-    """A :func:`_solve_rows` result as its rates, theta and omega masks."""
-    rates, masks = solved
-    return (rates, *masks())
+    rate = np.empty((len(SCHEMES), G * L))
+    for rows, (rates, chunk_masks) in _solve_stack(coh, floor):
+        rate[:, rows] = rates
+        del chunk_masks  # the chunk's arrays go before the next is solved
+    return rate.reshape(len(SCHEMES), G, L)
 
 
 def _solve_stack(coh, floor):
-    """:func:`_solve_rows` of each chunk of the stack's G * L rows, in order.
-    Read it through ``map``, which lets go of a chunk's arrays before the
-    next chunk is solved."""
+    """``(rows, _solve_rows(...))`` for each chunk of the stack's G * L
+    rows, in order, ``rows`` the chunk's slice of them.  A chunk holds at
+    most ``STACK_BYTES`` of arrays, at ``ENTRY_BYTES`` per (row, decoded
+    set, cell) with L + 1 decoded sets per row, if the caller lets go of
+    each chunk's result before it takes the next."""
     coh = np.asarray(coh, dtype=float)
     G, _, L = coh.shape
     rows = coh.reshape(G * L, L)
     floors = np.asarray(floor, dtype=float).reshape(G * L)
     owns = np.arange(G * L) % L
-    step = max(1, STACK_BYTES // (64 * (L + 1) * L))
+    step = max(1, STACK_BYTES // (ENTRY_BYTES * (L + 1) * L))
     for k in range(0, G * L, step):
-        yield _solve_rows(rows[k:k + step], floors[k:k + step], owns[k:k + step])
+        chunk = slice(k, k + step)
+        yield chunk, _solve_rows(rows[chunk], floors[chunk], owns[chunk])
 
 
 def _solve_rows(coh, floor, own) -> tuple:
     """The rates of N rows: coherent powers (N, L), noise floors (N,) and
     own cells (N,); returns the rates, a (4, N) array in ``SCHEMES`` order,
     and a function of no arguments that returns their theta and omega
-    masks, two more (4, N) arrays.  The masks cost a ranking of the rows and
-    a mask product per scheme, so a caller that reads only rates never
-    forms them.
+    masks, a (2, 4, N) array.  The masks cost a gather of the members and a
+    mask sum per scheme, so a caller that reads only rates never forms
+    them.
 
     Every row has L + 1 decoded sets q: for q < L the own cell and its q
     strongest interferers, and for q = L every cell.  The thetas of set
@@ -241,15 +247,16 @@ def _solve_rows(coh, floor, own) -> tuple:
     q[:3] = [[0], [L - 1], [L]]
     q[3] = inner[:, :L].argmax(axis=-1)
 
-    def masks() -> tuple[np.ndarray, np.ndarray]:
-        # theta: the members up to the sorted position r of the first
-        # minimizing prefix; for S-SND the own cell and the r weakest others
+    def masks() -> np.ndarray:
+        # on sorted positions p, omega is set q's members and theta those up
+        # to the position r of the first minimizing prefix; for S-SND, the
+        # own cell and the r weakest others
         r = vals[n, q].argmin(axis=-1)[..., None]
-        weak = _ranks(coh)
-        omega = strong <= q[..., None]
-        theta = omega & (weak <= r)
-        theta[2] = is_own | (weak < r[2] + (r[2] > pos_own[:, None]))
-        return _masks(np.array([theta, omega]))
+        p = np.arange(L)
+        omega = member[n, q]
+        theta = omega & (p <= r)
+        theta[2] = (p == pos_own[:, None]) | (p < r[2] + (r[2] > pos_own[:, None]))
+        return _masks(np.array([theta, omega]), order)
 
     return inner[n, q], masks
 

@@ -172,8 +172,8 @@ def read_only(array):
 
 
 class TestMacBoundArrays:
-    """mac_bound forms its result in one array and writes no input, with the
-    bits and types of the two-pass formula."""
+    """mac_bound writes no input and returns the bits and types of the
+    two-pass formula."""
 
     @staticmethod
     def shapes(rng):

@@ -14,7 +14,7 @@ from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, SystemParams, capacity,
                     network_symmetric_rate, preset_scenario, sd_region, snd_region,
                     ssnd_region, sweep, symmetric_rates, tin_rate, tin_region,
                     two_cell_layout, two_cell_ordering_check)
-from mcmimo.bounds import coherent_powers, noise_floors
+from mcmimo.bounds import coherent_powers, noise_floors, state_powers
 from mcmimo import symrate
 from mcmimo.symrate import bs_symmetric_rate, stacked_rates
 
@@ -364,6 +364,31 @@ class TestStackedKernel:
         monkeypatch.undo()
         assert network_symmetric_rate(state, "snd") == report
 
+    @pytest.mark.parametrize("L, budget", [(64, 4 << 20), (160, 16 << 20)])
+    def test_chunks_fill_the_budget(self, monkeypatch, L, budget):
+        # a chunk is sized by the measured bytes per entry, so the peak comes
+        # close to the budget without passing it
+        monkeypatch.setattr(symrate, "STACK_BYTES", budget)
+        coh, floor = stack_of([(ring_state(np.random.default_rng(76), L=L, K=1), 0)])
+        for solve in (stacked_rates, symrate.stacked_rates_only):
+            tracemalloc.start()
+            try:
+                solve(coh, floor)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 0.7 * budget < peak <= budget
+
+    @pytest.mark.parametrize("L", [1, 3, 64])
+    def test_empty_stack(self, L):
+        coh, floor = np.empty((0, L, L)), np.empty((0, L))
+        rate, theta, omega = stacked_rates(coh, floor)
+        assert rate.shape == theta.shape == omega.shape == (len(SCHEMES), 0, L)
+        assert rate.dtype == np.float64
+        assert theta.dtype == omega.dtype == symrate._bits(L).dtype
+        rates = symrate.stacked_rates_only(coh, floor)
+        assert rates.shape == (len(SCHEMES), 0, L) and rates.dtype == np.float64
+
 
 # the ring sizes of the rates-only checks: the small Ls, one past the
 # int64 masks' last L (63), and two larger ones
@@ -429,7 +454,7 @@ class TestRatesOnly:
         assert rates.tobytes() == full[0].tobytes()
 
     def test_forms_no_masks(self, monkeypatch):
-        def fail(member):
+        def fail(member, order):
             raise AssertionError("formed witness masks")
 
         monkeypatch.setattr(symrate, "_masks", fail)
@@ -644,6 +669,18 @@ def per_bs(state, i):
     return {s: report.per_bs for s, report in symmetric_rates(state, i).items()}
 
 
+# K = 1 rings past the strategies' 64 cells, each with its pilot slot
+_LARGE_RINGS = [(ring_state(np.random.default_rng(seed), L, K=1), 0)
+                for L, seed in [(128, 92), (128, 93), (256, 94)]]
+
+
+def large_ring_examples(test):
+    """``test`` with one explicit example per ring of ``_LARGE_RINGS``."""
+    for case in _LARGE_RINGS:
+        test = example(case)(test)
+    return test
+
+
 class TestOracleFreeProperties:
     """Properties of the model that hold at any L, where the exhaustive
     oracles stop at L <= 8."""
@@ -678,6 +715,15 @@ class TestOracleFreeProperties:
         moved = symrate.stacked_rates_only(coh[:, perm][:, :, perm], floor[:, perm])
         assert moved.tobytes() == symrate.stacked_rates_only(coh, floor)[:, :, perm].tobytes()
 
+    @pytest.mark.parametrize("case", _LARGE_RINGS, ids=["L128-a", "L128-b", "L256"])
+    def test_relabelling_large_rings_permutes_rates_bit_for_bit(self, case):
+        state, i = case
+        coh, floor = state_powers(state, i)
+        perm = np.random.default_rng(state.L).permutation(state.L)
+        moved = symrate.stacked_rates_only(coh[perm][:, perm][None], floor[perm][None])
+        rates = symrate.stacked_rates_only(coh[None], floor[None])
+        assert moved.tobytes() == rates[:, :, perm].tobytes()
+
     @settings(max_examples=25)
     @given(networks(max_cells=8), st.data())
     def test_relabelling_maps_region_columns(self, case, data):
@@ -711,6 +757,7 @@ class TestOracleFreeProperties:
     @settings(max_examples=30)
     @given(networks())
     @example((ring_state(np.random.default_rng(90), 64, K=1), 0))  # masks past int64
+    @large_ring_examples
     def test_rates_do_not_fall_as_m_or_rho_u_grows(self, case):
         state, i = case
         p = state.params
@@ -725,6 +772,7 @@ class TestOracleFreeProperties:
     @settings(max_examples=30)
     @given(networks(max_cells=63))
     @example((ring_state(np.random.default_rng(91), 63, K=1), 0))
+    @large_ring_examples
     def test_negligible_extra_cell_leaves_tin_and_snd(self, case):
         state, i = case
         L, K = state.L, state.K
