@@ -66,9 +66,9 @@ MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
 MAX_ANTENNAS = 2 ** 53    # antennas of one empirical decomposition, at most
 
 
-def complex_normal(rng: np.random.Generator, shape, var: float = 1.0,
+def complex_normal(rng: np.random.Generator, shape,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Circular complex Gaussian samples with the given per-entry variance.
+    """Circular complex Gaussian samples of unit variance, CN(0, 1).
 
     Real and imaginary parts are drawn interleaved in one call into ``out``,
     a C-contiguous complex128 array of ``shape`` (allocated when not given)
@@ -84,7 +84,7 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0,
             f"out must be a writable C-contiguous complex128 array of shape {shape}")
     z = out.view(np.float64).reshape(*shape, 2)
     rng.standard_normal(out=z)
-    z *= math.sqrt(var / 2.0)
+    z *= math.sqrt(0.5)
     return out
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "stacked_rates",
     "stacked_rates_only",
     "STACK_BYTES",
-    "ENTRY_BYTES",
     "low_sinr_decode_set",
     "symmetric_rates",
     "bs_symmetric_rate",
@@ -65,8 +64,9 @@ __all__ = [
 ]
 
 STACK_BYTES = 32 << 20  # bytes of arrays one chunk of stacked rows holds, at most
-# bytes a chunk holds per (row, decoded set, cell): the tracemalloc peak of
-# stacked_rates on a ring's rows reads 33-39 B per entry from L = 16 to 256
+# bytes a chunk holds per (row, decoded set, cell), with a row's O(L) arrays
+# counted as 2 L more entries: the tracemalloc peak of stacked_rates on a
+# ring's rows reads 33-39 B per entry from L = 16 to 256
 ENTRY_BYTES = 42
 
 
@@ -120,14 +120,15 @@ def stacked_rates(coh, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stack entry g, and ``floor[g, j]`` the noise floor there.  Returns
     (rate, theta, omega), three (4, G, L) arrays with ``[s, g, j]`` for
     scheme ``SCHEMES[s]``, the masks in ``_bits(L).dtype``.  The G * L
-    rows are solved in chunks (see :func:`_solve_stack`).
+    rows are solved in chunks of bounded memory, and a ``coh`` or
+    ``floor`` of any other shape is refused (see :func:`_solve_stack`).
     :func:`stacked_rates_only` is the rate array alone, without forming
     the masks.
     """
-    G, L = np.shape(coh)[:2]
+    (G, L), chunks = _solve_stack(coh, floor)
     rate = np.empty((len(SCHEMES), G * L))
     masks = np.empty((2, len(SCHEMES), G * L), dtype=_bits(L).dtype)
-    for rows, (rates, chunk_masks) in _solve_stack(coh, floor):
+    for rows, (rates, chunk_masks) in chunks:
         rate[:, rows] = rates
         masks[..., rows] = chunk_masks()
         del chunk_masks  # the chunk's arrays go before the next is solved
@@ -138,29 +139,45 @@ def stacked_rates_only(coh, floor) -> np.ndarray:
     """The rate array of :func:`stacked_rates`, (4, G, L) and equal to it
     bit for bit, for callers that read no witness set: the same chunks are
     solved, and the theta and omega masks are never formed."""
-    G, L = np.shape(coh)[:2]
+    (G, L), chunks = _solve_stack(coh, floor)
     rate = np.empty((len(SCHEMES), G * L))
-    for rows, (rates, chunk_masks) in _solve_stack(coh, floor):
+    for rows, (rates, chunk_masks) in chunks:
         rate[:, rows] = rates
         del chunk_masks  # the chunk's arrays go before the next is solved
     return rate.reshape(len(SCHEMES), G, L)
 
 
 def _solve_stack(coh, floor):
-    """``(rows, _solve_rows(...))`` for each chunk of the stack's G * L
-    rows, in order, ``rows`` the chunk's slice of them.  A chunk holds at
-    most ``STACK_BYTES`` of arrays, at ``ENTRY_BYTES`` per (row, decoded
-    set, cell) with L + 1 decoded sets per row, if the caller lets go of
-    each chunk's result before it takes the next."""
+    """The stack's (G, L) and an iterator of ``(rows, _solve_rows(...))``
+    for each chunk of its G * L rows, in order, ``rows`` the chunk's slice
+    of them.  ``coh`` must be (G, L, L) and ``floor`` (G, L); any other
+    shapes raise ``ValueError`` before a chunk is solved.
+
+    A chunk holds at most ``STACK_BYTES`` of arrays if the caller lets go
+    of each chunk's result before it takes the next.  A row holds
+    ``ENTRY_BYTES`` for each of its (L + 1) L (decoded set, cell) entries
+    and for 2 L more: its O(L) arrays (sort order, strong ranks, the other
+    cells, noise sums and the S-SND prefix) hold about as much as two more
+    decoded sets, and at small L they are most of a row.  Each chunk forms
+    its own cells' indices, so the kernel holds no whole-stack array but
+    the returned ones.
+    """
     coh = np.asarray(coh, dtype=float)
+    floor = np.asarray(floor, dtype=float)
+    if coh.ndim != 3 or coh.shape[1] != coh.shape[2] or floor.shape != coh.shape[:2]:
+        raise ValueError(f"stacked coherent powers must be (G, L, L) and noise floors "
+                         f"(G, L), got {coh.shape} and {floor.shape}")
     G, _, L = coh.shape
-    rows = coh.reshape(G * L, L)
-    floors = np.asarray(floor, dtype=float).reshape(G * L)
-    owns = np.arange(G * L) % L
-    step = max(1, STACK_BYTES // (ENTRY_BYTES * (L + 1) * L))
-    for k in range(0, G * L, step):
-        chunk = slice(k, k + step)
-        yield chunk, _solve_rows(rows[chunk], floors[chunk], owns[chunk])
+    rows, floors = coh.reshape(G * L, L), floor.reshape(G * L)
+    step = max(1, STACK_BYTES // (ENTRY_BYTES * (L + 3) * L))
+
+    def chunks():
+        for k in range(0, G * L, step):
+            chunk = slice(k, k + step)
+            own = np.arange(*chunk.indices(G * L)) % L
+            yield chunk, _solve_rows(rows[chunk], floors[chunk], own)
+
+    return (G, L), chunks()
 
 
 def _solve_rows(coh, floor, own) -> tuple:

@@ -62,10 +62,11 @@ BAD_OUTS = {
 
 class TestSampling:
     def test_complex_normal_shape_and_variance(self):
-        z = complex_normal(np.random.default_rng(30), (4000, 3), var=2.0)
+        z = complex_normal(np.random.default_rng(30), (4000, 3))
         assert z.shape == (4000, 3) and z.dtype == np.complex128
-        assert z.real.var() == pytest.approx(1.0, rel=0.05)
-        assert z.imag.var() == pytest.approx(1.0, rel=0.05)
+        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.05)
+        assert z.real.var() == pytest.approx(0.5, rel=0.05)
+        assert z.imag.var() == pytest.approx(0.5, rel=0.05)
         assert abs(np.mean(z.real * z.imag)) < 0.05
 
     @pytest.mark.parametrize("kind", sorted(BAD_OUTS))
@@ -386,9 +387,9 @@ class TestEmpiricalDecomposition:
         # whatever M is, plus L + 1 gamma variates for R's diagonal
         drawn, gammas = [], []
 
-        def counting(rng, shape, var=1.0, **kwargs):
+        def counting(rng, shape, **kwargs):
             drawn.append(math.prod(shape))
-            return complex_normal(rng, shape, var, **kwargs)
+            return complex_normal(rng, shape, **kwargs)
 
         class CountingGamma:
             def __init__(self, rng):

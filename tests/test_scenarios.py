@@ -380,6 +380,22 @@ class TestStackBudget:
         assert len(result.rows) == MAX_GRID_POINTS
         assert peak < 1.25 * scenarios.STACK_BYTES
 
+    def test_large_theta_sweep_stays_under_budget(self):
+        # three cells of 64 users at 2,000 angles: one value's fading and MMSE
+        # stacks hold about 26 kB, so the whole grid would hold 52 MB, and
+        # only the sweep's own bytes per link bound its chunks
+        sc = preset_scenario("three-cell-theta")
+        sc = replace(sc, params=replace(sc.params, K=64))
+        grid = np.linspace(0.0, 180.0, 2000).tolist()
+        tracemalloc.start()
+        try:
+            result = sweep(sc, "theta", grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == len(grid)
+        assert peak < 1.25 * scenarios.STACK_BYTES
+
     def test_chunks_change_no_bit(self, monkeypatch):
         sc = preset_scenario("three-cell-theta")
         grid = np.linspace(0.0, 180.0, 19)

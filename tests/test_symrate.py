@@ -364,20 +364,39 @@ class TestStackedKernel:
         monkeypatch.undo()
         assert network_symmetric_rate(state, "snd") == report
 
-    @pytest.mark.parametrize("L, budget", [(64, 4 << 20), (160, 16 << 20)])
-    def test_chunks_fill_the_budget(self, monkeypatch, L, budget):
-        # a chunk is sized by the measured bytes per entry, so the peak comes
-        # close to the budget without passing it
+    @pytest.mark.parametrize("L, G, budget", [
+        (3, 4000, 2 << 20), (8, 200, 2 << 20),
+        (3, 37_000, 2 << 20),  # about 40 chunks
+        (64, 1, 4 << 20), (160, 1, 16 << 20)])
+    def test_chunks_fill_the_budget(self, monkeypatch, L, G, budget):
+        # a chunk is sized by the measured bytes per entry and counts its
+        # rows' O(L) arrays, so the working set (the peak beyond the returned
+        # arrays) comes close to the budget without passing it, however
+        # small L and however long the stack
         monkeypatch.setattr(symrate, "STACK_BYTES", budget)
-        coh, floor = stack_of([(ring_state(np.random.default_rng(76), L=L, K=1), 0)])
+        coh, floor = (np.repeat(a, G, axis=0) for a in
+                      stack_of([(ring_state(np.random.default_rng(76), L=L, K=1), 0)]))
         for solve in (stacked_rates, symrate.stacked_rates_only):
             tracemalloc.start()
             try:
-                solve(coh, floor)
+                out = solve(coh, floor)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert 0.7 * budget < peak <= budget
+            returned = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+            assert 0.7 * budget < peak - returned <= budget
+
+    @pytest.mark.parametrize("coh_shape, floor_shape", [
+        ((2, 3, 3), (3, 2)),  # the floors transposed
+        ((2, 3, 3), (6,)),  # the floors flat
+        ((2, 3, 4), (2, 3)),  # the rows not square
+        ((6, 3), (2, 3)),  # the powers flat
+    ])
+    def test_refuses_mismatched_shapes(self, coh_shape, floor_shape):
+        coh, floor = np.ones(coh_shape), np.ones(floor_shape)
+        for solve in (stacked_rates, symrate.stacked_rates_only):
+            with pytest.raises(ValueError, match=r"\(G, L, L\).*\(G, L\)"):
+                solve(coh, floor)
 
     @pytest.mark.parametrize("L", [1, 3, 64])
     def test_empty_stack(self, L):
