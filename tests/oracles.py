@@ -11,6 +11,7 @@ combiner's scalars from the R factor of BS j's own-slot channels.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, repeat
 from operator import lt, or_
@@ -21,10 +22,11 @@ from hypothesis import strategies as st
 
 from mcmimo import (SCHEMES, CellLayout, ChannelState, RegionFamily, SystemParams,
                     classify_two_cell, network_symmetric_rate)
-from mcmimo.bounds import capacity, coherent_power, noise_floor
+from mcmimo import montecarlo
+from mcmimo.bounds import PowerDecomposition, capacity, coherent_power, noise_floor
 from mcmimo.scenarios import EQ_RTOL, REL_TOL, Crossing, SweepRow
 from mcmimo.estimation import EstimationStats
-from mcmimo.montecarlo import _TrialStats, _batch_size, complex_normal
+from mcmimo.montecarlo import complex_normal
 from mcmimo.regions import _mask_sums, _rate_point
 
 
@@ -495,7 +497,79 @@ def mrc_outputs(g: np.ndarray, g_hat: np.ndarray, x: np.ndarray, rho_u: float,
     return np.einsum("tjim,tjm->tji", g_hat.conj(), y)
 
 
-def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _TrialStats:
+@dataclass(frozen=True)
+class TrialScalars:
+    """Per-trial scalars of the power decomposition at one (j, i)."""
+
+    inner: np.ndarray    # (T, K, L): g_hat_jij^H g_jkl
+    noise: np.ndarray    # (T,): g_hat_jij^H n_j
+    symbols: np.ndarray  # (T, L, K)
+
+
+def sampler_scalars(state: ChannelState, j: int, i: int, trials: int,
+                    seed: int) -> TrialScalars:
+    """The scalars the sampler's batches hold, concatenated over the
+    batches and put back in user order."""
+    K = state.K
+    order = [k for k in range(K) if k != i] + [i]
+    inner, noise, symbols = [], [], []
+    for planes, noise_planes, symbol_planes, _ in montecarlo._batches(state, j, i, trials, seed):
+        for out, z in ((inner, planes), (symbols, symbol_planes)):
+            users = np.empty(z.shape[1:], np.complex128)
+            users[order] = z[0] + 1j * z[1]
+            out.append(users.transpose(2, 0, 1))  # (count, K, L)
+        noise.append(noise_planes[0] + 1j * noise_planes[1])
+    return TrialScalars(inner=np.concatenate(inner), noise=np.concatenate(noise),
+                        symbols=np.concatenate(symbols).transpose(0, 2, 1))
+
+
+def decompose(stats: TrialScalars, state: ChannelState, i: int,
+              omega) -> PowerDecomposition:
+    """The four power terms from the per-trial scalars at slot i, two
+    passes over the record: numpy's means, then its variances about them."""
+    rho_u = state.params.rho_u
+    omega = sorted(omega)
+    mean_inner = stats.inner.mean(axis=0)  # (K, L)
+    desired = rho_u * float((np.abs(mean_inner[i, omega]) ** 2).sum())
+    centered = stats.inner[:, i, :] - mean_inner[i, :][None, :]
+    est_err_term = math.sqrt(rho_u) * (centered * stats.symbols[:, :, i]).sum(axis=1)
+    mask = np.ones(state.K, dtype=bool)
+    mask[i] = False
+    cross = stats.inner[:, mask, :] * stats.symbols.transpose(0, 2, 1)[:, mask, :]
+    other_term = math.sqrt(rho_u) * cross.sum(axis=(1, 2))
+    return PowerDecomposition(
+        desired=desired,
+        est_error=float(est_err_term.var()),
+        other_users=float(other_term.var()),
+        noise=float(stats.noise.var()),
+    )
+
+
+def exact_est_error(stats: TrialScalars, state: ChannelState, i: int) -> float:
+    """The est_error term of :func:`decompose` in rational arithmetic, so
+    its only rounding is the last one: the variance over the trials of
+    sqrt(rho_u) sum_l (a_l - mean(a_l)) x_li, with a_l the own inner
+    products."""
+    T, L = len(stats.inner), state.L
+    a = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.inner[:, i, l].tolist()]
+         for l in range(L)]
+    x = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.symbols[:, l, i].tolist()]
+         for l in range(L)]
+    means = [(sum(re for re, _ in a_l) / T, sum(im for _, im in a_l) / T) for a_l in a]
+    terms = []
+    for t in range(T):
+        re = im = Fraction(0)
+        for l in range(L):
+            dr, di = a[l][t][0] - means[l][0], a[l][t][1] - means[l][1]
+            xr, xi = x[l][t]
+            re, im = re + dr * xr - di * xi, im + dr * xi + di * xr
+        terms.append((re, im))
+    mean_re, mean_im = sum(re for re, _ in terms) / T, sum(im for _, im in terms) / T
+    spread = sum((re - mean_re) ** 2 + (im - mean_im) ** 2 for re, im in terms) / T
+    return float(spread * Fraction(state.params.rho_u))
+
+
+def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> TrialScalars:
     """Per-trial scalars at BS j, slot i from the full network simulation:
     channels (T, L, K, L, M), pilots and receiver noise for every BS, of
     which only BS j's are read."""
@@ -515,12 +589,12 @@ def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> _
         inner.append(np.einsum("tm,tklm->tkl", ref, g[:, j]))
         nterm.append(np.einsum("tm,tm->t", ref, n[:, j]))
         sym.append(x)
-    return _TrialStats(inner=np.concatenate(inner), noise=np.concatenate(nterm),
-                       symbols=np.concatenate(sym))
+    return TrialScalars(inner=np.concatenate(inner), noise=np.concatenate(nterm),
+                        symbols=np.concatenate(sym))
 
 
 def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
-                      seed: int) -> _TrialStats:
+                      seed: int) -> TrialScalars:
     """Per-trial scalars at BS j, slot i from the sampler's own draws, built
     one trial at a time: each trial's R, y = R S w, inner products
     y^H (R S)[:, l] and norm ||y|| come from Python loops that add in index
@@ -539,10 +613,10 @@ def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
     alpha = float(state.stats.alpha_own[j, i])
     others = [k for k in range(K) if k != i]
     rng = np.random.default_rng(seed)
-    stats = _TrialStats(inner=np.empty((trials, K, L), np.complex128),
-                        noise=np.empty(trials, np.complex128),
-                        symbols=np.empty((trials, L, K), np.complex128))
-    size = _batch_size(L, m)
+    stats = TrialScalars(inner=np.empty((trials, K, L), np.complex128),
+                         noise=np.empty(trials, np.complex128),
+                         symbols=np.empty((trials, L, K), np.complex128))
+    size = montecarlo._batch_size(L, K, m)
     for lo in range(0, trials, size):
         count = min(size, trials - lo)
         entries = complex_normal(rng, (count, len(upper)))

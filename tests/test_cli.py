@@ -438,20 +438,6 @@ class TestCliCommands:
             "error: Monte Carlo needs an integer antenna count 1 <= M <= 2**53, "
             "got M=9007199254740994.0"]
 
-    def test_record_over_budget_is_one_error_line(self, monkeypatch, capsys):
-        # 1e6 trials at (L, K) = (2, 2048) would record 2 x 65.5 GB of inner
-        # products and symbols; refused before the record or any draw exists
-        monkeypatch.setattr(mc, "complex_normal", _never_sampled)
-        monkeypatch.setattr(mc, "_sample", _never_sampled)
-        assert run_cli("montecarlo", "--cells", "2", "--users", "2048", "--m", "8",
-                       "--trials", "1000000") == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        most = mc._RECORD_BYTES // (16 * (2 * 2 * 2048 + 1))
-        assert out.err.splitlines() == [
-            f"error: Monte Carlo at L=2, K=2048 records at most {most} trials "
-            f"({mc._RECORD_BYTES} bytes), got 1000000"]
-
     @pytest.mark.parametrize("layout, message", [
         ({"kind": "two_cell", "x": 1e300},
          "a BS-to-user distance overflows: positions are too large"),
@@ -538,7 +524,7 @@ class TestCliCommands:
                           "grid": list(range(1, MAX_GRID_POINTS + 2))})
 
     def test_trial_limit_is_one_error_line(self, monkeypatch, capsys):
-        # rejected before the record is allocated or anything is sampled
+        # rejected before a batch is allocated or anything is sampled
         monkeypatch.setattr(mc, "complex_normal", _never_sampled)
         monkeypatch.setattr(mc, "_sample", _never_sampled)
         assert run_cli("montecarlo", "--cells", "2", "--m", "8",

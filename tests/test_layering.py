@@ -1,8 +1,10 @@
-"""The package's import graph, read from the source with ``ast``: it has no
-cycle, and the region types and the symmetric-rate kernel import nothing
-from each other, so each stands on ``bounds`` alone."""
+"""The package's source, read with ``ast``: it parses as the oldest Python
+the package declares, and its import graph has no cycle, with the region
+types and the symmetric-rate kernel importing nothing from each other, so
+each stands on ``bounds`` alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import mcmimo
@@ -73,3 +75,15 @@ def test_regions_and_symrate_stand_apart():
     graph = relative_imports()
     assert "symrate" not in graph["regions"]
     assert "regions" not in graph["symrate"]
+
+
+def test_sources_parse_as_the_oldest_python_declared():
+    # syntax newer than requires-python (say a 3.11 except* or a 3.12 type
+    # statement) fails here, on whatever Python runs the tests
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    assert re.search(r'^requires-python = ">=3\.10"$', pyproject, re.MULTILINE)
+    sources = sorted((root / "src" / "mcmimo").glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -10,14 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcmimo.montecarlo as mc
 from mcmimo import ChannelState, SystemParams, power_terms
 from mcmimo.network import two_cell_layout
 from mcmimo.montecarlo import complex_normal, empirical_power_decomposition
 
-from oracles import (despread_pilots, estimate_for_cell, full_tensor_batches, mmse_estimate,
-                     mrc_outputs, per_trial_batches, sample_channels)
+import oracles
+from oracles import (despread_pilots, estimate_for_cell, fading_states, full_tensor_batches,
+                     mmse_estimate, mrc_outputs, per_trial_batches, sample_channels,
+                     sampler_scalars)
 
 
 def small_state(rho_p=2.0, rho_u=1.5, L=2, K=2, M=16, seed=0):
@@ -265,7 +269,7 @@ class TestEmpiricalDecomposition:
         assert a == empirical_power_decomposition(state, 0, 0, {0}, trials=1500, seed=5)
 
     def test_too_many_trials_rejected(self, monkeypatch):
-        # rejected before the per-trial record is allocated
+        # rejected before a batch is allocated
         def fail(*args, **kwargs):
             raise AssertionError("allocated or sampled an over-long run")
 
@@ -278,29 +282,10 @@ class TestEmpiricalDecomposition:
             empirical_power_decomposition(state, 0, 0, {0}, trials=mc.MAX_TRIALS + 1,
                                           seed=1)
 
-    def test_record_over_budget_rejected_before_allocation(self, monkeypatch):
-        # a 1e6-trial record at (L, K) = (2, 2048) would hold 131 GB of
-        # inner products and symbols; refused before it or any draw exists
-        def fail(*args, **kwargs):
-            raise AssertionError("allocated or sampled an over-budget record")
-
-        monkeypatch.setattr(mc, "complex_normal", fail)
-        monkeypatch.setattr(mc, "_sample", fail)
-        state = small_state(L=2, K=2048, M=8)
-        most = mc._RECORD_BYTES // (16 * (2 * 2048 * 2 + 1))
-        message = re.escape(f"Monte Carlo at L=2, K=2048 records at most {most} trials "
-                            f"({mc._RECORD_BYTES} bytes), got 1000000")
-
-        def refused():
-            with pytest.raises(ValueError, match=message):
-                empirical_power_decomposition(state, 0, 0, {0}, trials=10 ** 6, seed=1)
-
-        assert traced_peak(refused) < 1 << 20
-
     @pytest.mark.parametrize("m", [1e308])
     def test_trial_over_budget_rejected_before_allocation(self, monkeypatch, m):
         # an antenna count above MAX_ANTENNAS (here one whose analytic terms
-        # would also overflow) is refused before the record or any draw exists
+        # would also overflow) is refused before a batch or any draw exists
         monkeypatch.setattr(mc, "complex_normal", _never_drawn)
         monkeypatch.setattr(mc, "_sample", _never_drawn)
         state = small_state(M=m)
@@ -310,18 +295,6 @@ class TestEmpiricalDecomposition:
                 empirical_power_decomposition(state, 0, 0, {0}, trials=1000, seed=1)
 
         assert traced_peak(refused) < 1 << 20
-
-    def test_record_limit_is_the_last_trial_count_within_budget(self, monkeypatch):
-        # a trial records 2 K L + 1 complex numbers: 8,193 at (L, K) = (2, 2048)
-        state = small_state(L=2, K=2048, M=8)
-        most = mc._RECORD_BYTES // (16 * 8193)
-        sampled = []
-        monkeypatch.setattr(mc, "_sample", lambda *args: sampled.append(args[3]))
-        monkeypatch.setattr(mc, "_decompose", lambda *args: None)
-        empirical_power_decomposition(state, 0, 0, {0}, trials=most, seed=1)
-        with pytest.raises(ValueError, match=f"records at most {most} trials"):
-            empirical_power_decomposition(state, 0, 0, {0}, trials=most + 1, seed=1)
-        assert sampled == [most]
 
     @pytest.mark.parametrize("omega", [{0, 5}, [True], [0.0], [1.5]])
     def test_bad_omega_rejected_before_sampling(self, omega, monkeypatch):
@@ -375,7 +348,7 @@ class TestEmpiricalDecomposition:
         emp = empirical_power_decomposition(state, j, i, omega, trials=trials, seed=seed)
         counts = [256] * 23 + [112]
         seeds = np.random.SeedSequence(seed).spawn(len(counts))
-        ref = mc._decompose(full_tensor_batches(state, j, i, seeds, counts), state, i, omega)
+        ref = oracles.decompose(full_tensor_batches(state, j, i, seeds, counts), state, i, omega)
         for e, r, a in zip(emp.as_tuple(), ref.as_tuple(), ana.as_tuple()):
             assert e == pytest.approx(a, rel=0.12)
             assert r == pytest.approx(a, rel=0.12)
@@ -395,9 +368,9 @@ class TestEmpiricalDecomposition:
             def __init__(self, rng):
                 self.rng = rng
 
-            def standard_gamma(self, shape, size):
-                gammas.append(math.prod(size))
-                return self.rng.standard_gamma(shape, size=size)
+            def standard_gamma(self, shape, size=None, out=None):
+                gammas.append(out.size if size is None else math.prod(size))
+                return self.rng.standard_gamma(shape, size=size, out=out)
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
@@ -433,15 +406,99 @@ class TestEmpiricalDecomposition:
         for e, a in zip(emp.as_tuple(), power_terms(state, 0, 0, (0, 1)).as_tuple()):
             assert e == pytest.approx(a, rel=0.1)
 
-    def test_memory_is_the_record_and_one_batch(self):
-        # at L = 24 a trial's R factor is 25 x 25 entries, so 2000 trials run
-        # in 20 batches; the draw holds the record and one batch's arrays
-        state = small_state(L=24, K=1, M=64)
-        assert mc._batch_size(24, 64) == 104
-        record = 16 * 2000 * (2 * 24 + 1)
-        peak = traced_peak(lambda: empirical_power_decomposition(state, 0, 0, {0},
-                                                                 trials=2000, seed=34))
-        assert peak < 2 * record + 4 * mc._BATCH_BYTES
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        # a 256 KiB batch budget makes 2,000 trials at (L, K) = (3, 2) two
+        # full batches of 1,024 trials; 200,000 trials run 196 in the same
+        # buffer.  The slack covers CPython's free lists, which tracemalloc
+        # counts: numpy's gamma draw leaves a 56-byte block on one per call.
+        monkeypatch.setattr(mc, "_BATCH_BYTES", 1 << 18)
+        assert mc._batch_size(3, 2, 64) == 1024
+        state = small_state(L=3, K=2, M=64)
+
+        def peak(trials):
+            return traced_peak(lambda: empirical_power_decomposition(
+                state, 2, 1, {0, 2}, trials=trials, seed=36))
+
+        assert peak(200_000) <= peak(2000) + (16 << 10)
+
+    @pytest.mark.parametrize("L, K, M, trials", [
+        (3, 2, 64, 200_000),  # 49 batches of 4,096 trials
+        (2, 512, 8, 1000),    # batches of 31 trials, 2,049 scalars each
+        (24, 1, 1, 2000),     # a rank-one R, so the fold's rows outnumber R's
+        (1, 1, 1, 21_845),    # the largest buffer for its bound: 4.5 x _BATCH_BYTES
+    ])
+    def test_memory_is_one_buffer_within_the_cap(self, L, K, M, trials):
+        # one buffer holds a batch's draws, its planes and the fold's rows,
+        # and nothing the fold allocates besides grows with the batch
+        state = small_state(L=L, K=K, M=M)
+        peak = traced_peak(lambda: empirical_power_decomposition(
+            state, L - 1, K - 1, {0}, trials=trials, seed=37))
+        assert peak < 5 * mc._BATCH_BYTES
+
+    def test_streaming_terms_are_exact_where_two_passes_are_not(self):
+        # at M = 2**53 the own inner products' mean is about 1e8 times their
+        # spread, so two passes, centring on a mean summed in trial order,
+        # are off by many roundings of the spread; the shifted sums are not
+        params = SystemParams(L=2, K=1, M=float(mc.MAX_ANTENNAS), rho_u=30.0, rho_p=120.0)
+        state = ChannelState.from_layout(two_cell_layout(400.0, 800.0, users_per_cell=1),
+                                         params)
+        got = mc._decompose(*mc._sample(state, 0, 0, 400, 38), 400, state, [0])
+        scalars = sampler_scalars(state, 0, 0, 400, 38)
+        want = oracles.exact_est_error(scalars, state, 0)
+        assert got.est_error == pytest.approx(want, rel=4e-15)
+        two_pass = oracles.decompose(scalars, state, 0, [0])
+        assert abs(two_pass.est_error - want) > 1e-12 * want
+
+
+class TestFoldAgainstTwoPasses:
+    """The running sums against ``oracles.decompose``, two passes of numpy
+    means and variances over the batches' concatenated scalars, on random
+    fading tensors and on batches of 1 to 64 trials."""
+
+    @settings(max_examples=60)
+    @given(fading_states(max_cells=4), st.data())
+    def test_streaming_terms_equal_two_passes(self, case, data):
+        state, i = case
+        L, K = state.L, state.K
+        M = data.draw(st.sampled_from([1, 2, L + 1, 64, 10 ** 7, 2 ** 53]), label="M")
+        state = state.with_m(float(M))
+        j = data.draw(st.integers(0, L - 1), label="j")
+        omega = sorted(data.draw(st.sets(st.integers(0, L - 1)), label="omega"))
+        trials = data.draw(st.integers(2, 200), label="trials")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        per_batch = data.draw(st.integers(1, 64), label="per_batch")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_BATCH_BYTES",
+                          per_batch * 16 * max(min(M, L + 1) * (L + 1), 2 * K * L + 1))
+            assert mc._batch_size(L, K, M) == per_batch
+
+            def streamed(seed=seed):
+                return mc._decompose(*mc._sample(state, j, i, trials, seed), trials, state,
+                                     omega)
+
+            got = streamed()
+            scalars = sampler_scalars(state, j, i, trials, seed)
+            # only (state, seed, trials) matter: not the global stream, not
+            # another run in between, not the state object
+            global_stream = np.random.get_state()
+            try:
+                np.random.seed(seed % 1000)
+                other = streamed(seed + 1)
+                state = ChannelState.from_beta(state.beta.copy(), state.params)
+                assert streamed() == got
+            finally:
+                np.random.set_state(global_stream)
+        assert other != got
+        want = oracles.decompose(scalars, state, i, omega)
+        for name, g, w in zip(("desired", "est_error", "other_users", "noise"),
+                              got.as_tuple(), want.as_tuple()):
+            assert g >= 0.0
+            # the two passes center the own inner products on a rounded mean
+            # of values up to sqrt(M) times their spread; the fold does not
+            rel = 1e-7 if name == "est_error" and M >= 10 ** 7 else 1e-12
+            assert g == pytest.approx(w, rel=rel, abs=0.0), name
+        assert got.est_error == pytest.approx(oracles.exact_est_error(scalars, state, i),
+                                              rel=1e-12, abs=0.0)
 
 
 class TestBatchArithmetic:
@@ -452,7 +509,7 @@ class TestBatchArithmetic:
 
     @staticmethod
     def assert_pinned(state, j, i, trials, seed):
-        got = mc._sample(state, j, i, trials, seed)
+        got = sampler_scalars(state, j, i, trials, seed)
         want = per_trial_batches(state, j, i, trials, seed)
         assert np.array_equal(got.inner, want.inner)
         assert np.array_equal(got.noise, want.noise)
@@ -468,12 +525,33 @@ class TestBatchArithmetic:
 
     def test_one_trial_final_batch(self):
         # 1,041 trials in batches of 104: the last batch holds one trial
-        assert mc._batch_size(24, 64) == 104
+        assert mc._batch_size(24, 1, 64) == 104
         self.assert_pinned(small_state(L=24, K=1, M=64), 5, 0, trials=1041, seed=35)
 
+    def test_many_users_bound_the_batch(self):
+        # a trial's fold reads 2 K L + 1 complex scalars: 25 at (L, K) =
+        # (3, 4), 17 at (2, 4), 8,193 at (2, 2048)
+        assert mc._batch_size(3, 4, 64) == 2621
+        assert mc._batch_size(2, 4, 256) == 3855
+        assert mc._batch_size(2, 2048, 8) == 7
+        self.assert_pinned(small_state(L=2, K=4, M=8), 1, 2, trials=3856, seed=39)
 
-# SHA-256 of the sampler's records at L = 2, 3, 5 and M = 4, 64, 1024
-_RECORD_DIGEST = """
+    @pytest.mark.parametrize("L, K, M, size", [
+        (2, 2, 64, 7281),     # the two-cell golden and the benchmark's curve
+        (3, 2, 128, 4096),    # the three-cell golden
+        (2, 1, 1024, 7281),   # the one-user golden
+        (3, 1, 256, 4096),
+        (3, 2, 8, 4096),      # the KS tests
+    ])
+    def test_r_factors_bound_the_batch_where_they_did(self, L, K, M, size):
+        # where R outweighs the fold's scalars the partition, and so every
+        # result, is the one an R-only bound gave
+        assert mc._batch_size(L, K, M) == size == (1 << 20) // (16 * (L + 1) ** 2)
+
+
+# SHA-256 of the sampler's batch planes, and of the terms read off their
+# sums, at L = 2, 3, 5 and M = 4, 64, 1024
+_BATCH_DIGEST = """
 import hashlib
 import numpy as np
 import mcmimo.montecarlo as mc
@@ -483,9 +561,12 @@ for L in (2, 3, 5):
     for M in (4, 64, 1024):
         beta = np.random.default_rng(L).uniform(0.1, 1.0, size=(L, 2, L))
         params = SystemParams(L=L, K=2, M=float(M), rho_u=1.5, rho_p=2.0)
-        stats = mc._sample(ChannelState.from_beta(beta, params), L - 1, 1, 2000, 7)
-        for a in (stats.inner, stats.noise, stats.symbols):
-            digest.update(a.tobytes())
+        state = ChannelState.from_beta(beta, params)
+        for planes in mc._batches(state, L - 1, 1, 2000, 7):
+            for a in planes[:3]:
+                digest.update(a.tobytes())
+        terms = mc.empirical_power_decomposition(state, L - 1, 1, range(L), 2000, 7)
+        digest.update(np.array(terms.as_tuple()).tobytes())
 print(digest.hexdigest())
 """
 
@@ -495,7 +576,7 @@ SSE_FEATURES = "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the feature names are x86 ones")
-def test_record_bytes_do_not_depend_on_fused_multiply_add():
+def test_batch_bytes_do_not_depend_on_fused_multiply_add():
     # numpy's complex multiply fuses a multiply and an add where it may use
     # FMA and rounds twice where it may not; the sampler forms its complex
     # products from float multiplies and adds, so both give the same
@@ -506,7 +587,7 @@ def test_record_bytes_do_not_depend_on_fused_multiply_add():
     env.pop("NPY_ENABLE_CPU_FEATURES", None)
     digests = []
     for extra in ({}, {"NPY_ENABLE_CPU_FEATURES": SSE_FEATURES}):
-        proc = subprocess.run([sys.executable, "-c", _RECORD_DIGEST], capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", _BATCH_DIGEST], capture_output=True,
                               text=True, env={**env, **extra}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
@@ -532,7 +613,7 @@ def law_samples(M: int, seed: int):
     the last BS and pilot of a three-cell, two-user state."""
     state = small_state(L=3, K=2, M=M, seed=3)
     j, i, trials = 2, 1, 20000
-    drawn = mc._sample(state, j, i, trials, seed)
+    drawn = sampler_scalars(state, j, i, trials, seed)
     counts = [2000] * (trials // 2000)
     ref = full_tensor_batches(state, j, i, np.random.SeedSequence(seed + 100).spawn(len(counts)),
                               counts)
