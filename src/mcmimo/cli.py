@@ -91,9 +91,7 @@ class RunConfig:
             d["preset"] = self.scenario.name
         else:
             d["params"] = asdict(self.scenario.params)
-            # an explicit scenario holds its positions as one "layout_dict" argument
-            args = dict(self.scenario.layout_args)
-            d["layout"] = {"kind": self.scenario.layout_kind, **args.get("layout_dict", args)}
+            d["layout"] = {"kind": self.scenario.layout_kind, **dict(self.scenario.layout_args)}
         for field in fields(self)[1:]:  # the options, after the scenario
             if getattr(self, field.name) is not None:
                 d[field.name] = getattr(self, field.name)
@@ -143,7 +141,7 @@ def _parse_params(raw: dict, m_default: float | None = None) -> SystemParams:
     values = {key: _number(f"params key {key!r}", raw[key], count=key in ("L", "K"))
               for key in raw}
     try:
-        return SystemParams(**{"M": m_default, "alpha_pl": 2.0, "d0": 100.0, **values})
+        return SystemParams(**{"M": m_default, **values})
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
@@ -166,13 +164,11 @@ def _parse_layout(raw: dict, params: SystemParams) -> Scenario:
         body = {"spacing": 2.0 * body["x"], **body}
     try:
         if kind == "explicit":
-            layout = CellLayout.from_dict(body)
-            scenario = Scenario.from_layout(layout, params)
-        else:
-            scenario = Scenario(params=params, layout_kind=kind,
-                                layout_args=tuple(sorted(body.items())))
-            layout = scenario.layout()
-        build_fading(layout, params)
+            # the positions as float lists, as a recipe's numbers are floats
+            body = CellLayout.from_dict(body).to_dict()
+        scenario = Scenario(params=params, layout_kind=kind,
+                            layout_args=tuple(sorted(body.items())))
+        build_fading(scenario.layout(), params)
     except ValueError as exc:
         raise ConfigError(f"layout: {exc}") from None
     return scenario
@@ -379,7 +375,7 @@ def _load_run(args) -> RunConfig:
     """
     flags = {key: opt.read(getattr(args, key)) for key, opt in _OPTIONS.items()
              if getattr(args, key, None) is not None}
-    raw = {"preset": "two-cell-scenario-a"}
+    raw = {"preset": PRESET_NAMES[0]}
     cells, users = getattr(args, "cells", None), getattr(args, "users", None)
     if cells is not None:
         _require(not args.config and "preset" not in flags,

@@ -109,8 +109,12 @@ class CellLayout:
     users: np.ndarray
 
     def __post_init__(self):
-        bs = np.asarray(self.bs, dtype=float)
-        users = np.asarray(self.users, dtype=float)
+        bs, users = np.asarray(self.bs), np.asarray(self.users)
+        for name, points in (("bs", bs), ("user", users)):
+            # JSON's true, false, null, strings and objects are no coordinates
+            if points.dtype.kind not in "iuf":
+                raise ValueError(f"{name} positions must be numbers")
+        bs, users = bs.astype(float, copy=False), users.astype(float, copy=False)
         if bs.ndim != 2 or bs.shape[1] != 2:
             raise ValueError(f"bs positions must have shape (L, 2), got {bs.shape}")
         if users.ndim != 3 or users.shape[2] != 2:
@@ -316,6 +320,8 @@ def layout_stack(kind: str, users_per_cell: int, **recipe) -> tuple[np.ndarray, 
     """
     if kind not in _RECIPES:
         raise ValueError(f"unknown layout kind {kind!r}")
+    if not isinstance(users_per_cell, numbers.Integral):
+        raise ValueError(f"users_per_cell must be an integer, got {users_per_cell!r}")
     if isinstance(users_per_cell, bool) or users_per_cell < 1:
         raise ValueError("users_per_cell must be >= 1")
     L, points = _RECIPES[kind]

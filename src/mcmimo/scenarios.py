@@ -63,7 +63,16 @@ EQ_RTOL = 1e-9  # relative band within which two rates count as equal
 MAX_GRID_POINTS = 10_000  # points of one sweep grid, at most
 _RECIPE_KEYS = {"radius_x": "x", "theta": "theta_deg"}  # geometry axis -> recipe argument
 
-_REFERENCE = dict(K=4, rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
+# name -> cell count, antenna count, layout kind and recipe arguments; the
+# other parameters are the reference set of the module docstring
+_PRESETS = {
+    "two-cell-scenario-a": (2, 1e4, "two_cell",
+                            dict(spacing=800.0, user_angle_deg=180.0, x=400.0)),
+    "two-cell-scenario-b": (2, 5e4, "two_cell",
+                            dict(spacing=500.0, user_angle_deg=180.0, x=225.0)),
+    "three-cell-theta": (3, 1e4, "three_cell", dict(spacing=800.0, theta_deg=90.0, x=400.0)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -71,19 +80,20 @@ class Scenario:
     """A rebuildable network: parameters plus a layout recipe.
 
     ``layout_kind`` is one of ``two_cell``, ``three_cell`` or ``explicit``;
-    ``layout_args`` holds the recipe arguments.  Canonical recipes can be
+    ``layout_args`` holds the recipe arguments, or an explicit layout's
+    ``bs_positions`` and ``user_positions`` lists.  Canonical recipes can be
     re-materialized with modified geometry, which is what parameter sweeps
     need; explicit layouts only support the antenna-count axis.
     """
 
     params: SystemParams
     layout_kind: str
-    layout_args: tuple[tuple[str, float], ...]
+    layout_args: tuple[tuple[str, object], ...]
     name: str | None = None
 
     def layout(self) -> CellLayout:
         if self.layout_kind == "explicit":
-            return CellLayout.from_dict(dict(self.layout_args)["layout_dict"])
+            return CellLayout.from_dict(dict(self.layout_args))
         bs, users = layout_stack(self.layout_kind, self.params.K, **dict(self.layout_args))
         return CellLayout(bs[0], users[0])
 
@@ -94,7 +104,7 @@ class Scenario:
     def from_layout(cls, layout: CellLayout, params: SystemParams,
                     name: str | None = None) -> "Scenario":
         return cls(params=params, layout_kind="explicit",
-                   layout_args=(("layout_dict", layout.to_dict()),), name=name)
+                   layout_args=tuple(sorted(layout.to_dict().items())), name=name)
 
     def with_axis(self, axis: str, value: float) -> "Scenario":
         """Scenario with one swept quantity replaced."""
@@ -123,31 +133,13 @@ class Scenario:
         return dict(self.layout_args)
 
 
-def _reference_params(L: int, M: float) -> SystemParams:
-    return SystemParams(L=L, M=M, **_REFERENCE)
-
-
-PRESET_NAMES = ("two-cell-scenario-a", "two-cell-scenario-b", "three-cell-theta")
-
-
 def preset_scenario(name: str) -> Scenario:
     """Named canonical scenario; see module docstring for the parameter sets."""
-    if name == "two-cell-scenario-a":
-        return Scenario(params=_reference_params(2, 1e4), layout_kind="two_cell",
-                        layout_args=(("spacing", 800.0), ("user_angle_deg", 180.0),
-                                     ("x", 400.0)),
-                        name=name)
-    if name == "two-cell-scenario-b":
-        return Scenario(params=_reference_params(2, 5e4), layout_kind="two_cell",
-                        layout_args=(("spacing", 500.0), ("user_angle_deg", 180.0),
-                                     ("x", 225.0)),
-                        name=name)
-    if name == "three-cell-theta":
-        return Scenario(params=_reference_params(3, 1e4), layout_kind="three_cell",
-                        layout_args=(("spacing", 800.0), ("theta_deg", 90.0),
-                                     ("x", 400.0)),
-                        name=name)
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if not (isinstance(name, str) and name in _PRESETS):
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    L, M, kind, args = _PRESETS[name]
+    return Scenario(params=SystemParams(L=L, K=4, M=M, rho_u=30.0, rho_p=120.0),
+                    layout_kind=kind, layout_args=tuple(sorted(args.items())), name=name)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -133,6 +140,34 @@ class TestParseConfig:
         cfg = parse_config(raw)
         again = parse_config(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("positions", [
+        {}, None, [[0.0, 0.0], [500.0, None]], [[0.0, 0.0], [500.0, "0"]],
+        [[True, False], [False, True]]], ids=["object", "null", "null-entry", "string-entry",
+                                              "booleans"])
+    def test_explicit_positions_must_be_numbers(self, positions, tmp_path, capsys):
+        # an object once escaped as a TypeError, a null entry was read as nan
+        # and a string entry as its number
+        raw = {"params": {"L": 2, "K": 1, "M": 100.0, "rho_u": 1.0, "rho_p": 2.0},
+               "layout": {"kind": "explicit", "bs_positions": positions,
+                          "user_positions": [[[100.0, 0.0]], [[600.0, 0.0]]]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli("symrate", "--config", str(path)) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: layout: bs positions must be numbers\n")
+
+    def test_explicit_positions_are_kept_as_floats(self):
+        # as Scenario.from_layout keeps them, so the config's dict is the same
+        raw = {"params": {"L": 2, "K": 1, "M": 100.0, "rho_u": 1.0, "rho_p": 2.0},
+               "layout": {"kind": "explicit", "bs_positions": [[0, 0], [500, 0]],
+                          "user_positions": [[[100, 0]], [[600, 0]]]}}
+        cfg = parse_config(raw)
+        assert json.dumps(cfg.to_dict()["layout"]) == json.dumps(
+            {"kind": "explicit", "bs_positions": [[0.0, 0.0], [500.0, 0.0]],
+             "user_positions": [[[100.0, 0.0]], [[600.0, 0.0]]]})
+        scenario = cfg.scenario
+        assert scenario == scenarios.Scenario.from_layout(scenario.layout(), scenario.params)
 
     def test_json_string_source(self):
         cfg = parse_config(json.dumps(GOOD_EXPLICIT))
@@ -797,6 +832,204 @@ class TestOneInputPath:
         assert out.err.splitlines() == [f"error: {message}"]
 
 
+# --- in-process fuzz of the CLI -------------------------------------------
+
+# values mixed into every key: JSON booleans and null, negatives, fractions,
+# non-finite and huge magnitudes, strings and containers
+_JUNK = st.sampled_from([True, False, None, -1, -2.5, 0, 0.5, 2.5, math.nan, math.inf,
+                         -math.inf, 1e300, -1e300, 10 ** 30, "x", "", "1", [], {}, [1]])
+_HEADERS = {
+    "region": "scheme,bs,pilot,omega_mask,theta_mask,bound",
+    "symrate": "scope,rate,theta_mask,omega_mask",
+    "classify": "bs,case,lhs,rhs,r_tin,r_sd,r_ssnd,r_snd,ordering_ok",
+    "sweep": "axis,value,r_tin,r_sd,r_ssnd,r_snd,case",
+    "montecarlo": "term,empirical,analytic,rel_error",
+}
+
+
+def _values(draw, junk: int):
+    """A value strategy's draw, replaced by junk ``junk`` % of the time.
+    Rare choices sit at the top of each range: hypothesis draws the bottom
+    one far more often than its share."""
+    def value(valid):
+        return draw(_JUNK) if draw(st.integers(0, 99)) >= 100 - junk else draw(valid)
+    return value
+
+
+def _grids():
+    lists = st.lists(st.floats(1.0, 400.0), min_size=1, max_size=5, unique=True).map(sorted)
+    objects = st.fixed_dictionaries(
+        {"start": st.floats(1.0, 100.0), "stop": st.floats(100.0, 400.0),
+         "num": st.integers(2, 8), "scale": st.sampled_from(["lin", "log"])})
+    return st.one_of(lists, objects)
+
+
+# the valid values of each option but the preset, drawn as the scenario, and
+# out, since a run's output must reach stdout: at most 6 cells, 3 users,
+# 256 antennas and 2,000 trials
+_VALID = {
+    "unit": st.sampled_from(["bits", "nats"]),
+    "scheme": st.sampled_from(SCHEMES),
+    "seed": st.integers(0, 2 ** 32),
+    "pilot": st.integers(0, 3),
+    "bs": st.integers(0, 6),
+    "m": st.one_of(st.integers(1, 256), st.floats(1.0, 256.0)),
+    "axis": st.sampled_from(scenarios.SWEEP_AXES),
+    "grid": _grids(),
+    "trials": st.integers(1000, 2000),
+    "omega": st.lists(st.integers(0, 6), max_size=4),
+}
+
+
+@st.composite
+def _layouts(draw, value, kind, L: int, K: int):
+    layout = {"kind": value(st.just(kind))}
+    if kind == "explicit":
+        point = st.lists(st.floats(-2e3, 2e3), min_size=2, max_size=2)
+        layout["bs_positions"] = value(st.lists(point, min_size=L, max_size=L))
+        layout["user_positions"] = value(st.lists(st.lists(point, min_size=K, max_size=K),
+                                                  min_size=L, max_size=L))
+    else:
+        layout["x"] = value(st.floats(10.0, 500.0))
+        angles = ("user_angle_deg",) if kind == "two_cell" else ("theta_deg",
+                                                                   "outer_angle_deg")
+        for key in ("spacing", *angles):
+            if draw(st.booleans()):
+                layout[key] = value(st.floats(0.0, 360.0) if key in angles
+                                    else st.floats(100.0, 1e3))
+    return layout
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand and one config: a preset, or params with a two_cell,
+    three_cell or explicit layout; and for each key whose flag the
+    subcommand has, whether to give it as a flag."""
+    command = draw(st.sampled_from(sorted(_HEADERS)))
+    value = _values(draw, draw(st.sampled_from([0, 10, 50])))
+    config = {}
+    if draw(st.booleans()):
+        config["preset"] = value(st.sampled_from(PRESET_NAMES))
+    else:
+        kind = draw(st.sampled_from(["two_cell", "three_cell", "explicit"]))
+        # mostly the layout's own cell count, at times any other
+        L = {"two_cell": 2, "three_cell": 3}.get(kind, 0)
+        if not L or draw(st.integers(0, 9)) == 9:
+            L = draw(st.integers(1, 6))
+        K = draw(st.integers(1, 3))
+        params = {"L": value(st.just(L)), "K": value(st.just(K)),
+                  "M": value(st.one_of(st.integers(1, 256), st.floats(1.0, 256.0))),
+                  "rho_u": value(st.floats(0.1, 1e3)), "rho_p": value(st.floats(0.1, 1e3))}
+        for key, valid in (("alpha_pl", st.floats(0.0, 4.0)), ("d0", st.floats(1.0, 200.0))):
+            if draw(st.booleans()):
+                params[key] = value(valid)
+        if draw(st.integers(0, 9)) == 9:
+            del params["M"]
+        config["params"] = params
+        config["layout"] = draw(_layouts(value, kind, L, K))
+    keys = draw(st.lists(st.sampled_from(sorted(_VALID)), unique=True, max_size=5))
+    if command == "sweep":
+        keys = ["axis", "grid", *keys]
+    for key in keys:
+        config[key] = value(_VALID[key])
+    if draw(st.integers(0, 19)) == 19:
+        where = draw(st.sampled_from([c for c in (config, config.get("params"),
+                                                  config.get("layout"))
+                                      if isinstance(c, dict)]))
+        where["bogus"] = 1
+    flagged = {key for key in config if key in cli._OPTIONS
+               and command in cli._OPTIONS[key].commands and draw(st.booleans())}
+    return command, config, flagged
+
+
+def _flag_value(text: str):
+    """What the CLI documents a flag string reads as: an int, else a float,
+    else the string itself."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _flag_text(key: str, val):
+    """The ``--key=text`` form of a config value, or None where no flag
+    string reads back as the same JSON value: lists join their entries with
+    commas, and a grid object is ``start:stop:num:scale``."""
+    def text(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            return None
+        t = v if isinstance(v, str) else repr(v)
+        return t if json.dumps(_flag_value(t)) == json.dumps(v) else None
+
+    if key in ("omega", "grid") and isinstance(val, list) and val:
+        parts, seps = [text(v) for v in val], ",:"
+    elif key == "grid" and isinstance(val, dict) and set(val) == {"start", "stop", "num",
+                                                                  "scale"}:
+        scale = val["scale"] if isinstance(val["scale"], str) else None
+        parts, seps = [text(val["start"]), text(val["stop"]), text(val["num"]), scale], ",:"
+    elif key not in ("omega", "grid"):
+        parts, seps = [text(val)], ""
+    else:
+        return None
+    if None in parts or any(sep in part for part in parts for sep in seps):
+        return None
+    return f"--{key}={(':' if isinstance(val, dict) else ',').join(parts)}"
+
+
+def _argv(command: str, config: dict, flagged: set, path: Path) -> list:
+    """argv with the ``flagged`` keys as flags and the others in a config
+    file at ``path``; the preset goes in the file unless nothing else does."""
+    flags = {key: _flag_text(key, config[key]) for key in flagged}
+    flags = {key: text for key, text in flags.items() if text is not None}
+    keys = {key: val for key, val in config.items() if key not in flags}
+    if not keys and "preset" in flags:
+        return [command, *flags.values()]
+    if "preset" in flags:
+        keys["preset"] = config["preset"]
+        del flags["preset"]
+    path.write_text(json.dumps(keys))
+    return [command, "--config", str(path), *flags.values()]
+
+
+def _run(argv: list):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(cli_runs())
+def test_cli_fuzz_exits_0_with_finite_csv_or_2_with_one_error_line(run):
+    command, config, flagged = run
+    with tempfile.TemporaryDirectory() as tmp:
+        mixed = _argv(command, config, flagged, Path(tmp) / "mixed.json")
+        keyed = _argv(command, config, set(), Path(tmp) / "keyed.json")
+        result = _run(mixed)
+        assert _run(mixed) == result
+        assert _run(keyed) == result
+    code, out, err = result
+    if code == 0:
+        assert err == ""
+        assert out.splitlines()[0] == _HEADERS[command]
+        for field in re.split(r"[,\n]", out):
+            try:
+                number = float(field)
+            except ValueError:
+                continue
+            assert math.isfinite(number), field
+    else:
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_every_option_is_documented():
     # the module docstring's key list names every config key, and README's
     # config example sets every key that has a flag
@@ -890,3 +1123,28 @@ def test_montecarlo_bytes_do_not_depend_on_the_blas_kernel():
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == (GOLDEN / f"montecarlo-{name}.csv").read_bytes(), \
                 (name, env.get("OPENBLAS_CORETYPE"))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the script names x86-64 SSE features")
+def test_console_script_checks_pass(tmp_path):
+    """CI's checks of the installed script, tests/console_script.sh, with
+    ``mcmimo`` a shim around this interpreter's ``-m mcmimo.cli`` and
+    ``python`` (which writes the ring configs) this interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    shims, run = tmp_path / "bin", tmp_path / "run"
+    shims.mkdir()
+    run.mkdir()
+    for name, command in (("mcmimo", "-m mcmimo.cli"), ("python", "")):
+        shim = shims / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {command} "$@"\n')
+        shim.chmod(0o755)
+    env = {key: val for key, val in os.environ.items()
+           if key not in ("OPENBLAS_CORETYPE", "NPY_ENABLE_CPU_FEATURES")}
+    env.update(PATH=os.pathsep.join([str(shims), env.get("PATH", "")]),
+               PYTHONPATH=os.pathsep.join(p for p in (str(root / "src"),
+                                                      env.get("PYTHONPATH")) if p),
+               RUNNER_TEMP=str(run), GITHUB_WORKSPACE=str(root))
+    proc = subprocess.run(["bash", "-e", "-x", str(root / "tests" / "console_script.sh")],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout + "\n".join(proc.stderr.splitlines()[-20:])

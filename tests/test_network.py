@@ -305,3 +305,16 @@ class TestBooleanCounts:
     def test_layouts_reject_boolean_users_per_cell(self, build):
         with pytest.raises(ValueError, match="users_per_cell must be >= 1"):
             build(400.0, 800.0, users_per_cell=True)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.True_, "2"])
+    def test_layouts_reject_non_integer_users_per_cell(self, value, monkeypatch):
+        # each once raised a TypeError from np.repeat or from <
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated a layout for a non-integer user count")
+
+        monkeypatch.setattr(network, "_point_array", fail)
+        with pytest.raises(ValueError) as exc:
+            two_cell_layout(400.0, 800.0, users_per_cell=value)
+        assert str(exc.value) == f"users_per_cell must be an integer, got {value!r}"
+        monkeypatch.undo()
+        assert two_cell_layout(400.0, 800.0, users_per_cell=np.int64(2)).users.shape == (2, 2, 2)

@@ -34,8 +34,12 @@ class TestPresets:
         assert cross == pytest.approx(1200.0)
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError, match="preset"):
-            preset_scenario("five-cell")
+        # unhashable values too, which a plain lookup in a dict would raise on
+        for name in ("five-cell", ["two-cell-scenario-a"], {}, None):
+            with pytest.raises(ValueError) as exc:
+                preset_scenario(name)
+            assert str(exc.value) == (f"unknown preset {name!r}; available: "
+                                      f"{', '.join(scenarios.PRESET_NAMES)}")
 
     def test_axis_replacement(self):
         sc = preset_scenario("two-cell-scenario-b")

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
                     network_symmetric_rate, preset_scenario, sd_region, snd_region,
-                    ssnd_region, sweep, symmetric_rates, tin_rate, tin_region,
-                    two_cell_layout, two_cell_ordering_check)
+                    ssnd_region, sweep, symmetric_rates, tin_rate, tin_rate_asymptotic,
+                    tin_region, two_cell_layout, two_cell_ordering_check)
 from mcmimo.bounds import coherent_powers, noise_floors, state_powers
 from mcmimo import symrate
 from mcmimo.symrate import bs_symmetric_rate, stacked_rates
@@ -810,6 +810,18 @@ class TestOracleFreeProperties:
         # SD must decode the new user, which the old BSs barely receive
         for before, after in zip(old["sd"], new["sd"]):
             assert after.rate < 1e-9 * before.rate
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.integers(0, 1))
+    def test_large_m_tin_is_bounded_and_ssnd_grows_as_log_m_over_l(self, L, seed, i):
+        # the paper's large-M claims at M = 1e40: TIN sits at its limit
+        # C(beta_jj^2 / sum_{l != j} beta_jl^2), and S-SND binds at the set
+        # of every cell, so its rate grows as log2(M) / L, 2 bits per 4^L
+        state = ring_state(np.random.default_rng(seed), L, M=1e40)
+        rates, grown = per_bs(state, i), per_bs(state.with_m(4.0 ** L * 1e40), i)
+        for j in range(L):
+            assert abs(rates["tin"][j].rate - tin_rate_asymptotic(state, j, i)) <= 1e-14
+            assert abs(grown["ssnd"][j].rate - rates["ssnd"][j].rate - 2.0) <= 1e-13
 
 
 def test_snd_rejects_negative_bs_index():
