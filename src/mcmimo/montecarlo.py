@@ -5,14 +5,18 @@ despread pilot v = sqrt(rho_p) sum_l g_jil + n_p.  It reads only the inner
 products of v with BS j's channels and receiver noise, and the symbols,
 and those are drawn exactly, without the M-vectors.  Slot i's channels and
 pilot noise are the columns of X S, X = [h_ji1 ... h_jiL, n_p] i.i.d.
-CN(0, 1), S = diag(sqrt(beta_ji1), ..., 1), and v = X S w with
-w = (sqrt(rho_p), ..., 1).  Their inner products depend on X only through R
-in X = QR, whose r = min(M, L + 1) rows hold independent entries
-(Bartlett): R_kk = sqrt(Gamma(M - k, 1)), R_kc ~ CN(0, 1) for c > k.  With
-y = R S w, v^H g_jil = y^H (R S)[:, l] and ||v|| = ||y||.  Every other
-vector read is independent of v: given ||v||, its inner product with v is
-a CN(0, beta_jkl ||v||^2) draw.  So a trial costs O(min(M, L + 1) L + K L)
-draws at any M, and rests on no formula of :func:`~mcmimo.bounds.power_terms`.
+CN(0, 1), S = diag(sqrt(beta_ji1), ..., 1), and v = X s with s = S w,
+w = (sqrt(rho_p), ..., 1).  For a real orthogonal U with first column
+s / ||s||, X' = X U is again i.i.d. CN(0, 1), v = ||s|| x'_0 and
+x_l = sum_c U_lc x'_c.  So v^H g_jil depends on X' only through the first
+row of its Bartlett factor: ||x'_0||^2 = G ~ Gamma(M, 1) and, given x'_0,
+x'_0^H x'_c = sqrt(G) z_c with z_1..z_L i.i.d. CN(0, 1).  Then
+v^H g_jil = ||s|| sqrt(beta_jil) sqrt(G) (U_l0 sqrt(G) + sum_c U_lc z_c)
+and ||v|| = ||s|| sqrt(G), at every M >= 1.  Every other vector read is
+independent of v: given ||v||, its inner product with v is a
+CN(0, beta_jkl ||v||^2) draw.  So a trial costs one gamma variate and
+2 K L + 1 complex normals at any M, and rests on no formula of
+:func:`~mcmimo.bounds.power_terms`.
 
 A batch holds its scalars trials-last, as contiguous float planes of real
 and imaginary parts, forms complex products from rounded float products,
@@ -23,9 +27,9 @@ products by the first batch's mean keeps est_error free of cancellation up
 to ``MAX_ANTENNAS``, above which an integer M is no float64.
 
 One ``numpy.random.default_rng(seed)`` stream is drawn batch by batch.  A
-batch's size depends only on (L, K, M) and bounds its R factors and the
-scalars its fold reads to ``_BATCH_BYTES`` each.  It lives in one buffer of
-at most 5 ``_BATCH_BYTES`` (4.5 at L = K = M = 1) at any trial count.
+batch's size depends only on (L, K) and bounds the scalars its fold reads
+to ``_BATCH_BYTES``.  It lives in one buffer of at most 4.5
+``_BATCH_BYTES`` (at L = K = 1) at any trial count.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = [
     "MAX_TRIALS",
 ]
 
-_BATCH_BYTES = 1 << 20    # complex128 bytes of a batch's R factors, or of its fold's inputs
+_BATCH_BYTES = 1 << 20    # complex128 bytes of the scalars a batch's fold reads
 MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
 MAX_ANTENNAS = 2 ** 53    # antennas of one empirical decomposition, at most
 
@@ -79,23 +83,20 @@ def _antennas(M: float) -> int:
     return int(M)
 
 
-def _batch_size(L: int, K: int, m: int) -> int:
-    """Trials per batch, at least one, with at most _BATCH_BYTES of R
-    factors, min(m, L + 1) (L + 1) complex numbers a trial, and of the
-    scalars the fold reads, 2 K L + 1 a trial.
+def _batch_size(L: int, K: int) -> int:
+    """Trials per batch, at least one, with at most _BATCH_BYTES of the
+    scalars the fold reads, 2 K L + 1 complex numbers a trial.
 
     Part of the output contract: the stream is drawn batch by batch, so
     changing this size changes every result.
     """
-    return max(1, _BATCH_BYTES // (16 * max(min(m, L + 1) * (L + 1), 2 * K * L + 1)))
+    return max(1, _BATCH_BYTES // (16 * (2 * K * L + 1)))
 
 
-def _scratch(L: int, K: int, r: int) -> int:
-    """Scratch floats per trial, used in turn by R's upper entries (then
-    products), its diagonal, R and y; by the later draws; by the fold."""
-    upper = r * (L + 1) - r * (r + 1) // 2
-    return max(max(2 * upper, 4 * L) + r + 2 * r * (L + 2), 2 * (2 * K * L + 1 - L),
-               6 * L + 12 + 2 * max(K - 1, 1) * L)
+def _scratch(L: int, K: int) -> int:
+    """Scratch floats per trial, used in turn by the L normals and their
+    products; by the later draws; by the fold."""
+    return max(4 * L, 2 * (2 * K * L + 1 - L), 6 * L + 12 + 2 * max(K - 1, 1) * L)
 
 
 def _carve(buffer: np.ndarray, *shapes):
@@ -107,60 +108,50 @@ def _carve(buffer: np.ndarray, *shapes):
         at += size
 
 
+def _rotation(s) -> list[list[float]]:
+    """A real orthogonal matrix U, as rows, whose first column is s / ||s||
+    for a vector s with s[0] > 0.  U = 2 q q^T / (q^T q) - I with
+    q = e_0 + s / ||s||, whose q[0] > 1 cancels nothing; its first column,
+    q - e_0, is s / ||s|| itself."""
+    norm = math.sqrt(sum(x * x for x in s))
+    u = [x / norm for x in s]
+    q = [1.0 + u[0], *u[1:]]
+    half = sum(x * x for x in q) / 2.0
+    return [[u[l]] + [q[l] * q[c] / half - (l == c) for c in range(1, len(q))]
+            for l in range(len(q))]
+
+
 def _one_batch(rng: np.random.Generator, state: ChannelState, j: int, i: int, m: int,
-               scratch: np.ndarray, planes: np.ndarray):
-    """Draw a batch, using ``scratch``: R's upper entries, its diagonal,
-    then the cross products, noise and symbols in one call.  Return its
-    planes (index 0 real, 1 imaginary) carved from ``planes``: ``inner``
-    (2, K, L, count), g_hat_jij^H g_jkl with user i last; ``noise``
-    (2, count), g_hat_jij^H n_j; ``symbols`` (2, K, L, count), x_lk in the
-    same user order.  Sums skip R's zeros, which would change no bit."""
-    p = state.params
-    K, L = p.K, p.L
-    r = min(m, L + 1)
+               weights: np.ndarray, gain: float, scratch: np.ndarray, planes: np.ndarray):
+    """Draw a batch, using ``scratch``: a gamma variate G and L normals z a
+    trial, then the cross products, noise and symbols in one call.  Return
+    its planes (index 0 real, 1 imaginary) carved from ``planes``: ``inner``
+    (2, K, L, count), g_hat_jij^H g_jkl with user i last, where user i's are
+    sqrt(G) (sum_c weights[l, c] z_c + weights[l, 0] sqrt(G)), c = 1..L in
+    order; ``noise`` (2, count), g_hat_jij^H n_j; ``symbols``
+    (2, K, L, count), x_lk in the same user order."""
+    K, L = state.K, state.L
     count = len(planes) // (4 * K * L + 3)
-    rows, cols = zip(*[(k, c) for k in range(r) for c in range(k + 1, L + 1)])
-    n = len(rows)
-    upper = complex_normal(rng, (count, n),
-                           out=scratch[:2 * count * n].view(np.complex128).reshape(count, n))
-    by = scratch[:4 * L * count].reshape(2, 2, L, count)  # over the upper entries, once in R
-    gammas, R, y = _carve(scratch[count * max(2 * n, 4 * L):], (count, r),
-                          (2, r, L + 1, count), (2, r, count))
     norm, inner, noise, symbols = _carve(planes, (count,), (2, K, L, count), (2, count),
                                          (2, K, L, count))
-    diag = np.arange(r)
-    np.sqrt(rng.standard_gamma(float(m) - diag, out=gammas), out=gammas)
-    root_beta = np.sqrt(state.beta[j])  # (K, L)
-    alpha = state.stats.alpha_own[j, i]
-    scale = root_beta[i].tolist()  # diagonal of S but its last entry, 1
-    weight = [s * math.sqrt(p.rho_p) for s in scale] + [1.0]  # S w
-    R[...] = 0.0
-    R[:, rows, cols] = upper.view(np.float64).reshape(count, n, 2).T
-    R[0, diag, diag] = gammas.T
-    np.multiply(R[:, :, 0], weight[0], out=y)  # column c is nonzero in rows 0..c only
-    column = by.reshape(-1)[:2 * r * count].reshape(2, r, count)
-    for c in range(1, L + 1):
-        y[:, :c + 1] += np.multiply(R[:, :c + 1, c], weight[c], out=column[:, :c + 1])
-    products = inner[:, K - 1]  # conj(y) R; R[k, l] is zero for k > l
-    products[...] = 0.0
-    for k in range(min(r, L)):
-        by_re = np.multiply(R[:, k, k:L], y[0, k], out=by[0, :, k:])  # yr Rr, yr Ri
-        by_im = np.multiply(R[::-1, k, k:L], y[1, k], out=by[1, :, k:])  # yi Ri, yi Rr
-        products[0, k:] += np.add(by_re[0], by_im[0], out=by_re[0])
-        products[1, k:] += np.subtract(by_re[1], by_im[1], out=by_re[1])
-    products *= np.array([alpha * s for s in scale])[:, None]
-    np.multiply(y, y, out=y)
-    np.add(y[0, 0], y[1, 0], out=norm)
-    for k in range(1, r):
-        norm += y[0, k] + y[1, k]
-    np.sqrt(norm, out=norm)
-    norm *= alpha  # ||g_hat_jij||
-    rest = complex_normal(rng, (count * (2 * K * L + 1 - L),),
-                          out=scratch[:2 * count * (2 * K * L + 1 - L)].view(np.complex128))
-    rest = rest.view(np.float64)
+    np.sqrt(rng.standard_gamma(float(m), out=norm), out=norm)
+    z = complex_normal(rng, (count, L),
+                       out=scratch[:2 * count * L].view(np.complex128).reshape(count, L))
+    z = z.view(np.float64).reshape(count, L, 2).T  # (2, L, count): part, c, trial
+    by = scratch[2 * count * L:4 * count * L].reshape(2, L, count)
+    own = inner[:, K - 1]
+    np.multiply(weights[:, 1, None], z[:, None, 0], out=own)
+    for c in range(2, L + 1):
+        own += np.multiply(weights[:, c, None], z[:, None, c - 1], out=by)
+    own[0] += np.multiply(weights[:, 0, None], norm, out=by[0])
+    own *= norm
+    norm *= gain  # ||g_hat_jij||
+    rest = complex_normal(rng, (count * (2 * K * L + 1 - L),), out=scratch[
+        :2 * count * (2 * K * L + 1 - L)].view(np.complex128)).view(np.float64)
     cut = 2 * count * (K - 1) * L
     np.multiply(rest[:cut].reshape(count, K - 1, L, 2).transpose(3, 1, 2, 0), norm,
                 out=inner[:, :K - 1])
+    root_beta = np.sqrt(state.beta[j])  # (K, L)
     inner[:, :K - 1] *= root_beta[np.arange(K) != i, :, None]
     np.multiply(rest[cut:cut + 2 * count].reshape(count, 2).T, norm, out=noise)
     x = rest[cut + 2 * count:].reshape(count, L, K, 2).transpose(3, 2, 1, 0)
@@ -170,17 +161,23 @@ def _one_batch(rng: np.random.Generator, state: ChannelState, j: int, i: int, m:
 
 def _batches(state: ChannelState, j: int, i: int, trials: int, seed: int):
     """The planes of ``trials`` draws at BS j, slot i, batch by batch, each
-    with its scratch; a batch overwrites the last one's."""
+    with its scratch; a batch overwrites the last one's.  With s = S w and
+    alpha = alpha_own[j, i], gain = alpha ||s|| and weights[l, c] =
+    gain sqrt(beta_jil) U_lc for U = _rotation(s)."""
     L, K = state.L, state.K
     m = _antennas(state.params.M)
-    size = min(trials, _batch_size(L, K, m))
-    head, tail = _scratch(L, K, min(m, L + 1)), 4 * K * L + 3
+    scale = np.sqrt(state.beta[j, i]).tolist()  # diagonal of S but its last entry, 1
+    s = [b * math.sqrt(state.params.rho_p) for b in scale] + [1.0]
+    gain = float(state.stats.alpha_own[j, i]) * math.sqrt(sum(x * x for x in s))
+    weights = np.array([[gain * b * u for u in row] for b, row in zip(scale, _rotation(s))])
+    size = min(trials, _batch_size(L, K))
+    head, tail = _scratch(L, K), 4 * K * L + 3
     rng = np.random.default_rng(seed)
     buffer = np.empty(size * (head + tail))
     for lo in range(0, trials, size):
         count = min(size, trials - lo)
         scratch = buffer[:count * head]
-        yield (*_one_batch(rng, state, j, i, m, scratch,
+        yield (*_one_batch(rng, state, j, i, m, weights, gain, scratch,
                            buffer[count * head:count * (head + tail)]), scratch)
 
 

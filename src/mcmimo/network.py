@@ -109,12 +109,7 @@ class CellLayout:
     users: np.ndarray
 
     def __post_init__(self):
-        bs, users = np.asarray(self.bs), np.asarray(self.users)
-        for name, points in (("bs", bs), ("user", users)):
-            # JSON's true, false, null, strings and objects are no coordinates
-            if points.dtype.kind not in "iuf":
-                raise ValueError(f"{name} positions must be numbers")
-        bs, users = bs.astype(float, copy=False), users.astype(float, copy=False)
+        bs, users = _coordinates("bs", self.bs), _coordinates("user", self.users)
         if bs.ndim != 2 or bs.shape[1] != 2:
             raise ValueError(f"bs positions must have shape (L, 2), got {bs.shape}")
         if users.ndim != 3 or users.shape[2] != 2:
@@ -142,9 +137,31 @@ class CellLayout:
     @classmethod
     def from_dict(cls, d: dict) -> "CellLayout":
         try:
-            return cls(np.asarray(d["bs_positions"]), np.asarray(d["user_positions"]))
+            return cls(d["bs_positions"], d["user_positions"])
         except KeyError as exc:
             raise ValueError(f"layout dict is missing key {exc.args[0]!r}") from None
+
+
+def _coordinates(name: str, points) -> np.ndarray:
+    """``points`` as a float array of finite numbers.  JSON's true, false,
+    null, strings and objects are no coordinates.  An array's dtype shows
+    them; a list is scanned for booleans, which np.asarray turns into
+    numbers beside ints or floats."""
+    array = np.asarray(points)
+    if array.dtype.kind not in "iuf" or (not isinstance(points, np.ndarray)
+                                         and _holds_bool(points)):
+        raise ValueError(f"{name} positions must be numbers")
+    array = array.astype(float, copy=False)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} positions must be finite")
+    return array
+
+
+def _holds_bool(points) -> bool:
+    """Whether nested lists or tuples hold a Python or numpy boolean."""
+    if isinstance(points, (list, tuple)):
+        return any(_holds_bool(p) for p in points)
+    return isinstance(points, (bool, np.bool_))
 
 
 def pathloss(d, d0: float, alpha_pl: float):

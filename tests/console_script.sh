@@ -61,3 +61,9 @@ NPY_ENABLE_CPU_FEATURES="$sse" mcmimo montecarlo --config "$data"/three-cell-mc.
 cmp mc3-nofma.csv "$data"/montecarlo-three-cell.csv
 NPY_ENABLE_CPU_FEATURES="$sse" mcmimo montecarlo --cells 2 --users 1 --m 1024 --trials 1100 > mc1-nofma.csv
 cmp mc1-nofma.csv "$data"/montecarlo-two-cell-one-user.csv
+# and at M = 1, where the own inner products are one gamma variate
+# and L normals a trial, in two batches
+mcmimo montecarlo --cells 3 --users 4 --m 1 --trials 3000 --seed 2 > mc-m1.csv
+cmp mc-m1.csv "$data"/montecarlo-three-cell-one-antenna.csv
+NPY_ENABLE_CPU_FEATURES="$sse" mcmimo montecarlo --cells 3 --users 4 --m 1 --trials 3000 --seed 2 > mc-m1-nofma.csv
+cmp mc-m1-nofma.csv "$data"/montecarlo-three-cell-one-antenna.csv

@@ -596,55 +596,47 @@ def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> T
 def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
                       seed: int) -> TrialScalars:
     """Per-trial scalars at BS j, slot i from the sampler's own draws, built
-    one trial at a time: each trial's R, y = R S w, inner products
-    y^H (R S)[:, l] and norm ||y|| come from Python loops that add in index
-    order.
+    one trial at a time: each trial's own inner products
+    a_l = r (sum_c W_lc z_c + W_l0 r), r = sqrt(G), and norm come from
+    Python loops over real and imaginary parts that add in index order.
 
-    The draws are the sampler's calls, batch by batch: R's upper entries,
-    its diagonal, the cross products, the noise projections and the symbols.
-    Complex products are Python's, which round each float product before
-    adding, as the sampler's do."""
+    The draws are the sampler's calls, batch by batch: the gamma variates,
+    the L normals a trial, then the cross products, the noise projections
+    and the symbols.  W and the gain are built here from the rotation that
+    ``montecarlo._rotation`` gives, which its own test holds to
+    orthogonality."""
     p = state.params
     K, L, m = p.K, p.L, int(p.M)
-    r = min(m, L + 1)
-    upper = [(k, c) for k in range(r) for c in range(k + 1, L + 1)]
-    scale = [math.sqrt(b) for b in state.beta[j, i]] + [1.0]
-    weight = [s * math.sqrt(p.rho_p) for s in scale[:L]] + [1.0]
-    alpha = float(state.stats.alpha_own[j, i])
+    scale = [math.sqrt(b) for b in state.beta[j, i]]
+    s = [b * math.sqrt(p.rho_p) for b in scale] + [1.0]
+    gain = float(state.stats.alpha_own[j, i]) * math.sqrt(sum(x * x for x in s))
+    rotation = montecarlo._rotation(s)
+    weight = [[gain * b * u for u in row] for b, row in zip(scale, rotation)]
     others = [k for k in range(K) if k != i]
     rng = np.random.default_rng(seed)
     stats = TrialScalars(inner=np.empty((trials, K, L), np.complex128),
                          noise=np.empty(trials, np.complex128),
                          symbols=np.empty((trials, L, K), np.complex128))
-    size = montecarlo._batch_size(L, K, m)
+    size = montecarlo._batch_size(L, K)
     for lo in range(0, trials, size):
         count = min(size, trials - lo)
-        entries = complex_normal(rng, (count, len(upper)))
-        gammas = rng.standard_gamma([float(m) - k for k in range(r)], size=(count, r))
+        gammas = rng.standard_gamma(float(m), size=count)
+        normals = complex_normal(rng, (count, L))
         cross = complex_normal(rng, (count, K - 1, L))
         projections = complex_normal(rng, (count,))
         complex_normal(rng, (count, L, K), out=stats.symbols[lo:lo + count])
         for t in range(count):
-            R = [[0j] * (L + 1) for _ in range(r)]
-            for (k, c), z in zip(upper, entries[t].tolist()):
-                R[k][c] = z
-            for k in range(r):
-                R[k][k] = complex(math.sqrt(gammas[t, k]))
-            y = []
-            for k in range(r):
-                acc = 0j
-                for c in range(L + 1):
-                    acc += R[k][c] * weight[c]
-                y.append(acc)
+            r = math.sqrt(gammas[t])
+            z = normals[t].tolist()
             for l in range(L):
-                acc = 0j
-                for k in range(r):
-                    acc += y[k].conjugate() * R[k][l]
-                stats.inner[lo + t, i, l] = acc * (alpha * scale[l])
-            norm_sq = 0.0
-            for k in range(r):
-                norm_sq += y[k].real * y[k].real + y[k].imag * y[k].imag
-            norm = alpha * math.sqrt(norm_sq)
+                re = weight[l][1] * z[0].real
+                im = weight[l][1] * z[0].imag
+                for c in range(2, L + 1):
+                    re += weight[l][c] * z[c - 1].real
+                    im += weight[l][c] * z[c - 1].imag
+                re += weight[l][0] * r
+                stats.inner[lo + t, i, l] = complex(re * r, im * r)
+            norm = r * gain
             for n, k in enumerate(others):
                 for l in range(L):
                     stats.inner[lo + t, k, l] = (complex(cross[t, n, l]) * norm

@@ -143,11 +143,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("positions", [
         {}, None, [[0.0, 0.0], [500.0, None]], [[0.0, 0.0], [500.0, "0"]],
-        [[True, False], [False, True]]], ids=["object", "null", "null-entry", "string-entry",
-                                              "booleans"])
+        [[True, False], [False, True]], [[0, True], [500, 0]]],
+        ids=["object", "null", "null-entry", "string-entry", "booleans", "boolean-entry"])
     def test_explicit_positions_must_be_numbers(self, positions, tmp_path, capsys):
-        # an object once escaped as a TypeError, a null entry was read as nan
-        # and a string entry as its number
+        # an object once escaped as a TypeError, a null entry was read as nan,
+        # a string entry as its number and a true beside ints as 1
         raw = {"params": {"L": 2, "K": 1, "M": 100.0, "rho_u": 1.0, "rho_p": 2.0},
                "layout": {"kind": "explicit", "bs_positions": positions,
                           "user_positions": [[[100.0, 0.0]], [[600.0, 0.0]]]}}
@@ -156,6 +156,21 @@ class TestParseConfig:
         assert run_cli("symrate", "--config", str(path)) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "error: layout: bs positions must be numbers\n")
+
+    @pytest.mark.parametrize("which", ["bs", "user"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_explicit_positions_must_be_finite(self, which, value, tmp_path, capsys):
+        # json reads NaN and Infinity; a NaN position once surfaced as an
+        # error on the fading tensor, naming no input
+        bs, users = [[0.0, 0.0], [500.0, 0.0]], [[[100.0, 0.0]], [[600.0, 0.0]]]
+        (bs[1] if which == "bs" else users[1][0])[1] = value
+        raw = {"params": {"L": 2, "K": 1, "M": 100.0, "rho_u": 1.0, "rho_p": 2.0},
+               "layout": {"kind": "explicit", "bs_positions": bs, "user_positions": users}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli("symrate", "--config", str(path)) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: layout: {which} positions must be finite\n")
 
     def test_explicit_positions_are_kept_as_floats(self):
         # as Scenario.from_layout keeps them, so the config's dict is the same
@@ -1090,7 +1105,8 @@ def test_preset_output_matches_golden_csv(preset, kind, capsys):
 
 
 # Monte Carlo CSVs: a two-cell run, a three-cell config run at a
-# non-default BS and decoded set, and a one-user run at M = 1024.
+# non-default BS and decoded set, a one-user run at M = 1024, and a
+# four-user three-cell run at M = 1 in two batches of 2,621 and 379 trials.
 MC_GOLDEN = {
     "two-cell": ["--cells", "2", "--users", "2", "--m", "64", "--trials", "2100",
                  "--seed", "1"],
@@ -1098,6 +1114,8 @@ MC_GOLDEN = {
                    "--bs", "2", "--omega", "0,2"],
     "two-cell-one-user": ["--cells", "2", "--users", "1", "--m", "1024",
                           "--trials", "1100"],
+    "three-cell-one-antenna": ["--cells", "3", "--users", "4", "--m", "1",
+                               "--trials", "3000", "--seed", "2"],
 }
 
 

@@ -353,11 +353,11 @@ class TestEmpiricalDecomposition:
             assert e == pytest.approx(a, rel=0.12)
             assert r == pytest.approx(a, rel=0.12)
 
-    @pytest.mark.parametrize("M", [4, 8, 1024, 10 ** 7])
+    @pytest.mark.parametrize("M", [1, 2, 4, 8, 1024, 10 ** 7])
     def test_samples_only_bs_j_links(self, monkeypatch, M):
-        # at M >= L + 1 a trial draws R's L (L + 1) / 2 upper entries, the
-        # (K - 1) L cross products, one noise projection and the L K symbols,
-        # whatever M is, plus L + 1 gamma variates for R's diagonal
+        # a trial draws one gamma variate and L normals for the own inner
+        # products, the (K - 1) L cross products, one noise projection and
+        # the L K symbols, whatever M is, below L + 1 too
         drawn, gammas = [], []
 
         def counting(rng, shape, **kwargs):
@@ -369,7 +369,7 @@ class TestEmpiricalDecomposition:
                 self.rng = rng
 
             def standard_gamma(self, shape, size=None, out=None):
-                gammas.append(out.size if size is None else math.prod(size))
+                gammas.append(out.size if size is None else math.prod(np.atleast_1d(size)))
                 return self.rng.standard_gamma(shape, size=size, out=out)
 
             def __getattr__(self, name):
@@ -381,8 +381,8 @@ class TestEmpiricalDecomposition:
         L, K, trials = 3, 2, 1000
         empirical_power_decomposition(small_state(L=L, K=K, M=M), 1, 1, {1},
                                       trials=trials, seed=4)
-        assert sum(drawn) == trials * (L * (L + 1) // 2 + (K - 1) * L + 1 + L * K)
-        assert sum(gammas) == trials * (L + 1)
+        assert sum(drawn) == trials * (2 * K * L + 1)
+        assert sum(gammas) == trials
 
     @pytest.mark.parametrize("M, seed", [(4e4, 81), (1e7, 82)])
     def test_paper_scale_antenna_counts(self, M, seed):
@@ -407,12 +407,12 @@ class TestEmpiricalDecomposition:
             assert e == pytest.approx(a, rel=0.1)
 
     def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
-        # a 256 KiB batch budget makes 2,000 trials at (L, K) = (3, 2) two
-        # full batches of 1,024 trials; 200,000 trials run 196 in the same
-        # buffer.  The slack covers CPython's free lists, which tracemalloc
+        # a 256 KiB batch budget makes 2,000 trials at (L, K) = (3, 2) a
+        # full batch of 1,260 trials and one of 740; 200,000 trials run 159
+        # in the same buffer.  The slack covers CPython's free lists, which tracemalloc
         # counts: numpy's gamma draw leaves a 56-byte block on one per call.
         monkeypatch.setattr(mc, "_BATCH_BYTES", 1 << 18)
-        assert mc._batch_size(3, 2, 64) == 1024
+        assert mc._batch_size(3, 2) == 1260
         state = small_state(L=3, K=2, M=64)
 
         def peak(trials):
@@ -422,9 +422,9 @@ class TestEmpiricalDecomposition:
         assert peak(200_000) <= peak(2000) + (16 << 10)
 
     @pytest.mark.parametrize("L, K, M, trials", [
-        (3, 2, 64, 200_000),  # 49 batches of 4,096 trials
+        (3, 2, 64, 200_000),  # 40 batches of up to 5,041 trials
         (2, 512, 8, 1000),    # batches of 31 trials, 2,049 scalars each
-        (24, 1, 1, 2000),     # a rank-one R, so the fold's rows outnumber R's
+        (24, 1, 1, 2000),     # one batch of 1,337 trials, one of 663
         (1, 1, 1, 21_845),    # the largest buffer for its bound: 4.5 x _BATCH_BYTES
     ])
     def test_memory_is_one_buffer_within_the_cap(self, L, K, M, trials):
@@ -468,9 +468,8 @@ class TestFoldAgainstTwoPasses:
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         per_batch = data.draw(st.integers(1, 64), label="per_batch")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mc, "_BATCH_BYTES",
-                          per_batch * 16 * max(min(M, L + 1) * (L + 1), 2 * K * L + 1))
-            assert mc._batch_size(L, K, M) == per_batch
+            patch.setattr(mc, "_BATCH_BYTES", per_batch * 16 * (2 * K * L + 1))
+            assert mc._batch_size(L, K) == per_batch
 
             def streamed(seed=seed):
                 return mc._decompose(*mc._sample(state, j, i, trials, seed), trials, state,
@@ -504,8 +503,8 @@ class TestFoldAgainstTwoPasses:
 class TestBatchArithmetic:
     """The sampler's batches, pinned bit for bit to ``oracles.per_trial_batches``:
     the same draws, with every sum taken per trial in index order.  A slip in
-    R's layout or in a sum's order shows here, where the KS tests see only
-    laws."""
+    the weights' layout or in a sum's order shows here, where the KS tests
+    see only laws."""
 
     @staticmethod
     def assert_pinned(state, j, i, trials, seed):
@@ -517,36 +516,55 @@ class TestBatchArithmetic:
 
     @pytest.mark.parametrize("L", range(1, 7))
     def test_matches_per_trial_reference(self, L):
-        # from a rank-one R (M = 1) through r = M < L + 1 to r = L + 1
+        # from M = 1 through M < L + 1 to M far above it
         for K in (1, 2, 3):
             for M in (1, 2, 3, 4, 8, 64, 1e7):
                 state = small_state(L=L, K=K, M=M, seed=L)
                 self.assert_pinned(state, L - 1, K - 1, trials=5, seed=10 * L + K)
 
     def test_one_trial_final_batch(self):
-        # 1,041 trials in batches of 104: the last batch holds one trial
-        assert mc._batch_size(24, 1, 64) == 104
-        self.assert_pinned(small_state(L=24, K=1, M=64), 5, 0, trials=1041, seed=35)
+        # 1,338 trials in batches of 1,337: the last batch holds one trial
+        assert mc._batch_size(24, 1) == 1337
+        self.assert_pinned(small_state(L=24, K=1, M=64), 5, 0, trials=1338, seed=35)
 
     def test_many_users_bound_the_batch(self):
         # a trial's fold reads 2 K L + 1 complex scalars: 25 at (L, K) =
         # (3, 4), 17 at (2, 4), 8,193 at (2, 2048)
-        assert mc._batch_size(3, 4, 64) == 2621
-        assert mc._batch_size(2, 4, 256) == 3855
-        assert mc._batch_size(2, 2048, 8) == 7
+        assert mc._batch_size(3, 4) == 2621
+        assert mc._batch_size(2, 4) == 3855
+        assert mc._batch_size(2, 2048) == 7
         self.assert_pinned(small_state(L=2, K=4, M=8), 1, 2, trials=3856, seed=39)
 
-    @pytest.mark.parametrize("L, K, M, size", [
-        (2, 2, 64, 7281),     # the two-cell golden and the benchmark's curve
-        (3, 2, 128, 4096),    # the three-cell golden
-        (2, 1, 1024, 7281),   # the one-user golden
-        (3, 1, 256, 4096),
-        (3, 2, 8, 4096),      # the KS tests
+    @pytest.mark.parametrize("L, K, size", [
+        (2, 2, 7281),     # the two-cell golden and the benchmark's curve
+        (3, 2, 5041),     # the three-cell golden and the KS tests
+        (2, 1, 13107),    # the one-user golden
+        (3, 1, 9362),
+        (3, 4, 2621),     # the one-antenna golden: 3,000 trials in two batches
     ])
-    def test_r_factors_bound_the_batch_where_they_did(self, L, K, M, size):
-        # where R outweighs the fold's scalars the partition, and so every
-        # result, is the one an R-only bound gave
-        assert mc._batch_size(L, K, M) == size == (1 << 20) // (16 * (L + 1) ** 2)
+    def test_fold_scalars_bound_the_batch(self, L, K, size):
+        # the partition, and so every result, depends on (L, K) alone: a
+        # benchmark op's 2,000 trials and each golden but the one-antenna
+        # one are a single batch
+        assert mc._batch_size(L, K) == size == (1 << 20) // (16 * (2 * K * L + 1))
+
+
+class TestRotation:
+    """``montecarlo._rotation``: a real orthogonal matrix, to a few ulps,
+    whose first column is s / ||s||."""
+
+    @pytest.mark.parametrize("s", [
+        np.random.default_rng(40).uniform(0.1, 3.0, size=6).tolist(),
+        [1e-3, 1e6, 1.0, 2.0],      # one dominant entry
+        [1e-12, 0.5, 2.0, 1.0],     # a tiny first entry
+        [7.0],
+    ], ids=["random", "dominant", "tiny-first", "one"])
+    def test_orthogonal_with_first_column_along_s(self, s):
+        U = np.array(mc._rotation(s))
+        eps = np.finfo(float).eps
+        assert np.abs(U.T @ U - np.eye(len(s))).max() <= 4 * eps
+        u = np.array(s) / math.sqrt(math.fsum(x * x for x in s))
+        np.testing.assert_allclose(U[:, 0], u, rtol=2 * eps, atol=0.0)
 
 
 # SHA-256 of the sampler's batch planes, and of the terms read off their
@@ -637,7 +655,7 @@ class TestAgainstVectorSampler:
     """The drawn scalars follow the law of the M-vector simulation.
 
     Two-sample KS tests against ``oracles.full_tensor_batches`` at the last
-    BS and pilot, one per law and antenna count: M = 1 (a rank-one R), M < L + 1,
+    BS and pilot, one per law and antenna count: M = 1, M < L + 1,
     M = L + 1 and M > L + 1.  Each rejects when sqrt(nm / (n + m)) D exceeds
     1.95 (a 0.1 % level for one test).
     """

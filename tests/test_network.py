@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -276,6 +277,49 @@ class TestLayoutSerialization:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="user_positions"):
             CellLayout.from_dict({"bs_positions": [[0.0, 0.0]]})
+
+
+class TestExplicitPositions:
+    BS = [[0.0, 0.0], [500.0, 0.0]]
+    USERS = [[[100.0, 0.0]], [[600.0, 0.0]]]
+
+    @classmethod
+    def positions(cls, which, value):
+        """The BS and user position lists with one coordinate of ``which``
+        replaced by ``value``."""
+        bs, users = copy.deepcopy(cls.BS), copy.deepcopy(cls.USERS)
+        if which == "bs":
+            bs[0][1] = value
+        else:
+            users[1][0][1] = value
+        return bs, users
+
+    @pytest.mark.parametrize("which", ["bs", "user"])
+    @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_booleans_in_lists_are_no_numbers(self, which, value):
+        # np.asarray makes [0, True] the int array [0, 1]
+        with pytest.raises(ValueError) as exc:
+            CellLayout(*self.positions(which, value))
+        assert str(exc.value) == f"{which} positions must be numbers"
+
+    @pytest.mark.parametrize("convert", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize("which", ["bs", "user"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, which, value, convert):
+        with pytest.raises(ValueError) as exc:
+            CellLayout(*map(convert, self.positions(which, value)))
+        assert str(exc.value) == f"{which} positions must be finite"
+
+    def test_arrays_are_not_scanned(self, monkeypatch):
+        # a sweep rebuilds layouts from arrays, whose dtype tells already
+        def fail(points):
+            raise AssertionError("scanned an array entry by entry")
+
+        monkeypatch.setattr(network, "_holds_bool", fail)
+        layout = CellLayout(np.array(self.BS), np.array(self.USERS, dtype=np.int64))
+        assert layout.users.dtype == np.float64
+        with pytest.raises(ValueError, match="bs positions must be numbers"):
+            CellLayout(np.array([[True, False], [False, True]]), np.array(self.USERS))
 
 
 class TestBooleanCounts:
