@@ -14,8 +14,11 @@ x'_0^H x'_c = sqrt(G) z_c with z_1..z_L i.i.d. CN(0, 1).  Then
 v^H g_jil = ||s|| sqrt(beta_jil) sqrt(G) (U_l0 sqrt(G) + sum_c U_lc z_c)
 and ||v|| = ||s|| sqrt(G), at every M >= 1.  Every other vector read is
 independent of v: given ||v||, its inner product with v is a
-CN(0, beta_jkl ||v||^2) draw.  So a trial costs one gamma variate and
-2 K L + 1 complex normals at any M, and rests on no formula of
+CN(0, beta_jkl ||v||^2) draw.  So, given ||v|| and the other users'
+symbols x_lk, O = sum_{k != i, l} g_hat_jij^H g_jkl x_lk is
+CN(0, ||g_hat_jij||^2 sum beta_jkl |x_lk|^2), each |x_lk|^2 an Exp(1)
+variate.  A trial costs one gamma variate, (K - 1) L exponentials and
+2 L + 2 complex normals at any M, and rests on no formula of
 :func:`~mcmimo.bounds.power_terms`.
 
 A batch holds its scalars trials-last, as contiguous float planes of real
@@ -27,8 +30,8 @@ products by the first batch's mean keeps est_error free of cancellation up
 to ``MAX_ANTENNAS``, above which an integer M is no float64.
 
 One ``numpy.random.default_rng(seed)`` stream is drawn batch by batch.  A
-batch's size depends only on (L, K) and bounds the scalars its fold reads
-to ``_BATCH_BYTES``.  It lives in one buffer of at most 4.5
+batch's size depends only on (L, K) and bounds its fold's scalars and its
+exponentials to ``_BATCH_BYTES``.  It lives in one buffer of at most 3.625
 ``_BATCH_BYTES`` (at L = K = 1) at any trial count.
 """
 
@@ -48,7 +51,7 @@ __all__ = [
     "MAX_TRIALS",
 ]
 
-_BATCH_BYTES = 1 << 20    # complex128 bytes of the scalars a batch's fold reads
+_BATCH_BYTES = 1 << 20    # bytes of a batch's fold scalars and exponentials
 MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
 MAX_ANTENNAS = 2 ** 53    # antennas of one empirical decomposition, at most
 
@@ -85,18 +88,19 @@ def _antennas(M: float) -> int:
 
 def _batch_size(L: int, K: int) -> int:
     """Trials per batch, at least one, with at most _BATCH_BYTES of the
-    scalars the fold reads, 2 K L + 1 complex numbers a trial.
+    2 L + 2 complex scalars a trial's fold reads and its (K - 1) L
+    exponential variates.
 
     Part of the output contract: the stream is drawn batch by batch, so
     changing this size changes every result.
     """
-    return max(1, _BATCH_BYTES // (16 * (2 * K * L + 1)))
+    return max(1, _BATCH_BYTES // (16 * (2 * L + 2) + 8 * (K - 1) * L))
 
 
 def _scratch(L: int, K: int) -> int:
     """Scratch floats per trial, used in turn by the L normals and their
     products; by the later draws; by the fold."""
-    return max(4 * L, 2 * (2 * K * L + 1 - L), 6 * L + 12 + 2 * max(K - 1, 1) * L)
+    return max(8 * L + 12, (K - 1) * L)
 
 
 def _carve(buffer: np.ndarray, *shapes):
@@ -121,80 +125,81 @@ def _rotation(s) -> list[list[float]]:
             for l in range(len(q))]
 
 
-def _one_batch(rng: np.random.Generator, state: ChannelState, j: int, i: int, m: int,
-               weights: np.ndarray, gain: float, scratch: np.ndarray, planes: np.ndarray):
+def _one_batch(rng: np.random.Generator, m: int, weights: np.ndarray, gain: float,
+               others: np.ndarray, scratch: np.ndarray, planes: np.ndarray):
     """Draw a batch, using ``scratch``: a gamma variate G and L normals z a
-    trial, then the cross products, noise and symbols in one call.  Return
-    its planes (index 0 real, 1 imaginary) carved from ``planes``: ``inner``
-    (2, K, L, count), g_hat_jij^H g_jkl with user i last, where user i's are
-    sqrt(G) (sum_c weights[l, c] z_c + weights[l, 0] sqrt(G)), c = 1..L in
-    order; ``noise`` (2, count), g_hat_jij^H n_j; ``symbols``
-    (2, K, L, count), x_lk in the same user order."""
-    K, L = state.K, state.L
-    count = len(planes) // (4 * K * L + 3)
-    norm, inner, noise, symbols = _carve(planes, (count,), (2, K, L, count), (2, count),
-                                         (2, K, L, count))
+    trial; noise and symbols in one call; a row of exponentials E per entry
+    of ``others`` and a normal a trial for O, if there are others.  Return
+    its planes (index 0 real, 1 imaginary) carved from ``planes``: ``own``
+    (2, L, count), g_hat_jij^H g_jil = sqrt(G) (sum_c weights[l, c] z_c +
+    weights[l, 0] sqrt(G)), c = 1..L in order; ``other`` (2, count), O;
+    ``noise`` (2, count), g_hat_jij^H n_j; ``symbols`` (2, L, count), x_li."""
+    L = len(weights)
+    count = len(planes) // (4 * L + 5)
+    norm, own, other, noise, symbols = _carve(planes, (count,), (2, L, count), (2, count),
+                                              (2, count), (2, L, count))
     np.sqrt(rng.standard_gamma(float(m), out=norm), out=norm)
     z = complex_normal(rng, (count, L),
                        out=scratch[:2 * count * L].view(np.complex128).reshape(count, L))
     z = z.view(np.float64).reshape(count, L, 2).T  # (2, L, count): part, c, trial
     by = scratch[2 * count * L:4 * count * L].reshape(2, L, count)
-    own = inner[:, K - 1]
     np.multiply(weights[:, 1, None], z[:, None, 0], out=own)
     for c in range(2, L + 1):
         own += np.multiply(weights[:, c, None], z[:, None, c - 1], out=by)
     own[0] += np.multiply(weights[:, 0, None], norm, out=by[0])
     own *= norm
     norm *= gain  # ||g_hat_jij||
-    rest = complex_normal(rng, (count * (2 * K * L + 1 - L),), out=scratch[
-        :2 * count * (2 * K * L + 1 - L)].view(np.complex128)).view(np.float64)
-    cut = 2 * count * (K - 1) * L
-    np.multiply(rest[:cut].reshape(count, K - 1, L, 2).transpose(3, 1, 2, 0), norm,
-                out=inner[:, :K - 1])
-    root_beta = np.sqrt(state.beta[j])  # (K, L)
-    inner[:, :K - 1] *= root_beta[np.arange(K) != i, :, None]
-    np.multiply(rest[cut:cut + 2 * count].reshape(count, 2).T, norm, out=noise)
-    x = rest[cut + 2 * count:].reshape(count, L, K, 2).transpose(3, 2, 1, 0)
-    symbols[:, :i], symbols[:, i:K - 1], symbols[:, K - 1] = x[:, :i], x[:, i + 1:], x[:, i]
-    return inner, noise, symbols
+    rest = complex_normal(rng, (count * (L + 1),), out=scratch[
+        :2 * count * (L + 1)].view(np.complex128)).view(np.float64)
+    np.multiply(rest[:2 * count].reshape(count, 2).T, norm, out=noise)
+    symbols[...] = rest[2 * count:].reshape(count, L, 2).T
+    other[...] = 0.0  # no other user at K = 1
+    if len(others):
+        exps = rng.standard_exponential(out=scratch[:len(others) * count].reshape(-1, count))
+        spread = np.add.reduce(np.multiply(exps, others, out=exps), axis=0, out=other[0])
+        norm *= np.sqrt(spread, out=spread)  # ||g_hat_jij|| sqrt(sum_r others[r] E_r)
+        z_o = complex_normal(rng, (count,), out=scratch[:2 * count].view(np.complex128))
+        np.multiply(z_o.view(np.float64).reshape(count, 2).T, norm, out=other)
+    return own, other, noise, symbols
 
 
 def _batches(state: ChannelState, j: int, i: int, trials: int, seed: int):
     """The planes of ``trials`` draws at BS j, slot i, batch by batch, each
     with its scratch; a batch overwrites the last one's.  With s = S w and
-    alpha = alpha_own[j, i], gain = alpha ||s|| and weights[l, c] =
-    gain sqrt(beta_jil) U_lc for U = _rotation(s)."""
+    alpha = alpha_own[j, i], gain = alpha ||s||, weights[l, c] = gain
+    sqrt(beta_jil) U_lc for U = _rotation(s), and others the beta_jkl, k != i."""
     L, K = state.L, state.K
     m = _antennas(state.params.M)
     scale = np.sqrt(state.beta[j, i]).tolist()  # diagonal of S but its last entry, 1
     s = [b * math.sqrt(state.params.rho_p) for b in scale] + [1.0]
     gain = float(state.stats.alpha_own[j, i]) * math.sqrt(sum(x * x for x in s))
     weights = np.array([[gain * b * u for u in row] for b, row in zip(scale, _rotation(s))])
+    others = np.delete(state.beta[j], i, axis=0).reshape(-1, 1)
     size = min(trials, _batch_size(L, K))
-    head, tail = _scratch(L, K), 4 * K * L + 3
+    head, tail = _scratch(L, K), 4 * L + 5
     rng = np.random.default_rng(seed)
     buffer = np.empty(size * (head + tail))
     for lo in range(0, trials, size):
         count = min(size, trials - lo)
         scratch = buffer[:count * head]
-        yield (*_one_batch(rng, state, j, i, m, weights, gain, scratch,
+        yield (*_one_batch(rng, m, weights, gain, others, scratch,
                            buffer[count * head:count * (head + tail)]), scratch)
 
 
-def _moments(inner: np.ndarray, noise: np.ndarray, symbols: np.ndarray,
+def _moments(own: np.ndarray, other: np.ndarray, noise: np.ndarray, symbols: np.ndarray,
              shift: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """A batch's sums over its trials.  With d = a - shift for the own inner
     products a and slot i's symbols x: the sums of d, x and conj(E) x_l,
     for E = sum_l d_l x_l (2 L each); of E, the other-user term O and the
     noise N, then of their parts' squares (6 each); then of x_l conj(x_m)
     (L^2 real parts, then L^2 imaginary).  Real parts come first."""
-    _, K, L, count = inner.shape
+    _, L, count = own.shape
     rows = len(scratch) // count - 6 * L - 12
     work, terms = _carve(scratch, (6 * L + 12, count), (rows, count))
     d, x, ex = work[:6 * L].reshape(3, 2, L, count)
     first = work[6 * L:6 * L + 6].reshape(3, 2, count)  # E, O, N
-    np.subtract(inner[:, K - 1], shift[:, :, None], out=d)
-    x[...] = symbols[:, K - 1]
+    np.subtract(own, shift[:, :, None], out=d)
+    x[...] = symbols
     by = terms[:2 * L].reshape(2, L, count)
     _row_sum(np.multiply(d, x, out=by), np.subtract, first[0, 0])  # dr xr - di xi
     _row_sum(np.multiply(d, x[::-1], out=by), np.add, first[0, 1])  # dr xi + di xr
@@ -202,11 +207,7 @@ def _moments(inner: np.ndarray, noise: np.ndarray, symbols: np.ndarray,
     np.multiply(x, first[0, 1], out=by)  # xr Ei, xi Ei
     ex[0] += by[1]
     ex[1] -= by[0]
-    cross = inner[:, :K - 1].reshape(2, -1, count)
-    sym = symbols[:, :K - 1].reshape(2, -1, count)
-    by = terms[:2 * (K - 1) * L].reshape(2, -1, count)
-    _row_sum(np.multiply(cross, sym, out=by), np.subtract, first[1, 0])
-    _row_sum(np.multiply(cross, sym[::-1], out=by), np.add, first[1, 1])
+    first[1] = other
     first[2] = noise
     np.multiply(first, first, out=work[6 * L + 6:].reshape(3, 2, count))
     re, im = [], []
@@ -222,8 +223,7 @@ def _moments(inner: np.ndarray, noise: np.ndarray, symbols: np.ndarray,
 
 
 def _row_sum(parts: np.ndarray, combine, out: np.ndarray) -> None:
-    """``out`` = combine(parts[0], parts[1]) summed over rows in order;
-    zero for no rows."""
+    """``out`` = combine(parts[0], parts[1]) summed over rows in order."""
     np.add.reduce(combine(parts[0], parts[1], out=parts[0]), axis=0, out=out)
 
 
@@ -232,10 +232,10 @@ def _sample(state: ChannelState, j: int, i: int, trials: int,
     """The shift (2, L), the first batch's mean own inner products, and the
     sums of :func:`_moments` over ``trials`` draws at BS j, slot i."""
     shift, sums = None, 0.0
-    for inner, noise, symbols, scratch in _batches(state, j, i, trials, seed):
+    for own, other, noise, symbols, scratch in _batches(state, j, i, trials, seed):
         if shift is None:
-            shift = inner[:, -1].sum(axis=-1) / inner.shape[-1]
-        sums = sums + _moments(inner, noise, symbols, shift, scratch)
+            shift = own.sum(axis=-1) / own.shape[-1]
+        sums = sums + _moments(own, other, noise, symbols, shift, scratch)
     return shift, sums
 
 

@@ -63,7 +63,12 @@ NPY_ENABLE_CPU_FEATURES="$sse" mcmimo montecarlo --cells 2 --users 1 --m 1024 --
 cmp mc1-nofma.csv "$data"/montecarlo-two-cell-one-user.csv
 # and at M = 1, where the own inner products are one gamma variate
 # and L normals a trial, in two batches
-mcmimo montecarlo --cells 3 --users 4 --m 1 --trials 3000 --seed 2 > mc-m1.csv
+mcmimo montecarlo --cells 3 --users 4 --m 1 --trials 6000 --seed 2 > mc-m1.csv
 cmp mc-m1.csv "$data"/montecarlo-three-cell-one-antenna.csv
-NPY_ENABLE_CPU_FEATURES="$sse" mcmimo montecarlo --cells 3 --users 4 --m 1 --trials 3000 --seed 2 > mc-m1-nofma.csv
+NPY_ENABLE_CPU_FEATURES="$sse" mcmimo montecarlo --cells 3 --users 4 --m 1 --trials 6000 --seed 2 > mc-m1-nofma.csv
 cmp mc-m1-nofma.csv "$data"/montecarlo-three-cell-one-antenna.csv
+# and at 16,384 users a cell, where the other-user term's (K - 1) L
+# gains a trial must be summed in one vectorised pass, not a loop
+timeout 30 mcmimo montecarlo --cells 2 --users 16384 --m 64 --trials 1000 > mc-large-k.csv
+test "$(head -n 1 mc-large-k.csv)" = "term,empirical,analytic,rel_error"
+test "$(wc -l < mc-large-k.csv)" -eq 5

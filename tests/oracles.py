@@ -501,59 +501,47 @@ def mrc_outputs(g: np.ndarray, g_hat: np.ndarray, x: np.ndarray, rho_u: float,
 class TrialScalars:
     """Per-trial scalars of the power decomposition at one (j, i)."""
 
-    inner: np.ndarray    # (T, K, L): g_hat_jij^H g_jkl
+    own: np.ndarray      # (T, L): g_hat_jij^H g_jil
+    other: np.ndarray    # (T,): the sum over k != i and l of g_hat_jij^H g_jkl x_lk
     noise: np.ndarray    # (T,): g_hat_jij^H n_j
-    symbols: np.ndarray  # (T, L, K)
+    symbols: np.ndarray  # (T, L): x_li
 
 
 def sampler_scalars(state: ChannelState, j: int, i: int, trials: int,
                     seed: int) -> TrialScalars:
     """The scalars the sampler's batches hold, concatenated over the
-    batches and put back in user order."""
-    K = state.K
-    order = [k for k in range(K) if k != i] + [i]
-    inner, noise, symbols = [], [], []
-    for planes, noise_planes, symbol_planes, _ in montecarlo._batches(state, j, i, trials, seed):
-        for out, z in ((inner, planes), (symbols, symbol_planes)):
-            users = np.empty(z.shape[1:], np.complex128)
-            users[order] = z[0] + 1j * z[1]
-            out.append(users.transpose(2, 0, 1))  # (count, K, L)
-        noise.append(noise_planes[0] + 1j * noise_planes[1])
-    return TrialScalars(inner=np.concatenate(inner), noise=np.concatenate(noise),
-                        symbols=np.concatenate(symbols).transpose(0, 2, 1))
+    batches."""
+    batches = [], [], [], []
+    for planes in montecarlo._batches(state, j, i, trials, seed):
+        for out, z in zip(batches, planes):
+            out.append((z[0] + 1j * z[1]).T)  # trials first
+    return TrialScalars(*map(np.concatenate, batches))
 
 
-def decompose(stats: TrialScalars, state: ChannelState, i: int,
-              omega) -> PowerDecomposition:
-    """The four power terms from the per-trial scalars at slot i, two
-    passes over the record: numpy's means, then its variances about them."""
-    rho_u = state.params.rho_u
-    omega = sorted(omega)
-    mean_inner = stats.inner.mean(axis=0)  # (K, L)
-    desired = rho_u * float((np.abs(mean_inner[i, omega]) ** 2).sum())
-    centered = stats.inner[:, i, :] - mean_inner[i, :][None, :]
-    est_err_term = math.sqrt(rho_u) * (centered * stats.symbols[:, :, i]).sum(axis=1)
-    mask = np.ones(state.K, dtype=bool)
-    mask[i] = False
-    cross = stats.inner[:, mask, :] * stats.symbols.transpose(0, 2, 1)[:, mask, :]
-    other_term = math.sqrt(rho_u) * cross.sum(axis=(1, 2))
+def decompose(stats: TrialScalars, state: ChannelState, omega) -> PowerDecomposition:
+    """The four power terms from the per-trial scalars, two passes over
+    the record: numpy's means, then its variances about them."""
+    root_rho = math.sqrt(state.params.rho_u)
+    mean_own = stats.own.mean(axis=0)  # (L,)
+    desired = state.params.rho_u * float((np.abs(mean_own[sorted(omega)]) ** 2).sum())
+    est_err_term = root_rho * ((stats.own - mean_own) * stats.symbols).sum(axis=1)
     return PowerDecomposition(
         desired=desired,
         est_error=float(est_err_term.var()),
-        other_users=float(other_term.var()),
+        other_users=float((root_rho * stats.other).var()),
         noise=float(stats.noise.var()),
     )
 
 
-def exact_est_error(stats: TrialScalars, state: ChannelState, i: int) -> float:
+def exact_est_error(stats: TrialScalars, state: ChannelState) -> float:
     """The est_error term of :func:`decompose` in rational arithmetic, so
     its only rounding is the last one: the variance over the trials of
     sqrt(rho_u) sum_l (a_l - mean(a_l)) x_li, with a_l the own inner
     products."""
-    T, L = len(stats.inner), state.L
-    a = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.inner[:, i, l].tolist()]
+    T, L = stats.own.shape
+    a = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.own[:, l].tolist()]
          for l in range(L)]
-    x = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.symbols[:, l, i].tolist()]
+    x = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.symbols[:, l].tolist()]
          for l in range(L)]
     means = [(sum(re for re, _ in a_l) / T, sum(im for _, im in a_l) / T) for a_l in a]
     terms = []
@@ -575,9 +563,8 @@ def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> T
     which only BS j's are read."""
     p = state.params
     m = int(p.M)
-    inner = []
-    nterm = []
-    sym = []
+    others = np.arange(p.K) != i
+    batches = [], [], [], []
     for seed, count in zip(seeds, counts):
         rng = np.random.default_rng(seed)
         g = sample_channels(state.beta, m, rng, count)
@@ -586,23 +573,26 @@ def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> T
         x = complex_normal(rng, (count, p.L, p.K))
         n = complex_normal(rng, (count, p.L, m))
         ref = g_hat[:, j, i, :].conj()
-        inner.append(np.einsum("tm,tklm->tkl", ref, g[:, j]))
-        nterm.append(np.einsum("tm,tm->t", ref, n[:, j]))
-        sym.append(x)
-    return TrialScalars(inner=np.concatenate(inner), noise=np.concatenate(nterm),
-                        symbols=np.concatenate(sym))
+        inner = np.einsum("tm,tklm->tkl", ref, g[:, j])
+        other = (inner[:, others] * x.transpose(0, 2, 1)[:, others]).sum(axis=(1, 2))
+        scalars = (inner[:, i], other, np.einsum("tm,tm->t", ref, n[:, j]), x[:, :, i])
+        for out, z in zip(batches, scalars):
+            out.append(z)
+    return TrialScalars(*map(np.concatenate, batches))
 
 
 def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
                       seed: int) -> TrialScalars:
     """Per-trial scalars at BS j, slot i from the sampler's own draws, built
     one trial at a time: each trial's own inner products
-    a_l = r (sum_c W_lc z_c + W_l0 r), r = sqrt(G), and norm come from
+    a_l = r (sum_c W_lc z_c + W_l0 r), r = sqrt(G), its norm r gain, and
+    its other-user term O = z_O norm sqrt(sum beta_jkl E_kl) come from
     Python loops over real and imaginary parts that add in index order.
 
     The draws are the sampler's calls, batch by batch: the gamma variates,
-    the L normals a trial, then the cross products, the noise projections
-    and the symbols.  W and the gain are built here from the rotation that
+    the L normals a trial, the noise projections and the symbols, then, if
+    K > 1, the exponentials E, one row of trials per (k != i, l), and the
+    normals z_O.  W and the gain are built here from the rotation that
     ``montecarlo._rotation`` gives, which its own test holds to
     orthogonality."""
     p = state.params
@@ -612,19 +602,22 @@ def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
     gain = float(state.stats.alpha_own[j, i]) * math.sqrt(sum(x * x for x in s))
     rotation = montecarlo._rotation(s)
     weight = [[gain * b * u for u in row] for b, row in zip(scale, rotation)]
-    others = [k for k in range(K) if k != i]
+    others = [float(state.beta[j, k, l]) for k in range(K) if k != i for l in range(L)]
     rng = np.random.default_rng(seed)
-    stats = TrialScalars(inner=np.empty((trials, K, L), np.complex128),
+    stats = TrialScalars(own=np.empty((trials, L), np.complex128),
+                         other=np.empty(trials, np.complex128),
                          noise=np.empty(trials, np.complex128),
-                         symbols=np.empty((trials, L, K), np.complex128))
+                         symbols=np.empty((trials, L), np.complex128))
     size = montecarlo._batch_size(L, K)
     for lo in range(0, trials, size):
         count = min(size, trials - lo)
         gammas = rng.standard_gamma(float(m), size=count)
         normals = complex_normal(rng, (count, L))
-        cross = complex_normal(rng, (count, K - 1, L))
         projections = complex_normal(rng, (count,))
-        complex_normal(rng, (count, L, K), out=stats.symbols[lo:lo + count])
+        complex_normal(rng, (count, L), out=stats.symbols[lo:lo + count])
+        if others:
+            exps = rng.standard_exponential((len(others), count))
+            picks = complex_normal(rng, (count,))
         for t in range(count):
             r = math.sqrt(gammas[t])
             z = normals[t].tolist()
@@ -635,13 +628,16 @@ def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
                     re += weight[l][c] * z[c - 1].real
                     im += weight[l][c] * z[c - 1].imag
                 re += weight[l][0] * r
-                stats.inner[lo + t, i, l] = complex(re * r, im * r)
+                stats.own[lo + t, l] = complex(re * r, im * r)
             norm = r * gain
-            for n, k in enumerate(others):
-                for l in range(L):
-                    stats.inner[lo + t, k, l] = (complex(cross[t, n, l]) * norm
-                                                 * math.sqrt(state.beta[j, k, l]))
             stats.noise[lo + t] = complex(projections[t]) * norm
+            stats.other[lo + t] = 0.0
+            if others:
+                spread = 0.0
+                for b, e in zip(others, exps[:, t].tolist()):
+                    spread += b * e
+                sigma = norm * math.sqrt(spread)
+                stats.other[lo + t] = complex(picks[t].real * sigma, picks[t].imag * sigma)
     return stats
 
 

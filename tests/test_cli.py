@@ -1106,7 +1106,7 @@ def test_preset_output_matches_golden_csv(preset, kind, capsys):
 
 # Monte Carlo CSVs: a two-cell run, a three-cell config run at a
 # non-default BS and decoded set, a one-user run at M = 1024, and a
-# four-user three-cell run at M = 1 in two batches of 2,621 and 379 trials.
+# four-user three-cell run at M = 1 in two batches of 5,242 and 758 trials.
 MC_GOLDEN = {
     "two-cell": ["--cells", "2", "--users", "2", "--m", "64", "--trials", "2100",
                  "--seed", "1"],
@@ -1115,7 +1115,7 @@ MC_GOLDEN = {
     "two-cell-one-user": ["--cells", "2", "--users", "1", "--m", "1024",
                           "--trials", "1100"],
     "three-cell-one-antenna": ["--cells", "3", "--users", "4", "--m", "1",
-                               "--trials", "3000", "--seed", "2"],
+                               "--trials", "6000", "--seed", "2"],
 }
 
 

@@ -1,7 +1,8 @@
 """The package's source, read with ``ast``: it parses as the oldest Python
 the package declares, and its import graph has no cycle, with the region
 types and the symmetric-rate kernel importing nothing from each other, so
-each stands on ``bounds`` alone."""
+each stands on ``bounds`` alone.  The Monte Carlo sampler asks for no
+matrix product, so no BLAS kernel touches its bytes."""
 
 import ast
 import re
@@ -56,6 +57,24 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
+BLAS_NAMES = {"einsum", "dot", "vdot", "inner", "tensordot", "matmul", "linalg"}
+
+
+def matrix_products(source: str) -> set[str]:
+    """Every ``@`` and every attribute or import in ``BLAS_NAMES`` that
+    ``source`` uses; a bare name can only reach numpy's through an import,
+    and a local variable called ``inner`` reaches none."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add("@")
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+    return found & (BLAS_NAMES | {"@"})
+
+
 def test_graph_is_read_from_every_module():
     graph = relative_imports()
     assert {"bounds", "cli", "estimation", "regions", "symrate"} <= set(graph)
@@ -69,6 +88,18 @@ def test_import_graph_has_no_cycle():
 def test_cycle_finder_sees_a_cycle():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_montecarlo_asks_for_no_matrix_product():
+    # its bytes are the same under any BLAS kernel, SSE ones included
+    assert matrix_products((PACKAGE / "montecarlo.py").read_text()) == set()
+
+
+def test_matrix_product_finder_sees_each_product():
+    snippet = ("import numpy.linalg\nfrom numpy import inner, vdot\nc = a @ b\nc @= b\n"
+               "np.einsum('i,i', a, b)\na.dot(b)\nnp.tensordot(a, b)\nnp.matmul(a, b)\n")
+    assert matrix_products(snippet) == BLAS_NAMES | {"@"}
+    assert matrix_products("inner = a * b + np.add.reduce(a, axis=0)\n") == set()
 
 
 def test_regions_and_symrate_stand_apart():

@@ -788,6 +788,29 @@ class TestOracleFreeProperties:
                 for before, after in zip(old[scheme], new[scheme]):
                     assert after.rate >= before.rate
 
+    @settings(max_examples=60, deadline=None)
+    @given(fading_states())
+    def test_rates_are_finite_and_rise_with_m_up_to_1e300(self, case):
+        # on a log grid from M = 1 to 1e300, or up to the M whose coherent
+        # powers overflow and are refused.  Where a rate has reached its
+        # limit (TIN's, say) the sums' roundings may take a few ulps off it:
+        # up to 5 on 900 random tensors
+        state, i = case
+        last = None
+        for M in 10.0 ** np.arange(0, 301, 5):
+            try:
+                reports = symmetric_rates(state.with_m(float(M)), i)
+            except ValueError as err:
+                assert "overflows" in str(err)
+                break
+            rates = [[bs.rate for bs in reports[scheme].per_bs] for scheme in SCHEMES]
+            assert all(math.isfinite(r) for row in rates for r in row)
+            if last is not None:
+                for row, last_row in zip(rates, last):
+                    for r, before in zip(row, last_row):
+                        assert r >= before - 8 * math.ulp(before), M
+            last = rates
+
     @settings(max_examples=30)
     @given(networks(max_cells=63))
     @example((ring_state(np.random.default_rng(91), 63, K=1), 0))
