@@ -279,7 +279,7 @@ _OPTIONS = {
     "scheme": _Option(_choice(*SCHEMES), f"{'|'.join(SCHEMES)} (default sd for region, "
                                          "snd for symrate)", ("region", "symrate")),
     "bs": _Option(_count(0), "BS index (default 0)", ("region", "montecarlo")),
-    "m": _Option(_positive, "override antenna count", ("symrate", "classify", "montecarlo")),
+    "m": _Option(_positive, "override antenna count"),
     "axis": _Option(_choice(*SWEEP_AXES), "|".join(SWEEP_AXES), ("sweep",)),
     "grid": _Option(_parse_grid, "lo:hi:n[:log|lin] or comma-separated values", ("sweep",),
                     _grid_flag),

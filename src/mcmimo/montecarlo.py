@@ -1,9 +1,9 @@
 """Sample-level check of the power decomposition at one BS and pilot slot.
 
 The combiner at BS j, slot i is the MMSE estimate alpha_own[j, i] v of the
-despread pilot v = sqrt(rho_p) sum_l g_jil + n_p.  It reads only the inner
-products of v with BS j's channels and receiver noise, and the symbols,
-and those are drawn exactly, without the M-vectors.  Slot i's channels and
+despread pilot v = sqrt(rho_p) sum_l g_jil + n_p.  Its four terms read only
+the inner products of v with BS j's channels and receiver noise, and those
+are drawn exactly, without the M-vectors.  Slot i's channels and
 pilot noise are the columns of X S, X = [h_ji1 ... h_jiL, n_p] i.i.d.
 CN(0, 1), S = diag(sqrt(beta_ji1), ..., 1), and v = X s with s = S w,
 w = (sqrt(rho_p), ..., 1).  For a real orthogonal U with first column
@@ -17,22 +17,27 @@ independent of v: given ||v||, its inner product with v is a
 CN(0, beta_jkl ||v||^2) draw.  So, given ||v|| and the other users'
 symbols x_lk, O = sum_{k != i, l} g_hat_jij^H g_jkl x_lk is
 CN(0, ||g_hat_jij||^2 sum beta_jkl |x_lk|^2), each |x_lk|^2 an Exp(1)
-variate.  A trial costs one gamma variate, (K - 1) L exponentials and
-2 L + 2 complex normals at any M, and rests on no formula of
-:func:`~mcmimo.bounds.power_terms`.
+variate.  Slot i's symbols x_l enter only the estimation-error term
+sum_l (a_l - mean a_l) x_l of the own inner products a_l.  They are i.i.d.
+CN(0, 1) and independent of a, so averaged out analytically its variance
+is sum_l var(a_l): the same target with a lower variance, and no symbol
+is drawn.  A trial costs one gamma variate, (K - 1) L exponentials and
+L + 2 complex normals (L + 1 at K = 1) at any M, and rests on no formula
+of :func:`~mcmimo.bounds.power_terms`.
 
 A batch holds its scalars trials-last, as contiguous float planes of real
 and imaginary parts, forms complex products from rounded float products,
 and adds in index order, so neither BLAS nor a fused multiply-add touches a
-bit.  It is folded into running sums, each a reduction of one contiguous
-trial vector, which the four terms are read off.  Shifting the own inner
-products by the first batch's mean keeps est_error free of cancellation up
-to ``MAX_ANTENNAS``, above which an integer M is no float64.
+bit.  It is folded into running sums of the shifted own inner products, O
+and the noise and of their parts' squares, each a reduction of one
+contiguous trial vector.  Shifting by the first batch's mean keeps
+est_error free of cancellation up to ``MAX_ANTENNAS``, above which an
+integer M is no float64.
 
 One ``numpy.random.default_rng(seed)`` stream is drawn batch by batch.  A
-batch's size depends only on (L, K) and bounds its fold's scalars and its
-exponentials to ``_BATCH_BYTES``.  It lives in one buffer of at most 3.625
-``_BATCH_BYTES`` (at L = K = 1) at any trial count.
+batch's size depends only on (L, K), and its one buffer (planes, draw
+scratch, exponentials and fold rows) holds at most ``_BATCH_BYTES`` at any
+trial count, while one trial fits.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ __all__ = [
     "MAX_TRIALS",
 ]
 
-_BATCH_BYTES = 1 << 20    # bytes of a batch's fold scalars and exponentials
+_BATCH_BYTES = 1 << 20    # bytes of a batch's one buffer
 MAX_TRIALS = 10 ** 7      # trials of one empirical decomposition, at most
 MAX_ANTENNAS = 2 ** 53    # antennas of one empirical decomposition, at most
 
@@ -87,20 +92,20 @@ def _antennas(M: float) -> int:
 
 
 def _batch_size(L: int, K: int) -> int:
-    """Trials per batch, at least one, with at most _BATCH_BYTES of the
-    2 L + 2 complex scalars a trial's fold reads and its (K - 1) L
-    exponential variates.
+    """Trials per batch, at least one, whose one buffer of
+    :func:`_scratch` and 2 L + 5 plane floats a trial fits _BATCH_BYTES.
 
     Part of the output contract: the stream is drawn batch by batch, so
     changing this size changes every result.
     """
-    return max(1, _BATCH_BYTES // (16 * (2 * L + 2) + 8 * (K - 1) * L))
+    return max(1, _BATCH_BYTES // (8 * (_scratch(L, K) + 2 * L + 5)))
 
 
 def _scratch(L: int, K: int) -> int:
     """Scratch floats per trial, used in turn by the L normals and their
-    products; by the later draws; by the fold."""
-    return max(8 * L + 12, (K - 1) * L)
+    products; by the later draws, (K - 1) L exponentials the largest; by
+    the fold's 4 L + 8 rows."""
+    return max(4 * L + 8, (K - 1) * L)
 
 
 def _carve(buffer: np.ndarray, *shapes):
@@ -128,16 +133,15 @@ def _rotation(s) -> list[list[float]]:
 def _one_batch(rng: np.random.Generator, m: int, weights: np.ndarray, gain: float,
                others: np.ndarray, scratch: np.ndarray, planes: np.ndarray):
     """Draw a batch, using ``scratch``: a gamma variate G and L normals z a
-    trial; noise and symbols in one call; a row of exponentials E per entry
+    trial; a normal a trial for the noise; a row of exponentials E per entry
     of ``others`` and a normal a trial for O, if there are others.  Return
     its planes (index 0 real, 1 imaginary) carved from ``planes``: ``own``
     (2, L, count), g_hat_jij^H g_jil = sqrt(G) (sum_c weights[l, c] z_c +
     weights[l, 0] sqrt(G)), c = 1..L in order; ``other`` (2, count), O;
-    ``noise`` (2, count), g_hat_jij^H n_j; ``symbols`` (2, L, count), x_li."""
+    ``noise`` (2, count), g_hat_jij^H n_j."""
     L = len(weights)
-    count = len(planes) // (4 * L + 5)
-    norm, own, other, noise, symbols = _carve(planes, (count,), (2, L, count), (2, count),
-                                              (2, count), (2, L, count))
+    count = len(planes) // (2 * L + 5)
+    norm, own, other, noise = _carve(planes, (count,), (2, L, count), (2, count), (2, count))
     np.sqrt(rng.standard_gamma(float(m), out=norm), out=norm)
     z = complex_normal(rng, (count, L),
                        out=scratch[:2 * count * L].view(np.complex128).reshape(count, L))
@@ -149,10 +153,8 @@ def _one_batch(rng: np.random.Generator, m: int, weights: np.ndarray, gain: floa
     own[0] += np.multiply(weights[:, 0, None], norm, out=by[0])
     own *= norm
     norm *= gain  # ||g_hat_jij||
-    rest = complex_normal(rng, (count * (L + 1),), out=scratch[
-        :2 * count * (L + 1)].view(np.complex128)).view(np.float64)
-    np.multiply(rest[:2 * count].reshape(count, 2).T, norm, out=noise)
-    symbols[...] = rest[2 * count:].reshape(count, L, 2).T
+    z_n = complex_normal(rng, (count,), out=scratch[:2 * count].view(np.complex128))
+    np.multiply(z_n.view(np.float64).reshape(count, 2).T, norm, out=noise)
     other[...] = 0.0  # no other user at K = 1
     if len(others):
         exps = rng.standard_exponential(out=scratch[:len(others) * count].reshape(-1, count))
@@ -160,7 +162,7 @@ def _one_batch(rng: np.random.Generator, m: int, weights: np.ndarray, gain: floa
         norm *= np.sqrt(spread, out=spread)  # ||g_hat_jij|| sqrt(sum_r others[r] E_r)
         z_o = complex_normal(rng, (count,), out=scratch[:2 * count].view(np.complex128))
         np.multiply(z_o.view(np.float64).reshape(count, 2).T, norm, out=other)
-    return own, other, noise, symbols
+    return own, other, noise
 
 
 def _batches(state: ChannelState, j: int, i: int, trials: int, seed: int):
@@ -176,7 +178,7 @@ def _batches(state: ChannelState, j: int, i: int, trials: int, seed: int):
     weights = np.array([[gain * b * u for u in row] for b, row in zip(scale, _rotation(s))])
     others = np.delete(state.beta[j], i, axis=0).reshape(-1, 1)
     size = min(trials, _batch_size(L, K))
-    head, tail = _scratch(L, K), 4 * L + 5
+    head, tail = _scratch(L, K), 2 * L + 5
     rng = np.random.default_rng(seed)
     buffer = np.empty(size * (head + tail))
     for lo in range(0, trials, size):
@@ -186,45 +188,19 @@ def _batches(state: ChannelState, j: int, i: int, trials: int, seed: int):
                            buffer[count * head:count * (head + tail)]), scratch)
 
 
-def _moments(own: np.ndarray, other: np.ndarray, noise: np.ndarray, symbols: np.ndarray,
-             shift: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """A batch's sums over its trials.  With d = a - shift for the own inner
-    products a and slot i's symbols x: the sums of d, x and conj(E) x_l,
-    for E = sum_l d_l x_l (2 L each); of E, the other-user term O and the
-    noise N, then of their parts' squares (6 each); then of x_l conj(x_m)
-    (L^2 real parts, then L^2 imaginary).  Real parts come first."""
+def _moments(own: np.ndarray, other: np.ndarray, noise: np.ndarray, shift: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray:
+    """A batch's sums over its trials: with d = a - shift for the own inner
+    products a, of the parts of d_1..d_L, the other-user term O and the
+    noise N (real parts first, (2, L + 2)), then of those parts' squares."""
     _, L, count = own.shape
-    rows = len(scratch) // count - 6 * L - 12
-    work, terms = _carve(scratch, (6 * L + 12, count), (rows, count))
-    d, x, ex = work[:6 * L].reshape(3, 2, L, count)
-    first = work[6 * L:6 * L + 6].reshape(3, 2, count)  # E, O, N
-    np.subtract(own, shift[:, :, None], out=d)
-    x[...] = symbols
-    by = terms[:2 * L].reshape(2, L, count)
-    _row_sum(np.multiply(d, x, out=by), np.subtract, first[0, 0])  # dr xr - di xi
-    _row_sum(np.multiply(d, x[::-1], out=by), np.add, first[0, 1])  # dr xi + di xr
-    np.multiply(x, first[0, 0], out=ex)  # xr Er, xi Er
-    np.multiply(x, first[0, 1], out=by)  # xr Ei, xi Ei
-    ex[0] += by[1]
-    ex[1] -= by[0]
-    first[1] = other
-    first[2] = noise
-    np.multiply(first, first, out=work[6 * L + 6:].reshape(3, 2, count))
-    re, im = [], []
-    step = len(terms) // (2 * L)  # rows l at a time, as the scratch allows
-    for l in range(0, L, step):
-        x_l = x[:, l:l + step, None]
-        by = terms[:2 * x_l.shape[1] * L].reshape(2, -1, L, count)
-        np.multiply(x_l, x[:, None], out=by)  # xr_l xr_m, xi_l xi_m
-        re.append(np.add.reduce(np.add(by[0], by[1], out=by[0]), axis=-1).ravel())
-        np.multiply(x_l, x[::-1, None], out=by)  # xr_l xi_m, xi_l xr_m
-        im.append(np.add.reduce(np.subtract(by[1], by[0], out=by[0]), axis=-1).ravel())
-    return np.concatenate([np.add.reduce(work, axis=1), *re, *im])
-
-
-def _row_sum(parts: np.ndarray, combine, out: np.ndarray) -> None:
-    """``out`` = combine(parts[0], parts[1]) summed over rows in order."""
-    np.add.reduce(combine(parts[0], parts[1], out=parts[0]), axis=0, out=out)
+    work = scratch[:4 * (L + 2) * count].reshape(2, 2, L + 2, count)
+    first = work[0]
+    np.subtract(own, shift[:, :, None], out=first[:, :L])
+    first[:, L] = other
+    first[:, L + 1] = noise
+    np.multiply(first, first, out=work[1])
+    return np.add.reduce(work.reshape(-1, count), axis=1)
 
 
 def _sample(state: ChannelState, j: int, i: int, trials: int,
@@ -232,40 +208,29 @@ def _sample(state: ChannelState, j: int, i: int, trials: int,
     """The shift (2, L), the first batch's mean own inner products, and the
     sums of :func:`_moments` over ``trials`` draws at BS j, slot i."""
     shift, sums = None, 0.0
-    for own, other, noise, symbols, scratch in _batches(state, j, i, trials, seed):
+    for own, other, noise, scratch in _batches(state, j, i, trials, seed):
         if shift is None:
             shift = own.sum(axis=-1) / own.shape[-1]
-        sums = sums + _moments(own, other, noise, symbols, shift, scratch)
+        sums = sums + _moments(own, other, noise, shift, scratch)
     return shift, sums
 
 
 def _decompose(shift: np.ndarray, sums: np.ndarray, trials: int, state: ChannelState,
                omega: list[int]) -> PowerDecomposition:
     """The four power terms from the sums of ``trials`` trials.  The mean
-    own inner products are shift + delta, delta = mean(d), so the
-    estimation-error term is E - sum_l delta_l x_l, whose second moment is
-    E's less its cross moments with x plus a quadratic form in delta."""
-    L, rho_u = state.L, state.params.rho_u
-    mean = [v / trials for v in sums.tolist()]
-
-    def cplx(at, n):
-        return [complex(*z) for z in zip(mean[at:at + n], mean[at + n:at + 2 * n])]
-
-    delta, x, ex = cplx(0, L), cplx(2 * L, L), cplx(4 * L, L)
-    e, o, n = (complex(*z) for z in zip(mean[6 * L:6 * L + 6:2], mean[6 * L + 1:6 * L + 6:2]))
-    e2, o2, n2 = (a + b for a, b in zip(mean[6 * L + 6:6 * L + 12:2],
-                                         mean[6 * L + 7:6 * L + 12:2]))
-    e -= sum(dl * xl for dl, xl in zip(delta, x))
-    e2 -= 2.0 * sum((dl * el).real for dl, el in zip(delta, ex))
-    xx = cplx(6 * L + 12, L * L)
-    e2 += sum((delta[l] * delta[m].conjugate() * xx[l * L + m]).real
-              for l in range(L) for m in range(L))
-    own = [complex(*z) + dl for z, dl in zip(zip(*shift.tolist()), delta)]
+    own inner products are shift + mean(d), and each term is a sum of
+    variances mean |y|^2 - |mean y|^2: of d_1..d_L for the estimation
+    error, with slot i's symbols averaged out; of O; of N."""
+    n, rho_u = state.L + 2, state.params.rho_u
+    avg = [v / trials for v in sums.tolist()]
+    means = [complex(*z) for z in zip(avg[:n], avg[n:2 * n])]
+    spread = [re + im - abs(z) ** 2 for re, im, z in zip(avg[2 * n:3 * n], avg[3 * n:], means)]
+    own = [complex(*z) + dl for z, dl in zip(zip(*shift.tolist()), means)]
     return PowerDecomposition(
         desired=rho_u * sum(abs(own[l]) ** 2 for l in omega),
-        est_error=rho_u * max(0.0, e2 - abs(e) ** 2),
-        other_users=rho_u * max(0.0, o2 - abs(o) ** 2),
-        noise=max(0.0, n2 - abs(n) ** 2),
+        est_error=rho_u * max(0.0, sum(spread[:-2])),
+        other_users=rho_u * max(0.0, spread[-2]),
+        noise=max(0.0, spread[-1]),
     )
 
 

@@ -504,14 +504,14 @@ class TrialScalars:
     own: np.ndarray      # (T, L): g_hat_jij^H g_jil
     other: np.ndarray    # (T,): the sum over k != i and l of g_hat_jij^H g_jkl x_lk
     noise: np.ndarray    # (T,): g_hat_jij^H n_j
-    symbols: np.ndarray  # (T, L): x_li
+    symbols: np.ndarray | None = None  # (T, L): x_li, where they were drawn
 
 
 def sampler_scalars(state: ChannelState, j: int, i: int, trials: int,
                     seed: int) -> TrialScalars:
     """The scalars the sampler's batches hold, concatenated over the
     batches."""
-    batches = [], [], [], []
+    batches = [], [], []
     for planes in montecarlo._batches(state, j, i, trials, seed):
         for out, z in zip(batches, planes):
             out.append((z[0] + 1j * z[1]).T)  # trials first
@@ -520,47 +520,46 @@ def sampler_scalars(state: ChannelState, j: int, i: int, trials: int,
 
 def decompose(stats: TrialScalars, state: ChannelState, omega) -> PowerDecomposition:
     """The four power terms from the per-trial scalars, two passes over
-    the record: numpy's means, then its variances about them."""
+    the record: numpy's means, then its variances about them.  The
+    estimation-error term is the variance of
+    sqrt(rho_u) sum_l (a_l - mean(a_l)) x_li where the symbols were drawn,
+    and its mean over them, rho_u sum_l var(a_l), where they were not."""
     root_rho = math.sqrt(state.params.rho_u)
     mean_own = stats.own.mean(axis=0)  # (L,)
     desired = state.params.rho_u * float((np.abs(mean_own[sorted(omega)]) ** 2).sum())
-    est_err_term = root_rho * ((stats.own - mean_own) * stats.symbols).sum(axis=1)
+    if stats.symbols is None:
+        est_error = state.params.rho_u * float(stats.own.var(axis=0).sum())
+    else:
+        est_err_term = root_rho * ((stats.own - mean_own) * stats.symbols).sum(axis=1)
+        est_error = float(est_err_term.var())
     return PowerDecomposition(
         desired=desired,
-        est_error=float(est_err_term.var()),
+        est_error=est_error,
         other_users=float((root_rho * stats.other).var()),
         noise=float(stats.noise.var()),
     )
 
 
 def exact_est_error(stats: TrialScalars, state: ChannelState) -> float:
-    """The est_error term of :func:`decompose` in rational arithmetic, so
-    its only rounding is the last one: the variance over the trials of
-    sqrt(rho_u) sum_l (a_l - mean(a_l)) x_li, with a_l the own inner
-    products."""
+    """The sampler's est_error term in rational arithmetic, so its only
+    rounding is the last one: rho_u times the sum over l of the variance
+    over the trials of the own inner products a_l."""
     T, L = stats.own.shape
-    a = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.own[:, l].tolist()]
-         for l in range(L)]
-    x = [[(Fraction(z.real), Fraction(z.imag)) for z in stats.symbols[:, l].tolist()]
-         for l in range(L)]
-    means = [(sum(re for re, _ in a_l) / T, sum(im for _, im in a_l) / T) for a_l in a]
-    terms = []
-    for t in range(T):
-        re = im = Fraction(0)
-        for l in range(L):
-            dr, di = a[l][t][0] - means[l][0], a[l][t][1] - means[l][1]
-            xr, xi = x[l][t]
-            re, im = re + dr * xr - di * xi, im + dr * xi + di * xr
-        terms.append((re, im))
-    mean_re, mean_im = sum(re for re, _ in terms) / T, sum(im for _, im in terms) / T
-    spread = sum((re - mean_re) ** 2 + (im - mean_im) ** 2 for re, im in terms) / T
+    spread = Fraction(0)
+    for l in range(L):
+        a_l = [(Fraction(z.real), Fraction(z.imag)) for z in stats.own[:, l].tolist()]
+        mean_re, mean_im = sum(re for re, _ in a_l) / T, sum(im for _, im in a_l) / T
+        spread += sum((re - mean_re) ** 2 + (im - mean_im) ** 2 for re, im in a_l) / T
     return float(spread * Fraction(state.params.rho_u))
 
 
 def full_tensor_batches(state: ChannelState, j: int, i: int, seeds, counts) -> TrialScalars:
     """Per-trial scalars at BS j, slot i from the full network simulation:
     channels (T, L, K, L, M), pilots and receiver noise for every BS, of
-    which only BS j's are read."""
+    which only BS j's are read, and the symbols.  It keeps slot i's
+    symbols, so :func:`decompose` forms its est_error from them: the
+    reference that the sampler's term, with the symbols averaged out,
+    must match."""
     p = state.params
     m = int(p.M)
     others = np.arange(p.K) != i
@@ -590,7 +589,7 @@ def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
     Python loops over real and imaginary parts that add in index order.
 
     The draws are the sampler's calls, batch by batch: the gamma variates,
-    the L normals a trial, the noise projections and the symbols, then, if
+    the L normals a trial and the noise projections, then, if
     K > 1, the exponentials E, one row of trials per (k != i, l), and the
     normals z_O.  W and the gain are built here from the rotation that
     ``montecarlo._rotation`` gives, which its own test holds to
@@ -606,15 +605,13 @@ def per_trial_batches(state: ChannelState, j: int, i: int, trials: int,
     rng = np.random.default_rng(seed)
     stats = TrialScalars(own=np.empty((trials, L), np.complex128),
                          other=np.empty(trials, np.complex128),
-                         noise=np.empty(trials, np.complex128),
-                         symbols=np.empty((trials, L), np.complex128))
+                         noise=np.empty(trials, np.complex128))
     size = montecarlo._batch_size(L, K)
     for lo in range(0, trials, size):
         count = min(size, trials - lo)
         gammas = rng.standard_gamma(float(m), size=count)
         normals = complex_normal(rng, (count, L))
         projections = complex_normal(rng, (count,))
-        complex_normal(rng, (count, L), out=stats.symbols[lo:lo + count])
         if others:
             exps = rng.standard_exponential((len(others), count))
             picks = complex_normal(rng, (count,))

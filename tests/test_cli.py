@@ -427,8 +427,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("argv, config", [
         (["symrate", "--m", "1e308"], PRESET_A),
         (["classify", "--m", "1e308"], PRESET_A),
-        (["region"], {**PRESET_A, "m": 1e308}),
-        (["sweep", "--axis", "radius_x", "--grid", "300,400"], {**PRESET_A, "m": 1e308}),
+        (["region", "--m", "1e308"], PRESET_A),
+        (["sweep", "--axis", "radius_x", "--grid", "300,400", "--m", "1e308"], PRESET_A),
         (["sweep", "--axis", "M", "--grid", "1e3,1e308"], PRESET_A),
         (["symrate"], BIG_RHO_U),
         (["region", "--scheme", "snd"], BIG_RHO_U),
@@ -744,6 +744,23 @@ class TestOneInputPath:
         assert by_flags.err == by_keys.err == ""
         assert by_flags.out.encode() == by_keys.out.encode()
 
+    @pytest.mark.parametrize("argv", [
+        ["region", "--scheme", "snd", "--bs", "1"],
+        ["sweep", "--axis", "radius_x", "--grid", "300:440:5"],
+    ], ids=["region", "sweep-radius_x"])
+    def test_m_flag_and_key_give_the_same_csv(self, argv, tmp_path, capsys):
+        # every subcommand takes --m, as it takes the m key
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-cell-scenario-a", "m": 1e5}))
+        assert run_cli(*argv, "--preset", "two-cell-scenario-a", "--m", "1e5") == 0
+        by_flag = capsys.readouterr()
+        assert run_cli(*argv, "--config", str(path)) == 0
+        by_key = capsys.readouterr()
+        assert by_flag.err == by_key.err == ""
+        assert by_flag.out.encode() == by_key.out.encode()
+        assert run_cli(*argv, "--preset", "two-cell-scenario-a") == 0
+        assert capsys.readouterr().out != by_key.out
+
     def test_config_m_applies_to_sweep(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "two-cell-scenario-b", "m": 1e3}))
@@ -765,12 +782,12 @@ class TestOneInputPath:
     # plus --config, and --cells and --users, which have no config key
     FLAGS = {
         "region": {"config", "preset", "out", "seed", "unit", "pilot",
-                   "scheme", "bs"},
+                   "scheme", "bs", "m"},
         "symrate": {"config", "preset", "out", "seed", "unit", "pilot",
                     "scheme", "m"},
         "classify": {"config", "preset", "out", "seed", "unit", "pilot", "m"},
         "sweep": {"config", "preset", "out", "seed", "unit", "pilot",
-                  "axis", "grid"},
+                  "axis", "grid", "m"},
         "montecarlo": {"config", "preset", "out", "seed", "unit", "pilot",
                        "m", "trials", "bs", "omega", "cells", "users"},
     }
@@ -1106,7 +1123,7 @@ def test_preset_output_matches_golden_csv(preset, kind, capsys):
 
 # Monte Carlo CSVs: a two-cell run, a three-cell config run at a
 # non-default BS and decoded set, a one-user run at M = 1024, and a
-# four-user three-cell run at M = 1 in two batches of 5,242 and 758 trials.
+# four-user three-cell run at M = 1 in two batches of 4,228 and 1,772 trials.
 MC_GOLDEN = {
     "two-cell": ["--cells", "2", "--users", "2", "--m", "64", "--trials", "2100",
                  "--seed", "1"],

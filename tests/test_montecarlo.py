@@ -384,15 +384,15 @@ class TestEmpiricalDecomposition:
     @pytest.mark.parametrize("M", [1, 2, 4, 8, 1024, 10 ** 7])
     def test_samples_only_bs_j_links(self, monkeypatch, M):
         # a trial draws one gamma variate and L normals for the own inner
-        # products, (K - 1) L exponentials for the other-user term's
-        # variance, then that term's normal, one noise projection and slot
-        # i's L symbols, whatever M is, below L + 1 too
+        # products, one noise projection, (K - 1) L exponentials for the
+        # other-user term's variance and then that term's normal, whatever M
+        # is, below L + 1 too; slot i's symbols are averaged out, not drawn
         L, K, trials = 3, 2, 1000
         state = small_state(L=L, K=K, M=M)
         drawn = count_draws(monkeypatch)
         empirical_power_decomposition(state, 1, 1, {1}, trials=trials, seed=4)
         assert drawn == {"gamma": trials, "exponential": trials * (K - 1) * L,
-                         "normal": trials * (2 * L + 2)}
+                         "normal": trials * (L + 2)}
 
     def test_one_user_draws_no_exponential_and_no_other_user_power(self, monkeypatch):
         # and no normal for the other-user term, which is zero
@@ -400,7 +400,7 @@ class TestEmpiricalDecomposition:
         state = small_state(L=L, K=1, M=64)
         drawn = count_draws(monkeypatch)
         emp = empirical_power_decomposition(state, 1, 0, {1}, trials=trials, seed=4)
-        assert drawn == {"gamma": trials, "exponential": 0, "normal": trials * (2 * L + 1)}
+        assert drawn == {"gamma": trials, "exponential": 0, "normal": trials * (L + 1)}
         assert emp.other_users == 0.0
 
     @pytest.mark.parametrize("M, seed", [(4e4, 81), (1e7, 82)])
@@ -427,11 +427,11 @@ class TestEmpiricalDecomposition:
 
     def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
         # a 256 KiB batch budget makes 2,000 trials at (L, K) = (3, 2) a
-        # full batch of 1,724 trials and one of 276; 200,000 trials run 117
+        # full batch of 1,057 trials and one of 943; 200,000 trials run 190
         # in the same buffer.  The slack covers CPython's free lists, which tracemalloc
         # counts: numpy's gamma draw leaves a 56-byte block on one per call.
         monkeypatch.setattr(mc, "_BATCH_BYTES", 1 << 18)
-        assert mc._batch_size(3, 2) == 1724
+        assert mc._batch_size(3, 2) == 1057
         state = small_state(L=3, K=2, M=64)
 
         def peak(trials):
@@ -441,23 +441,25 @@ class TestEmpiricalDecomposition:
         assert peak(200_000) <= peak(2000) + (16 << 10)
 
     @pytest.mark.parametrize("L, K, M, trials", [
-        (3, 2, 64, 200_000),  # 29 batches of up to 6,898 trials
-        (2, 512, 8, 1000),    # batches of 126 trials, 1,022 exponentials each
-        (24, 1, 1, 2000),     # one batch of 1,310 trials, one of 690
-        (1, 1, 1, 16_384),    # the largest buffer for its bound: 3.625 x _BATCH_BYTES
+        (3, 2, 64, 200_000),  # 48 batches of up to 4,228 trials
+        (2, 512, 8, 1000),    # batches of 127 trials, 1,022 exponentials each
+        (24, 1, 1, 2000),     # two batches of 834 trials, one of 332
+        (1, 1, 1, 16_384),    # two batches of 6,898 trials, one of 2,588
     ])
     def test_memory_is_one_buffer_within_the_cap(self, L, K, M, trials):
-        # one buffer holds a batch's draws, its planes and the fold's rows,
-        # and nothing the fold allocates besides grows with the batch
+        # one buffer within _BATCH_BYTES holds a batch's draws, its planes
+        # and the fold's rows, and nothing besides grows with the batch:
+        # the peaks read 1.04-1.13 x _BATCH_BYTES
         state = small_state(L=L, K=K, M=M)
         peak = traced_peak(lambda: empirical_power_decomposition(
             state, L - 1, K - 1, {0}, trials=trials, seed=37))
-        assert peak < 5 * mc._BATCH_BYTES
+        assert peak < 1.25 * mc._BATCH_BYTES
 
-    def test_streaming_terms_are_exact_where_two_passes_are_not(self):
+    def test_shifted_sums_are_exact_where_unshifted_ones_are_not(self):
         # at M = 2**53 the own inner products' mean is about 1e8 times their
-        # spread, so two passes, centring on a mean summed in trial order,
-        # are off by many roundings of the spread; the shifted sums are not
+        # spread, so the fold's sums of squares, unshifted, cancel to
+        # rounding noise; shifted by the first batch's mean they do not, and
+        # they agree with two passes over the record
         params = SystemParams(L=2, K=1, M=float(mc.MAX_ANTENNAS), rho_u=30.0, rho_p=120.0)
         state = ChannelState.from_layout(two_cell_layout(400.0, 800.0, users_per_cell=1),
                                          params)
@@ -465,8 +467,11 @@ class TestEmpiricalDecomposition:
         scalars = sampler_scalars(state, 0, 0, 400, 38)
         want = oracles.exact_est_error(scalars, state)
         assert got.est_error == pytest.approx(want, rel=4e-15)
-        two_pass = oracles.decompose(scalars, state, [0])
-        assert abs(two_pass.est_error - want) > 1e-12 * want
+        assert oracles.decompose(scalars, state, [0]).est_error == pytest.approx(want, rel=4e-15)
+        zero = np.zeros((2, 2))
+        unshifted = sum(mc._moments(own, other, noise, zero, scratch)
+                        for own, other, noise, scratch in mc._batches(state, 0, 0, 400, 38))
+        assert abs(mc._decompose(zero, unshifted, 400, state, [0]).est_error - want) > want
 
 
 class TestFoldAgainstTwoPasses:
@@ -487,7 +492,7 @@ class TestFoldAgainstTwoPasses:
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         per_batch = data.draw(st.integers(1, 64), label="per_batch")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mc, "_BATCH_BYTES", per_batch * (16 * (2 * L + 2) + 8 * (K - 1) * L))
+            patch.setattr(mc, "_BATCH_BYTES", per_batch * 8 * (mc._scratch(L, K) + 2 * L + 5))
             assert mc._batch_size(L, K) == per_batch
 
             def streamed(seed=seed):
@@ -511,10 +516,7 @@ class TestFoldAgainstTwoPasses:
         for name, g, w in zip(("desired", "est_error", "other_users", "noise"),
                               got.as_tuple(), want.as_tuple()):
             assert g >= 0.0
-            # the two passes center the own inner products on a rounded mean
-            # of values up to sqrt(M) times their spread; the fold does not
-            rel = 1e-7 if name == "est_error" and M >= 10 ** 7 else 1e-12
-            assert g == pytest.approx(w, rel=rel, abs=0.0), name
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0), name
         assert got.est_error == pytest.approx(oracles.exact_est_error(scalars, state),
                                               rel=1e-12, abs=0.0)
 
@@ -542,32 +544,32 @@ class TestBatchArithmetic:
                 self.assert_pinned(state, L - 1, K - 1, trials=5, seed=10 * L + K)
 
     def test_one_trial_final_batch(self):
-        # 1,311 trials in batches of 1,310: the last batch holds one trial
-        assert mc._batch_size(24, 1) == 1310
-        self.assert_pinned(small_state(L=24, K=1, M=64), 5, 0, trials=1311, seed=35)
+        # 835 trials in batches of 834: the last batch holds one trial
+        assert mc._batch_size(24, 1) == 834
+        self.assert_pinned(small_state(L=24, K=1, M=64), 5, 0, trials=835, seed=35)
 
     def test_many_users_bound_the_batch(self):
-        # a trial holds 2 L + 2 complex scalars and (K - 1) L exponentials
-        # for the fold: 200 bytes at (L, K) = (3, 4), 144 at (2, 4), 32,848
-        # at (2, 2048)
-        assert mc._batch_size(3, 4) == 5242
-        assert mc._batch_size(2, 4) == 7281
+        # a trial's buffer holds 2 L + 5 plane floats and
+        # max(4 L + 8, (K - 1) L) scratch floats: 248 bytes at (L, K) =
+        # (3, 4), 200 at (2, 4), 32,824 at (2, 2048)
+        assert mc._batch_size(3, 4) == 4228
+        assert mc._batch_size(2, 4) == 5242
         assert mc._batch_size(2, 2048) == 31
-        self.assert_pinned(small_state(L=2, K=4, M=8), 1, 2, trials=7282, seed=39)
+        self.assert_pinned(small_state(L=2, K=4, M=8), 1, 2, trials=5243, seed=39)
 
     @pytest.mark.parametrize("L, K, size", [
-        (2, 2, 9362),     # the two-cell golden and the benchmark's curve
-        (3, 2, 6898),     # the three-cell golden and the KS tests
-        (2, 1, 10922),    # the one-user golden
-        (3, 1, 8192),
-        (3, 4, 5242),     # the one-antenna golden: 6,000 trials in two batches
+        (2, 2, 5242),     # the two-cell golden and the benchmark's curve
+        (3, 2, 4228),     # the three-cell golden and the KS tests
+        (2, 1, 5242),     # the one-user golden
+        (3, 1, 4228),
+        (3, 4, 4228),     # the one-antenna golden: 6,000 trials in two batches
     ])
-    def test_fold_scalars_bound_the_batch(self, L, K, size):
+    def test_buffer_bounds_the_batch(self, L, K, size):
         # the partition, and so every result, depends on (L, K) alone: a
         # benchmark op's 2,000 trials and each golden but the one-antenna
         # one are a single batch
-        assert mc._batch_size(L, K) == size == (1 << 20) // (16 * (2 * L + 2)
-                                                             + 8 * (K - 1) * L)
+        assert mc._batch_size(L, K) == size == (1 << 20) // (
+            8 * (max(4 * L + 8, (K - 1) * L) + 2 * L + 5))
 
 
 class TestRotation:
@@ -602,7 +604,7 @@ for L in (2, 3, 5):
         params = SystemParams(L=L, K=2, M=float(M), rho_u=1.5, rho_p=2.0)
         state = ChannelState.from_beta(beta, params)
         for planes in mc._batches(state, L - 1, 1, 2000, 7):
-            for a in planes[:4]:
+            for a in planes[:3]:
                 digest.update(a.tobytes())
         terms = mc.empirical_power_decomposition(state, L - 1, 1, range(L), 2000, 7)
         digest.update(np.array(terms.as_tuple()).tobytes())

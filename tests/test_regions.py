@@ -261,6 +261,8 @@ class TestTinRegion:
                 want = bs_symmetric_rate(state, "tin", j, i).rate
                 assert float(region.bound[0]) == want
                 assert tin_rate(state, j, i) == want
+                # from L = 64 on, np.bitwise_count runs its object loop
+                assert max_symmetric_rate(region) == (want, 1 << j)
 
     @settings(max_examples=60)
     @given(fading_states(max_cells=10))

@@ -846,6 +846,17 @@ class TestOracleFreeProperties:
             assert abs(rates["tin"][j].rate - tin_rate_asymptotic(state, j, i)) <= 1e-14
             assert abs(grown["ssnd"][j].rate - rates["ssnd"][j].rate - 2.0) <= 1e-13
 
+    @settings(max_examples=60)
+    @given(fading_states(min_cells=2))
+    def test_large_m_tin_is_its_limit_on_random_tensors(self, case):
+        # the TIN half of the test above on random fading tensors, to a few
+        # ulps of the rate; S-SND's slope is left to the rings, as on
+        # random tensors it starts at an M that depends on the power ratios
+        state, i = case
+        state = state.with_m(1e40)
+        for j, bs in enumerate(per_bs(state, i)["tin"]):
+            assert abs(bs.rate - tin_rate_asymptotic(state, j, i)) <= 4 * math.ulp(bs.rate)
+
 
 def test_snd_rejects_negative_bs_index():
     state = random_state(np.random.default_rng(70), L=2, K=2)
