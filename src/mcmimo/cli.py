@@ -7,8 +7,9 @@ flag is only another way to set its config key: the flag string is read as
 a JSON value (an int, else a float, else the string) and passes the key's
 one check.  No key accepts ``null``.  All output is CSV with a header row,
 LF line endings and 12 significant digits, so a given config and seed
-always produce byte-identical files.  Every error, bad argv included,
-prints a single machine-parsable ``error: ...`` line to stderr and exits 2.
+always produce byte-identical files.  Every error, bad argv and a failed
+write to stdout included, prints a single machine-parsable ``error: ...``
+line to stderr and exits 2.
 
 Config schema (JSON object; unknown keys are rejected):
 
@@ -21,7 +22,8 @@ Config schema (JSON object; unknown keys are rejected):
     scheme, axis, grid, seed, trials, out, bs, pilot, omega, m
              optional subcommand parameters; grid is a list of values or
              {"scale": "log"|"lin", "start", "stop", "num"}; m replaces the
-             antenna count in every subcommand, sweep included
+             antenna count in every subcommand, sweep included, and so
+             may stand in for params M
 
 Every number must be finite.  ``RunConfig.to_dict()`` describes the run,
 with ``m``, ``--cells`` and ``--users`` applied to its scenario.
@@ -35,13 +37,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .bounds import power_terms
+from .bounds import PowerDecomposition, power_terms
 from .montecarlo import empirical_power_decomposition
 from .network import CellLayout, SystemParams, build_fading
 from .regions import sd_region, snd_region, ssnd_region, tin_region
@@ -130,14 +133,15 @@ def _reject_unknown(raw: dict, allowed: set, what: str) -> None:
 
 
 def _parse_params(raw: dict, m_default: float | None = None) -> SystemParams:
-    """``m_default`` fills in the antenna count when a sweep over it makes the
-    explicit value redundant."""
+    """``m_default`` fills in the antenna count when the ``m`` key or a
+    sweep over it makes the explicit value redundant."""
     _require(isinstance(raw, dict), "config key 'params' must be an object")
     _reject_unknown(raw, _PARAM_KEYS, "params")
     for req in ("L", "K", "rho_u", "rho_p"):
         _require(req in raw, f"params is missing required key {req!r}")
     _require("M" in raw or m_default is not None,
-             "params is missing required key 'M' (only omittable when sweeping axis 'M')")
+             "params is missing required key 'M' (only omittable when key 'm' or "
+             "a sweep along axis 'M' supplies it)")
     values = {key: _number(f"params key {key!r}", raw[key], count=key in ("L", "K"))
               for key in raw}
     try:
@@ -164,10 +168,10 @@ def _parse_layout(raw: dict, params: SystemParams) -> Scenario:
         body = {"spacing": 2.0 * body["x"], **body}
     try:
         if kind == "explicit":
-            # the positions as float lists, as a recipe's numbers are floats
-            body = CellLayout.from_dict(body).to_dict()
-        scenario = Scenario(params=params, layout_kind=kind,
-                            layout_args=tuple(sorted(body.items())))
+            scenario = Scenario.from_layout(CellLayout.from_dict(body), params)
+        else:
+            scenario = Scenario(params=params, layout_kind=kind,
+                                layout_args=tuple(sorted(body.items())))
         build_fading(scenario.layout(), params)
     except ValueError as exc:
         raise ConfigError(f"layout: {exc}") from None
@@ -319,7 +323,7 @@ def parse_config(source) -> RunConfig:
         _require("params" in raw, "explicit config requires 'params'")
         _require("layout" in raw, "explicit config requires 'layout'")
         grid = values.get("grid")
-        m_default = grid[0] if (values.get("axis") == "M" and grid) else None
+        m_default = values.get("m", grid[0] if (values.get("axis") == "M" and grid) else None)
         scenario = _parse_layout(raw["layout"], _parse_params(raw["params"], m_default))
     return RunConfig(scenario=scenario, **values)
 
@@ -347,10 +351,21 @@ def emit_csv(header: list[str], rows: list[list], path: str | None) -> str:
 
 def _write_csv(header: list[str], lines: list[str], path: str | None) -> str:
     """Write a header and already formatted rows as CSV text to ``path``
-    (or stdout)."""
+    (or stdout, flushed).  A closed or failing stdout is a config error."""
     text = "\n".join([",".join(header), *lines]) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        if sys.stdout is None:
+            raise ConfigError("cannot write output: stdout is closed")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter's flush at exit retries the buffered text: on
+            # the null device it neither fails nor prints
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"cannot write output: {exc}") from None
     else:
         try:
             with open(path, "w", newline="") as fh:
@@ -433,11 +448,9 @@ def _cmd_classify(cfg: RunConfig) -> int:
     for j in range(state.L):
         chk = two_cell_ordering_check(state, j, cfg.pilot)
         rows.append([j, chk.case, chk.lhs * factor, chk.rhs * factor,
-                     chk.rates["tin"] * factor, chk.rates["sd"] * factor,
-                     chk.rates["ssnd"] * factor, chk.rates["snd"] * factor,
-                     chk.passed])
-    emit_csv(["bs", "case", "lhs", "rhs", "r_tin", "r_sd", "r_ssnd", "r_snd",
-              "ordering_ok"], rows, cfg.out)
+                     *(chk.rates[s] * factor for s in SCHEMES), chk.passed])
+    emit_csv(["bs", "case", "lhs", "rhs", *(f"r_{s}" for s in SCHEMES), "ordering_ok"],
+             rows, cfg.out)
     return 0
 
 
@@ -446,16 +459,14 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg.grid is not None, "sweep requires a grid (--grid or config key 'grid')")
     result = sweep(cfg.scenario, cfg.axis, cfg.grid, pilot=cfg.pilot)
     factor = _unit_factor(cfg.unit)
-    rows = [[cfg.axis, row.value, row.rates["tin"] * factor, row.rates["sd"] * factor,
-             row.rates["ssnd"] * factor, row.rates["snd"] * factor, row.case]
+    rows = [[cfg.axis, row.value, *(row.rates[s] * factor for s in SCHEMES), row.case]
             for row in result.rows]
-    emit_csv(["axis", "value", "r_tin", "r_sd", "r_ssnd", "r_snd", "case"],
-             rows, cfg.out)
+    emit_csv(["axis", "value", *(f"r_{s}" for s in SCHEMES), "case"], rows, cfg.out)
     th_rows = [[c.name, c.before, c.after, c.value, c.rel_tol]
                for c in result.thresholds]
     th_path = None if cfg.out is None else _threshold_path(cfg.out)
     if cfg.out is None:
-        sys.stdout.write("\n")
+        _write_csv([], [], None)  # an empty CSV: the blank line between the tables
     emit_csv(["name", "before", "after", "value", "rel_tol"], th_rows, th_path)
     return 0
 
@@ -471,10 +482,10 @@ def _cmd_montecarlo(cfg: RunConfig) -> int:
         state, cfg.bs, cfg.pilot, omega, trials=cfg.trials, seed=cfg.seed)
     analytic = power_terms(state, cfg.bs, cfg.pilot, omega)
     rows = []
-    names = ("desired", "est_error", "other_users", "noise")
-    for name, emp, ana in zip(names, empirical.as_tuple(), analytic.as_tuple()):
+    for term in fields(PowerDecomposition):
+        emp, ana = getattr(empirical, term.name), getattr(analytic, term.name)
         rel = abs(emp - ana) / ana if ana else 0.0
-        rows.append([name, emp, ana, rel])
+        rows.append([term.name, emp, ana, rel])
     emit_csv(["term", "empirical", "analytic", "rel_error"], rows, cfg.out)
     return 0
 

@@ -120,14 +120,6 @@ class CellLayout:
         object.__setattr__(self, "bs", bs)
         object.__setattr__(self, "users", users)
 
-    @property
-    def num_cells(self) -> int:
-        return self.bs.shape[0]
-
-    @property
-    def users_per_cell(self) -> int:
-        return self.users.shape[1]
-
     def to_dict(self) -> dict:
         return {
             "bs_positions": self.bs.tolist(),

@@ -13,7 +13,7 @@ Cell sets are int bitmasks (bit l stands for cell l), as in the CSV
 output, and N of a mask is summed weakest first, as :mod:`~mcmimo.bounds`
 states, by :func:`_mask_sums`, which also forms the 2^L table.
 
-The TIN region is one bound, :func:`tin_rate`; the SD, S-SND and SND
+The TIN region holds a single bound; the SD, S-SND and SND
 builders refuse a region of more than ``MAX_CONSTRAINTS`` constraints
 before allocating it.  Which (theta, omega) pairs a region holds depends
 only on its scheme, L and BS (SD: on L alone), so its ``omega``,
@@ -47,7 +47,6 @@ __all__ = [
     "MAX_CONSTRAINTS",
     "RegionFamily",
     "max_symmetric_rate",
-    "tin_rate",
     "tin_region",
     "sd_region",
     "ssnd_region",
@@ -281,13 +280,6 @@ def tin_region(state: ChannelState, j: int, i: int) -> RegionFamily:
     rate = mac_bound(coh[[j]], _mask_sums(coh, ((1 << state.L) - 1) ^ own),
                      noise_floor(state, j))
     return RegionFamily("tin", state.L, own, np.array([0, 1]), own, rate)
-
-
-def tin_rate(state: ChannelState, j: int, i: int) -> float:
-    """Rate when BS j decodes only its own user and treats the co-pilot
-    interference (whose combined power also grows with M) as noise: the one
-    bound of :func:`tin_region`."""
-    return float(tin_region(state, j, i).bound[0])
 
 
 def sd_region(state: ChannelState, j: int, i: int) -> RegionFamily:

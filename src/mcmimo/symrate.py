@@ -20,9 +20,9 @@ L + 1 decoded sets, and each scheme reads its rate off that family:
 
 :func:`symmetric_rates` is the kernel on every BS of one state under all
 four schemes; the state keeps its reports in its memo, so each (state,
-pilot) is solved once.  The per-scheme and per-BS functions
-(:func:`network_symmetric_rate` and :func:`bs_symmetric_rate`) read those
-reports, so a one-BS request pays for the whole state once.  Every sum
+pilot) is solved once.  :func:`network_symmetric_rate` reads one scheme's
+report, so a one-BS request, ``network_symmetric_rate(state, scheme,
+i).per_bs[j]``, pays for the whole state once.  Every sum
 of coherent powers adds the cells in the one order that
 :mod:`~mcmimo.bounds` states, and every bound is one
 :func:`~mcmimo.bounds.mac_bound`, so a solver's rate equals the value of
@@ -46,8 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bounds import (SCHEMES, check_bs, check_indices, check_pilot, mac_bound, memo,
-                     state_powers)
+from .bounds import SCHEMES, check_indices, check_pilot, mac_bound, memo, state_powers
 from .estimation import ChannelState
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "STACK_BYTES",
     "low_sinr_decode_set",
     "symmetric_rates",
-    "bs_symmetric_rate",
     "network_symmetric_rate",
 ]
 
@@ -86,7 +84,6 @@ class BsSymRate:
 
 @dataclass(frozen=True)
 class SymRateReport:
-    scheme: str
     per_bs: tuple[BsSymRate, ...]
     network_rate: float
     network_argmin: int
@@ -314,8 +311,8 @@ def _solve_state(state: ChannelState, i: int) -> MappingProxyType:
     for scheme, rates, thetas, omegas in zip(SCHEMES, *solved):
         per_bs = tuple(map(BsSymRate, range(state.L), rates, thetas, omegas))
         argmin = rates.index(min(rates))
-        reports[scheme] = SymRateReport(scheme=scheme, per_bs=per_bs,
-                                        network_rate=rates[argmin], network_argmin=argmin)
+        reports[scheme] = SymRateReport(per_bs=per_bs, network_rate=rates[argmin],
+                                        network_argmin=argmin)
     return MappingProxyType(reports)
 
 
@@ -331,14 +328,6 @@ def symmetric_rates(state: ChannelState, i: int = 0) -> MappingProxyType:
     """
     check_pilot(state, i)
     return memo(state, ("rates", i), lambda: _solve_state(state, i))
-
-
-def bs_symmetric_rate(state: ChannelState, scheme: str, j: int, i: int = 0) -> BsSymRate:
-    """Max symmetric rate at one BS for a decoding scheme, read off
-    :func:`symmetric_rates`."""
-    _check_scheme(scheme)
-    check_bs(state, j)
-    return symmetric_rates(state, i)[scheme].per_bs[j]
 
 
 def network_symmetric_rate(state: ChannelState, scheme: str, i: int = 0) -> SymRateReport:

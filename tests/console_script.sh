@@ -11,6 +11,18 @@ test "$code" -eq 2
 test ! -s out.txt
 test "$(wc -l < err.txt)" -eq 1
 grep -q '^error: ' err.txt
+# a stdout that is full or closed ends the run with one error line
+# and exit code 2, not a traceback
+code=0
+mcmimo symrate --preset three-cell-theta > /dev/full 2> err.txt || code=$?
+test "$code" -eq 2
+test "$(wc -l < err.txt)" -eq 1
+test "$(cat err.txt)" = "error: cannot write output: [Errno 28] No space left on device"
+code=0
+mcmimo symrate --preset three-cell-theta >&- 2> err.txt || code=$?
+test "$code" -eq 2
+test "$(wc -l < err.txt)" -eq 1
+test "$(cat err.txt)" = "error: cannot write output: stdout is closed"
 # 256- and 512-cell K = 1 rings: the TIN region is one bound, so it
 # must not wait for a solve of the whole network, and the SND solve
 # is O(L^3) per state (the step's shell exits on a nonzero status,

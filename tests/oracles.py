@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, repeat
 from operator import lt, or_
-from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -27,7 +26,6 @@ from mcmimo.bounds import PowerDecomposition, capacity, coherent_power, noise_fl
 from mcmimo.scenarios import EQ_RTOL, REL_TOL, Crossing, SweepRow
 from mcmimo.estimation import EstimationStats
 from mcmimo.montecarlo import complex_normal
-from mcmimo.regions import _mask_sums, _rate_point
 
 
 def direct_bound(state: ChannelState, j: int, i: int, theta, omega) -> float:
@@ -384,11 +382,6 @@ class Polytope:
         if order != list(table):
             cons = tuple(zip(order, map(table.__getitem__, order)))
         object.__setattr__(self, "constraints", cons)
-
-    def contains(self, point: Sequence[float]) -> bool:
-        rates = _rate_point(point, self.dim)
-        masks = np.array([mask for mask, _ in self.constraints], dtype=object)
-        return not (_mask_sums(rates, masks) > [bound for _, bound in self.constraints]).any()
 
 
 def polytope_symmetric_rate(poly: Polytope) -> tuple[float, int]:

@@ -11,10 +11,10 @@ import pytest
 
 from mcmimo import (ChannelState, SystemParams, max_symmetric_rate,
                     mu_coefficient, network_symmetric_rate, power_terms,
-                    preset_scenario, sweep, tin_rate,
-                    tin_rate_asymptotic, two_cell_layout)
+                    preset_scenario, sweep, tin_rate_asymptotic, tin_region,
+                    two_cell_layout)
 from mcmimo.montecarlo import empirical_power_decomposition
-from mcmimo.symrate import bs_symmetric_rate, low_sinr_decode_set
+from mcmimo.symrate import low_sinr_decode_set
 
 from oracles import (Polytope, brute_force_sd, brute_force_ssnd, diagonal_rate_bisection,
                      direct_bound, random_state, region_of, restricted_average_argmin)
@@ -76,9 +76,9 @@ def test_criterion_04_fast_paths_equal_exhaustive_enumeration():
         state = random_state(rng, L=int(rng.integers(1, 9)), K=int(rng.integers(1, 5)))
         j = int(rng.integers(state.L))
         i = int(rng.integers(state.K))
-        fast_sd = bs_symmetric_rate(state, "sd", j, i).rate
+        fast_sd = network_symmetric_rate(state, "sd", i).per_bs[j].rate
         slow_sd, _ = brute_force_sd(state, j, i)
-        fast_ss = bs_symmetric_rate(state, "ssnd", j, i).rate
+        fast_ss = network_symmetric_rate(state, "ssnd", i).per_bs[j].rate
         slow_ss, _ = brute_force_ssnd(state, j, i)
         worst = max(worst, abs(fast_sd - slow_sd) / slow_sd,
                     abs(fast_ss - slow_ss) / slow_ss)
@@ -95,8 +95,8 @@ def test_criterion_05_scheme_ordering_everywhere():
     for _ in range(1000):
         state = random_state(rng, L=int(rng.integers(1, 7)))
         for j in range(state.L):
-            r_tin = tin_rate(state, j, 0)
-            r_sd, r_ssnd, r_snd = (bs_symmetric_rate(state, s, j, 0).rate
+            r_tin = tin_region(state, j, 0).bound[0]
+            r_sd, r_ssnd, r_snd = (network_symmetric_rate(state, s, 0).per_bs[j].rate
                                    for s in ("sd", "ssnd", "snd"))
             assert r_sd >= 0 and r_tin >= 0
             assert r_sd <= r_ssnd / slack
@@ -122,7 +122,7 @@ def test_criterion_06_high_snr_schemes_collapse_to_equal_split():
 
 def test_criterion_07_tin_rate_reaches_its_asymptote():
     state = preset_scenario("two-cell-scenario-a").state().with_m(1e9)
-    finite = tin_rate(state, 0, 0)
+    finite = tin_region(state, 0, 0).bound[0]
     limit = tin_rate_asymptotic(state, 0, 0)
     gap = abs(finite - limit) / limit
     ok = gap < 0.01
@@ -163,9 +163,9 @@ def test_criterion_09_polytope_rate_matches_diagonal_bisection():
         n_cons = int(rng.integers(1, 2 ** L))
         masks = rng.choice(np.arange(1, 2 ** L), size=n_cons, replace=False)
         cons = tuple((int(m), float(rng.uniform(0.05, 8.0))) for m in masks)
-        poly = Polytope(L, cons)
-        rate, _ = max_symmetric_rate(region_of(L, [poly.constraints]))
-        oracle = diagonal_rate_bisection(poly, L, hi=16.0)
+        region = region_of(L, [Polytope(L, cons).constraints])
+        rate, _ = max_symmetric_rate(region)
+        oracle = diagonal_rate_bisection(region, L, hi=16.0)
         worst = max(worst, abs(rate - oracle) / max(oracle, 1e-30))
     ok = worst < 1e-6
     report(9, ok, f"worst relative gap to membership bisection {worst:.2e} < 1e-6 "
@@ -188,8 +188,8 @@ def test_criterion_10_low_snr_structure():
             continue
         assert len(set(b2)) == L, "constructed gains must be distinct"
         assert b2[j] > b2.min()
-        r_sd = bs_symmetric_rate(state, "sd", j, 0).rate
-        r_ssnd = bs_symmetric_rate(state, "ssnd", j, 0).rate
+        r_sd = network_symmetric_rate(state, "sd", 0).per_bs[j].rate
+        r_ssnd = network_symmetric_rate(state, "ssnd", 0).per_bs[j].rate
         assert r_ssnd > r_sd, "non-unique decoding must win strictly at low SINR"
         greedy = low_sinr_decode_set(state, j, 0)
         exhaustive = restricted_average_argmin(b2, j)

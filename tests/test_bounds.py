@@ -8,7 +8,7 @@ import pytest
 from mcmimo import (SCHEMES, ChannelState, SystemParams, bounds, capacity,
                     empirical_power_decomposition, mu_coefficient, network_symmetric_rate,
                     power_terms, preset_scenario, regions, sd_region, snd_region, ssnd_region,
-                    tin_rate, tin_rate_asymptotic)
+                    tin_rate_asymptotic, tin_region)
 from mcmimo.bounds import (check_omega, coherent_power, coherent_powers, mac_bound,
                            noise_floor, noise_floors, state_powers)
 
@@ -289,13 +289,13 @@ def test_check_omega_refuses_non_indices(omega, message):
 class TestTinRates:
     def test_single_cell_tin_equals_full_bound(self):
         state = unit_state()
-        assert tin_rate(state, 0, 0) == kernel_bound(state, 0, 0, 0b1, 0b1)
+        assert tin_region(state, 0, 0).bound[0] == kernel_bound(state, 0, 0, 0b1, 0b1)
 
     def test_equal_gains_saturate_at_one_bit(self):
         beta = np.full((2, 1, 2), 0.3)
         params = SystemParams(L=2, K=1, M=1e12, rho_u=1.0, rho_p=1.0)
         state = ChannelState.from_beta(beta, params)
-        assert tin_rate(state, 0, 0) < 1.0
+        assert tin_region(state, 0, 0).bound[0] < 1.0
         assert tin_rate_asymptotic(state, 0, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_asymptote_values(self):
@@ -309,7 +309,7 @@ class TestTinRates:
 
     def test_finite_tin_approaches_asymptote(self):
         state = preset_scenario("two-cell-scenario-a").state().with_m(1e9)
-        finite = tin_rate(state, 0, 0)
+        finite = tin_region(state, 0, 0).bound[0]
         limit = tin_rate_asymptotic(state, 0, 0)
         assert abs(finite - limit) / limit < 0.01
         assert finite < limit

@@ -596,6 +596,34 @@ class TestCliCommands:
         assert proc.returncode == 0
         assert proc.stdout.startswith("scope,rate,")
 
+    @pytest.mark.parametrize("stdout, message", [
+        pytest.param("full", "[Errno 28] No space left on device",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="needs /dev/full")),
+        ("closed", "stdout is closed"),
+        ("pipe without reader", "[Errno 32] Broken pipe"),
+    ])
+    def test_failed_stdout_write_is_one_error_line(self, stdout, message):
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "mcmimo.cli", "symrate", "--preset", "three-cell-theta"]
+        run = dict(stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        if stdout == "full":
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(argv, stdout=full, **run)
+        elif stdout == "closed":
+            proc = subprocess.run(["bash", "-c", '"$@" >&-', "bash", *argv], **run)
+        else:
+            read, write = os.pipe()
+            os.close(read)  # the reader exits before the run writes
+            try:
+                proc = subprocess.run(argv, stdout=write, **run)
+            finally:
+                os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {message}\n")
+
     def test_large_network_symrate_runs_but_snd_region_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "ring16.json"
         cfg.write_text(json.dumps(ring_config(16)))
@@ -743,6 +771,25 @@ class TestOneInputPath:
         by_keys = capsys.readouterr()
         assert by_flags.err == by_keys.err == ""
         assert by_flags.out.encode() == by_keys.out.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--scheme", "snd"], ["symrate"], ["classify"],
+        ["sweep", "--axis", "radius_x", "--grid", "300:440:5"],
+        ["montecarlo", "--trials", "1000"],
+    ], ids=["region", "symrate", "classify", "sweep", "montecarlo"])
+    def test_m_key_supplies_params_m(self, argv, tmp_path, capsys):
+        # the m key stands in for a missing params.M, as it replaces one
+        by_m, by_params = (json.loads(json.dumps(GOOD_EXPLICIT)) for _ in range(2))
+        del by_m["params"]["M"]
+        by_m["m"] = by_params["params"]["M"] = 1000
+        runs = []
+        for name, config in (("m", by_m), ("params", by_params)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            assert run_cli(*argv, "--config", str(path)) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].err == runs[1].err == ""
+        assert runs[0].out.encode() == runs[1].out.encode()
 
     @pytest.mark.parametrize("argv", [
         ["region", "--scheme", "snd", "--bs", "1"],

@@ -14,7 +14,7 @@ from mcmimo.network import MAX_LINKS, fading_stack
 
 
 def params_for(layout, **kw):
-    defaults = dict(L=layout.num_cells, K=layout.users_per_cell, M=100.0,
+    defaults = dict(L=layout.bs.shape[0], K=layout.users.shape[1], M=100.0,
                     rho_u=30.0, rho_p=120.0, alpha_pl=2.0, d0=100.0)
     defaults.update(kw)
     return SystemParams(**defaults)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmimo import (SCHEMES, ChannelState, RegionFamily, SystemParams, bs_symmetric_rate,
-                    capacity, max_symmetric_rate, preset_scenario, regions, sd_region,
-                    snd_region, ssnd_region, symrate, tin_rate, tin_region)
+from mcmimo import (SCHEMES, ChannelState, RegionFamily, SystemParams, capacity,
+                    max_symmetric_rate, network_symmetric_rate, preset_scenario, regions,
+                    sd_region, snd_region, ssnd_region, symrate, tin_region)
 from mcmimo.bounds import noise_floor, state_powers
 
 from oracles import (Polytope, cells, direct_bound, fading_states, polytope_symmetric_rate,
@@ -23,7 +23,7 @@ BUILDERS = {"tin": tin_region, "sd": sd_region, "ssnd": ssnd_region, "snd": snd_
 
 def rate_and_theta(state, scheme, j, i):
     """The per-BS solver's rate and binding mask, as max_symmetric_rate gives them."""
-    entry = bs_symmetric_rate(state, scheme, j, i)
+    entry = network_symmetric_rate(state, scheme, i).per_bs[j]
     return entry.rate, entry.theta
 
 
@@ -188,7 +188,7 @@ class TestSubsetSumTable:
                     for theta, bound in part.constraints:
                         want = direct_bound(state, j, i, cells(theta), cells(omega))
                         assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
-            assert max_symmetric_rate(regions[0]) == (tin_rate(state, j, i), 1 << j)
+            assert max_symmetric_rate(regions[0]) == (tin_region(state, j, i).bound[0], 1 << j)
             for region in regions:
                 rate, theta = max_symmetric_rate(region)
                 want_rate, want_theta = rate_and_theta(state, region.kind, j, i)
@@ -258,9 +258,8 @@ class TestTinRegion:
                 region = tin_region(state, j, i)
                 assert region.theta.dtype == (np.int64 if L < 64 else object)
                 assert region.theta.tolist() == region.omega.tolist() == [1 << j]
-                want = bs_symmetric_rate(state, "tin", j, i).rate
+                want = network_symmetric_rate(state, "tin", i).per_bs[j].rate
                 assert float(region.bound[0]) == want
-                assert tin_rate(state, j, i) == want
                 # from L = 64 on, np.bitwise_count runs its object loop
                 assert max_symmetric_rate(region) == (want, 1 << j)
 
@@ -269,9 +268,8 @@ class TestTinRegion:
     def test_bound_is_the_tin_rate_on_tie_stacks(self, case):
         state, i = case
         for j in range(state.L):
-            want = bs_symmetric_rate(state, "tin", j, i).rate
+            want = network_symmetric_rate(state, "tin", i).per_bs[j].rate
             assert float(tin_region(state, j, i).bound[0]) == want
-            assert tin_rate(state, j, i) == want
 
     def test_large_ring_never_runs_the_kernel(self, monkeypatch):
         def fail(*args):
@@ -287,7 +285,6 @@ class TestTinRegion:
             region = tin_region(state, j, 0)
             assert region.theta.tolist() == [1 << j]
             assert region.bound.tolist() == [want]
-            assert tin_rate(state, j, 0) == want
 
     def test_errors_are_the_tin_rate_errors(self):
         state = random_state(np.random.default_rng(6), L=3, K=2)
@@ -299,14 +296,14 @@ class TestTinRegion:
                                             (True, 0), (0, 1.0))]
         messages = []
         for case in cases + [(big_coh, 0, 0), (big_floor, 1, 0)]:
-            with pytest.raises(ValueError) as want:
-                bs_symmetric_rate(case[0], "tin", *case[1:])
             with pytest.raises(ValueError) as got:
                 tin_region(*case)
-            with pytest.raises(ValueError) as wrapped:
-                tin_rate(*case)
-            assert str(got.value) == str(wrapped.value) == str(want.value)
             messages.append(str(got.value))
+            # at a valid BS index, the solver's pilot and overflow errors
+            if case[1] is not True and 0 <= case[1] < case[0].L:
+                with pytest.raises(ValueError) as want:
+                    network_symmetric_rate(case[0], "tin", case[2])
+                assert str(got.value) == str(want.value)
         assert messages[4] == "BS index 3 out of range for L=3"
         assert messages[-2].startswith("coherent power")
         assert messages[-1].startswith("noise floor")
@@ -398,7 +395,7 @@ class TestMembership:
             state = random_state(rng)
             j = int(rng.integers(state.L))
             point = np.zeros(state.L)
-            point[j] = tin_rate(state, j, 0)
+            point[j] = tin_region(state, j, 0).bound[0]
             assert snd_region(state, j, 0).contains(point)
 
     def test_containment_chain_on_random_points(self):

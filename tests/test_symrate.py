@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from mcmimo import (PRESET_NAMES, SCHEMES, ChannelState, SystemParams, capacity,
                     low_sinr_decode_set, max_symmetric_rate, mu_coefficient,
                     network_symmetric_rate, preset_scenario, sd_region, snd_region,
-                    ssnd_region, sweep, symmetric_rates, tin_rate, tin_rate_asymptotic,
-                    tin_region, two_cell_layout, two_cell_ordering_check)
+                    ssnd_region, sweep, symmetric_rates, tin_rate_asymptotic, tin_region,
+                    two_cell_layout, two_cell_ordering_check)
 from mcmimo.bounds import coherent_powers, noise_floors, state_powers
 from mcmimo import symrate
-from mcmimo.symrate import bs_symmetric_rate, stacked_rates
+from mcmimo.symrate import stacked_rates
 
 from oracles import (Polytope, brute_force_sd, brute_force_snd, brute_force_ssnd, cells,
                      diagonal_rate_bisection, direct_bound, exhaustive_snd, fading_states,
@@ -65,9 +65,9 @@ class TestMaxSymmetricPolytope:
             n_cons = int(rng.integers(1, 2 ** L))
             masks = rng.choice(np.arange(1, 2 ** L), size=n_cons, replace=False)
             cons = tuple((int(m), float(rng.uniform(0.1, 5.0))) for m in masks)
-            poly = Polytope(L, cons)
-            rate, _ = max_symmetric_rate(region_of(L, [poly.constraints]))
-            oracle = diagonal_rate_bisection(poly, L, hi=10.0)
+            region = region_of(L, [Polytope(L, cons).constraints])
+            rate, _ = max_symmetric_rate(region)
+            oracle = diagonal_rate_bisection(region, L, hi=10.0)
             assert rate == pytest.approx(oracle, rel=1e-6)
 
 
@@ -78,7 +78,7 @@ class TestFastPaths:
             state = random_state(rng)
             j = int(rng.integers(state.L))
             i = int(rng.integers(state.K))
-            fast = bs_symmetric_rate(state, "sd", j, i)
+            fast = network_symmetric_rate(state, "sd", i).per_bs[j]
             slow, slow_subset = brute_force_sd(state, j, i)
             assert fast.rate == pytest.approx(slow, rel=1e-12)
             assert fast.theta == slow_subset
@@ -89,7 +89,7 @@ class TestFastPaths:
             state = random_state(rng)
             j = int(rng.integers(state.L))
             i = int(rng.integers(state.K))
-            fast = bs_symmetric_rate(state, "ssnd", j, i)
+            fast = network_symmetric_rate(state, "ssnd", i).per_bs[j]
             slow, slow_subset = brute_force_ssnd(state, j, i)
             assert fast.rate == pytest.approx(slow, rel=1e-12)
             assert fast.theta == slow_subset
@@ -100,10 +100,10 @@ class TestFastPaths:
         for _ in range(50):
             state = random_state(rng, L=int(rng.integers(1, 6)))
             j = int(rng.integers(state.L))
-            sd_fast = bs_symmetric_rate(state, "sd", j, 0).rate
+            sd_fast = network_symmetric_rate(state, "sd", 0).per_bs[j].rate
             sd_poly, _ = max_symmetric_rate(sd_region(state, j, 0).parts[0])
             assert sd_fast == pytest.approx(sd_poly, rel=1e-12)
-            ssnd_fast = bs_symmetric_rate(state, "ssnd", j, 0).rate
+            ssnd_fast = network_symmetric_rate(state, "ssnd", 0).per_bs[j].rate
             ssnd_poly, _ = max_symmetric_rate(ssnd_region(state, j, 0).parts[0])
             assert ssnd_fast == pytest.approx(ssnd_poly, rel=1e-12)
 
@@ -112,7 +112,7 @@ class TestFastPaths:
         state = random_state(rng, L=1, K=2)
         mu = mu_coefficient(state, 0, 0)
         expected = capacity(mu * state.beta[0, 0, 0] ** 2)
-        entry = bs_symmetric_rate(state, "sd", 0, 0)
+        entry = network_symmetric_rate(state, "sd", 0).per_bs[0]
         assert entry.rate == pytest.approx(expected, rel=1e-12)
         assert entry.theta == 0b1
 
@@ -123,7 +123,7 @@ class TestFastPaths:
             mu = mu_coefficient(state, 0, 0)
             s_full = (state.beta[0, 0, :] ** 2).sum()
             assert mu * s_full < 1e-2
-            subset = bs_symmetric_rate(state, "sd", 0, 0).theta
+            subset = network_symmetric_rate(state, "sd", 0).per_bs[0].theta
             weakest = int(np.argmin(state.beta[0, 0, :]))
             assert subset == 1 << weakest
 
@@ -132,8 +132,8 @@ class TestFastPaths:
         for _ in range(200):
             state = random_state(rng)
             j = int(rng.integers(state.L))
-            assert (bs_symmetric_rate(state, "ssnd", j, 0).rate
-                    >= bs_symmetric_rate(state, "sd", j, 0).rate)
+            assert (network_symmetric_rate(state, "ssnd", 0).per_bs[j].rate
+                    >= network_symmetric_rate(state, "sd", 0).per_bs[j].rate)
 
     def test_symmetric_two_cell_pair_value(self):
         layout = two_cell_layout(400.0, 800.0, users_per_cell=4)
@@ -142,7 +142,7 @@ class TestFastPaths:
         mu = mu_coefficient(state, 0, 0)
         b_own, b_cross = state.beta[0, 0, 0], state.beta[0, 0, 1]
         expected_pair = 0.5 * capacity(mu * (b_own ** 2 + b_cross ** 2))
-        entry = bs_symmetric_rate(state, "ssnd", 0, 0)
+        entry = network_symmetric_rate(state, "ssnd", 0).per_bs[0]
         assert entry.rate == pytest.approx(expected_pair, rel=1e-12)
         assert entry.theta == 0b11
 
@@ -188,8 +188,9 @@ class TestSndMaxSymmetric:
         for _ in range(100):
             state = random_state(rng, L=2)
             j = int(rng.integers(2))
-            snd = bs_symmetric_rate(state, "snd", j, 0)
-            expected = max(tin_rate(state, j, 0), bs_symmetric_rate(state, "ssnd", j, 0).rate)
+            snd = network_symmetric_rate(state, "snd", 0).per_bs[j]
+            ssnd = network_symmetric_rate(state, "ssnd", 0).per_bs[j]
+            expected = max(tin_region(state, j, 0).bound[0], ssnd.rate)
             assert snd.rate == pytest.approx(expected, rel=1e-14)
             assert snd.theta & ~snd.omega == 0 and snd.omega >> j & 1
 
@@ -199,16 +200,17 @@ class TestSndMaxSymmetric:
         for _ in range(100):
             state = random_state(rng, L=int(rng.integers(2, 6)))
             j = int(rng.integers(state.L))
-            rate = bs_symmetric_rate(state, "snd", j, 0).rate
-            assert rate >= tin_rate(state, j, 0) * (1.0 - 1e-12)
-            assert rate >= bs_symmetric_rate(state, "ssnd", j, 0).rate * (1.0 - 1e-12)
+            rate = network_symmetric_rate(state, "snd", 0).per_bs[j].rate
+            ssnd = network_symmetric_rate(state, "ssnd", 0).per_bs[j].rate
+            assert rate >= tin_region(state, j, 0).bound[0] * (1.0 - 1e-12)
+            assert rate >= ssnd * (1.0 - 1e-12)
 
     def test_matches_subset_enumeration(self):
         rng = np.random.default_rng(63)
         for _ in range(60):
             state = random_state(rng, L=int(rng.integers(1, 6)))
             j = int(rng.integers(state.L))
-            rate = bs_symmetric_rate(state, "snd", j, 0).rate
+            rate = network_symmetric_rate(state, "snd", 0).per_bs[j].rate
             assert rate == pytest.approx(brute_force_snd(state, j, 0), rel=1e-12)
 
     def test_matches_union_region_diagonal_bisection(self):
@@ -216,7 +218,7 @@ class TestSndMaxSymmetric:
         for _ in range(25):
             state = random_state(rng, L=int(rng.integers(2, 5)))
             j = int(rng.integers(state.L))
-            rate = bs_symmetric_rate(state, "snd", j, 0).rate
+            rate = network_symmetric_rate(state, "snd", 0).per_bs[j].rate
             region = snd_region(state, j, 0)
             oracle = diagonal_rate_bisection(region, state.L, hi=max(rate, 1.0))
             assert rate == pytest.approx(oracle, rel=1e-6)
@@ -252,7 +254,7 @@ class TestSndMaxSymmetric:
 
 def snd_witness(state, j, i):
     """The SND solution at BS j in the oracle's ``(rate, omega, theta)`` order."""
-    entry = bs_symmetric_rate(state, "snd", j, i)
+    entry = network_symmetric_rate(state, "snd", i).per_bs[j]
     return entry.rate, entry.omega, entry.theta
 
 
@@ -574,9 +576,6 @@ class TestRatesMemo:
             for scheme in SCHEMES:
                 network_symmetric_rate(state, scheme, pilot)
             for j in range(state.L):
-                for scheme in SCHEMES:
-                    bs_symmetric_rate(state, scheme, j, pilot)
-                tin_rate(state, j, pilot)
                 tin_region(state, j, pilot)
                 two_cell_ordering_check(state, j, pilot)
             assert len(solves) == pilot
@@ -589,8 +588,6 @@ class TestRatesMemo:
         assert tuple(reports) == SCHEMES
         for scheme in SCHEMES:
             assert network_symmetric_rate(state, scheme, 1) is reports[scheme]
-            for j in range(state.L):
-                assert bs_symmetric_rate(state, scheme, j, 1) is reports[scheme].per_bs[j]
         with pytest.raises(TypeError):
             reports["tin"] = reports["sd"]
 
@@ -608,8 +605,7 @@ class TestRatesMemo:
         state = preset_scenario("two-cell-scenario-a").state().with_m(1e308)
         calls = [lambda: symmetric_rates(state, 0),
                  lambda: network_symmetric_rate(state, "snd", 0),
-                 lambda: bs_symmetric_rate(state, "sd", 1, 0),
-                 lambda: tin_rate(state, 0, 0)]
+                 lambda: tin_region(state, 0, 0)]
         for _ in range(2):
             for call in calls:
                 with pytest.raises(ValueError, match="overflows"):
@@ -619,10 +615,8 @@ class TestRatesMemo:
 
     def test_unknown_scheme_rejected_before_solving(self, solves):
         state = ring_state(np.random.default_rng(82), L=3)
-        for call in (lambda: network_symmetric_rate(state, "mrc"),
-                     lambda: bs_symmetric_rate(state, "mrc", 0, 0)):
-            with pytest.raises(ValueError, match="unknown scheme 'mrc'"):
-                call()
+        with pytest.raises(ValueError, match="unknown scheme 'mrc'"):
+            network_symmetric_rate(state, "mrc")
         assert state._powers == {}
         assert solves == []
 
@@ -861,15 +855,13 @@ class TestOracleFreeProperties:
 def test_snd_rejects_negative_bs_index():
     state = random_state(np.random.default_rng(70), L=2, K=2)
     with pytest.raises(ValueError, match="out of range"):
-        bs_symmetric_rate(state, "snd", -1, 0)
+        snd_region(state, -1, 0)
 
 
 @pytest.mark.parametrize("j, i", [(-1, 0), (3, 0), (0, -1), (0, 2)])
 def test_solvers_reject_out_of_range_indices(j, i):
     state = random_state(np.random.default_rng(71), L=3, K=2)
-    solvers = [tin_rate, low_sinr_decode_set] + [
-        lambda state, j, i, scheme=scheme: bs_symmetric_rate(state, scheme, j, i)
-        for scheme in SCHEMES]
+    solvers = [tin_region, sd_region, ssnd_region, snd_region, low_sinr_decode_set]
     for solver in solvers:
         with pytest.raises(ValueError, match="out of range"):
             solver(state, j, i)
@@ -881,19 +873,19 @@ def test_indices_must_be_integers():
     state = preset_scenario("two-cell-scenario-a").state()
     one_cell = random_state(np.random.default_rng(72), L=1, K=1)
     calls = [
-        (lambda: tin_rate(state, True, 0), "BS index must be an integer, got True"),
-        (lambda: bs_symmetric_rate(state, "snd", True, 0),
-         "BS index must be an integer, got True"),
+        (lambda: tin_region(state, True, 0), "BS index must be an integer, got True"),
+        (lambda: network_symmetric_rate(state, "snd", True),
+         "pilot index must be an integer, got True"),
         (lambda: sd_region(state, True, 0), "BS index must be an integer, got True"),
-        (lambda: tin_rate(state, 1.0, 0), "BS index must be an integer, got 1.0"),
-        (lambda: tin_rate(state, 0, True), "pilot index must be an integer, got True"),
-        (lambda: tin_rate(one_cell, True, 0), "BS index must be an integer, got True"),
+        (lambda: tin_region(state, 1.0, 0), "BS index must be an integer, got 1.0"),
+        (lambda: tin_region(state, 0, True), "pilot index must be an integer, got True"),
+        (lambda: tin_region(one_cell, True, 0), "BS index must be an integer, got True"),
     ]
     for call, message in calls:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
     j, i = np.int64(1), np.int64(0)
-    assert tin_rate(state, j, i) == tin_rate(state, 1, 0)
-    assert bs_symmetric_rate(state, "snd", j, i) == bs_symmetric_rate(state, "snd", 1, 0)
+    assert tin_region(state, j, i).bound == tin_region(state, 1, 0).bound
+    assert network_symmetric_rate(state, "snd", i) == network_symmetric_rate(state, "snd", 0)
     assert np.array_equal(sd_region(state, j, i).bound, sd_region(state, 1, 0).bound)
